@@ -18,8 +18,7 @@ from .models import ModelSpec, init_params, local_train, param_count
 from .runtime import (DataConfig, ExperimentConfig, ProtectionMode,
                       RatioSchedule, RoundConfig, RunAborted, ratio_at,
                       run_experiment)
-from .vectors import (PartitionMask, UpdateSplit, add_scaled, l2_norm, merge,
-                      split)
+from .vectors import PartitionMask, UpdateSplit, add_scaled, merge, split
 from .voting import (PartitionStrategy, VoteKey, VoteMessage, decode_partition,
                      encrypt_indices, new_vote_key, propose_partition,
                      tally_votes, target_count)

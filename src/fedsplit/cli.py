@@ -50,9 +50,8 @@ def _collect_overrides(args) -> list:
     return overrides
 
 
-def _write_outputs(report, out_dir: Path) -> None:
+def _write_outputs(report, out_dir: Path, include_wall: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    include_wall = report.config.get("report.include_wall_time") == "true"
     _write_atomic(out_dir / "report.json",
                   emit_report(report, "json", include_wall_time=include_wall))
     _write_atomic(out_dir / "rounds.csv", emit_report(report, "csv"))
@@ -68,10 +67,10 @@ def cmd_run(args) -> int:
     try:
         report = run_experiment(cfg)
     except RunAborted as exc:
-        _write_outputs(exc.report, out_dir)
+        _write_outputs(exc.report, out_dir, cfg.include_wall_time)
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _write_outputs(report, out_dir)
+    _write_outputs(report, out_dir, cfg.include_wall_time)
     print(f"final_accuracy={report.final_accuracy!r} "
           f"total_sim_time_s={report.total_sim_time_s!r} "
           f"efficiency_ratio={report.efficiency_ratio!r}")
@@ -106,9 +105,9 @@ def cmd_sweep(args) -> int:
             print(f"sweep value {value!r} failed: {exc}", file=sys.stderr)
             rows.append([value, "", "", ""])
             if isinstance(exc, RunAborted):
-                _write_outputs(exc.report, sub_dir)
+                _write_outputs(exc.report, sub_dir, cfg.include_wall_time)
             continue
-        _write_outputs(report, sub_dir)
+        _write_outputs(report, sub_dir, cfg.include_wall_time)
         eff = "" if report.efficiency_ratio is None else repr(report.efficiency_ratio)
         rows.append([value, repr(report.final_accuracy),
                      repr(report.total_sim_time_s), eff])

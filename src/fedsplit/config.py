@@ -3,20 +3,22 @@
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  The flat shape keeps sweep overrides diff-friendly: a sweep
 mutates exactly one key.  Unknown keys and unparsable values are rejected
-with the offending key named.
+with the offending key named.  Every key is declared once, in ``_KEYS``,
+which drives the parse, ``KNOWN_KEYS`` and the report's config echo.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+from functools import reduce
+
 from .errors import ConfigError
-from .he import HeCostModel, HeParams
-from .models import ModelSpec
-from .runtime import (DataConfig, ExperimentConfig, ProtectionMode,
-                      RatioSchedule, RoundConfig)
+from .runtime import ExperimentConfig
 from .voting import PartitionStrategy
 
 __all__ = ["parse_kv_text", "apply_overrides", "config_from_flat",
-           "load_config", "KNOWN_KEYS"]
+           "config_to_flat", "load_config", "KNOWN_KEYS"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -35,46 +37,79 @@ def _parse_hidden_dims(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
-_SCHEMA = {
-    "dataset.kind": str,
-    "dataset.num_samples": int,
-    "dataset.input_dim": int,
-    "dataset.num_classes": int,
-    "dataset.separation": float,
-    "dataset.path": str,
-    "dataset.partition": str,
-    "dataset.dirichlet_alpha": float,
-    "dataset.test_fraction": float,
-    "model.kind": str,
-    "model.hidden_dims": _parse_hidden_dims,
-    "round.clients_total_N": int,
-    "round.clients_sampled_n": int,
-    "round.local_epochs_K": int,
-    "round.learning_rate_eta": float,
-    "round.batch_size": int,
-    "round.rounds_T": int,
-    "protection.kind": str,
-    "protection.amplitude_scale": float,
-    "schedule.mode": str,
-    "schedule.r0": float,
-    "schedule.lambda": float,
-    "voting.strategy": str,
-    "dp.epsilon": float,
-    "dp.delta": float,
-    "dp.theta": float,
-    "he.backend": str,
-    "he.ring_degree": int,
-    "he.scale_bits": int,
-    "he.modulus_bits": int,
-    "he.max_additions": int,
-    "he.per_slot_seconds": float,
-    "he.per_op_seconds": float,
-    "report.include_wall_time": _parse_bool,
-    "seed": int,
-    "workers": int,
+def _parse_path(text: str) -> str:
+    if text and not os.path.isfile(text):
+        raise ValueError(f"no such file {text!r}")
+    return text
+
+
+def _choice(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"must be one of {list(allowed)}, got {text!r}")
+        return text
+    return parse
+
+
+# Value codecs: (parse config text, format for the report's config echo).
+# A codec without a formatter keeps its key out of the echo.
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (float, repr)
+_BOOL = (_parse_bool, lambda flag: str(flag).lower())
+_DIMS = (_parse_hidden_dims, lambda dims: ",".join(str(h) for h in dims))
+_PATH = (_parse_path, str)
+_BACKEND = (_choice("mock", "ckks"), str)
+_STRATEGY = (_choice(*(s.value for s in PartitionStrategy)), lambda s: s.value)
+# Results are invariant to the worker count, so it stays out of the echo.
+_EXECUTION = (int, None)
+
+# The config vocabulary: flat key -> (ExperimentConfig attribute path, codec).
+_KEYS = {
+    "dataset.kind": ("data.kind", _STR),
+    "dataset.num_samples": ("data.num_samples", _INT),
+    "dataset.input_dim": ("data.input_dim", _INT),
+    "dataset.num_classes": ("data.num_classes", _INT),
+    "dataset.separation": ("data.separation", _FLOAT),
+    "dataset.path": ("data.path", _PATH),
+    "dataset.partition": ("data.partition", _STR),
+    "dataset.dirichlet_alpha": ("data.dirichlet_alpha", _FLOAT),
+    "dataset.test_fraction": ("data.test_fraction", _FLOAT),
+    "model.kind": ("model.kind", _STR),
+    "model.hidden_dims": ("model.hidden_dims", _DIMS),
+    "round.clients_total_N": ("rounds.clients_total_N", _INT),
+    "round.clients_sampled_n": ("rounds.clients_sampled_n", _INT),
+    "round.local_epochs_K": ("rounds.local_epochs_K", _INT),
+    "round.learning_rate_eta": ("rounds.learning_rate_eta", _FLOAT),
+    "round.batch_size": ("rounds.batch_size", _INT),
+    "round.rounds_T": ("rounds.rounds_T", _INT),
+    "protection.kind": ("protection.kind", _STR),
+    "protection.amplitude_scale": ("protection.amplitude_scale", _FLOAT),
+    "schedule.mode": ("schedule.mode", _STR),
+    "schedule.r0": ("schedule.r0", _FLOAT),
+    "schedule.lambda": ("schedule.lam", _FLOAT),
+    "voting.strategy": ("strategy", _STRATEGY),
+    "dp.epsilon": ("dp_epsilon", _FLOAT),
+    "dp.delta": ("dp_delta", _FLOAT),
+    "dp.theta": ("dp_theta", _FLOAT),
+    "he.backend": ("he_backend", _BACKEND),
+    "he.ring_degree": ("he_params.ring_degree", _INT),
+    "he.scale_bits": ("he_params.scale_bits", _INT),
+    "he.modulus_bits": ("he_params.modulus_bits", _INT),
+    "he.max_additions": ("he_params.max_additions", _INT),
+    "he.per_slot_seconds": ("he_cost.per_slot_seconds", _FLOAT),
+    "he.per_op_seconds": ("he_cost.per_op_seconds", _FLOAT),
+    "report.include_wall_time": ("include_wall_time", _BOOL),
+    "seed": ("seed", _INT),
+    "workers": ("workers", _EXECUTION),
 }
 
-KNOWN_KEYS = tuple(sorted(_SCHEMA))
+KNOWN_KEYS = tuple(sorted(_KEYS))
+
+# Nested ExperimentConfig attribute -> its flat section, named in errors.
+# Table order puts the dataset before the model whose shape it sets.
+_SECTIONS = {path.split(".")[0]: key.split(".")[0]
+             for key, (path, _codec) in _KEYS.items() if "." in path}
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
@@ -106,80 +141,41 @@ def apply_overrides(flat: dict, overrides) -> dict:
     return merged
 
 
-def _typed(flat: dict) -> dict:
-    typed = {}
-    for key, raw in flat.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            typed[key] = _SCHEMA[key](raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-    return typed
-
-
 def config_from_flat(flat: dict) -> ExperimentConfig:
     """Build a validated experiment config; defaults fill missing keys."""
-    v = _typed(flat)
-
-    def section(prefix: str, cls, rename=None):
-        rename = rename or {}
-        kwargs = {}
-        for key, value in v.items():
-            if key.startswith(prefix + "."):
-                name = key[len(prefix) + 1:]
-                kwargs[rename.get(name, name)] = value
+    values: dict[str, dict] = {}
+    for key, raw in flat.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        path, (parse, _fmt) = _KEYS[key]
         try:
-            return cls(**kwargs)
+            value = parse(raw)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config section {prefix!r}: {exc}") from None
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+        owner, _, name = path.rpartition(".")
+        values.setdefault(owner, {})[name] = value
 
-    data = section("dataset", DataConfig)
-    rounds = section("round", RoundConfig)
-    protection = section("protection", ProtectionMode)
-    schedule = section("schedule", RatioSchedule, rename={"lambda": "lam"})
+    default = ExperimentConfig()
+    top = values.get("", {})
+    for attr, section in _SECTIONS.items():
+        kwargs = values.get(attr, {})
+        if attr == "model":  # the model's shape follows the dataset's
+            kwargs.update(input_dim=top["data"].input_dim,
+                          num_classes=top["data"].num_classes)
+        try:
+            top[attr] = replace(getattr(default, attr), **kwargs)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"config section {section!r}: {exc}") from None
     try:
-        model = ModelSpec(kind=v.get("model.kind", "logistic"),
-                          input_dim=data.input_dim,
-                          num_classes=data.num_classes,
-                          hidden_dims=v.get("model.hidden_dims", ()))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config section 'model': {exc}") from None
-    he_kwargs = {name: v[f"he.{name}"] for name in
-                 ("ring_degree", "scale_bits", "modulus_bits", "max_additions")
-                 if f"he.{name}" in v}
-    cost_kwargs = {f"{name}": v[f"he.{name}"] for name in
-                   ("per_slot_seconds", "per_op_seconds") if f"he.{name}" in v}
-    try:
-        he_params = HeParams(**he_kwargs)
-        he_cost = HeCostModel(**cost_kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config section 'he': {exc}") from None
-    backend = v.get("he.backend", "mock")
-    if backend not in ("mock", "ckks"):
-        raise ConfigError(f"config key 'he.backend': must be mock or ckks, "
-                          f"got {backend!r}")
-    try:
-        strategy = PartitionStrategy(v.get("voting.strategy", "max"))
-    except ValueError:
-        raise ConfigError(
-            f"config key 'voting.strategy': must be one of "
-            f"{[s.value for s in PartitionStrategy]}, got {v['voting.strategy']!r}"
-        ) from None
-    try:
-        return ExperimentConfig(
-            data=data, model=model, rounds=rounds, protection=protection,
-            schedule=schedule, strategy=strategy,
-            dp_epsilon=v.get("dp.epsilon", 1.0),
-            dp_delta=v.get("dp.delta", 1e-5),
-            dp_theta=v.get("dp.theta", 1.0),
-            he_backend=backend, he_params=he_params, he_cost=he_cost,
-            seed=v.get("seed", 0),
-            workers=v.get("workers", 1),
-            include_wall_time=v.get("report.include_wall_time", False),
-        )
+        return replace(default, **top)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def config_to_flat(cfg: ExperimentConfig) -> dict:
+    """Canonical flat key -> string echo of ``cfg``, the inverse of the parse."""
+    return {key: fmt(reduce(getattr, path.split("."), cfg))
+            for key, (path, (_parse, fmt)) in _KEYS.items() if fmt}
 
 
 def load_config(path: str, overrides=None) -> ExperimentConfig:

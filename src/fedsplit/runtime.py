@@ -4,7 +4,8 @@ One round, in protocol order: sample a client cohort, train locally,
 vote on the partition (encrypted index tokens, server-side top-k), split
 each update, clip-and-noise the plaintext part, encrypt the remainder,
 aggregate both parts server-side, decrypt and merge client-side, and step
-the global model.  Baseline protection modes degenerate the same code path
+the global model.  Every protection mode runs these same steps; ``_PIPELINES``
+says which coordinates each one encrypts and where it clips and noises
 (no protection, noise everywhere, encryption everywhere, both serially, or
 noise with per-round amplitude decay).
 
@@ -28,9 +29,9 @@ from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
 from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError, ProtocolError
 from .he import (HeCostModel, HeParams, make_backend, simulated_round_cost)
-from .metrics import ExperimentReport, RoundMetrics, accuracy
+from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
 from .models import ModelSpec, init_params, local_train, param_count
-from .vectors import add_scaled, merge, split
+from .vectors import PartitionMask, add_scaled, merge, split
 from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
                      new_vote_key, propose_partition, tally_votes, target_count)
 
@@ -40,10 +41,29 @@ __all__ = [
     "PROTECTION_KINDS",
 ]
 
-PROTECTION_KINDS = ("none", "dp_only", "he_only", "serial", "parallel",
-                    "varying_dp")
-_DP_KINDS = ("dp_only", "serial", "parallel", "varying_dp")
-_HE_KINDS = ("he_only", "serial", "parallel")
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """What one protection kind does to each client update in a round."""
+
+    # Coordinates encrypted: "none", "all", or "voted" (the consensus mask).
+    encrypted: str
+    # Where clip+noise applies: "" nowhere, "rest" the unencrypted
+    # coordinates, "whole" the full update before the split.
+    noised: str = ""
+    # The noise std shrinks per round to sigma_z * amplitude_scale^t.
+    decay: bool = False
+
+
+_PIPELINES = {
+    "none": _Pipeline("none"),
+    "dp_only": _Pipeline("none", "rest"),
+    "he_only": _Pipeline("all"),
+    "serial": _Pipeline("all", "whole"),
+    "parallel": _Pipeline("voted", "rest"),
+    "varying_dp": _Pipeline("none", "rest", decay=True),
+}
+PROTECTION_KINDS = tuple(_PIPELINES)
 
 
 class RunAborted(FedSplitError):
@@ -144,12 +164,16 @@ class ProtectionMode:
             )
 
     @property
+    def pipeline(self) -> _Pipeline:
+        return _PIPELINES[self.kind]
+
+    @property
     def uses_dp(self) -> bool:
-        return self.kind in _DP_KINDS
+        return bool(self.pipeline.noised)
 
     @property
     def uses_he(self) -> bool:
-        return self.kind in _HE_KINDS
+        return self.pipeline.encrypted != "none"
 
 
 @dataclass(frozen=True)
@@ -178,47 +202,8 @@ class ExperimentConfig:
 
     def as_flat_dict(self) -> dict:
         """Canonical flat key -> string echo, the config-file vocabulary."""
-        d = self.data
-        flat = {
-            "dataset.kind": d.kind,
-            "dataset.num_samples": str(d.num_samples),
-            "dataset.input_dim": str(d.input_dim),
-            "dataset.num_classes": str(d.num_classes),
-            "dataset.separation": repr(d.separation),
-            "dataset.path": d.path,
-            "dataset.partition": d.partition,
-            "dataset.dirichlet_alpha": repr(d.dirichlet_alpha),
-            "dataset.test_fraction": repr(d.test_fraction),
-            "model.kind": self.model.kind,
-            "model.hidden_dims": ",".join(str(h) for h in self.model.hidden_dims),
-            "round.clients_total_N": str(self.rounds.clients_total_N),
-            "round.clients_sampled_n": str(self.rounds.clients_sampled_n),
-            "round.local_epochs_K": str(self.rounds.local_epochs_K),
-            "round.learning_rate_eta": repr(self.rounds.learning_rate_eta),
-            "round.batch_size": str(self.rounds.batch_size),
-            "round.rounds_T": str(self.rounds.rounds_T),
-            "protection.kind": self.protection.kind,
-            "protection.amplitude_scale": repr(self.protection.amplitude_scale),
-            "schedule.mode": self.schedule.mode,
-            "schedule.r0": repr(self.schedule.r0),
-            "schedule.lambda": repr(self.schedule.lam),
-            "voting.strategy": self.strategy.value,
-            "dp.epsilon": repr(self.dp_epsilon),
-            "dp.delta": repr(self.dp_delta),
-            "dp.theta": repr(self.dp_theta),
-            "he.backend": self.he_backend,
-            "he.ring_degree": str(self.he_params.ring_degree),
-            "he.scale_bits": str(self.he_params.scale_bits),
-            "he.modulus_bits": str(self.he_params.modulus_bits),
-            "he.max_additions": str(self.he_params.max_additions),
-            "he.per_slot_seconds": repr(self.he_cost.per_slot_seconds),
-            "he.per_op_seconds": repr(self.he_cost.per_op_seconds),
-            "report.include_wall_time": str(self.include_wall_time).lower(),
-            "seed": str(self.seed),
-        }
-        # workers is an execution detail: results are invariant to it, so it
-        # stays out of the reported config.
-        return flat
+        from .config import config_to_flat  # config imports this module
+        return config_to_flat(self)
 
 
 @dataclass
@@ -286,7 +271,7 @@ def _setup(cfg: ExperimentConfig) -> _State:
     if cfg.protection.uses_he:
         backend = make_backend(cfg.he_backend, cfg.he_params)
         keypair = backend.keygen(seeds.seed_sequence(cfg.seed, seeds.HE_KEYGEN))
-    if cfg.protection.kind == "parallel":
+    if cfg.protection.pipeline.encrypted == "voted":
         vote_key = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY))
 
     w = init_params(cfg.model, seeds.seed_sequence(cfg.seed, seeds.MODEL_INIT))
@@ -318,15 +303,30 @@ def _aggregate_encrypted(state: _State, per_client_cts: list, length: int) -> np
     return total / len(per_client_cts)
 
 
-def _round_sigma(state: _State, t: int) -> float:
-    sigma = state.dp_params.sigma_z
-    if state.config.protection.kind == "varying_dp":
-        sigma *= state.config.protection.amplitude_scale ** t
-    return sigma
+def _consensus_mask(state: _State, t: int, r_t: float, items: list) -> PartitionMask:
+    """Vote on the round's encrypted coordinates: the top-k of the proposals."""
+    cfg = state.config
+    k = target_count(r_t, state.dim)
+    vk = state.vote_key.for_round(t)
+
+    def propose_one(item):
+        client, u = item
+        mask = propose_partition(u, r_t, cfg.strategy,
+                                 seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
+        return encrypt_indices(mask, vk, client_id=client)
+
+    messages = _map_clients(propose_one, items, cfg.workers)
+    mask = decode_partition(tally_votes(messages, k), vk, state.dim, k)
+    if mask.size != k:
+        raise ProtocolError(
+            f"round {t}: consensus mask has {mask.size} indices, expected {k}"
+        )
+    return mask
 
 
 def _run_round(state: _State, t: int) -> RoundMetrics:
     cfg = state.config
+    pipe = cfg.protection.pipeline
     started = time.perf_counter()
     rng_sample = seeds.rng_for(cfg.seed, seeds.SAMPLING, t)
     cohort = np.sort(rng_sample.choice(
@@ -340,82 +340,41 @@ def _run_round(state: _State, t: int) -> RoundMetrics:
                            cfg.rounds.batch_size,
                            seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
 
-    updates = _map_clients(train_one, cohort, cfg.workers)
-    kind = cfg.protection.kind
-    n = len(cohort)
-    sim_time = 0.0
-    r_t = 0.0
-
-    if kind == "none":
-        global_update = np.mean(np.stack(updates), axis=0)
-
-    elif kind in ("dp_only", "varying_dp"):
-        dp = DpParams(theta=state.dp_params.theta, sigma_z=_round_sigma(state, t))
-
-        def protect_one(item):
-            client, u = item
-            return protect_dp(u, dp, seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client))
-
-        noised = _map_clients(protect_one, list(zip(cohort, updates)), cfg.workers)
-        global_update = np.mean(np.stack(noised), axis=0)
-
-    elif kind in ("he_only", "serial"):
-        r_t = 1.0
-        if kind == "serial":
-            def protect_one(item):
-                client, u = item
-                return protect_dp(u, state.dp_params,
-                                  seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client))
-            updates = _map_clients(protect_one, list(zip(cohort, updates)), cfg.workers)
-
-        def encrypt_one(item):
-            client, u = item
-            return state.backend.encrypt(
-                state.keypair, u, seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
-
-        per_client = _map_clients(encrypt_one, list(zip(cohort, updates)), cfg.workers)
-        global_update = _aggregate_encrypted(state, per_client, state.dim)
-        if cfg.he_backend == "mock":
-            sim_time = simulated_round_cost(cfg.he_cost, n, state.dim)
-
-    elif kind == "parallel":
+    items = list(zip(cohort, _map_clients(train_one, cohort, cfg.workers)))
+    if pipe.encrypted == "voted":
         r_t = ratio_at(cfg.schedule, t)
-        k = target_count(r_t, state.dim)
-        vk = state.vote_key.for_round(t)
+        mask = _consensus_mask(state, t, r_t, items)
+    else:
+        r_t = 1.0 if pipe.encrypted == "all" else 0.0
+        mask = PartitionMask(np.arange(target_count(r_t, state.dim)), state.dim)
+    dp = state.dp_params
+    if pipe.decay:
+        dp = DpParams(theta=dp.theta,
+                      sigma_z=dp.sigma_z * cfg.protection.amplitude_scale ** t)
 
-        def propose_one(item):
-            client, u = item
-            mask = propose_partition(u, r_t, cfg.strategy,
-                                     seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
-            return encrypt_indices(mask, vk, client_id=client)
-
-        messages = _map_clients(propose_one, list(zip(cohort, updates)), cfg.workers)
-        winners = tally_votes(messages, k)
-        mask = decode_partition(winners, vk, state.dim, k)
-        if mask.size != k:
-            raise ProtocolError(
-                f"round {t}: consensus mask has {mask.size} indices, expected {k}"
-            )
-
-        def protect_one(item):
-            client, u = item
-            parts = split(u, mask)
-            noised_dp = protect_dp(parts.dp_part, state.dp_params,
-                                   seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client))
+    def protect_one(item):
+        client, u = item
+        dp_seed = seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client)
+        if pipe.noised == "whole":
+            u = protect_dp(u, dp, dp_seed)
+        parts = split(u, mask)
+        rest = parts.dp_part
+        if pipe.noised == "rest":
+            rest = protect_dp(rest, dp, dp_seed)
+        cts = []
+        if mask.size:
             cts = state.backend.encrypt(
                 state.keypair, parts.he_part,
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
-            return noised_dp, cts
+        return rest, cts
 
-        protected = _map_clients(protect_one, list(zip(cohort, updates)), cfg.workers)
-        dp_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
-        he_mean = _aggregate_encrypted(state, [p[1] for p in protected], k)
-        global_update = merge(dp_mean, he_mean, mask)
-        if cfg.he_backend == "mock" and k > 0:
-            sim_time = simulated_round_cost(cfg.he_cost, n, k)
-
-    else:  # pragma: no cover - guarded by ProtectionMode validation
-        raise ProtocolError(f"unhandled protection kind {kind!r}")
+    protected = _map_clients(protect_one, items, cfg.workers)
+    rest_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
+    he_mean = _aggregate_encrypted(state, [p[1] for p in protected], mask.size)
+    global_update = merge(rest_mean, he_mean, mask)
+    sim_time = 0.0
+    if cfg.he_backend == "mock" and mask.size:
+        sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
 
     if not np.all(np.isfinite(global_update)):
         raise DivergenceError(f"round {t}: non-finite global update")
@@ -439,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     time_basis = "simulated" if cfg.he_backend == "mock" else "wall"
     report = ExperimentReport(config=cfg.as_flat_dict(), seed=cfg.seed,
                               backend=cfg.he_backend, time_basis=time_basis)
-    if cfg.protection.kind == "varying_dp":
+    if cfg.protection.pipeline.decay:
         report.notes.append(
             "varying_dp baseline uses the simplified per-round amplitude "
             f"sigma_z * {cfg.protection.amplitude_scale}^t"
@@ -466,6 +425,7 @@ def _finalize(report: ExperimentReport) -> None:
     basis_time = (report.total_sim_time_s if report.time_basis == "simulated"
                   else report.total_wall_time_s)
     if basis_time > 0 and report.rounds:
-        report.efficiency_ratio = report.final_accuracy * 100.0 / basis_time * 100.0
+        report.efficiency_ratio = efficiency_ratio(report.final_accuracy * 100.0,
+                                                   basis_time)
     else:
         report.efficiency_ratio = None

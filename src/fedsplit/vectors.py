@@ -21,7 +21,6 @@ __all__ = [
     "UpdateSplit",
     "split",
     "merge",
-    "l2_norm",
     "add_scaled",
 ]
 
@@ -131,11 +130,6 @@ def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.n
     out[mask.he_indices] = he_part
     out[mask.complement()] = dp_part
     return out
-
-
-def l2_norm(u: np.ndarray) -> float:
-    """Euclidean norm of a flat update."""
-    return float(np.linalg.norm(np.asarray(u, dtype=np.float64)))
 
 
 def add_scaled(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:

@@ -100,6 +100,14 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert doc["complete"] is True
 
+    def test_missing_csv_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "csv.conf"
+        conf.write_text(f"dataset.kind = csv\ndataset.path = {tmp_path / 'nope.csv'}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 1
+        assert "dataset.path" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         p = tmp_path / "diverge.conf"
         p.write_text(MINI + "model.kind = linear\nround.learning_rate_eta = 1e18\n")

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from fedsplit.config import (apply_overrides, config_from_flat, load_config,
-                             parse_kv_text)
+from fedsplit.config import (KNOWN_KEYS, apply_overrides, config_from_flat,
+                             load_config, parse_kv_text)
 from fedsplit.errors import ConfigError
+from fedsplit.runtime import PROTECTION_KINDS
 
 
 class TestParseKvText:
@@ -94,6 +98,29 @@ class TestBuildConfig:
         cfg = config_from_flat({"schedule.r0": "0.25", "seed": "9"})
         echoed = config_from_flat(cfg.as_flat_dict())
         assert echoed == cfg
+        for kind in PROTECTION_KINDS:
+            cfg = config_from_flat({
+                "protection.kind": kind, "protection.amplitude_scale": "0.7",
+                "model.kind": "mlp", "model.hidden_dims": "16,8",
+                "voting.strategy": "random", "he.backend": "ckks",
+                "he.per_op_seconds": "0.1", "report.include_wall_time": "true",
+            })
+            assert set(cfg.as_flat_dict()) == set(KNOWN_KEYS) - {"workers"}
+            assert config_from_flat(cfg.as_flat_dict()) == cfg
+
+
+def test_readme_key_table_matches_known_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| section | keys |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        section, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        prefix = "" if section == "(top)" else section + "."
+        documented[section] = {prefix + key for key in re.findall(r"`(\w+)`", keys)}
+    known = {}
+    for key in KNOWN_KEYS:
+        known.setdefault(key.split(".")[0] if "." in key else "(top)", set()).add(key)
+    assert documented == known
 
 
 class TestLoadConfig:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError
-from fedsplit.vectors import (PartitionMask, add_scaled, l2_norm, merge, split)
+from fedsplit.vectors import PartitionMask, add_scaled, merge, split
 
 
 def mask(indices, dim):
@@ -51,15 +51,6 @@ class TestMerge:
 
 
 class TestNormAndAxpy:
-    def test_l2_345(self):
-        assert l2_norm([3.0, 4.0]) == 5.0
-
-    def test_l2_zero(self):
-        assert l2_norm([0.0, 0.0, 0.0]) == 0.0
-
-    def test_l2_ones(self):
-        assert l2_norm([1.0, 1.0, 1.0, 1.0]) == 2.0
-
     def test_add_scaled(self):
         assert add_scaled([1.0, 1.0], [2.0, 2.0], 0.5).tolist() == [2.0, 2.0]
         assert add_scaled([1.0], [1.0], 0.0).tolist() == [1.0]
@@ -124,6 +115,6 @@ def test_partition_completeness(data):
 def test_norm_consistency(data):
     u, m = data
     parts = split(u, m)
-    total = l2_norm(u) ** 2
-    parts_sq = l2_norm(parts.dp_part) ** 2 + l2_norm(parts.he_part) ** 2
+    total = np.linalg.norm(u) ** 2
+    parts_sq = np.linalg.norm(parts.dp_part) ** 2 + np.linalg.norm(parts.he_part) ** 2
     assert parts_sq == pytest.approx(total, rel=1e-12, abs=1e-300)
