@@ -25,11 +25,7 @@ print(f"encrypting {n_clients} vectors of length {length} "
       f"({np.ceil(length / params.slot_count):.0f} ciphertexts each)")
 encrypted = [backend.encrypt(keys, v, seed=i) for i, v in enumerate(vectors)]
 
-acc = encrypted[0]
-for cts in encrypted[1:]:
-    acc = [backend.hom_add(a, b) for a, b in zip(acc, cts)]
-
-mean = backend.decrypt(keys, acc, length) / n_clients
+mean = backend.aggregate(keys, encrypted, length)  # fold in client order, decrypt, / n
 true_mean = np.mean(vectors, axis=0)
 print(f"max |decrypted mean - plaintext mean| = "
       f"{np.max(np.abs(mean - true_mean)):.2e}")

@@ -14,6 +14,7 @@ from dataclasses import replace
 from functools import reduce
 
 from .errors import ConfigError
+from .he import BACKENDS
 from .runtime import ExperimentConfig
 from .voting import PartitionStrategy
 
@@ -59,7 +60,7 @@ _FLOAT = (float, repr)
 _BOOL = (_parse_bool, lambda flag: str(flag).lower())
 _DIMS = (_parse_hidden_dims, lambda dims: ",".join(str(h) for h in dims))
 _PATH = (_parse_path, str)
-_BACKEND = (_choice("mock", "ckks"), str)
+_BACKEND = (_choice(*BACKENDS), str)
 _STRATEGY = (_choice(*(s.value for s in PartitionStrategy)), lambda s: s.value)
 # Results are invariant to the worker count, so it stays out of the echo.
 _EXECUTION = (int, None)

@@ -3,20 +3,20 @@
 from .base import Ciphertext, HeBackend, KeyPair
 from .ckks import CkksBackend
 from .mock import MockBackend
-from .params import (HeCostModel, HeParams, decode_tolerance, default_params,
-                     simulated_cost, simulated_round_cost)
+from .params import (HeCostModel, HeParams, decode_tolerance, simulated_cost,
+                     simulated_round_cost)
 
 __all__ = [
     "Ciphertext", "KeyPair", "HeBackend", "CkksBackend", "MockBackend",
-    "HeParams", "HeCostModel", "default_params", "decode_tolerance",
-    "simulated_cost", "simulated_round_cost", "make_backend",
+    "HeParams", "HeCostModel", "decode_tolerance", "simulated_cost",
+    "simulated_round_cost", "make_backend", "BACKENDS",
 ]
 
-_BACKENDS = {"ckks": CkksBackend, "mock": MockBackend}
+BACKENDS = {cls.name: cls for cls in (CkksBackend, MockBackend)}
 
 
 def make_backend(name: str, params: HeParams | None = None) -> HeBackend:
-    """Instantiate a backend by name ("ckks" or "mock")."""
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown HE backend {name!r}; choose from {sorted(_BACKENDS)}")
-    return _BACKENDS[name](params or default_params())
+    """Instantiate a backend by its ``name`` (a key of ``BACKENDS``)."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown HE backend {name!r}; choose from {sorted(BACKENDS)}")
+    return BACKENDS[name](params or HeParams())

@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionError, EncodingOverflowError
 from ..seeds import as_rng
-from .base import Ciphertext, HeBackend, KeyPair, chunk_bounds
+from .base import Ciphertext, HeBackend, KeyPair
 from .params import HeParams
 from .ring import NegacyclicRing
 
@@ -45,6 +44,7 @@ class CkksSecretKey:
 
 class CkksBackend(HeBackend):
     name = "ckks"
+    time_basis = "wall"
 
     def __init__(self, params: HeParams):
         super().__init__(params)
@@ -64,69 +64,31 @@ class CkksBackend(HeBackend):
             backend=self.name,
         )
 
-    def _encode_chunk(self, x_chunk: np.ndarray) -> np.ndarray:
-        worst = float(np.max(np.abs(x_chunk))) if x_chunk.size else 0.0
-        if worst > self.params.max_encodable:
-            raise EncodingOverflowError(
-                f"value magnitude {worst:g} exceeds fixed-point headroom "
-                f"{self.params.max_encodable:g} "
-                f"(modulus_bits={self.params.modulus_bits}, "
-                f"scale_bits={self.params.scale_bits}, "
-                f"max_additions={self.params.max_additions})"
-            )
-        m = np.zeros(self.params.ring_degree, dtype=np.int64)
-        m[: x_chunk.size] = np.rint(x_chunk * self.params.scale).astype(np.int64)
-        return self.ring.from_signed(m)
-
     def encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
-        if pk.backend != self.name or pk.params != self.params:
-            raise DimensionError("public key params/backend mismatch")
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("plaintext contains non-finite values")
-        rng = as_rng(seed)
-        ring = self.ring
-        key: CkksPublicKey = pk.public_key
-        out = []
-        for start, stop in chunk_bounds(x.size, self.params.slot_count):
-            m_res = self._encode_chunk(x[start:stop])
-            u_eval = ring.to_eval(ring.ternary(rng))
-            e1_plus_m = ring.addmod(ring.cbd_error(rng), m_res)
-            c0 = ring.addmod(ring.mulmod(key.b_eval, u_eval), ring.to_eval(e1_plus_m))
-            c1 = ring.addmod(ring.mulmod(key.a_eval, u_eval),
-                             ring.to_eval(ring.cbd_error(rng)))
-            out.append(Ciphertext(payload=(c0, c1), slots_used=stop - start,
-                                  add_count=0, params=self.params, backend=self.name))
-        return out
+        return self._encrypt(pk, x, seed)
 
     def hom_add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        add_count = self._check_addable(a, b)
-        a0, a1 = a.payload
-        b0, b1 = b.payload
-        ring = self.ring
-        return Ciphertext(
-            payload=(ring.addmod(a0, b0), ring.addmod(a1, b1)),
-            slots_used=a.slots_used,
-            add_count=add_count,
-            params=self.params,
-            backend=self.name,
-        )
+        return self._hom_add(a, b)
 
     def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
-        if sk.backend != self.name or sk.params != self.params:
-            raise DimensionError("secret key params/backend mismatch")
-        self._check_chunks(cts, original_len)
+        return self._decrypt(sk, cts, original_len)
+
+    def _encrypt_chunk(self, key: CkksPublicKey, chunk: np.ndarray, rng) -> tuple:
         ring = self.ring
-        s_eval = sk.secret_key.s_eval
-        out = np.empty(original_len, dtype=np.float64)
-        pos = 0
-        for ct in cts:
-            if pos >= original_len:
-                break
-            c0, c1 = ct.payload
-            m_res = ring.from_eval(ring.addmod(c0, ring.mulmod(c1, s_eval)))
-            values = ring.to_signed(m_res).astype(np.float64) / self.params.scale
-            take = min(ct.slots_used, original_len - pos)
-            out[pos: pos + take] = values[:take]
-            pos += take
-        return out
+        m = np.zeros(self.params.ring_degree, dtype=np.int64)
+        m[: chunk.size] = np.rint(chunk * self.params.scale).astype(np.int64)
+        u_eval = ring.to_eval(ring.ternary(rng))
+        e1_plus_m = ring.addmod(ring.cbd_error(rng), ring.from_signed(m))
+        c0 = ring.addmod(ring.mulmod(key.b_eval, u_eval), ring.to_eval(e1_plus_m))
+        c1 = ring.addmod(ring.mulmod(key.a_eval, u_eval),
+                         ring.to_eval(ring.cbd_error(rng)))
+        return c0, c1
+
+    def _add_payloads(self, a: tuple, b: tuple) -> tuple:
+        return self.ring.addmod(a[0], b[0]), self.ring.addmod(a[1], b[1])
+
+    def _decrypt_chunk(self, key: CkksSecretKey, payload: tuple) -> np.ndarray:
+        ring = self.ring
+        c0, c1 = payload
+        m_res = ring.from_eval(ring.addmod(c0, ring.mulmod(c1, key.s_eval)))
+        return ring.to_signed(m_res).astype(np.float64) / self.params.scale

@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionError, EncodingOverflowError
 from ..seeds import as_rng
-from .base import Ciphertext, HeBackend, KeyPair, chunk_bounds
+from .base import Ciphertext, HeBackend, KeyPair
 
 __all__ = ["MockBackend", "MockPayload"]
 
@@ -31,6 +30,7 @@ class MockPayload:
 
 class MockBackend(HeBackend):
     name = "mock"
+    time_basis = "simulated"
 
     def keygen(self, seed) -> KeyPair:
         rng = as_rng(seed)
@@ -39,47 +39,20 @@ class MockBackend(HeBackend):
                        params=self.params, backend=self.name)
 
     def encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
-        if pk.backend != self.name or pk.params != self.params:
-            raise DimensionError("public key params/backend mismatch")
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("plaintext contains non-finite values")
-        worst = float(np.max(np.abs(x))) if x.size else 0.0
-        if worst > self.params.max_encodable:
-            raise EncodingOverflowError(
-                f"value magnitude {worst:g} exceeds fixed-point headroom "
-                f"{self.params.max_encodable:g}"
-            )
-        rng = as_rng(seed)
-        out = []
-        for start, stop in chunk_bounds(x.size, self.params.slot_count):
-            nonce = int(rng.integers(0, 2**63, dtype=np.int64))
-            out.append(Ciphertext(
-                payload=MockPayload(values=x[start:stop].copy(), nonce=nonce),
-                slots_used=stop - start, add_count=0,
-                params=self.params, backend=self.name,
-            ))
-        return out
+        return self._encrypt(pk, x, seed)
 
     def hom_add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        add_count = self._check_addable(a, b)
-        payload = MockPayload(
-            values=a.payload.values + b.payload.values,
-            nonce=a.payload.nonce ^ b.payload.nonce,
-        )
-        return Ciphertext(payload=payload, slots_used=a.slots_used,
-                          add_count=add_count, params=self.params, backend=self.name)
+        return self._hom_add(a, b)
 
     def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
-        if sk.backend != self.name or sk.params != self.params:
-            raise DimensionError("secret key params/backend mismatch")
-        self._check_chunks(cts, original_len)
-        out = np.empty(original_len, dtype=np.float64)
-        pos = 0
-        for ct in cts:
-            if pos >= original_len:
-                break
-            take = min(ct.slots_used, original_len - pos)
-            out[pos: pos + take] = ct.payload.values[:take]
-            pos += take
-        return out
+        return self._decrypt(sk, cts, original_len)
+
+    def _encrypt_chunk(self, public_key, chunk: np.ndarray, rng) -> MockPayload:
+        return MockPayload(values=chunk.copy(),
+                           nonce=int(rng.integers(0, 2**63, dtype=np.int64)))
+
+    def _add_payloads(self, a: MockPayload, b: MockPayload) -> MockPayload:
+        return MockPayload(values=a.values + b.values, nonce=a.nonce ^ b.nonce)
+
+    def _decrypt_chunk(self, secret_key, payload: MockPayload) -> np.ndarray:
+        return payload.values

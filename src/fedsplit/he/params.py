@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["HeParams", "HeCostModel", "default_params", "decode_tolerance",
-           "simulated_cost", "simulated_round_cost"]
+__all__ = ["HeParams", "HeCostModel", "decode_tolerance", "simulated_cost",
+           "simulated_round_cost"]
 
 _MAX_MODULUS_BITS = 51  # exactness bound of the float-assisted modmul in ring.py
 
@@ -78,10 +78,6 @@ class HeCostModel:
     def __post_init__(self):
         if self.per_slot_seconds < 0 or self.per_op_seconds < 0:
             raise ValueError("cost model components must be nonnegative")
-
-
-def default_params() -> HeParams:
-    return HeParams()
 
 
 def decode_tolerance(params: HeParams) -> float:

@@ -2,7 +2,10 @@
 
 Layout: magic b"PAHE", version byte, kind byte, then two length-prefixed
 blocks (u32 little-endian lengths): the params block and the payload block.
-Deserializing a serialized ciphertext decrypts bit-identically.
+A ciphertext payload starts with (slots_used, add_count) as two u32; the
+rest of every payload is the little-endian arrays that ``_LAYOUTS`` lists
+for its (kind, backend), one row driving both directions.  Deserializing a
+serialized ciphertext decrypts bit-identically.
 """
 
 from __future__ import annotations
@@ -17,88 +20,79 @@ from .ckks import CkksPublicKey, CkksSecretKey
 from .mock import MockPayload
 from .params import HeParams
 
-__all__ = ["serialize", "deserialize"]
+__all__ = ["serialize", "serialize_secret", "deserialize"]
 
 MAGIC = b"PAHE"
 VERSION = 1
 
-_KIND_CIPHERTEXT = 1
-_KIND_PUBLIC_KEY = 2
-_KIND_SECRET_KEY = 3
-
+_KIND_CIPHERTEXT, _KIND_PUBLIC_KEY, _KIND_SECRET_KEY = 1, 2, 3
 _BACKEND_CODES = {"ckks": 1, "mock": 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
 
-_PARAMS_FMT = "<IHHIB"  # ring_degree, scale_bits, modulus_bits, max_additions, backend
+# ring_degree, scale_bits, modulus_bits, max_additions, backend code
+_PARAMS = struct.Struct("<IHHIB")
+_CT_HEAD = struct.Struct("<II")  # slots_used, add_count
+_LENGTH = struct.Struct("<I")
+
+# Array element types; lengths are ints or read from the blob.
+_RESIDUES, _INT, _REALS = np.dtype("<u8"), np.dtype("<i8"), np.dtype("<f8")
+_N, _SLOTS = "ring_degree", "slots_used"
+
+# (kind, backend) -> (payload arrays as (dtype, length), take the ciphertext
+# payload or key half apart into those arrays, rebuild it from them).
+_LAYOUTS = {
+    (_KIND_CIPHERTEXT, "ckks"): (((_RESIDUES, _N), (_RESIDUES, _N)),
+                                 lambda c: c, lambda c0, c1: (c0, c1)),
+    (_KIND_CIPHERTEXT, "mock"): (((_INT, 1), (_REALS, _SLOTS)),
+                                 lambda p: ([p.nonce], p.values),
+                                 lambda nonce, values: MockPayload(values, int(nonce[0]))),
+    (_KIND_PUBLIC_KEY, "ckks"): (((_RESIDUES, _N), (_RESIDUES, _N)),
+                                 lambda k: (k.a_eval, k.b_eval), CkksPublicKey),
+    (_KIND_PUBLIC_KEY, "mock"): (((_INT, 1),), lambda k: ([k],), lambda k: int(k[0])),
+    (_KIND_SECRET_KEY, "ckks"): (((_RESIDUES, _N),), lambda k: (k.s_eval,), CkksSecretKey),
+    (_KIND_SECRET_KEY, "mock"): (((_INT, 1),), lambda k: ([k],), lambda k: int(k[0])),
+}
 
 
-def _pack_params(params: HeParams, backend: str) -> bytes:
-    return struct.pack(_PARAMS_FMT, params.ring_degree, params.scale_bits,
-                       params.modulus_bits, params.max_additions,
-                       _BACKEND_CODES[backend])
-
-
-def _unpack_params(blob: bytes) -> tuple[HeParams, str]:
-    ring_degree, scale_bits, modulus_bits, max_additions, code = struct.unpack(
-        _PARAMS_FMT, blob)
-    params = HeParams(ring_degree=ring_degree, scale_bits=scale_bits,
-                      modulus_bits=modulus_bits, max_additions=max_additions)
-    return params, _BACKEND_NAMES[code]
-
-
-def _poly_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<u8").tobytes()
-
-
-def _poly_from(blob: bytes, n: int) -> np.ndarray:
-    return np.frombuffer(blob, dtype="<u8", count=n).astype(np.uint64)
-
-
-def _container(kind: int, params_block: bytes, payload: bytes) -> bytes:
+def _pack(kind: int, obj, inner, head: bytes = b"") -> bytes:
+    if obj.backend not in _BACKEND_CODES:
+        raise ProtocolError(f"unknown backend {obj.backend!r}")
+    arrays, take_apart, _rebuild = _LAYOUTS[kind, obj.backend]
+    p = obj.params
+    params_block = _PARAMS.pack(p.ring_degree, p.scale_bits, p.modulus_bits,
+                                p.max_additions, _BACKEND_CODES[obj.backend])
+    payload = head + b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes()
+                              for (dtype, _n), a in zip(arrays, take_apart(inner)))
     return (MAGIC + bytes([VERSION, kind])
-            + struct.pack("<I", len(params_block)) + params_block
-            + struct.pack("<I", len(payload)) + payload)
+            + _LENGTH.pack(len(params_block)) + params_block
+            + _LENGTH.pack(len(payload)) + payload)
 
 
 def serialize(obj) -> bytes:
     """Serialize a Ciphertext or KeyPair key half to the PAHE container."""
     if isinstance(obj, Ciphertext):
-        head = struct.pack("<II", obj.slots_used, obj.add_count)
-        if obj.backend == "ckks":
-            c0, c1 = obj.payload
-            payload = head + _poly_bytes(c0) + _poly_bytes(c1)
-        elif obj.backend == "mock":
-            payload = (head + struct.pack("<q", obj.payload.nonce)
-                       + np.ascontiguousarray(obj.payload.values, dtype="<f8").tobytes())
-        else:
-            raise ProtocolError(f"unknown backend {obj.backend!r}")
-        return _container(_KIND_CIPHERTEXT, _pack_params(obj.params, obj.backend), payload)
-
+        return _pack(_KIND_CIPHERTEXT, obj, obj.payload,
+                     _CT_HEAD.pack(obj.slots_used, obj.add_count))
     if isinstance(obj, KeyPair):
-        params_block = _pack_params(obj.params, obj.backend)
-        if obj.backend == "ckks":
-            pub = obj.public_key
-            payload = _poly_bytes(pub.a_eval) + _poly_bytes(pub.b_eval)
-        else:
-            payload = struct.pack("<q", obj.public_key)
-        return _container(_KIND_PUBLIC_KEY, params_block, payload)
-
+        return _pack(_KIND_PUBLIC_KEY, obj, obj.public_key)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def serialize_secret(kp: KeyPair) -> bytes:
-    params_block = _pack_params(kp.params, kp.backend)
-    if kp.backend == "ckks":
-        payload = _poly_bytes(kp.secret_key.s_eval)
-    else:
-        payload = struct.pack("<q", kp.secret_key)
-    return _container(_KIND_SECRET_KEY, params_block, payload)
+    return _pack(_KIND_SECRET_KEY, kp, kp.secret_key)
 
 
 def _read_block(blob: bytes, offset: int) -> tuple[bytes, int]:
-    (length,) = struct.unpack_from("<I", blob, offset)
-    start = offset + 4
+    (length,) = _LENGTH.unpack_from(blob, offset)
+    start = offset + _LENGTH.size
     return blob[start: start + length], start + length
+
+
+def _unpack_params(block: bytes) -> tuple[HeParams, str]:
+    ring_degree, scale_bits, modulus_bits, max_additions, code = _PARAMS.unpack(block)
+    params = HeParams(ring_degree=ring_degree, scale_bits=scale_bits,
+                      modulus_bits=modulus_bits, max_additions=max_additions)
+    return params, _BACKEND_NAMES[code]
 
 
 def deserialize(blob: bytes):
@@ -115,35 +109,20 @@ def deserialize(blob: bytes):
     params_block, offset = _read_block(blob, 6)
     payload, _ = _read_block(blob, offset)
     params, backend = _unpack_params(params_block)
-    n = params.ring_degree
+    if (kind, backend) not in _LAYOUTS:
+        raise ProtocolError(f"unknown container kind {kind}")
+    arrays, _take_apart, rebuild = _LAYOUTS[kind, backend]
 
-    if kind == _KIND_CIPHERTEXT:
-        slots_used, add_count = struct.unpack_from("<II", payload, 0)
-        body = payload[8:]
-        if backend == "ckks":
-            c0 = _poly_from(body[: 8 * n], n)
-            c1 = _poly_from(body[8 * n: 16 * n], n)
-            inner = (c0, c1)
-        else:
-            (nonce,) = struct.unpack_from("<q", body, 0)
-            values = np.frombuffer(body[8:], dtype="<f8").astype(np.float64)
-            inner = MockPayload(values=values, nonce=nonce)
-        return Ciphertext(payload=inner, slots_used=slots_used,
-                          add_count=add_count, params=params, backend=backend)
-
-    if kind == _KIND_PUBLIC_KEY:
-        if backend == "ckks":
-            key = CkksPublicKey(a_eval=_poly_from(payload[: 8 * n], n),
-                                b_eval=_poly_from(payload[8 * n: 16 * n], n))
-        else:
-            (key,) = struct.unpack_from("<q", payload, 0)
-        return (kind, params, backend, key)
-
-    if kind == _KIND_SECRET_KEY:
-        if backend == "ckks":
-            key = CkksSecretKey(s_eval=_poly_from(payload[: 8 * n], n))
-        else:
-            (key,) = struct.unpack_from("<q", payload, 0)
-        return (kind, params, backend, key)
-
-    raise ProtocolError(f"unknown container kind {kind}")
+    head_size = _CT_HEAD.size if kind == _KIND_CIPHERTEXT else 0
+    slots_used, add_count = _CT_HEAD.unpack_from(payload) if head_size else (0, 0)
+    values, offset = [], head_size
+    for dtype, n in arrays:
+        n = {_N: params.ring_degree, _SLOTS: slots_used}.get(n, n)
+        values.append(np.frombuffer(payload, dtype=dtype, count=n,
+                                    offset=offset).astype(dtype.type))
+        offset += dtype.itemsize * n
+    inner = rebuild(*values)
+    if head_size:
+        return Ciphertext(payload=inner, slots_used=slots_used, add_count=add_count,
+                          params=params, backend=backend)
+    return (kind, params, backend, inner)

@@ -28,7 +28,8 @@ from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
                        synthetic_dataset, train_test_split)
 from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError, ProtocolError
-from .he import (HeCostModel, HeParams, make_backend, simulated_round_cost)
+from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
+                 simulated_round_cost)
 from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
 from .models import ModelSpec, init_params, local_train, param_count
 from .vectors import PartitionMask, add_scaled, merge, split
@@ -197,6 +198,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", PartitionStrategy(self.strategy))
+        if self.he_backend not in BACKENDS:
+            raise ValueError(f"he_backend must be one of {list(BACKENDS)}, "
+                             f"got {self.he_backend!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -288,21 +292,6 @@ def _map_clients(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _aggregate_encrypted(state: _State, per_client_cts: list, length: int) -> np.ndarray:
-    """Fold ciphertext chunks in client order, decrypt, and divide by n."""
-    if length == 0:
-        return np.empty(0, dtype=np.float64)
-    n_chunks = len(per_client_cts[0])
-    for cts in per_client_cts:
-        if len(cts) != n_chunks:
-            raise ProtocolError("clients produced differing ciphertext chunk counts")
-    summed = list(per_client_cts[0])
-    for cts in per_client_cts[1:]:
-        summed = [state.backend.hom_add(a, b) for a, b in zip(summed, cts)]
-    total = state.backend.decrypt(state.keypair, summed, length)
-    return total / len(per_client_cts)
-
-
 def _consensus_mask(state: _State, t: int, r_t: float, items: list) -> PartitionMask:
     """Vote on the round's encrypted coordinates: the top-k of the proposals."""
     cfg = state.config
@@ -370,11 +359,14 @@ def _run_round(state: _State, t: int) -> RoundMetrics:
 
     protected = _map_clients(protect_one, items, cfg.workers)
     rest_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
-    he_mean = _aggregate_encrypted(state, [p[1] for p in protected], mask.size)
-    global_update = merge(rest_mean, he_mean, mask)
+    he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
-    if cfg.he_backend == "mock" and mask.size:
-        sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
+    if mask.size:
+        he_mean = state.backend.aggregate(state.keypair, [p[1] for p in protected],
+                                          mask.size)
+        if state.backend.time_basis == "simulated":
+            sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
+    global_update = merge(rest_mean, he_mean, mask)
 
     if not np.all(np.isfinite(global_update)):
         raise DivergenceError(f"round {t}: non-finite global update")
@@ -395,9 +387,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     deterministic payload.  A failing round raises RunAborted carrying the
     partial report (complete=False).
     """
-    time_basis = "simulated" if cfg.he_backend == "mock" else "wall"
     report = ExperimentReport(config=cfg.as_flat_dict(), seed=cfg.seed,
-                              backend=cfg.he_backend, time_basis=time_basis)
+                              backend=cfg.he_backend,
+                              time_basis=BACKENDS[cfg.he_backend].time_basis)
     if cfg.protection.pipeline.decay:
         report.notes.append(
             "varying_dp baseline uses the simplified per-round amplitude "
