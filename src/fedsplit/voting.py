@@ -198,6 +198,8 @@ def encode_vote_message(msg: VoteMessage) -> bytes:
 
 
 def decode_vote_message(blob: bytes) -> VoteMessage:
+    if len(blob) < 8:
+        raise ProtocolError(f"vote message of {len(blob)} bytes has no 8-byte header")
     client_id, count = struct.unpack_from(">II", blob, 0)
     body = blob[8:]
     if len(body) != count * TOKEN_BYTES:
