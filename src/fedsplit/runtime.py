@@ -401,21 +401,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             report.notes.append(state.sigma_note)
         for t in range(cfg.rounds.rounds_T):
             report.rounds.append(_run_round(state, t))
-    except (FedSplitError, ValueError) as exc:
-        _finalize(report)
+    except (FedSplitError, ValueError, OSError) as exc:
+        _finalize(report, cfg.include_wall_time)
         raise RunAborted(f"experiment aborted: {exc}", report) from exc
-    _finalize(report)
+    _finalize(report, cfg.include_wall_time)
     report.complete = True
     return report
 
 
-def _finalize(report: ExperimentReport) -> None:
+def _finalize(report: ExperimentReport, include_wall_time: bool) -> None:
     if report.rounds:
         report.final_accuracy = report.rounds[-1].accuracy
         report.total_sim_time_s = float(sum(r.sim_time_s for r in report.rounds))
         report.total_wall_time_s = float(sum(r.wall_time_s for r in report.rounds))
+    # A wall-clock ratio enters the report only on request, like wall times.
     basis_time = (report.total_sim_time_s if report.time_basis == "simulated"
-                  else report.total_wall_time_s)
+                  else report.total_wall_time_s if include_wall_time else 0.0)
     if basis_time > 0 and report.rounds:
         report.efficiency_ratio = efficiency_ratio(report.final_accuracy * 100.0,
                                                    basis_time)

@@ -108,6 +108,18 @@ class TestRun:
         assert "dataset.path" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_file_gone_after_parse(self, mini_config, tmp_path, monkeypatch, capsys):
+        from fedsplit import cli
+        from fedsplit.runtime import DataConfig, ExperimentConfig
+        # DataConfig does not check that the file exists; only the parse does
+        cfg = ExperimentConfig(data=DataConfig(kind="csv", path=str(tmp_path / "gone.csv")))
+        monkeypatch.setattr(cli, "load_config", lambda path, overrides: cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(mini_config), "--out", str(out)]) == 2
+        assert "gone.csv" in capsys.readouterr().err
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["complete"] is False
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         p = tmp_path / "diverge.conf"
         p.write_text(MINI + "model.kind = linear\nround.learning_rate_eta = 1e18\n")

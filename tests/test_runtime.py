@@ -209,9 +209,15 @@ class TestDynamicSchedule:
 
 class TestDeterminismAndBackends:
     def test_same_seed_byte_identical_reports(self):
-        a = emit_report(run_experiment(small_config()), "json")
-        b = emit_report(run_experiment(small_config()), "json")
-        assert a == b
+        for backend in ("mock", "ckks"):
+            a = emit_report(run_experiment(small_config(he_backend=backend)), "json")
+            b = emit_report(run_experiment(small_config(he_backend=backend)), "json")
+            assert a == b, backend
+
+    def test_wall_ratio_only_on_request(self):
+        assert run_experiment(small_config(he_backend="ckks")).efficiency_ratio is None
+        rep = run_experiment(small_config(he_backend="ckks", include_wall_time=True))
+        assert rep.efficiency_ratio > 0
 
     def test_worker_invariance(self):
         a = emit_report(run_experiment(small_config(workers=1)), "json")
@@ -255,6 +261,14 @@ class TestMinimalAndErrors:
             rounds=RoundConfig(clients_total_N=2, clients_sampled_n=2,
                                local_epochs_K=3, learning_rate_eta=1e18,
                                batch_size=8, rounds_T=5))
+        with pytest.raises(RunAborted) as excinfo:
+            run_experiment(cfg)
+        assert excinfo.value.report.complete is False
+
+    def test_data_file_gone_after_parse_aborts_with_partial_report(self, tmp_path):
+        # DataConfig does not check that the file exists; only the parse does
+        cfg = small_config(data=DataConfig(kind="csv", path=str(tmp_path / "gone.csv"),
+                                           input_dim=8, num_classes=3))
         with pytest.raises(RunAborted) as excinfo:
             run_experiment(cfg)
         assert excinfo.value.report.complete is False
