@@ -12,7 +12,6 @@ serialized ciphertext decrypts bit-identically, and every blob that
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,7 +109,6 @@ def _unpack_params(block: bytes) -> tuple[HeParams, str]:
         raise ProtocolError(f"invalid params: {exc}") from None
 
 
-@lru_cache(maxsize=None)
 def _modulus(params: HeParams) -> int:
     try:
         return find_ntt_prime(params.modulus_bits, params.ring_degree)

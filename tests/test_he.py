@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsplit.errors import DimensionError, EncodingOverflowError
+from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
 from fedsplit.he import (CkksBackend, HeCostModel, HeParams, MockBackend,
                          decode_tolerance, make_backend, simulated_cost,
                          simulated_round_cost)
@@ -11,6 +11,8 @@ from fedsplit.he.ring import NegacyclicRing, find_ntt_prime
 from fedsplit.he.wire import deserialize, serialize
 
 SMALL = HeParams(ring_degree=64, scale_bits=20, modulus_bits=50, max_additions=256)
+# Both backends run one shared validation path; its tests cover each.
+BACKEND_CLASSES = (CkksBackend, MockBackend)
 
 
 # -- ring ------------------------------------------------------------------------
@@ -144,11 +146,12 @@ class TestCkksRoundtrip:
 
     def test_overflow_names_magnitude(self):
         import re
-        backend = CkksBackend(SMALL)
-        kp = backend.keygen(0)
-        big = SMALL.max_encodable * 4
-        with pytest.raises(EncodingOverflowError, match=re.escape(f"{big:g}")):
-            backend.encrypt(kp, np.array([big]), 0)
+        for backend_cls in BACKEND_CLASSES:
+            backend = backend_cls(SMALL)
+            kp = backend.keygen(0)
+            big = SMALL.max_encodable * 4
+            with pytest.raises(EncodingOverflowError, match=re.escape(f"{big:g}")):
+                backend.encrypt(kp, np.array([big]), 0)
 
     def test_randomized_encryption(self):
         backend = CkksBackend(SMALL)
@@ -199,28 +202,89 @@ class TestHomAdd:
         assert err <= decode_tolerance(self.backend.params) * (1 + acc.add_count)
 
     def test_params_mismatch_rejected(self):
-        other = CkksBackend(HeParams(ring_degree=512))
-        kp2 = other.keygen(1)
-        a = self.backend.encrypt(self.kp, np.ones(4), 1)[0]
-        b = other.encrypt(kp2, np.ones(4), 1)[0]
-        with pytest.raises(DimensionError):
-            self.backend.hom_add(a, b)
+        for backend_cls in BACKEND_CLASSES:
+            backend = backend_cls(HeParams(ring_degree=1024))
+            other = backend_cls(HeParams(ring_degree=512))
+            a = backend.encrypt(backend.keygen(7), np.ones(4), 1)[0]
+            b = other.encrypt(other.keygen(1), np.ones(4), 1)[0]
+            with pytest.raises(DimensionError):
+                backend.hom_add(a, b)
 
     def test_depth_exhaustion(self):
         params = HeParams(ring_degree=64, max_additions=2)
-        backend = CkksBackend(params)
-        kp = backend.keygen(0)
-        cts = [backend.encrypt(kp, np.ones(4) * 0.1, i)[0] for i in range(4)]
-        acc = backend.hom_add(cts[0], cts[1])
-        acc = backend.hom_add(acc, cts[2])  # add_count 2 == max
-        with pytest.raises(ValueError):
-            backend.hom_add(acc, cts[3])
+        for backend_cls in BACKEND_CLASSES:
+            backend = backend_cls(params)
+            kp = backend.keygen(0)
+            cts = [backend.encrypt(kp, np.ones(4) * 0.1, i)[0] for i in range(4)]
+            acc = backend.hom_add(cts[0], cts[1])
+            acc = backend.hom_add(acc, cts[2])  # add_count 2 == max
+            with pytest.raises(ValueError):
+                backend.hom_add(acc, cts[3])
 
     def test_slots_mismatch_rejected(self):
-        a = self.backend.encrypt(self.kp, np.ones(4), 1)[0]
-        b = self.backend.encrypt(self.kp, np.ones(5), 2)[0]
-        with pytest.raises(DimensionError):
-            self.backend.hom_add(a, b)
+        for backend_cls in BACKEND_CLASSES:
+            backend = backend_cls(HeParams(ring_degree=1024))
+            kp = backend.keygen(7)
+            a = backend.encrypt(kp, np.ones(4), 1)[0]
+            b = backend.encrypt(kp, np.ones(5), 2)[0]
+            with pytest.raises(DimensionError):
+                backend.hom_add(a, b)
+
+
+@pytest.mark.parametrize("backend_cls", BACKEND_CLASSES, ids=lambda cls: cls.name)
+class TestSharedValidation:
+    def setup_method(self):
+        self.x = np.linspace(-1.0, 1.0, 150)  # chunks of 64, 64 and 22 slots
+
+    def test_key_mismatch_rejected(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        other = backend_cls(HeParams(ring_degree=128)).keygen(0)
+        with pytest.raises(DimensionError, match="public key"):
+            backend.encrypt(other, self.x, 1)
+        cts = backend.encrypt(kp, self.x, 1)
+        with pytest.raises(DimensionError, match="secret key"):
+            backend.decrypt(other, cts, self.x.size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_plaintext_rejected(self, backend_cls, bad):
+        backend = backend_cls(SMALL)
+        with pytest.raises(ValueError, match="non-finite"):
+            backend.encrypt(backend.keygen(0), np.array([0.5, bad]), 1)
+
+    def test_short_non_final_chunk_rejected(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        cts = backend.encrypt(kp, self.x, 1)
+        with pytest.raises(DimensionError, match="non-final chunk 0"):
+            backend.decrypt(kp, [cts[2], cts[0]], 86)
+
+    def test_too_few_slots_rejected(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        cts = backend.encrypt(kp, self.x, 1)
+        with pytest.raises(DimensionError, match="cover 150 values, need 151"):
+            backend.decrypt(kp, cts, 151)
+
+    def test_negative_original_len_rejected(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            backend.decrypt(kp, backend.encrypt(kp, self.x, 1), -1)
+
+    def test_aggregate_is_the_client_order_mean(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        per_client = [backend.encrypt(kp, self.x * (i + 1), i) for i in range(3)]
+        mean = backend.aggregate(kp, per_client, self.x.size)
+        assert np.max(np.abs(mean - 2 * self.x)) < 1e-3
+
+    def test_aggregate_rejects_differing_chunk_counts(self, backend_cls):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        per_client = [backend.encrypt(kp, self.x, 1), backend.encrypt(kp, self.x[:100], 2)]
+        with pytest.raises(ProtocolError, match="chunk counts"):
+            backend.aggregate(kp, per_client, 100)
 
 
 # -- mock backend -----------------------------------------------------------------
