@@ -1,0 +1,117 @@
+"""Golden vote outputs: wire bytes, tie-heavy tallies and ``vote-demo`` text.
+
+Values were recorded before the vote tokens changed representation; they pin
+the bytes a client sends, the winning tokens the server picks when many
+counts tie, and the walkthrough that ``fedsplit vote-demo`` prints.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedsplit.cli import main
+from fedsplit.vectors import PartitionMask
+from fedsplit.voting import (VoteMessage, encode_vote_message, encrypt_indices,
+                             new_vote_key, tally_votes)
+
+VK = new_vote_key(41, round_binding=6)
+
+
+@pytest.mark.parametrize("client_id,indices,dim,length,digest", [
+    (0, [], 1, 8,
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    (3, [0], 1, 16,
+     "5b3e24b56b14a0397d7afb8cb84aaa48d1201d5b326c228953ef49c33fac22be"),
+    (12, [2, 7, 9, 11], 12, 40,
+     "8be3408ae48c5ecafa381f2caef33b862a697df66a1e62fa059403715dd32932"),
+    (2**32 - 1, list(range(0, 300, 7)), 300, 352,
+     "7af117f5589b29d1dd6b7eb9ce8e28f5daf3c3abe74579820bddda7897493380"),
+])
+def test_vote_message_bytes(client_id, indices, dim, length, digest):
+    mask = PartitionMask(np.array(indices, dtype=np.int64), dim)
+    blob = encode_vote_message(encrypt_indices(mask, VK, client_id=client_id))
+    assert len(blob) == length
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+TIED_WINNERS = {
+    0: [],
+    5: ["0dcc9bc6d6208d6e", "1a8e47da91c8fa96", "40bc9d0e4a1a040e",
+        "af4aa17ad488e44f", "fe46f387fb244b58"],
+    12: ["0d771d3a0131d9d7", "0dcc9bc6d6208d6e", "1a8e47da91c8fa96",
+         "2cd99f210c6999a3", "40bc9d0e4a1a040e", "4649139e564cf19a",
+         "62a22ec8042290f6", "6b374a16520b0439", "af4aa17ad488e44f",
+         "bd62492da5c0eb93", "d575d187f33817bb", "fe46f387fb244b58"],
+    40: ["0d771d3a0131d9d7", "0dcc9bc6d6208d6e", "1a8e47da91c8fa96",
+         "2cd99f210c6999a3", "40bc9d0e4a1a040e", "4649139e564cf19a",
+         "469c68a9488095c3", "46d90457e3d6c854", "4852b025a0cc10f5",
+         "5d8b9a54099b28d1", "5e7388af1082924e", "62a22ec8042290f6",
+         "63467739b717ebb6", "6b374a16520b0439", "71523f4c2f31c18a",
+         "9914e5a714f164ef", "9ae04d2ec3e0ffb6", "aed4c8b718ea96ec",
+         "af4aa17ad488e44f", "bd62492da5c0eb93", "c7d3a9518dc2712f",
+         "c8f82685a3076150", "d575d187f33817bb", "d802be1b1720ef3d",
+         "df29709e4c5a0114", "e8c4a66e7e65ca07", "e92760fc197895c5",
+         "ea4254cfad95fbb4", "fe46f387fb244b58"],
+}
+
+
+@pytest.mark.parametrize("k", sorted(TIED_WINNERS))
+def test_tie_heavy_tally(k):
+    # seven clients, six of forty coordinates each: most counts tie at 1 or 2
+    rng = np.random.default_rng(5)
+    msgs = [encrypt_indices(PartitionMask(np.sort(rng.choice(40, size=6, replace=False)), 40),
+                            VK, client_id=c) for c in range(7)]
+    # the wire encoding spells the winners as big-endian hex, token by token
+    body = encode_vote_message(VoteMessage(client_id=0, tokens=tally_votes(msgs, k))).hex()[16:]
+    assert [body[i:i + 16] for i in range(0, len(body), 16)] == TIED_WINNERS[k]
+
+
+VOTE_DEMO_MAX = """\
+clients=4 dim=12 r=0.25 strategy=max -> k=3
+client 0 proposes indices [0, 1, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', 'fb6ac3f665b510d3']
+client 1 proposes indices [2, 7, 11] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'd007fbc223ee97a3']
+client 2 proposes indices [1, 2, 7] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'fb6ac3f665b510d3']
+client 3 proposes indices [0, 3, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', '57086abdb607e3db']
+server tally (token: count):
+  11ce9519e4d85410: 2 *
+  3cff0abdb76ea42a: 2 *
+  45b6c3ca808b43f0: 2 *
+  c14dc045ecdacce8: 2
+  fb6ac3f665b510d3: 2
+  57086abdb607e3db: 1
+  d007fbc223ee97a3: 1
+winning partition: [0, 7, 9]
+"""
+
+VOTE_DEMO_RANDOM = """\
+clients=5 dim=10 r=0.3 strategy=random -> k=3
+client 0 proposes indices [6, 7, 9] -> tokens ['171fd101bd9b798d', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
+client 1 proposes indices [2, 6, 7] -> tokens ['66584c3a4c80f002', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
+client 2 proposes indices [3, 5, 8] -> tokens ['49a1ada8dd1aebd6', 'cb3ad07a1df19552', 'e2bd8973be55fbde']
+client 3 proposes indices [1, 3, 8] -> tokens ['1cc2059d98c7dcff', '49a1ada8dd1aebd6', 'cb3ad07a1df19552']
+client 4 proposes indices [0, 4, 7] -> tokens ['48606e5187fed1f7', 'b187d5b9d9de24e3', 'b67fc0bf51270e43']
+server tally (token: count):
+  b67fc0bf51270e43: 3 *
+  49a1ada8dd1aebd6: 2 *
+  9973b4a3097a3a2e: 2 *
+  cb3ad07a1df19552: 2
+  171fd101bd9b798d: 1
+  1cc2059d98c7dcff: 1
+  48606e5187fed1f7: 1
+  66584c3a4c80f002: 1
+  b187d5b9d9de24e3: 1
+  e2bd8973be55fbde: 1
+winning partition: [3, 6, 7]
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--clients", "4", "--dim", "12", "--ratio", "0.25", "--strategy", "max",
+      "--seed", "3"], VOTE_DEMO_MAX),
+    (["--clients", "5", "--dim", "10", "--ratio", "0.3", "--strategy", "random",
+      "--seed", "1"], VOTE_DEMO_RANDOM),
+], ids=["max", "random"])
+def test_vote_demo_stdout(argv, expected, capsys):
+    assert main(["vote-demo", *argv]) == 0
+    assert capsys.readouterr().out == expected
