@@ -25,7 +25,7 @@ for cid, prop in enumerate(proposals):
                           client_id=cid)
     messages.append(msg)
     print(f"client {cid} proposes {sorted(prop)} -> "
-          f"{sorted(t.hex() for t in msg.tokens)}")
+          f"{[f'{t:016x}' for t in msg.tokens.tolist()]}")
 
 winners = tally_votes(messages, k=2)
 mask = decode_partition(winners, vote_key, dim=5, k=2)

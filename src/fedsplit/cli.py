@@ -27,7 +27,8 @@ from .metrics import emit_report, parse_report_json
 from .runtime import RunAborted, run_experiment
 from .seeds import as_rng
 from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
-                     new_vote_key, propose_partition, tally_votes, target_count)
+                     new_vote_key, propose_partition, rank_tokens, tally_votes,
+                     target_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -153,17 +154,13 @@ def cmd_vote_demo(args) -> int:
         msg = encrypt_indices(mask, vote_key, client_id=client)
         messages.append(msg)
         print(f"client {client} proposes indices {mask.he_indices.tolist()} "
-              f"-> tokens {sorted(t.hex() for t in msg.tokens)}")
-    winners = tally_votes(messages, k)
-    counts = {}
-    for msg in messages:
-        for token in msg.tokens:
-            counts[token] = counts.get(token, 0) + 1
+              f"-> tokens {[f'{t:016x}' for t in msg.tokens.tolist()]}")
+    tokens, counts = rank_tokens(messages)
     print("server tally (token: count):")
-    for token in sorted(counts, key=lambda tk: (-counts[tk], tk)):
-        marker = " *" if token in winners else ""
-        print(f"  {token.hex()}: {counts[token]}{marker}")
-    mask = decode_partition(winners, vote_key, args.dim, k)
+    for rank, (token, count) in enumerate(zip(tokens.tolist(), counts.tolist())):
+        marker = " *" if rank < k else ""
+        print(f"  {token:016x}: {count}{marker}")
+    mask = decode_partition(tally_votes(messages, k), vote_key, args.dim, k)
     print(f"winning partition: {mask.he_indices.tolist()}")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from . import seeds
 from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
                        synthetic_dataset, train_test_split)
 from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
-from .errors import DivergenceError, FedSplitError, ProtocolError
+from .errors import DivergenceError, FedSplitError
 from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
                  simulated_round_cost)
 from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
@@ -305,12 +305,7 @@ def _consensus_mask(state: _State, t: int, r_t: float, items: list) -> Partition
         return encrypt_indices(mask, vk, client_id=client)
 
     messages = _map_clients(propose_one, items, cfg.workers)
-    mask = decode_partition(tally_votes(messages, k), vk, state.dim, k)
-    if mask.size != k:
-        raise ProtocolError(
-            f"round {t}: consensus mask has {mask.size} indices, expected {k}"
-        )
-    return mask
+    return decode_partition(tally_votes(messages, k), vk, state.dim, k)
 
 
 def _run_round(state: _State, t: int) -> RoundMetrics:

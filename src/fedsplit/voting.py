@@ -10,9 +10,10 @@ the winning tokens back to indices.
 The PRP is a 4-round Feistel network over 64-bit blocks with an
 SHA-256-based round function keyed by (vote key, round index), so a token
 is deterministic within a round, distinct across rounds, and injective
-over the index space.  Tie-breaks are deterministic everywhere: equal vote
-counts prefer the lexicographically smaller token, and equal magnitudes
-prefer the lower index.
+over the index space.  A token is the block as a ``uint64``, big-endian on
+the wire, so byte order and numeric order agree.  Tie-breaks are
+deterministic everywhere: equal vote counts prefer the smaller token, and
+equal magnitudes prefer the lower index.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,14 +38,15 @@ __all__ = [
     "target_count",
     "propose_partition",
     "encrypt_indices",
+    "rank_tokens",
     "tally_votes",
     "decode_partition",
     "encode_vote_message",
     "decode_vote_message",
 ]
 
-TOKEN_BYTES = 8
 _FEISTEL_ROUNDS = 4
+_WIRE_TOKEN = np.dtype(">u8")
 
 
 class PartitionStrategy(str, Enum):
@@ -69,10 +70,12 @@ class VoteKey:
         return VoteKey(key=self.key, round_binding=round_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteMessage:
+    """One client's proposal as a strictly increasing ``uint64`` token array."""
+
     client_id: int
-    tokens: frozenset
+    tokens: np.ndarray
 
 
 def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
@@ -126,15 +129,15 @@ def _round_value(key: bytes, round_binding: int, feistel_round: int, half: int) 
     return struct.unpack(">I", digest[:4])[0]
 
 
-def _prp_encrypt(vk: VoteKey, index: int) -> bytes:
+def _prp_encrypt(vk: VoteKey, index: int) -> int:
     left, right = index >> 32, index & 0xFFFFFFFF
     for i in range(_FEISTEL_ROUNDS):
         left, right = right, left ^ _round_value(vk.key, vk.round_binding, i, right)
-    return struct.pack(">II", left, right)
+    return (left << 32) | right
 
 
-def _prp_decrypt(vk: VoteKey, token: bytes) -> int:
-    left, right = struct.unpack(">II", token)
+def _prp_decrypt(vk: VoteKey, token: int) -> int:
+    left, right = token >> 32, token & 0xFFFFFFFF
     for i in reversed(range(_FEISTEL_ROUNDS)):
         left, right = right ^ _round_value(vk.key, vk.round_binding, i, left), left
     return (left << 32) | right
@@ -142,59 +145,58 @@ def _prp_decrypt(vk: VoteKey, token: bytes) -> int:
 
 def encrypt_indices(mask: PartitionMask, vk: VoteKey, client_id: int = 0) -> VoteMessage:
     """Turn a proposal into opaque tokens; deterministic per (key, round, index)."""
-    tokens = frozenset(_prp_encrypt(vk, int(i)) for i in mask.he_indices)
-    return VoteMessage(client_id=client_id, tokens=tokens)
+    tokens = [_prp_encrypt(vk, i) for i in mask.he_indices.tolist()]
+    return VoteMessage(client_id=client_id, tokens=np.sort(np.array(tokens, dtype=np.uint64)))
 
 
-def tally_votes(msgs, k: int) -> frozenset:
-    """Server-side top-k token count over one round's messages.
+def rank_tokens(msgs) -> tuple[np.ndarray, np.ndarray]:
+    """Server-side count over one round's tokens (never indices): the distinct
+    tokens and their votes, most votes first, ties to the smaller token."""
+    tokens = np.concatenate([np.empty(0, np.uint64), *(msg.tokens for msg in msgs)])
+    tokens, counts = np.unique(tokens, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return tokens[order], counts[order]
 
-    Operates on tokens only (the server never sees indices).  Returns the k
-    most frequent tokens, ties to the lexicographically smaller token; fewer
-    than k distinct proposals simply yield fewer tokens (clients pad when
-    decoding).
+
+def tally_votes(msgs, k: int) -> np.ndarray:
+    """The k top-ranked tokens of ``rank_tokens``, sorted.
+
+    Fewer than k distinct proposals simply yield fewer tokens (clients pad
+    when decoding).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    counts = Counter()
-    for msg in msgs:
-        counts.update(msg.tokens)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return frozenset(token for token, _ in ranked[:k])
+    return np.sort(rank_tokens(msgs)[0][:k])
 
 
 def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     """Client-side inversion of the winning tokens into the global mask.
 
-    If fewer than ``k`` distinct indices won, the shortfall is padded with
-    the smallest unselected indices so the encrypted part keeps size ``k``.
+    The server's tokens are checked here: at most ``k``, all distinct, each
+    decoding below ``dim``.  A shortfall below ``k`` is padded with the
+    smallest unselected indices so the encrypted part keeps size ``k``.
     """
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
-    indices = set()
-    for token in tokens:
-        idx = _prp_decrypt(vk, token)
-        if idx < 0 or idx >= dim:
-            raise ProtocolError(
-                f"token {token.hex()} does not decode to a valid index under "
-                f"this vote key (got {idx}, dim {dim})"
-            )
-        indices.add(idx)
-    pad = 0
-    while len(indices) < k:
-        if pad not in indices:
-            indices.add(pad)
-        pad += 1
-    return PartitionMask(he_indices=np.array(sorted(indices), dtype=np.int64), dim=dim)
+    tokens = np.fromiter(tokens, dtype=np.uint64)
+    if tokens.size > k or np.unique(tokens).size < tokens.size:
+        raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
+                            f"{tokens.size} with {np.unique(tokens).size} distinct")
+    indices = np.array([_prp_decrypt(vk, t) for t in tokens.tolist()], dtype=np.uint64)
+    if np.any(indices >= dim):
+        raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
+                            f"to an index below {dim} under this vote key")
+    pad = np.setdiff1d(np.arange(k, dtype=np.uint64), indices)[:k - indices.size]
+    return PartitionMask(he_indices=np.union1d(indices, pad), dim=dim)
 
 
 # -- wire encoding ------------------------------------------------------------------
 
 
 def encode_vote_message(msg: VoteMessage) -> bytes:
-    """client_id (u32 BE), token count (u32 BE), tokens sorted and concatenated."""
-    body = b"".join(sorted(msg.tokens))
-    return struct.pack(">II", msg.client_id, len(msg.tokens)) + body
+    """client_id (u32 BE), token count (u32 BE), tokens (u64 BE, strictly increasing)."""
+    return (struct.pack(">II", msg.client_id, len(msg.tokens))
+            + msg.tokens.astype(_WIRE_TOKEN).tobytes())
 
 
 def decode_vote_message(blob: bytes) -> VoteMessage:
@@ -202,12 +204,11 @@ def decode_vote_message(blob: bytes) -> VoteMessage:
         raise ProtocolError(f"vote message of {len(blob)} bytes has no 8-byte header")
     client_id, count = struct.unpack_from(">II", blob, 0)
     body = blob[8:]
-    if len(body) != count * TOKEN_BYTES:
+    if len(body) != count * _WIRE_TOKEN.itemsize:
         raise ProtocolError(
             f"vote message declares {count} tokens but carries {len(body)} bytes"
         )
-    tokens = frozenset(body[i * TOKEN_BYTES: (i + 1) * TOKEN_BYTES]
-                       for i in range(count))
-    if len(tokens) != count:
-        raise ProtocolError("vote message contains duplicate tokens")
+    tokens = np.frombuffer(body, dtype=_WIRE_TOKEN).astype(np.uint64)
+    if np.any(tokens[1:] <= tokens[:-1]):
+        raise ProtocolError("vote message tokens are not strictly increasing")
     return VoteMessage(client_id=client_id, tokens=tokens)

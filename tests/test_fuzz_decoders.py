@@ -1,8 +1,9 @@
 """Hostile input to both decoders: every malformed blob raises ProtocolError.
 
 Truncations and bit flips of every (kind, backend) PAHE blob and of a vote
-message must either raise ``ProtocolError`` or decode to something sound;
-an accepted ckks blob carries only ring coefficients below the modulus q.
+message must either raise ``ProtocolError`` or decode to something sound:
+an accepted ckks blob carries only ring coefficients below the modulus q,
+and an accepted vote message only strictly increasing tokens.
 """
 
 import numpy as np
@@ -117,3 +118,5 @@ def test_bit_flipped_vote_message(bits):
     except ProtocolError:
         return
     assert len(msg.tokens) == 4
+    assert msg.tokens.dtype == np.uint64
+    assert np.all(msg.tokens[1:] > msg.tokens[:-1])

@@ -9,7 +9,7 @@ from fedsplit.errors import ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
-                             tally_votes, target_count, VoteMessage)
+                             rank_tokens, tally_votes, target_count, VoteMessage)
 from fedsplit.vectors import PartitionMask
 
 
@@ -87,13 +87,13 @@ class TestTokens:
         vk = new_vote_key(0, round_binding=3)
         a = encrypt_indices(mask_of([5], 10), vk)
         b = encrypt_indices(mask_of([5], 10), vk)
-        assert a.tokens == b.tokens
+        assert np.array_equal(a.tokens, b.tokens)
 
     def test_round_separation(self):
         vk0 = new_vote_key(0, round_binding=0)
         vk1 = new_vote_key(0, round_binding=1)
-        assert (encrypt_indices(mask_of([5], 10), vk0).tokens
-                != encrypt_indices(mask_of([5], 10), vk1).tokens)
+        assert not np.array_equal(encrypt_indices(mask_of([5], 10), vk0).tokens,
+                                  encrypt_indices(mask_of([5], 10), vk1).tokens)
 
     def test_injective(self):
         vk = new_vote_key(1)
@@ -129,11 +129,26 @@ class TestTally:
         vk = new_vote_key(9)
         msg = encrypt_indices(mask_of([0, 1, 2], 4), vk)
         winners = tally_votes([msg], 2)
-        assert winners == frozenset(sorted(msg.tokens)[:2])
+        assert np.array_equal(winners, np.sort(msg.tokens)[:2])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             tally_votes([], -1)
+
+    def test_rank_tokens_most_votes_first_ties_to_smaller_token(self):
+        msgs = [VoteMessage(0, np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
+                VoteMessage(1, np.array([3, 9], dtype=np.uint64)),
+                VoteMessage(2, np.array([3, 7, 2**64 - 1], dtype=np.uint64))]
+        tokens, counts = rank_tokens(msgs)
+        assert tokens.dtype == np.uint64
+        assert tokens.tolist() == [3, 9, 2**64 - 1, 5, 7]
+        assert counts.tolist() == [2, 2, 2, 1, 1]
+        assert tally_votes(msgs, 4).tolist() == [3, 5, 9, 2**64 - 1]
+
+    def test_rank_tokens_of_no_messages(self):
+        tokens, counts = rank_tokens([])
+        assert tokens.dtype == np.uint64 and tokens.size == 0 and counts.size == 0
+        assert tally_votes([], 3).size == 0
 
 
 class TestDecodePartition:
@@ -154,9 +169,21 @@ class TestDecodePartition:
 
     def test_foreign_token_rejected(self):
         vk = new_vote_key(13)
-        bad = b"\xff" * 8  # decodes to some index far beyond dim
+        bad = np.array([2**64 - 1], dtype=np.uint64)  # decodes far beyond dim
         with pytest.raises(ProtocolError):
-            decode_partition({bad}, vk, 4, 1)
+            decode_partition(bad, vk, 4, 1)
+
+    def test_more_than_k_tokens_rejected(self):
+        vk = new_vote_key(15)
+        tokens = encrypt_indices(mask_of([0, 2, 3], 5), vk).tokens
+        with pytest.raises(ProtocolError, match="at most 2 distinct"):
+            decode_partition(tokens, vk, 5, 2)
+
+    def test_repeated_token_rejected(self):
+        vk = new_vote_key(16)
+        token = encrypt_indices(mask_of([3], 5), vk).tokens
+        with pytest.raises(ProtocolError, match="at most 2 distinct"):
+            decode_partition(np.concatenate([token, token]), vk, 5, 2)
 
     def test_consensus_across_clients(self):
         vk = new_vote_key(14, round_binding=2)
@@ -210,20 +237,21 @@ def test_oracle_equivalence_randomized():
 
 def test_server_side_blindness_under_relabeling():
     """tally_votes output must be invariant under any equality- and
-    order-preserving relabeling of the token byte strings."""
+    order-preserving relabeling of the uint64 tokens."""
     vk = new_vote_key(21)
     msgs = [encrypt_indices(mask_of(p, 10), vk, client_id=i)
             for i, p in enumerate([[0, 1, 2], [1, 2], [2, 5], [5]])]
-    all_tokens = sorted({t for m in msgs for t in m.tokens})
-    # order-preserving relabeling: token -> 8-byte big-endian rank
-    relabel = {t: rank.to_bytes(8, "big") for rank, t in enumerate(all_tokens)}
+    all_tokens = sorted({t for m in msgs for t in m.tokens.tolist()})
+    # order-preserving relabeling: token -> its rank
+    relabel = {t: rank for rank, t in enumerate(all_tokens)}
     relabeled = [VoteMessage(client_id=m.client_id,
-                             tokens=frozenset(relabel[t] for t in m.tokens))
+                             tokens=np.array([relabel[t] for t in m.tokens.tolist()],
+                                             dtype=np.uint64))
                  for m in msgs]
     for k in range(0, 5):
         original = tally_votes(msgs, k)
         mapped = tally_votes(relabeled, k)
-        assert mapped == frozenset(relabel[t] for t in original)
+        assert mapped.tolist() == [relabel[t] for t in original.tolist()]
 
 
 class TestWireFormat:
@@ -233,7 +261,19 @@ class TestWireFormat:
         blob = encode_vote_message(msg)
         assert blob[:4] == (77).to_bytes(4, "big")
         assert blob[4:8] == (3).to_bytes(4, "big")
-        assert decode_vote_message(blob) == msg
+        decoded = decode_vote_message(blob)
+        assert decoded.client_id == msg.client_id
+        assert decoded.tokens.dtype == np.uint64
+        assert np.array_equal(decoded.tokens, msg.tokens)
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1), (0, 1, 1)],
+                             ids=["swapped-first", "swapped-last", "repeated"])
+    def test_non_increasing_tokens_rejected(self, order):
+        vk = new_vote_key(32)
+        blob = encode_vote_message(encrypt_indices(mask_of([2, 7, 9], 12), vk))
+        tokens = [blob[8 + 8 * i: 16 + 8 * i] for i in range(3)]
+        with pytest.raises(ProtocolError, match="strictly increasing"):
+            decode_vote_message(blob[:8] + b"".join(tokens[i] for i in order))
 
     def test_truncated_rejected(self):
         vk = new_vote_key(31)
