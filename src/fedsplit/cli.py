@@ -165,9 +165,19 @@ def cmd_vote_demo(args) -> int:
     return EXIT_OK
 
 
+def _csv_wall_total(path: Path) -> float:
+    try:
+        return sum(float(row["wall_time_s"])
+                   for row in csv.DictReader(path.read_text().splitlines()))
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ValueError(f"{path.name}: no numeric wall_time_s in every row ({exc!r})") from None
+
+
 def cmd_report(args) -> int:
+    csv_path = Path(args.input).with_name("rounds.csv")
     try:
         report = parse_report_json(Path(args.input).read_bytes())
+        wall = _csv_wall_total(csv_path) if csv_path.exists() else None
     except (OSError, ValueError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -178,10 +188,7 @@ def cmd_report(args) -> int:
     if report.total_wall_time_s:
         print(f"total_wall_time_s={report.total_wall_time_s!r}")
     print(f"efficiency_ratio={report.efficiency_ratio!r}")
-    csv_path = Path(args.input).with_name("rounds.csv")
-    if csv_path.exists():
-        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
-        wall = sum(float(row["wall_time_s"]) for row in rows)
+    if wall is not None:
         print(f"rounds.csv wall time total: {wall:.3f}s")
     return EXIT_OK
 

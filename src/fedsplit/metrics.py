@@ -166,24 +166,57 @@ def emit_report(report: ExperimentReport, fmt: str,
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+_MISSING = object()
+_REAL = (int, float)
+# JSON key (the dataclass field of the same name) -> accepted types, default if absent
+_REPORT_FIELDS = {
+    "complete": ((bool,), _MISSING), "seed": ((int,), _MISSING),
+    "backend": ((str,), _MISSING), "time_basis": ((str,), _MISSING),
+    "config": ((dict,), _MISSING), "rounds": ((list,), _MISSING),
+    "final_accuracy": (_REAL, _MISSING), "total_sim_time_s": (_REAL, _MISSING),
+    "total_wall_time_s": (_REAL, 0.0), "efficiency_ratio": (_REAL + (type(None),), _MISSING),
+    "notes": ((list,), _MISSING),
+}
+_ROUND_FIELDS = {
+    "round": ((int,), _MISSING), "r_t": (_REAL, _MISSING), "accuracy": (_REAL, _MISSING),
+    "sim_time_s": (_REAL, _MISSING), "wall_time_s": (_REAL, 0.0),
+}
+
+
+def _fields(doc, table: dict, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"report field {where!r} is a {type(doc).__name__}, not an object")
+    out = {}
+    for key, (types, default) in table.items():
+        name = f"{where}.{key}" if where else key
+        value = doc.get(key, default)
+        if value is _MISSING:
+            raise ValueError(f"report field {name!r} is missing")
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"report field {name!r} has wrong type {type(value).__name__}")
+        out[key] = value
+    return out
+
+
 def parse_report_json(blob: bytes) -> ExperimentReport:
-    doc = json.loads(blob.decode())
-    if doc.get("schema") != "fedsplit-report-v1":
-        raise ValueError(f"unknown report schema {doc.get('schema')!r}")
-    rounds = [RoundMetrics(round=r["round"], r_t=r["r_t"], accuracy=r["accuracy"],
-                           sim_time_s=r["sim_time_s"],
-                           wall_time_s=r.get("wall_time_s", 0.0))
-              for r in doc["rounds"]]
-    return ExperimentReport(
-        config=dict(doc["config"]),
-        seed=doc["seed"],
-        backend=doc["backend"],
-        time_basis=doc["time_basis"],
-        rounds=rounds,
-        final_accuracy=doc["final_accuracy"],
-        total_sim_time_s=doc["total_sim_time_s"],
-        total_wall_time_s=doc.get("total_wall_time_s", 0.0),
-        efficiency_ratio=doc["efficiency_ratio"],
-        complete=doc["complete"],
-        notes=list(doc["notes"]),
-    )
+    """Inverse of ``emit_report(..., "json")``.
+
+    Every malformed document raises ValueError naming the offending field.
+    """
+    try:
+        doc = json.loads(blob.decode())
+    except RecursionError:
+        raise ValueError("report JSON is nested too deeply") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != "fedsplit-report-v1":
+        raise ValueError(f"report field 'schema' is {schema!r}, not 'fedsplit-report-v1'")
+    fields = _fields(doc, _REPORT_FIELDS, "")
+    rounds = []
+    for i, item in enumerate(fields.pop("rounds")):
+        where = f"rounds[{i}]"
+        values = _fields(item, _ROUND_FIELDS, where)
+        try:
+            rounds.append(RoundMetrics(**values))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"report field {where!r}: {exc}") from None
+    return ExperimentReport(rounds=rounds, **fields)

@@ -1,9 +1,15 @@
+import copy
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsplit.cli import main
 
@@ -234,6 +240,85 @@ class TestReportCmd:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("case", ["schema-only", "round-not-object",
+                                      "top-level-list", "csv-without-wall"])
+    def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
+        doc, csv_text = copy.deepcopy(real_report)
+        if case == "schema-only":
+            doc = {"schema": "fedsplit-report-v1"}
+        elif case == "round-not-object":
+            doc["rounds"] = [1]
+        elif case == "top-level-list":
+            doc = [1, 2]
+        else:
+            csv_text = csv_text.replace(",wall_time_s", "")
+        assert report_exit_code(doc, csv_text) == 1
+        assert "cannot read report" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_report_never_crashes(self, real_report, data):
+        """Drop keys from, or retype values in, a real report and its
+        rounds.csv: the command exits 0 or 1 and raises nothing."""
+        doc, csv_text = copy.deepcopy(real_report)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            path = data.draw(st.sampled_from(list(json_paths(doc))))
+            if path and data.draw(st.booleans()):
+                del walk(doc, path[:-1])[path[-1]]
+            elif path:
+                walk(doc, path[:-1])[path[-1]] = data.draw(JSON_VALUES)
+            else:
+                doc = data.draw(JSON_VALUES)
+        rows = list(csv.reader(csv_text.splitlines()))
+        col = data.draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
+        edit = data.draw(st.sampled_from(["keep", "drop", "retype"]))
+        if edit == "drop":
+            rows = [row[:col] + row[col + 1:] for row in rows]
+        elif edit == "retype":
+            row = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows[row][col] = data.draw(st.text(max_size=6))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert report_exit_code(doc, buf.getvalue()) in (0, 1)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def real_report(tmp_path_factory):
+    """The report.json document and rounds.csv text of a real mini run."""
+    root = tmp_path_factory.mktemp("real_report")
+    (root / "mini.conf").write_text(MINI)
+    assert main(["run", "--config", str(root / "mini.conf"), "--out", str(root)]) == 0
+    return json.loads((root / "report.json").read_text()), (root / "rounds.csv").read_text()
+
+
+def report_exit_code(doc, csv_text: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(doc))
+        (Path(tmp) / "rounds.csv").write_bytes(csv_text.encode())
+        return main(["report", "--input", str(path)])
+
+
+def json_paths(node, prefix=()):
+    """Every key path into a JSON document, the root (empty path) first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, prefix + (key,))
+
+
+def walk(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def test_console_entry_point():

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,49 @@ class TestReportIO:
         with pytest.raises(ValueError):
             RoundMetrics(round=0, r_t=0.1, accuracy=0.5, sim_time_s=-1.0,
                          wall_time_s=0.0)
+
+
+class TestParseMalformedReport:
+    """Every malformed report raises ValueError naming the offending field."""
+
+    @staticmethod
+    def doc():
+        return json.loads(emit_report(sample_report(), "json"))
+
+    @pytest.mark.parametrize("key", ["schema", "complete", "seed", "backend",
+                                     "time_basis", "config", "rounds",
+                                     "final_accuracy", "total_sim_time_s",
+                                     "efficiency_ratio", "notes"])
+    def test_missing_field_named(self, key):
+        doc = self.doc()
+        del doc[key]
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_report_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("key,value", [("seed", "7"), ("complete", 1),
+                                           ("rounds", {}), ("final_accuracy", True),
+                                           ("efficiency_ratio", "fast"), ("notes", "x")])
+    def test_retyped_field_named(self, key, value):
+        doc = self.doc()
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_report_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("bad_round,where", [
+        (1, "'rounds[0]'"),
+        ({"round": 0, "r_t": 0.1, "sim_time_s": 0.0}, "'rounds[0].accuracy'"),
+        ({"round": 0, "r_t": 0.1, "accuracy": [], "sim_time_s": 0.0}, "'rounds[0].accuracy'"),
+        ({"round": 0, "r_t": 0.1, "accuracy": 2.0, "sim_time_s": 0.0}, "'rounds[0]'"),
+        ({"round": 0, "r_t": 10 ** 400, "accuracy": 0.5, "sim_time_s": 0.0}, "'rounds[0]'"),
+    ])
+    def test_malformed_round_named(self, bad_round, where):
+        doc = self.doc()
+        doc["rounds"] = [bad_round]
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_report_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("blob", [b"[1, 2]", b"null", b"\xff", b"{",
+                                      b"[" * 100_000 + b"]" * 100_000])
+    def test_not_a_report_document(self, blob):
+        with pytest.raises(ValueError):
+            parse_report_json(blob)
