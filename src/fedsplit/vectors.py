@@ -9,7 +9,7 @@ exact inverse of ``split``: the round trip is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class PartitionMask:
     @classmethod
     def from_indices(cls, indices, dim: int) -> "PartitionMask":
         """Build a mask from an unordered, possibly unsorted index collection."""
-        idx = np.unique(np.asarray(sorted(indices), dtype=np.int64))
+        idx = np.unique(np.fromiter(indices, dtype=np.int64))
         return cls(he_indices=idx, dim=dim)
 
     @property
@@ -83,9 +83,6 @@ class PartitionMask:
             return NotImplemented
         return self.dim == other.dim and np.array_equal(self.he_indices, other.he_indices)
 
-    def __hash__(self):
-        return hash((self.dim, self.he_indices.tobytes()))
-
 
 @dataclass(frozen=True)
 class UpdateSplit:
@@ -93,7 +90,6 @@ class UpdateSplit:
 
     dp_part: np.ndarray
     he_part: np.ndarray
-    mask: PartitionMask = field(repr=False)
 
 
 def split(u: np.ndarray, mask: PartitionMask) -> UpdateSplit:
@@ -110,7 +106,7 @@ def split(u: np.ndarray, mask: PartitionMask) -> UpdateSplit:
         )
     he_part = u[mask.he_indices].copy()
     dp_part = u[mask.complement()].copy()
-    return UpdateSplit(dp_part=dp_part, he_part=he_part, mask=mask)
+    return UpdateSplit(dp_part=dp_part, he_part=he_part)
 
 
 def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.ndarray:
