@@ -59,11 +59,7 @@ def _write_outputs(report, out_dir: Path, include_wall: bool) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config, _collect_overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config, _collect_overrides(args))  # ConfigError: main exits 1
     out_dir = Path(args.out)
     try:
         report = run_experiment(cfg)

@@ -166,43 +166,33 @@ def emit_report(report: ExperimentReport, fmt: str,
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-_MISSING = object()
 _REAL = (int, float)
-# JSON key (the dataclass field of the same name) -> accepted types, default if absent
-_REPORT_FIELDS = {
-    "complete": ((bool,), _MISSING), "seed": ((int,), _MISSING),
-    "backend": ((str,), _MISSING), "time_basis": ((str,), _MISSING),
-    "config": ((dict,), _MISSING), "rounds": ((list,), _MISSING),
-    "final_accuracy": (_REAL, _MISSING), "total_sim_time_s": (_REAL, _MISSING),
-    "total_wall_time_s": (_REAL, 0.0), "efficiency_ratio": (_REAL + (type(None),), _MISSING),
-    "notes": ((list,), _MISSING),
-}
-_ROUND_FIELDS = {
-    "round": ((int,), _MISSING), "r_t": (_REAL, _MISSING), "accuracy": (_REAL, _MISSING),
-    "sim_time_s": (_REAL, _MISSING), "wall_time_s": (_REAL, 0.0),
-}
+# JSON key (the dataclass field of the same name) -> accepted types.  Only the
+# wall times may be absent (they default to 0.0).
+_REPORT_FIELDS = dict(complete=(bool,), seed=(int,), backend=(str,), time_basis=(str,),
+                      config=(dict,), rounds=(list,), final_accuracy=_REAL,
+                      total_sim_time_s=_REAL, total_wall_time_s=_REAL,
+                      efficiency_ratio=_REAL + (type(None),), notes=(list,))
+_ROUND_FIELDS = dict(round=(int,), r_t=_REAL, accuracy=_REAL, sim_time_s=_REAL,
+                     wall_time_s=_REAL)
 
 
 def _fields(doc, table: dict, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"report field {where!r} is a {type(doc).__name__}, not an object")
     out = {}
-    for key, (types, default) in table.items():
+    for key, types in table.items():
         name = f"{where}.{key}" if where else key
-        value = doc.get(key, default)
-        if value is _MISSING:
+        if key not in doc and not key.endswith("wall_time_s"):
             raise ValueError(f"report field {name!r} is missing")
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        out[key] = value = doc.get(key, 0.0)
+        if not isinstance(value, types) or isinstance(value, bool) is not (bool in types):
             raise ValueError(f"report field {name!r} has wrong type {type(value).__name__}")
-        out[key] = value
     return out
 
 
 def parse_report_json(blob: bytes) -> ExperimentReport:
-    """Inverse of ``emit_report(..., "json")``.
-
-    Every malformed document raises ValueError naming the offending field.
-    """
+    """Inverse of ``emit_report(..., "json")``; ValueError names any malformed field."""
     try:
         doc = json.loads(blob.decode())
     except RecursionError:
@@ -213,10 +203,9 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
     fields = _fields(doc, _REPORT_FIELDS, "")
     rounds = []
     for i, item in enumerate(fields.pop("rounds")):
-        where = f"rounds[{i}]"
-        values = _fields(item, _ROUND_FIELDS, where)
+        values = _fields(item, _ROUND_FIELDS, f"rounds[{i}]")
         try:
             rounds.append(RoundMetrics(**values))
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"report field {where!r}: {exc}") from None
+            raise ValueError(f"report field 'rounds[{i}]': {exc}") from None
     return ExperimentReport(rounds=rounds, **fields)

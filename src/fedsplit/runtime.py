@@ -168,14 +168,6 @@ class ProtectionMode:
     def pipeline(self) -> _Pipeline:
         return _PIPELINES[self.kind]
 
-    @property
-    def uses_dp(self) -> bool:
-        return bool(self.pipeline.noised)
-
-    @property
-    def uses_he(self) -> bool:
-        return self.pipeline.encrypted != "none"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -234,16 +226,10 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _setup(cfg: ExperimentConfig) -> _State:
     full = _build_dataset(cfg)
-    if full.input_dim != cfg.model.input_dim:
-        raise ValueError(
-            f"model.input_dim={cfg.model.input_dim} does not match dataset "
-            f"input_dim={full.input_dim}"
-        )
-    if full.num_classes != cfg.model.num_classes:
-        raise ValueError(
-            f"model.num_classes={cfg.model.num_classes} does not match dataset "
-            f"num_classes={full.num_classes}"
-        )
+    for attr in ("input_dim", "num_classes"):
+        if getattr(full, attr) != getattr(cfg.model, attr):
+            raise ValueError(f"model.{attr}={getattr(cfg.model, attr)} does not match "
+                             f"dataset {attr}={getattr(full, attr)}")
     train, test = train_test_split(full, cfg.data.test_fraction,
                                    seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
     if len(test) == 0:
@@ -258,7 +244,7 @@ def _setup(cfg: ExperimentConfig) -> _State:
 
     dp_params = None
     sigma_note = ""
-    if cfg.protection.uses_dp:
+    if cfg.protection.pipeline.noised:
         budget = PrivacyBudget(
             epsilon=cfg.dp_epsilon, delta=cfg.dp_delta,
             q=cfg.rounds.sampling_ratio, rounds_T=cfg.rounds.rounds_T,
@@ -272,7 +258,7 @@ def _setup(cfg: ExperimentConfig) -> _State:
                       f"min|D|={budget.min_dataset_size})")
 
     backend = keypair = vote_key = None
-    if cfg.protection.uses_he:
+    if cfg.protection.pipeline.encrypted != "none":
         backend = make_backend(cfg.he_backend, cfg.he_params)
         keypair = backend.keygen(seeds.seed_sequence(cfg.seed, seeds.HE_KEYGEN))
     if cfg.protection.pipeline.encrypted == "voted":

@@ -105,18 +105,12 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     dim = u.size
     k = target_count(r, dim)
     strategy = PartitionStrategy(strategy)
-    if k == 0:
-        chosen = np.empty(0, dtype=np.int64)
-    elif strategy is PartitionStrategy.MAX_NORM:
-        order = np.argsort(-np.abs(u), kind="stable")
-        chosen = order[:k]
-    elif strategy is PartitionStrategy.MIN_NORM:
-        order = np.argsort(np.abs(u), kind="stable")
-        chosen = order[:k]
+    if strategy is PartitionStrategy.RANDOM:
+        chosen = as_rng(seed).choice(dim, size=k, replace=False)
     else:
-        rng = as_rng(seed)
-        chosen = rng.choice(dim, size=k, replace=False)
-    return PartitionMask(he_indices=np.sort(chosen.astype(np.int64)), dim=dim)
+        largest_first = -1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0
+        chosen = np.argsort(largest_first * np.abs(u), kind="stable")[:k]
+    return PartitionMask(he_indices=np.sort(chosen), dim=dim)
 
 
 # -- keyed PRP over 64-bit index blocks ------------------------------------------
