@@ -46,7 +46,7 @@ class RoundMetrics:
             setattr(self, name, float(getattr(self, name)))
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
-        if self.sim_time_s < 0 or self.wall_time_s < 0:
+        if not (self.sim_time_s >= 0 and self.wall_time_s >= 0):
             raise ValueError("times must be nonnegative")
 
 

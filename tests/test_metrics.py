@@ -179,6 +179,7 @@ class TestParseMalformedReport:
         ({"round": 0, "r_t": 0.1, "accuracy": [], "sim_time_s": 0.0}, "'rounds[0].accuracy'"),
         ({"round": 0, "r_t": 0.1, "accuracy": 2.0, "sim_time_s": 0.0}, "'rounds[0]'"),
         ({"round": 0, "r_t": 10 ** 400, "accuracy": 0.5, "sim_time_s": 0.0}, "'rounds[0]'"),
+        ({"round": 0, "r_t": 0.1, "accuracy": 0.5, "sim_time_s": float("nan")}, "'rounds[0]'"),
     ])
     def test_malformed_round_named(self, bad_round, where):
         doc = self.doc()
