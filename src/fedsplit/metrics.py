@@ -185,9 +185,11 @@ def _fields(doc, table: dict, where: str) -> dict:
         name = f"{where}.{key}" if where else key
         if key not in doc and not key.endswith("wall_time_s"):
             raise ValueError(f"report field {name!r} is missing")
-        out[key] = value = doc.get(key, 0.0)
+        value = doc.get(key, 0.0)
+        # bool is an int subclass: accept it only where the table names it
         if not isinstance(value, types) or isinstance(value, bool) is not (bool in types):
             raise ValueError(f"report field {name!r} has wrong type {type(value).__name__}")
+        out[key] = value
     return out
 
 
