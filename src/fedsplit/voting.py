@@ -14,6 +14,13 @@ over the index space.  A token is the block as a ``uint64``, big-endian on
 the wire, so byte order and numeric order agree.  Tie-breaks are
 deterministic everywhere: equal vote counts prefer the smaller token, and
 equal magnitudes prefer the lower index.
+
+Tokens are memoized on the ``VoteKey`` object that ``VoteKey.for_round``
+returns, so the memo covers one round: every client of the round shares the
+key, and an index's token is computed once however many clients propose it.
+This is a simulator shortcut; in a deployment each client still computes its
+own k PRPs.  Decoding a token no client of the round proposed (a foreign
+token) bypasses the memo and does not grow it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -57,14 +64,26 @@ class PartitionStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class VoteKey:
-    """Secret shared by clients; the server only ever sees tokens."""
+    """Secret shared by clients; the server only ever sees tokens.
+
+    Also holds this (key, round)'s PRP memo, index -> token and token ->
+    index; equality and hashing see only the key and the round.
+    """
 
     key: bytes
     round_binding: int
+    _tokens: dict = field(default_factory=dict, compare=False, repr=False)
+    _indices: dict = field(default_factory=dict, compare=False, repr=False)
+    # SHA-256 state after each Feistel round's fixed prefix (key, round,
+    # Feistel round); the round function only appends the half-block.
+    _prefixes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.key) != 16:
             raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
+        object.__setattr__(self, "_prefixes", tuple(
+            hashlib.sha256(self.key + struct.pack(">qB", self.round_binding, i))
+            for i in range(_FEISTEL_ROUNDS)))
 
     def for_round(self, round_index: int) -> "VoteKey":
         return VoteKey(key=self.key, round_binding=round_index)
@@ -116,25 +135,35 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
 # -- keyed PRP over 64-bit index blocks ------------------------------------------
 
 
-def _round_value(key: bytes, round_binding: int, feistel_round: int, half: int) -> int:
-    digest = hashlib.sha256(
-        key + struct.pack(">qBI", round_binding, feistel_round, half)
-    ).digest()
-    return struct.unpack(">I", digest[:4])[0]
+def _feistel(prefixes, block: int) -> int:
+    left, right = block >> 32, block & 0xFFFFFFFF
+    for prefix in prefixes:
+        h = prefix.copy()
+        h.update(right.to_bytes(4, "big"))
+        left, right = right, left ^ int.from_bytes(h.digest()[:4], "big")
+    return (left << 32) | right
+
+
+def _swap_halves(block: int) -> int:
+    return ((block & 0xFFFFFFFF) << 32) | (block >> 32)
 
 
 def _prp_encrypt(vk: VoteKey, index: int) -> int:
-    left, right = index >> 32, index & 0xFFFFFFFF
-    for i in range(_FEISTEL_ROUNDS):
-        left, right = right, left ^ _round_value(vk.key, vk.round_binding, i, right)
-    return (left << 32) | right
+    token = vk._tokens.get(index)
+    if token is None:  # threads that race here store equal values
+        token = _feistel(vk._prefixes, index)
+        vk._tokens[index] = token
+        vk._indices[token] = index
+    return token
 
 
 def _prp_decrypt(vk: VoteKey, token: int) -> int:
-    left, right = token >> 32, token & 0xFFFFFFFF
-    for i in reversed(range(_FEISTEL_ROUNDS)):
-        left, right = right ^ _round_value(vk.key, vk.round_binding, i, left), left
-    return (left << 32) | right
+    """Memo hit for a token proposed this round; else the inverse network,
+    whose result is not stored, so server-supplied tokens cannot grow it."""
+    index = vk._indices.get(token)
+    if index is None:  # the network run backwards: swapped halves, rounds reversed
+        index = _swap_halves(_feistel(reversed(vk._prefixes), _swap_halves(token)))
+    return index
 
 
 def encrypt_indices(mask: PartitionMask, vk: VoteKey, client_id: int = 0) -> VoteMessage:
@@ -173,9 +202,10 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
     tokens = np.fromiter(tokens, dtype=np.uint64)
-    if tokens.size > k or np.unique(tokens).size < tokens.size:
+    distinct = np.unique(tokens).size
+    if tokens.size > k or distinct < tokens.size:
         raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
-                            f"{tokens.size} with {np.unique(tokens).size} distinct")
+                            f"{tokens.size} with {distinct} distinct")
     indices = np.array([_prp_decrypt(vk, t) for t in tokens.tolist()], dtype=np.uint64)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "

@@ -1,4 +1,8 @@
+import hashlib
+import struct
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from fedsplit.errors import ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
-                             rank_tokens, tally_votes, target_count, VoteMessage)
+                             rank_tokens, tally_votes, target_count, VoteMessage,
+                             _prp_decrypt, _prp_encrypt)
 from fedsplit.vectors import PartitionMask
 
 
@@ -107,6 +112,88 @@ class TestTokens:
         from fedsplit.voting import _prp_decrypt, _prp_encrypt
         vk = new_vote_key(9, round_binding=round_binding)
         assert _prp_decrypt(vk, _prp_encrypt(vk, index)) == index
+
+
+def reference_round(vk, feistel_round, half):
+    digest = hashlib.sha256(
+        vk.key + struct.pack(">qBI", vk.round_binding, feistel_round, half)).digest()
+    return struct.unpack(">I", digest[:4])[0]
+
+
+def reference_token(vk, index):
+    """The 4-round Feistel PRP written out, independent of the memo."""
+    left, right = index >> 32, index & 0xFFFFFFFF
+    for i in range(4):
+        left, right = right, left ^ reference_round(vk, i, right)
+    return (left << 32) | right
+
+
+def reference_index(vk, token):
+    left, right = token >> 32, token & 0xFFFFFFFF
+    for i in reversed(range(4)):
+        left, right = right ^ reference_round(vk, i, left), left
+    return (left << 32) | right
+
+
+class TestTokenMemo:
+    """Tokens computed once per round key must equal the plain PRP."""
+
+    @staticmethod
+    def reference_tokens(vk, indices):
+        return np.sort(np.array([reference_token(vk, i) for i in indices], np.uint64))
+
+    def test_fresh_and_warm_key_match_reference(self):
+        vk = new_vote_key(21, round_binding=5)
+        first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**33 + 7]
+        fresh = encrypt_indices(mask_of(first, 2**34), vk)
+        warm = encrypt_indices(mask_of(second, 2**34), vk)
+        again = encrypt_indices(mask_of(first, 2**34), vk)
+        assert np.array_equal(fresh.tokens, self.reference_tokens(vk, first))
+        assert np.array_equal(warm.tokens, self.reference_tokens(vk, second))
+        assert np.array_equal(again.tokens, fresh.tokens)
+
+    def test_foreign_token_with_warm_memo(self):
+        vk = new_vote_key(22, round_binding=1)
+        encrypt_indices(mask_of(range(0, 40, 2), 64), vk)
+        memo_size = len(vk._indices)
+        for token in (reference_token(vk, 5), 2**64 - 1, 12345, 2**63):
+            assert _prp_decrypt(vk, token) == reference_index(vk, token)
+        beyond = np.array([reference_token(vk, 64)], dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="does not decode"):
+            decode_partition(beyond, vk, 64, 1)
+        odd = np.array([reference_token(vk, 1), reference_token(vk, 3)], np.uint64)
+        assert decode_partition(odd, vk, 64, 2).he_indices.tolist() == [1, 3]
+        assert len(vk._indices) == memo_size == len(vk._tokens) == 20
+
+    def test_threads_share_one_memo(self):
+        """More workers than cores and a short switch interval on one round
+        key: the messages equal a single thread's and the memo stays a
+        bijection."""
+        dim = 5000
+        masks = [mask_of(range(c * 300, c * 300 + 1500), dim) for c in range(8)]
+        serial = [encrypt_indices(m, new_vote_key(23, round_binding=2), client_id=c)
+                  for c, m in enumerate(masks)]
+        vk = new_vote_key(23, round_binding=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(encrypt_indices, m, vk, c)
+                           for c, m in enumerate(masks)]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a.tokens, b.tokens) for a, b in zip(serial, threaded))
+        assert len(vk._tokens) == len(vk._indices) == 3600
+        assert all(vk._indices[t] == i for i, t in vk._tokens.items())
+
+    def test_equality_and_hash_ignore_memo(self):
+        base = new_vote_key(24)
+        a, b = base.for_round(3), base.for_round(3)
+        encrypt_indices(mask_of([1, 2, 3], 8), a)
+        assert a._tokens and not b._tokens and not base.for_round(3)._tokens
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != base.for_round(4)
 
 
 class TestTally:
