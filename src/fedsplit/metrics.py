@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .datasets import Dataset
+from .he import BACKENDS
 from .models import ModelSpec, evaluate_accuracy
 
 __all__ = [
@@ -193,6 +194,27 @@ def _fields(doc, table: dict, where: str) -> dict:
     return out
 
 
+def _check_ranges(fields: dict) -> None:
+    """Reject report values the program never writes, naming the field."""
+    backend = BACKENDS.get(fields["backend"])
+    ratio = fields["efficiency_ratio"]
+    rules = [
+        ("final_accuracy", 0.0 <= fields["final_accuracy"] <= 1.0, "in [0, 1]"),
+        ("total_sim_time_s", 0.0 <= fields["total_sim_time_s"] < math.inf,
+         "finite and >= 0"),
+        ("total_wall_time_s", 0.0 <= fields["total_wall_time_s"] < math.inf,
+         "finite and >= 0"),
+        ("efficiency_ratio", ratio is None or 0.0 <= ratio < math.inf,
+         "null or finite and >= 0"),
+        ("backend", backend is not None, f"one of {sorted(BACKENDS)}"),
+        ("time_basis", fields["time_basis"] == getattr(backend, "time_basis", None),
+         f"{getattr(backend, 'time_basis', None)!r}, the backend's time basis"),
+    ]
+    for name, ok, expected in rules:
+        if not ok:
+            raise ValueError(f"report field {name!r} is {fields[name]!r}, not {expected}")
+
+
 def parse_report_json(blob: bytes) -> ExperimentReport:
     """Inverse of ``emit_report(..., "json")``; ValueError names any malformed field."""
     try:
@@ -203,6 +225,7 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
     if schema != "fedsplit-report-v1":
         raise ValueError(f"report field 'schema' is {schema!r}, not 'fedsplit-report-v1'")
     fields = _fields(doc, _REPORT_FIELDS, "")
+    _check_ranges(fields)
     rounds = []
     for i, item in enumerate(fields.pop("rounds")):
         values = _fields(item, _ROUND_FIELDS, f"rounds[{i}]")

@@ -242,7 +242,10 @@ class TestReportCmd:
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize("case", ["schema-only", "round-not-object",
-                                      "top-level-list", "csv-without-wall"])
+                                      "top-level-list", "csv-without-wall",
+                                      "accuracy-above-one", "negative-sim-time",
+                                      "nan-ratio", "unknown-backend",
+                                      "unknown-time-basis"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
         if case == "schema-only":
@@ -251,8 +254,15 @@ class TestReportCmd:
             doc["rounds"] = [1]
         elif case == "top-level-list":
             doc = [1, 2]
-        else:
+        elif case == "csv-without-wall":
             csv_text = csv_text.replace(",wall_time_s", "")
+        else:
+            key, value = {"accuracy-above-one": ("final_accuracy", 7.0),
+                          "negative-sim-time": ("total_sim_time_s", -3.0),
+                          "nan-ratio": ("efficiency_ratio", float("nan")),
+                          "unknown-backend": ("backend", "nope"),
+                          "unknown-time-basis": ("time_basis", "sideways")}[case]
+            doc[key] = value
         assert report_exit_code(doc, csv_text) == 1
         assert "cannot read report" in capsys.readouterr().err
 

@@ -187,6 +187,29 @@ class TestParseMalformedReport:
         with pytest.raises(ValueError, match=re.escape(where)):
             parse_report_json(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("key,value", [
+        ("final_accuracy", 7.0), ("final_accuracy", -0.1),
+        ("final_accuracy", float("nan")),
+        ("total_sim_time_s", -3.0), ("total_sim_time_s", float("inf")),
+        ("total_wall_time_s", -1.0), ("total_wall_time_s", float("nan")),
+        ("efficiency_ratio", float("nan")), ("efficiency_ratio", -1.0),
+        ("efficiency_ratio", float("inf")),
+        ("backend", "nope"), ("time_basis", "sideways"), ("time_basis", "wall"),
+    ])
+    def test_out_of_range_field_named(self, key, value):
+        doc = self.doc()
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_time_basis_follows_backend(self):
+        doc = self.doc()
+        doc["backend"], doc["time_basis"] = "ckks", "wall"
+        assert parse_report_json(json.dumps(doc).encode()).time_basis == "wall"
+        doc["time_basis"] = "simulated"
+        with pytest.raises(ValueError, match="'time_basis'"):
+            parse_report_json(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("blob", [b"[1, 2]", b"null", b"\xff", b"{",
                                       b"[" * 100_000 + b"]" * 100_000])
     def test_not_a_report_document(self, blob):
