@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .datasets import Dataset
@@ -197,18 +198,19 @@ def _fields(doc, table: dict, where: str) -> dict:
 def _check_ranges(fields: dict) -> None:
     """Reject report values the program never writes, naming the field."""
     backend = BACKENDS.get(fields["backend"])
+    basis = getattr(backend, "time_basis", None)
     ratio = fields["efficiency_ratio"]
+    top = sys.float_info.max  # also rejects NaN, inf and ints beyond any float
     rules = [
         ("final_accuracy", 0.0 <= fields["final_accuracy"] <= 1.0, "in [0, 1]"),
-        ("total_sim_time_s", 0.0 <= fields["total_sim_time_s"] < math.inf,
+        ("total_sim_time_s", 0.0 <= fields["total_sim_time_s"] <= top,
          "finite and >= 0"),
-        ("total_wall_time_s", 0.0 <= fields["total_wall_time_s"] < math.inf,
+        ("total_wall_time_s", 0.0 <= fields["total_wall_time_s"] <= top,
          "finite and >= 0"),
-        ("efficiency_ratio", ratio is None or 0.0 <= ratio < math.inf,
+        ("efficiency_ratio", ratio is None or 0.0 <= ratio <= top,
          "null or finite and >= 0"),
         ("backend", backend is not None, f"one of {sorted(BACKENDS)}"),
-        ("time_basis", fields["time_basis"] == getattr(backend, "time_basis", None),
-         f"{getattr(backend, 'time_basis', None)!r}, the backend's time basis"),
+        ("time_basis", fields["time_basis"] == basis, f"{basis!r}, the backend's"),
     ]
     for name, ok, expected in rules:
         if not ok:

@@ -191,6 +191,7 @@ class TestParseMalformedReport:
         ("final_accuracy", 7.0), ("final_accuracy", -0.1),
         ("final_accuracy", float("nan")),
         ("total_sim_time_s", -3.0), ("total_sim_time_s", float("inf")),
+        ("total_sim_time_s", 10 ** 400),
         ("total_wall_time_s", -1.0), ("total_wall_time_s", float("nan")),
         ("efficiency_ratio", float("nan")), ("efficiency_ratio", -1.0),
         ("efficiency_ratio", float("inf")),
