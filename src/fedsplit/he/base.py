@@ -1,4 +1,4 @@
-"""Shared ciphertext/key containers and the backend contract.
+"""Ciphertext and keypair containers and the backend contract.
 
 Both backends (the lattice scheme in ``ckks.py`` and the cost-modeled mock
 in ``mock.py``) run one shared path, written once in ``HeBackend``: the key
@@ -8,6 +8,11 @@ slot-aligned addition with its depth check, the chunk-layout check and
 decrypt stitching (truncated to the caller's original length), and the
 client-order fold of ``aggregate``.  A backend supplies only its per-chunk
 math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
+
+A ciphertext payload is a plain tuple of numpy arrays (ckks ``(c0, c1)``,
+mock ``(nonce, values)``), and so are the ckks keys (public ``(a, b)``,
+secret ``s``), so ``wire.py`` declares only each backend's array dtypes
+and lengths.  Keys never cross the wire; only ciphertexts do.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from ..errors import DimensionError, EncodingOverflowError, ProtocolError
 from ..seeds import as_rng
 from .params import HeParams
 
-__all__ = ["Ciphertext", "KeyPair", "HeBackend", "chunk_bounds"]
+__all__ = ["Ciphertext", "KeyPair", "HeBackend"]
 
 
 @dataclass
@@ -32,7 +37,7 @@ class Ciphertext:
     ciphertext; backends reject additions past ``params.max_additions``.
     """
 
-    payload: object
+    payload: tuple
     slots_used: int
     add_count: int
     params: HeParams
@@ -45,11 +50,6 @@ class KeyPair:
     secret_key: object
     params: HeParams
     backend: str
-
-
-def chunk_bounds(length: int, slot_count: int) -> list[tuple[int, int]]:
-    """(start, stop) pairs covering [0, length) in slot_count-sized chunks."""
-    return [(s, min(s + slot_count, length)) for s in range(0, length, slot_count)]
 
 
 class HeBackend:
@@ -107,9 +107,9 @@ class HeBackend:
                 f"{p.max_encodable:g} (modulus_bits={p.modulus_bits}, "
                 f"scale_bits={p.scale_bits}, max_additions={p.max_additions})")
         rng = as_rng(seed)
-        return [self._ciphertext(self._encrypt_chunk(pk.public_key, x[start:stop], rng),
-                                 stop - start)
-                for start, stop in chunk_bounds(x.size, p.slot_count)]
+        chunks = [x[start: start + p.slot_count] for start in range(0, x.size, p.slot_count)]
+        return [self._ciphertext(self._encrypt_chunk(pk.public_key, chunk, rng), chunk.size)
+                for chunk in chunks]
 
     def _hom_add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         if a.backend != self.name or b.backend != self.name:

@@ -22,24 +22,7 @@ from .base import Ciphertext, HeBackend, KeyPair
 from .params import HeParams
 from .ring import NegacyclicRing
 
-__all__ = ["CkksBackend", "CkksPublicKey", "CkksSecretKey"]
-
-
-class CkksPublicKey:
-    """(b, a) = (-a*s + e, a), both stored in evaluation form."""
-
-    __slots__ = ("a_eval", "b_eval")
-
-    def __init__(self, a_eval: np.ndarray, b_eval: np.ndarray):
-        self.a_eval = a_eval
-        self.b_eval = b_eval
-
-
-class CkksSecretKey:
-    __slots__ = ("s_eval",)
-
-    def __init__(self, s_eval: np.ndarray):
-        self.s_eval = s_eval
+__all__ = ["CkksBackend"]
 
 
 class CkksBackend(HeBackend):
@@ -51,18 +34,15 @@ class CkksBackend(HeBackend):
         self.ring = NegacyclicRing(params.ring_degree, params.modulus_bits)
 
     def keygen(self, seed) -> KeyPair:
+        """Public key (a, b) with b = -a*s + e, secret key s, all in evaluation form."""
         rng = as_rng(seed)
         ring = self.ring
         s_eval = ring.to_eval(ring.ternary(rng))
         a_eval = ring.to_eval(ring.uniform(rng))
         e_eval = ring.to_eval(ring.cbd_error(rng))
         b_eval = ring.addmod(ring.negmod(ring.mulmod(a_eval, s_eval)), e_eval)
-        return KeyPair(
-            public_key=CkksPublicKey(a_eval=a_eval, b_eval=b_eval),
-            secret_key=CkksSecretKey(s_eval=s_eval),
-            params=self.params,
-            backend=self.name,
-        )
+        return KeyPair(public_key=(a_eval, b_eval), secret_key=s_eval,
+                       params=self.params, backend=self.name)
 
     def encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
         return self._encrypt(pk, x, seed)
@@ -73,22 +53,23 @@ class CkksBackend(HeBackend):
     def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
         return self._decrypt(sk, cts, original_len)
 
-    def _encrypt_chunk(self, key: CkksPublicKey, chunk: np.ndarray, rng) -> tuple:
+    def _encrypt_chunk(self, key: tuple, chunk: np.ndarray, rng) -> tuple:
         ring = self.ring
+        a_eval, b_eval = key
         m = np.zeros(self.params.ring_degree, dtype=np.int64)
         m[: chunk.size] = np.rint(chunk * self.params.scale).astype(np.int64)
         u_eval = ring.to_eval(ring.ternary(rng))
         e1_plus_m = ring.addmod(ring.cbd_error(rng), ring.from_signed(m))
-        c0 = ring.addmod(ring.mulmod(key.b_eval, u_eval), ring.to_eval(e1_plus_m))
-        c1 = ring.addmod(ring.mulmod(key.a_eval, u_eval),
+        c0 = ring.addmod(ring.mulmod(b_eval, u_eval), ring.to_eval(e1_plus_m))
+        c1 = ring.addmod(ring.mulmod(a_eval, u_eval),
                          ring.to_eval(ring.cbd_error(rng)))
         return c0, c1
 
     def _add_payloads(self, a: tuple, b: tuple) -> tuple:
         return self.ring.addmod(a[0], b[0]), self.ring.addmod(a[1], b[1])
 
-    def _decrypt_chunk(self, key: CkksSecretKey, payload: tuple) -> np.ndarray:
+    def _decrypt_chunk(self, s_eval: np.ndarray, payload: tuple) -> np.ndarray:
         ring = self.ring
         c0, c1 = payload
-        m_res = ring.from_eval(ring.addmod(c0, ring.mulmod(c1, key.s_eval)))
+        m_res = ring.from_eval(ring.addmod(c0, ring.mulmod(c1, s_eval)))
         return ring.to_signed(m_res).astype(np.float64) / self.params.scale

@@ -15,17 +15,7 @@ import numpy as np
 from ..seeds import as_rng
 from .base import Ciphertext, HeBackend, KeyPair
 
-__all__ = ["MockBackend", "MockPayload"]
-
-
-class MockPayload:
-    """Held plaintext plus a nonce so repeated encryptions differ as payloads."""
-
-    __slots__ = ("values", "nonce")
-
-    def __init__(self, values: np.ndarray, nonce: int):
-        self.values = values
-        self.nonce = nonce
+__all__ = ["MockBackend"]
 
 
 class MockBackend(HeBackend):
@@ -47,12 +37,12 @@ class MockBackend(HeBackend):
     def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
         return self._decrypt(sk, cts, original_len)
 
-    def _encrypt_chunk(self, public_key, chunk: np.ndarray, rng) -> MockPayload:
-        return MockPayload(values=chunk.copy(),
-                           nonce=int(rng.integers(0, 2**63, dtype=np.int64)))
+    def _encrypt_chunk(self, public_key, chunk: np.ndarray, rng) -> tuple:
+        """(nonce, values): the nonce makes repeated encryptions differ as payloads."""
+        return rng.integers(0, 2**63, 1, dtype=np.int64), chunk.copy()
 
-    def _add_payloads(self, a: MockPayload, b: MockPayload) -> MockPayload:
-        return MockPayload(values=a.values + b.values, nonce=a.nonce ^ b.nonce)
+    def _add_payloads(self, a: tuple, b: tuple) -> tuple:
+        return a[0] ^ b[0], a[1] + b[1]
 
-    def _decrypt_chunk(self, secret_key, payload: MockPayload) -> np.ndarray:
-        return payload.values
+    def _decrypt_chunk(self, secret_key, payload: tuple) -> np.ndarray:
+        return payload[1]

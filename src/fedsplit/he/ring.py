@@ -164,10 +164,6 @@ class NegacyclicRing:
         x = self.mulmod(x, self._n_inv)
         return self.mulmod(x, self._psi_inv_pows)
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product of coefficient-form polynomials."""
-        return self.from_eval(self.mulmod(self.to_eval(a), self.to_eval(b)))
-
     # -- sampling ---------------------------------------------------------------------
 
     def uniform(self, rng: np.random.Generator, shape=None) -> np.ndarray:

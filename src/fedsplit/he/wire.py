@@ -1,12 +1,14 @@
-"""Length-prefixed binary container for ciphertexts and keys.
+"""Length-prefixed binary container for ciphertexts.
 
-Layout: magic b"PAHE", version byte, kind byte, then two length-prefixed
-blocks (u32 little-endian lengths): the params block and the payload block.
-A ciphertext payload starts with (slots_used, add_count) as two u32; the
-rest of every payload is the little-endian arrays that ``_LAYOUTS`` lists
-for its (kind, backend), one row driving both directions.  Deserializing a
-serialized ciphertext decrypts bit-identically, and every blob that
-``serialize`` could not have produced raises ``ProtocolError``.
+Only ciphertexts cross the wire: the clients share one keypair out of band
+and the server holds ciphertexts alone, so no key has a container.
+Layout: magic b"PAHE", version byte, kind byte (1, a ciphertext), then two
+length-prefixed blocks (u32 little-endian lengths): the params block and
+the payload block.  The payload starts with (slots_used, add_count) as two
+u32; the rest is the ciphertext's payload tuple as the little-endian arrays
+that ``_LAYOUTS`` lists for its backend, one row driving both directions.
+Deserializing a serialized ciphertext decrypts bit-identically, and every
+blob that ``serialize`` could not have produced raises ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -16,18 +18,16 @@ import struct
 import numpy as np
 
 from ..errors import ProtocolError
-from .base import Ciphertext, KeyPair
-from .ckks import CkksPublicKey, CkksSecretKey
-from .mock import MockPayload
+from .base import Ciphertext
 from .params import HeParams
 from .ring import find_ntt_prime
 
-__all__ = ["serialize", "serialize_secret", "deserialize"]
+__all__ = ["serialize", "deserialize"]
 
 MAGIC = b"PAHE"
 VERSION = 1
 
-_KIND_CIPHERTEXT, _KIND_PUBLIC_KEY, _KIND_SECRET_KEY = 1, 2, 3
+_KIND_CIPHERTEXT = 1
 _BACKEND_CODES = {"ckks": 1, "mock": 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
 
@@ -41,48 +41,27 @@ _LENGTH = struct.Struct("<I")
 _RESIDUES, _INT, _REALS = np.dtype("<u8"), np.dtype("<i8"), np.dtype("<f8")
 _N, _SLOTS = "ring_degree", "slots_used"
 
-# (kind, backend) -> (payload arrays as (dtype, length), take the ciphertext
-# payload or key half apart into those arrays, rebuild it from them).
+# backend -> its payload tuple's arrays as (dtype, length): ckks (c0, c1),
+# mock (nonce, values).
 _LAYOUTS = {
-    (_KIND_CIPHERTEXT, "ckks"): (((_RESIDUES, _N), (_RESIDUES, _N)),
-                                 lambda c: c, lambda c0, c1: (c0, c1)),
-    (_KIND_CIPHERTEXT, "mock"): (((_INT, 1), (_REALS, _SLOTS)),
-                                 lambda p: ([p.nonce], p.values),
-                                 lambda nonce, values: MockPayload(values, int(nonce[0]))),
-    (_KIND_PUBLIC_KEY, "ckks"): (((_RESIDUES, _N), (_RESIDUES, _N)),
-                                 lambda k: (k.a_eval, k.b_eval), CkksPublicKey),
-    (_KIND_PUBLIC_KEY, "mock"): (((_INT, 1),), lambda k: ([k],), lambda k: int(k[0])),
-    (_KIND_SECRET_KEY, "ckks"): (((_RESIDUES, _N),), lambda k: (k.s_eval,), CkksSecretKey),
-    (_KIND_SECRET_KEY, "mock"): (((_INT, 1),), lambda k: ([k],), lambda k: int(k[0])),
+    "ckks": ((_RESIDUES, _N), (_RESIDUES, _N)),
+    "mock": ((_INT, 1), (_REALS, _SLOTS)),
 }
 
 
-def _pack(kind: int, obj, inner, head: bytes = b"") -> bytes:
-    if obj.backend not in _BACKEND_CODES:
-        raise ProtocolError(f"unknown backend {obj.backend!r}")
-    arrays, take_apart, _rebuild = _LAYOUTS[kind, obj.backend]
-    p = obj.params
+def serialize(ct: Ciphertext) -> bytes:
+    """Serialize a Ciphertext to the PAHE container."""
+    if ct.backend not in _BACKEND_CODES:
+        raise ProtocolError(f"unknown backend {ct.backend!r}")
+    p = ct.params
     params_block = _PARAMS.pack(p.ring_degree, p.scale_bits, p.modulus_bits,
-                                p.max_additions, _BACKEND_CODES[obj.backend])
-    payload = head + b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes()
-                              for (dtype, _n), a in zip(arrays, take_apart(inner)))
-    return (MAGIC + bytes([VERSION, kind])
+                                p.max_additions, _BACKEND_CODES[ct.backend])
+    payload = _CT_HEAD.pack(ct.slots_used, ct.add_count) + b"".join(
+        np.ascontiguousarray(a, dtype=dtype).tobytes()
+        for (dtype, _n), a in zip(_LAYOUTS[ct.backend], ct.payload))
+    return (MAGIC + bytes([VERSION, _KIND_CIPHERTEXT])
             + _LENGTH.pack(len(params_block)) + params_block
             + _LENGTH.pack(len(payload)) + payload)
-
-
-def serialize(obj) -> bytes:
-    """Serialize a Ciphertext or KeyPair key half to the PAHE container."""
-    if isinstance(obj, Ciphertext):
-        return _pack(_KIND_CIPHERTEXT, obj, obj.payload,
-                     _CT_HEAD.pack(obj.slots_used, obj.add_count))
-    if isinstance(obj, KeyPair):
-        return _pack(_KIND_PUBLIC_KEY, obj, obj.public_key)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def serialize_secret(kp: KeyPair) -> bytes:
-    return _pack(_KIND_SECRET_KEY, kp, kp.secret_key)
 
 
 def _read_block(blob: bytes, offset: int) -> tuple[bytes, int]:
@@ -116,12 +95,8 @@ def _modulus(params: HeParams) -> int:
         raise ProtocolError(f"invalid params: {exc}") from None
 
 
-def deserialize(blob: bytes):
-    """Parse a PAHE container back into a Ciphertext or key material.
-
-    Returns a Ciphertext for ciphertext containers, otherwise a
-    (kind, params, backend, payload_object) tuple for keys.
-    """
+def deserialize(blob: bytes) -> Ciphertext:
+    """Parse a PAHE container back into a Ciphertext."""
     blob = bytes(blob)
     if blob[:4] != MAGIC:
         raise ProtocolError("bad magic bytes")
@@ -135,25 +110,23 @@ def deserialize(blob: bytes):
     if end != len(blob):
         raise ProtocolError(f"{len(blob) - end} bytes follow the payload block")
     params, backend = _unpack_params(params_block)
-    if (kind, backend) not in _LAYOUTS:
+    if kind != _KIND_CIPHERTEXT:
         raise ProtocolError(f"unknown container kind {kind}")
-    arrays, _take_apart, rebuild = _LAYOUTS[kind, backend]
 
-    head_size = _CT_HEAD.size if kind == _KIND_CIPHERTEXT else 0
-    if len(payload) < head_size:
+    if len(payload) < _CT_HEAD.size:
         raise ProtocolError("ciphertext payload truncated in its header")
-    slots_used, add_count = _CT_HEAD.unpack_from(payload) if head_size else (0, 0)
-    if head_size and not (1 <= slots_used <= params.slot_count
-                          and add_count <= params.max_additions):
+    slots_used, add_count = _CT_HEAD.unpack_from(payload)
+    if not (1 <= slots_used <= params.slot_count and add_count <= params.max_additions):
         raise ProtocolError(f"ciphertext header out of range: slots_used={slots_used}, "
                             f"add_count={add_count}")
-    lengths = [{_N: params.ring_degree, _SLOTS: slots_used}.get(n, n) for _dt, n in arrays]
-    expected = head_size + sum(dt.itemsize * n for (dt, _n), n in zip(arrays, lengths))
+    arrays = [(dtype, {_N: params.ring_degree, _SLOTS: slots_used}.get(n, n))
+              for dtype, n in _LAYOUTS[backend]]
+    expected = _CT_HEAD.size + sum(dtype.itemsize * n for dtype, n in arrays)
     if len(payload) != expected:
         raise ProtocolError(f"payload has {len(payload)} bytes, the layout needs {expected}")
 
-    values, offset = [], head_size
-    for (dtype, _n), n in zip(arrays, lengths):
+    values, offset = [], _CT_HEAD.size
+    for dtype, n in arrays:
         a = np.frombuffer(payload, dtype=dtype, count=n, offset=offset).astype(dtype.type)
         offset += dtype.itemsize * n
         if dtype == _RESIDUES and np.any(a >= _modulus(params)):
@@ -161,8 +134,5 @@ def deserialize(blob: bytes):
         if dtype == _REALS and not np.all(np.isfinite(a)):
             raise ProtocolError("non-finite value in payload")
         values.append(a)
-    inner = rebuild(*values)
-    if head_size:
-        return Ciphertext(payload=inner, slots_used=slots_used, add_count=add_count,
-                          params=params, backend=backend)
-    return (kind, params, backend, inner)
+    return Ciphertext(payload=tuple(values), slots_used=slots_used, add_count=add_count,
+                      params=params, backend=backend)

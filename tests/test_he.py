@@ -41,7 +41,7 @@ class TestRing:
         rng = np.random.default_rng(n)
         a = rng.integers(0, ring.q, n, dtype=np.uint64)
         b = rng.integers(0, ring.q, n, dtype=np.uint64)
-        got = ring.mul(a, b)
+        got = ring.from_eval(ring.mulmod(ring.to_eval(a), ring.to_eval(b)))
         expected = [0] * n
         for i in range(n):
             for j in range(n):
@@ -315,7 +315,7 @@ class TestMockBackend:
         x = np.ones(4)
         ct1 = backend.encrypt(kp, x, 1)[0]
         ct2 = backend.encrypt(kp, x, 2)[0]
-        assert ct1.payload.nonce != ct2.payload.nonce
+        assert not np.array_equal(ct1.payload[0], ct2.payload[0])
 
     def test_make_backend_dispatch(self):
         assert isinstance(make_backend("mock"), MockBackend)
@@ -381,15 +381,14 @@ class TestWire:
             deserialize(b"XXXX" + bytes(10))
 
     def test_key_roundtrip(self):
+        """Keys are plain arrays, provisioned to clients out of band, never on the wire."""
         from fedsplit.he import KeyPair
-        from fedsplit.he.wire import serialize_secret
         backend = CkksBackend(SMALL)
         kp = backend.keygen(13)
-        _, params_pub, backend_pub, pub = deserialize(serialize(kp))
-        _, params_sec, backend_sec, sec = deserialize(serialize_secret(kp))
-        assert params_pub == params_sec == SMALL
-        assert backend_pub == backend_sec == "ckks"
-        restored = KeyPair(public_key=pub, secret_key=sec, params=SMALL,
+        a_eval, b_eval = kp.public_key
+        copy = [np.frombuffer(k.tobytes(), dtype=np.uint64)
+                for k in (a_eval, b_eval, kp.secret_key)]
+        restored = KeyPair(public_key=tuple(copy[:2]), secret_key=copy[2], params=SMALL,
                            backend="ckks")
         x = np.array([0.125, -0.5, 0.75])
         cts = backend.encrypt(restored, x, 3)
