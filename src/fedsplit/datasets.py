@@ -20,6 +20,7 @@ __all__ = [
     "synthetic_dataset",
     "load_csv_dataset",
     "train_test_split",
+    "held_out_rows",
     "split_iid",
     "split_dirichlet",
 ]
@@ -116,13 +117,18 @@ def load_csv_dataset(path: str, num_classes: int) -> Dataset:
                    num_classes=num_classes)
 
 
+def held_out_rows(num_rows: int, test_fraction: float) -> int:
+    """Rows ``train_test_split`` holds out for evaluation."""
+    return int(round(test_fraction * num_rows))
+
+
 def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled split; the test side is the held-out eval set."""
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     rng = as_rng(seed)
     perm = rng.permutation(len(ds))
-    n_test = int(round(test_fraction * len(ds)))
+    n_test = held_out_rows(len(ds), test_fraction)
     return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
 
 

@@ -34,6 +34,8 @@ class ModelSpec:
         if self.input_dim < 1 or self.num_classes < 1:
             raise ValueError("input_dim and num_classes must be >= 1")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
         if self.kind == "mlp" and not self.hidden_dims:
             raise ValueError("mlp requires at least one hidden layer")
         if self.kind != "mlp" and self.hidden_dims:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
-                       synthetic_dataset, train_test_split)
+from .datasets import (Dataset, held_out_rows, load_csv_dataset, split_dirichlet,
+                       split_iid, synthetic_dataset, train_test_split)
 from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError
 from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
@@ -96,6 +96,18 @@ class DataConfig:
             )
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.partition == "dirichlet" and not 0.0 < self.dirichlet_alpha < math.inf:
+            raise ValueError(f"dirichlet_alpha must be positive and finite under the "
+                             f"dirichlet partition, got {self.dirichlet_alpha}")
+        if self.kind == "synthetic":
+            if self.num_samples < self.num_classes:
+                raise ValueError(f"num_samples must be at least num_classes "
+                                 f"({self.num_classes}), got {self.num_samples}")
+            if held_out_rows(self.num_samples, self.test_fraction) < 1:
+                raise ValueError(f"test_fraction {self.test_fraction} of num_samples "
+                                 f"{self.num_samples} leaves no test row")
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,27 @@ class ExperimentConfig:
                              f"got {self.he_backend!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.dp_epsilon > 0:
+            raise ValueError(f"dp.epsilon must be positive, got {self.dp_epsilon}")
+        if not 0.0 < self.dp_delta < 1.0:
+            raise ValueError(f"dp.delta must lie in (0, 1), got {self.dp_delta}")
+        if not 0.0 < self.dp_theta < math.inf:
+            raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
+        # Cross-key checks, decidable before any data is built.
+        additions = self.rounds.clients_sampled_n - 1
+        if (self.protection.pipeline.encrypted != "none"
+                and self.he_params.max_additions < additions):
+            raise ValueError(f"he.max_additions={self.he_params.max_additions} is below the "
+                             f"{additions} additions that summing round.clients_sampled_n="
+                             f"{self.rounds.clients_sampled_n} ciphertexts takes")
+        d = self.data
+        train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
+        if d.kind == "synthetic" and train_rows < self.rounds.clients_total_N:
+            raise ValueError(f"dataset.num_samples={d.num_samples} leaves {train_rows} "
+                             f"training rows after dataset.test_fraction={d.test_fraction}, "
+                             f"fewer than round.clients_total_N={self.rounds.clients_total_N}")
 
     def as_flat_dict(self) -> dict:
         """Canonical flat key -> string echo, the config-file vocabulary."""

@@ -24,6 +24,36 @@ seed = 5
 """
 
 
+# Values that parse as their types but can never run, each with the words its
+# config error must name.  Every one trained or built data and exited 2 before
+# it was checked at the parse.
+NEVER_RUNS = {
+    "hidden_width_negative": (["model.kind=mlp", "model.hidden_dims=-3"],
+                              ["'model'", "hidden_dims"]),
+    "hidden_width_zero": (["model.kind=mlp", "model.hidden_dims=8,0"],
+                          ["'model'", "hidden_dims"]),
+    "dirichlet_alpha_zero": (["dataset.partition=dirichlet", "dataset.dirichlet_alpha=0"],
+                             ["'dataset'", "dirichlet_alpha"]),
+    "test_fraction_above_one": (["dataset.test_fraction=1.5"],
+                                ["'dataset'", "test_fraction"]),
+    "no_samples": (["dataset.num_samples=0"], ["'dataset'", "num_samples"]),
+    "epsilon_negative": (["dp.epsilon=-1"], ["dp.epsilon"]),
+    "delta_above_one": (["dp.delta=2"], ["dp.delta"]),
+    "theta_zero": (["dp.theta=0"], ["dp.theta"]),
+    "seed_negative": (["seed=-1"], ["seed"]),
+    "max_additions_below_cohort": (["round.clients_total_N=4", "round.clients_sampled_n=4",
+                                    "he.max_additions=2"],
+                                   ["he.max_additions", "round.clients_sampled_n"]),
+    "max_additions_below_cohort_ckks": (["round.clients_total_N=4",
+                                         "round.clients_sampled_n=4", "he.max_additions=2",
+                                         "he.backend=ckks", "he.ring_degree=64"],
+                                        ["he.max_additions", "round.clients_sampled_n"]),
+    "no_test_row": (["dataset.test_fraction=0.0001"], ["'dataset'", "test_fraction"]),
+    "fewer_train_rows_than_clients": (["dataset.num_samples=3", "round.clients_total_N=5"],
+                                      ["dataset.num_samples", "round.clients_total_N"]),
+}
+
+
 @pytest.fixture
 def mini_config(tmp_path):
     p = tmp_path / "mini.conf"
@@ -125,6 +155,18 @@ class TestRun:
         assert "gone.csv" in capsys.readouterr().err
         doc = json.loads((out / "report.json").read_text())
         assert doc["complete"] is False
+
+    @pytest.mark.parametrize("case", sorted(NEVER_RUNS))
+    def test_config_that_cannot_run_exits_one(self, case, mini_config, tmp_path, capsys):
+        overrides, named = NEVER_RUNS[case]
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(mini_config), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         p = tmp_path / "diverge.conf"
