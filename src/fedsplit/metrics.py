@@ -46,10 +46,14 @@ class RoundMetrics:
         self.round = int(self.round)
         for name in ("r_t", "accuracy", "sim_time_s", "wall_time_s"):
             setattr(self, name, float(getattr(self, name)))
+        if self.round < 0:
+            raise ValueError(f"round must be >= 0, got {self.round}")
+        if not 0.0 <= self.r_t <= 1.0:
+            raise ValueError(f"r_t must lie in [0, 1], got {self.r_t}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
-        if not (self.sim_time_s >= 0 and self.wall_time_s >= 0):
-            raise ValueError("times must be nonnegative")
+        if not (0 <= self.sim_time_s < math.inf and 0 <= self.wall_time_s < math.inf):
+            raise ValueError("times must be finite and nonnegative")
 
 
 @dataclass
@@ -235,4 +239,6 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
             rounds.append(RoundMetrics(**values))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"report field 'rounds[{i}]': {exc}") from None
+        if rounds[-1].round != i:
+            raise ValueError(f"report field 'rounds[{i}].round' is {rounds[-1].round}, not {i}")
     return ExperimentReport(rounds=rounds, **fields)

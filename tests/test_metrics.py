@@ -188,6 +188,22 @@ class TestParseMalformedReport:
             parse_report_json(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("key,value", [
+        ("r_t", -5.0), ("r_t", float("nan")), ("r_t", 7.0), ("round", -1),
+        ("sim_time_s", float("inf")), ("wall_time_s", float("inf")),
+    ])
+    def test_out_of_range_round_named(self, key, value):
+        doc = self.doc()
+        doc["rounds"][0][key] = value
+        with pytest.raises(ValueError, match=re.escape("'rounds[0]")):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_rounds_numbered_in_order(self):
+        doc = self.doc()
+        doc["rounds"].append(dict(doc["rounds"][0]))
+        with pytest.raises(ValueError, match=re.escape("'rounds[1].round'")):
+            parse_report_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("key,value", [
         ("final_accuracy", 7.0), ("final_accuracy", -0.1),
         ("final_accuracy", float("nan")),
         ("total_sim_time_s", -3.0), ("total_sim_time_s", float("inf")),
