@@ -76,8 +76,9 @@ class HeCostModel:
     per_op_seconds: float = 1e-3
 
     def __post_init__(self):
-        if self.per_slot_seconds < 0 or self.per_op_seconds < 0:
-            raise ValueError("cost model components must be nonnegative")
+        if not (0 <= self.per_slot_seconds < math.inf and 0 <= self.per_op_seconds < math.inf):
+            raise ValueError(f"per_slot_seconds and per_op_seconds must be finite and "
+                             f"nonnegative, got {self.per_slot_seconds}, {self.per_op_seconds}")
 
 
 def decode_tolerance(params: HeParams) -> float:

@@ -96,6 +96,8 @@ class DataConfig:
             )
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.partition == "dirichlet" and not 0.0 < self.dirichlet_alpha < math.inf:
@@ -127,8 +129,9 @@ class RoundConfig:
             )
         if self.local_epochs_K < 1 or self.rounds_T < 1 or self.batch_size < 1:
             raise ValueError("local_epochs_K, rounds_T, batch_size must be >= 1")
-        if not self.learning_rate_eta > 0:
-            raise ValueError("learning_rate_eta must be positive")
+        if not 0 < self.learning_rate_eta < math.inf:
+            raise ValueError(f"learning_rate_eta must be positive and finite, "
+                             f"got {self.learning_rate_eta}")
 
     @property
     def sampling_ratio(self) -> float:

@@ -37,6 +37,10 @@ NEVER_RUNS = {
     "test_fraction_above_one": (["dataset.test_fraction=1.5"],
                                 ["'dataset'", "test_fraction"]),
     "no_samples": (["dataset.num_samples=0"], ["'dataset'", "num_samples"]),
+    "separation_nan": (["dataset.separation=nan"], ["'dataset'", "separation"]),
+    "learning_rate_infinite": (["round.learning_rate_eta=inf"],
+                               ["'round'", "learning_rate_eta"]),
+    "cost_per_slot_infinite": (["he.per_slot_seconds=inf"], ["'he'", "per_slot_seconds"]),
     "epsilon_negative": (["dp.epsilon=-1"], ["dp.epsilon"]),
     "delta_above_one": (["dp.delta=2"], ["dp.delta"]),
     "theta_zero": (["dp.theta=0"], ["dp.theta"]),
