@@ -3,7 +3,9 @@
 The report separates deterministic content (accuracy, simulated time) from
 wall-clock timing: ``report.json`` is byte-stable for a fixed config+seed
 (wall times enter it only on request), while ``rounds.csv`` always carries
-the measured wall time per round.
+the measured wall time per round.  A report's summaries are derived from its
+backend and rounds, and the parser rejects a document whose summaries
+disagree with them.  One table per file declares its keys for both ends.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import csv
 import io
 import json
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import ClassVar
 
 from .datasets import Dataset
 from .he import BACKENDS
@@ -30,8 +32,6 @@ __all__ = [
     "parse_report_json",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = ["round", "r_t", "accuracy", "sim_time_s", "wall_time_s"]
 
 
 @dataclass
@@ -58,17 +58,40 @@ class RoundMetrics:
 
 @dataclass
 class ExperimentReport:
+    """What a run produced; ``time_basis`` and the summaries derive from it."""
+
+    schema: ClassVar[str] = "fedsplit-report-v1"
     config: dict
     seed: int
     backend: str
-    time_basis: str  # "simulated" (mock backend) or "wall" (real crypto)
     rounds: list = field(default_factory=list)
-    final_accuracy: float = 0.0
-    total_sim_time_s: float = 0.0
-    total_wall_time_s: float = 0.0
-    efficiency_ratio: float | None = None
     complete: bool = False
     notes: list = field(default_factory=list)
+    include_wall_time: bool = False  # wall times enter report.json
+
+    @property
+    def time_basis(self) -> str:
+        """"simulated" (mock backend) or "wall" (real crypto)."""
+        return BACKENDS[self.backend].time_basis
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.rounds[-1].accuracy if self.rounds else 0.0
+
+    @property
+    def total_sim_time_s(self) -> float:
+        return float(sum(r.sim_time_s for r in self.rounds))
+
+    @property
+    def total_wall_time_s(self) -> float:
+        return float(sum(r.wall_time_s for r in self.rounds))
+
+    @property
+    def efficiency_ratio(self) -> float | None:
+        # A wall-clock ratio enters the report only on request, like wall times.
+        time_s = (self.total_sim_time_s if self.time_basis == "simulated"
+                  else self.total_wall_time_s if self.include_wall_time else 0.0)
+        return efficiency_ratio(self.final_accuracy * 100.0, time_s) if time_s > 0 else None
 
 
 def accuracy(spec: ModelSpec, params, test_set: Dataset) -> float:
@@ -127,60 +150,47 @@ def theorem_bound(b: BoundInputs) -> float:
 
 # -- serialization --------------------------------------------------------------
 
+_REAL = (int, float)
+# report.json in key order: key (an ExperimentReport attribute of the same
+# name) -> accepted types.  Keys ending in wall_time_s are written only when
+# the report includes wall times; keys that are not stored fields must equal
+# what the report derives.
+_REPORT_KEYS = dict(schema=(str,), complete=(bool,), seed=(int,), backend=(str,),
+                    time_basis=(str,), config=(dict,), rounds=(list,),
+                    final_accuracy=_REAL, total_sim_time_s=_REAL,
+                    efficiency_ratio=_REAL + (type(None),), notes=(list,),
+                    total_wall_time_s=_REAL)
+_ROUND_KEYS = dict(round=(int,), r_t=_REAL, accuracy=_REAL, sim_time_s=_REAL,
+                   wall_time_s=_REAL)
+_STORED = {f.name for f in dataclass_fields(ExperimentReport)}
+CSV_HEADER = list(_ROUND_KEYS)
 
-def _round_dict(rm: RoundMetrics, include_wall_time: bool) -> dict:
-    out = {"round": rm.round, "r_t": rm.r_t, "accuracy": rm.accuracy,
-           "sim_time_s": rm.sim_time_s}
-    if include_wall_time:
-        out["wall_time_s"] = rm.wall_time_s
-    return out
+
+def _pick(obj, keys: dict, include_wall_time: bool) -> dict:
+    return {k: getattr(obj, k) for k in keys
+            if include_wall_time or not k.endswith("wall_time_s")}
 
 
-def emit_report(report: ExperimentReport, fmt: str,
-                include_wall_time: bool = False) -> bytes:
+def emit_report(report: ExperimentReport, fmt: str) -> bytes:
     """Serialize to JSON (full report) or CSV (per-round table).
 
     JSON field ordering is fixed, so equal reports serialize to equal
-    bytes.  Wall-clock fields enter the JSON only when requested; the CSV
-    always carries them.
+    bytes.  Wall-clock fields enter the JSON only when the report includes
+    them; the CSV always carries them.
     """
     if fmt == "json":
-        doc = {
-            "schema": "fedsplit-report-v1",
-            "complete": report.complete,
-            "seed": report.seed,
-            "backend": report.backend,
-            "time_basis": report.time_basis,
-            "config": {k: report.config[k] for k in sorted(report.config)},
-            "rounds": [_round_dict(rm, include_wall_time) for rm in report.rounds],
-            "final_accuracy": report.final_accuracy,
-            "total_sim_time_s": report.total_sim_time_s,
-            "efficiency_ratio": report.efficiency_ratio,
-            "notes": list(report.notes),
-        }
-        if include_wall_time:
-            doc["total_wall_time_s"] = report.total_wall_time_s
+        wall = report.include_wall_time
+        doc = _pick(report, _REPORT_KEYS, wall)
+        doc["config"] = dict(sorted(report.config.items()))
+        doc["rounds"] = [_pick(rm, _ROUND_KEYS, wall) for rm in report.rounds]
         return (json.dumps(doc, indent=2) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rm in report.rounds:
-            writer.writerow([rm.round, repr(rm.r_t), repr(rm.accuracy),
-                             repr(rm.sim_time_s), repr(rm.wall_time_s)])
+        writer.writerows([repr(getattr(rm, k)) for k in CSV_HEADER] for rm in report.rounds)
         return buf.getvalue().encode()
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-_REAL = (int, float)
-# JSON key (the dataclass field of the same name) -> accepted types.  Only the
-# wall times may be absent (they default to 0.0).
-_REPORT_FIELDS = dict(complete=(bool,), seed=(int,), backend=(str,), time_basis=(str,),
-                      config=(dict,), rounds=(list,), final_accuracy=_REAL,
-                      total_sim_time_s=_REAL, total_wall_time_s=_REAL,
-                      efficiency_ratio=_REAL + (type(None),), notes=(list,))
-_ROUND_FIELDS = dict(round=(int,), r_t=_REAL, accuracy=_REAL, sim_time_s=_REAL,
-                     wall_time_s=_REAL)
 
 
 def _fields(doc, table: dict, where: str) -> dict:
@@ -199,28 +209,6 @@ def _fields(doc, table: dict, where: str) -> dict:
     return out
 
 
-def _check_ranges(fields: dict) -> None:
-    """Reject report values the program never writes, naming the field."""
-    backend = BACKENDS.get(fields["backend"])
-    basis = getattr(backend, "time_basis", None)
-    ratio = fields["efficiency_ratio"]
-    top = sys.float_info.max  # also rejects NaN, inf and ints beyond any float
-    rules = [
-        ("final_accuracy", 0.0 <= fields["final_accuracy"] <= 1.0, "in [0, 1]"),
-        ("total_sim_time_s", 0.0 <= fields["total_sim_time_s"] <= top,
-         "finite and >= 0"),
-        ("total_wall_time_s", 0.0 <= fields["total_wall_time_s"] <= top,
-         "finite and >= 0"),
-        ("efficiency_ratio", ratio is None or 0.0 <= ratio <= top,
-         "null or finite and >= 0"),
-        ("backend", backend is not None, f"one of {sorted(BACKENDS)}"),
-        ("time_basis", fields["time_basis"] == basis, f"{basis!r}, the backend's"),
-    ]
-    for name, ok, expected in rules:
-        if not ok:
-            raise ValueError(f"report field {name!r} is {fields[name]!r}, not {expected}")
-
-
 def parse_report_json(blob: bytes) -> ExperimentReport:
     """Inverse of ``emit_report(..., "json")``; ValueError names any malformed field."""
     try:
@@ -228,17 +216,29 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
     except RecursionError:
         raise ValueError("report JSON is nested too deeply") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != "fedsplit-report-v1":
-        raise ValueError(f"report field 'schema' is {schema!r}, not 'fedsplit-report-v1'")
-    fields = _fields(doc, _REPORT_FIELDS, "")
-    _check_ranges(fields)
+    if schema != ExperimentReport.schema:
+        raise ValueError(f"report field 'schema' is {schema!r}, not {ExperimentReport.schema!r}")
+    fields = _fields(doc, _REPORT_KEYS, "")
+    given = {k: fields.pop(k) for k in _REPORT_KEYS if k not in _STORED}
+    if fields["backend"] not in BACKENDS:
+        raise ValueError(f"report field 'backend' is {fields['backend']!r}, "
+                         f"not one of {sorted(BACKENDS)}")
     rounds = []
     for i, item in enumerate(fields.pop("rounds")):
-        values = _fields(item, _ROUND_FIELDS, f"rounds[{i}]")
+        values = _fields(item, _ROUND_KEYS, f"rounds[{i}]")
         try:
             rounds.append(RoundMetrics(**values))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"report field 'rounds[{i}]': {exc}") from None
         if rounds[-1].round != i:
             raise ValueError(f"report field 'rounds[{i}].round' is {rounds[-1].round}, not {i}")
-    return ExperimentReport(rounds=rounds, **fields)
+    report = ExperimentReport(rounds=rounds, include_wall_time="total_wall_time_s" in doc,
+                              **fields)
+    for key in (k for k in given if k in doc):
+        derived = getattr(report, key)
+        if derived == math.inf:
+            raise ValueError(f"report field {key!r} is not finite: its rounds give inf")
+        if given[key] != derived:
+            raise ValueError(f"report field {key!r} is {given[key]!r}, not {derived!r}, "
+                             f"which its backend and rounds give")
+    return report

@@ -30,7 +30,7 @@ from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError
 from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
                  simulated_round_cost)
-from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
+from .metrics import ExperimentReport, RoundMetrics, accuracy
 from .models import ModelSpec, init_params, local_train, param_count
 from .vectors import PartitionMask, add_scaled, merge, split
 from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
@@ -406,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     report = ExperimentReport(config=cfg.as_flat_dict(), seed=cfg.seed,
                               backend=cfg.he_backend,
-                              time_basis=BACKENDS[cfg.he_backend].time_basis)
+                              include_wall_time=cfg.include_wall_time)
     if cfg.protection.pipeline.decay:
         report.notes.append(
             "varying_dp baseline uses the simplified per-round amplitude "
@@ -419,23 +419,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for t in range(cfg.rounds.rounds_T):
             report.rounds.append(_run_round(state, t))
     except (FedSplitError, ValueError, OSError) as exc:
-        _finalize(report, cfg.include_wall_time)
         raise RunAborted(f"experiment aborted: {exc}", report) from exc
-    _finalize(report, cfg.include_wall_time)
     report.complete = True
     return report
 
-
-def _finalize(report: ExperimentReport, include_wall_time: bool) -> None:
-    if report.rounds:
-        report.final_accuracy = report.rounds[-1].accuracy
-        report.total_sim_time_s = float(sum(r.sim_time_s for r in report.rounds))
-        report.total_wall_time_s = float(sum(r.wall_time_s for r in report.rounds))
-    # A wall-clock ratio enters the report only on request, like wall times.
-    basis_time = (report.total_sim_time_s if report.time_basis == "simulated"
-                  else report.total_wall_time_s if include_wall_time else 0.0)
-    if basis_time > 0 and report.rounds:
-        report.efficiency_ratio = efficiency_ratio(report.final_accuracy * 100.0,
-                                                   basis_time)
-    else:
-        report.efficiency_ratio = None

@@ -100,11 +100,10 @@ class TestTheoremBound:
 def sample_report(complete=True):
     return ExperimentReport(
         config={"seed": "7", "protection.kind": "parallel"},
-        seed=7, backend="mock", time_basis="simulated",
+        seed=7, backend="mock",
         rounds=[RoundMetrics(round=0, r_t=0.1, accuracy=0.5,
                              sim_time_s=0.25, wall_time_s=1.5)],
-        final_accuracy=0.5, total_sim_time_s=0.25, total_wall_time_s=1.5,
-        efficiency_ratio=20000.0, complete=complete,
+        complete=complete,
         notes=["sigma_z=0.5 calibrated"],
     )
 
@@ -119,7 +118,8 @@ class TestReportIO:
 
     def test_json_roundtrip_with_wall_time(self):
         rep = sample_report()
-        parsed = parse_report_json(emit_report(rep, "json", include_wall_time=True))
+        rep.include_wall_time = True
+        parsed = parse_report_json(emit_report(rep, "json"))
         assert parsed == rep
 
     def test_wall_time_excluded_by_default(self):
@@ -221,7 +221,7 @@ class TestParseMalformedReport:
 
     def test_time_basis_follows_backend(self):
         doc = self.doc()
-        doc["backend"], doc["time_basis"] = "ckks", "wall"
+        doc["backend"], doc["time_basis"], doc["efficiency_ratio"] = "ckks", "wall", None
         assert parse_report_json(json.dumps(doc).encode()).time_basis == "wall"
         doc["time_basis"] = "simulated"
         with pytest.raises(ValueError, match="'time_basis'"):
