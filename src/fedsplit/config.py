@@ -151,7 +151,7 @@ def config_from_flat(flat: dict) -> ExperimentConfig:
         path, (parse, _fmt) = _KEYS[key]
         try:
             value = parse(raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
         owner, _, name = path.rpartition(".")
         values.setdefault(owner, {})[name] = value
@@ -165,11 +165,11 @@ def config_from_flat(flat: dict) -> ExperimentConfig:
                           num_classes=top["data"].num_classes)
         try:
             top[attr] = replace(getattr(default, attr), **kwargs)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"config section {section!r}: {exc}") from None
     try:
         return replace(default, **top)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 

@@ -30,7 +30,7 @@ from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError
 from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
                  simulated_round_cost)
-from .metrics import ExperimentReport, RoundMetrics, accuracy
+from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
 from .models import ModelSpec, init_params, local_train, param_count
 from .vectors import PartitionMask, add_scaled, merge, split
 from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
@@ -219,12 +219,20 @@ class ExperimentConfig:
         if not 0.0 < self.dp_theta < math.inf:
             raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
         # Cross-key checks, decidable before any data is built.
-        additions = self.rounds.clients_sampled_n - 1
-        if (self.protection.pipeline.encrypted != "none"
-                and self.he_params.max_additions < additions):
-            raise ValueError(f"he.max_additions={self.he_params.max_additions} is below the "
-                             f"{additions} additions that summing round.clients_sampled_n="
-                             f"{self.rounds.clients_sampled_n} ciphertexts takes")
+        n, cost = self.rounds.clients_sampled_n, self.he_cost
+        if self.protection.pipeline.encrypted != "none":
+            if self.he_params.max_additions < n - 1:
+                raise ValueError(f"he.max_additions={self.he_params.max_additions} is below the "
+                                 f"{n - 1} additions that summing round.clients_sampled_n={n} "
+                                 f"ciphertexts takes")
+            # An in-order float sum of T round costs, each at most c, stays below
+            # 2*T*c for T <= 2**52; a positive total is at least a 1-coordinate round.
+            top = 2 * self.rounds.rounds_T * simulated_round_cost(cost, n, param_count(self.model))
+            least = simulated_round_cost(cost, n, 1)
+            if BACKENDS[self.he_backend].time_basis == "simulated" and not (
+                    top < math.inf and (not least or efficiency_ratio(100.0, least) < math.inf)):
+                raise ValueError("he.per_op_seconds and he.per_slot_seconds let a run write "
+                                 "a simulated total or efficiency ratio that is not finite")
         d = self.data
         train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
         if d.kind == "synthetic" and train_rows < self.rounds.clients_total_N:

@@ -24,6 +24,7 @@ seed = 5
 """
 
 
+COST_KEYS = ["he.per_op_seconds", "he.per_slot_seconds"]
 # Values that parse as their types but can never run, each with the words its
 # config error must name.  Every one trained or built data and exited 2 before
 # it was checked at the parse.
@@ -55,6 +56,15 @@ NEVER_RUNS = {
     "no_test_row": (["dataset.test_fraction=0.0001"], ["'dataset'", "test_fraction"]),
     "fewer_train_rows_than_clients": (["dataset.num_samples=3", "round.clients_total_N=5"],
                                       ["dataset.num_samples", "round.clients_total_N"]),
+    "num_samples_beyond_any_float": ([f"dataset.num_samples={10 ** 400}"], ["'dataset'"]),
+    # A simulated cost model whose totals or ratio overflow: the first failed
+    # in round 0 (exit 2), the other two wrote a report with an infinity.
+    "round_cost_infinite": (["protection.kind=he_only", "round.rounds_T=30",
+                             "he.per_op_seconds=1e308"], COST_KEYS),
+    "total_cost_infinite": (["protection.kind=he_only", "round.rounds_T=30",
+                             "he.per_op_seconds=1e307"], COST_KEYS),
+    "efficiency_ratio_infinite": (["he.per_op_seconds=1e-320", "he.per_slot_seconds=0"],
+                                  COST_KEYS),
 }
 
 
