@@ -301,9 +301,12 @@ class TestReportCmd:
                                       "top-level-list", "csv-without-wall",
                                       "accuracy-above-one", "negative-sim-time",
                                       "nan-ratio", "unknown-backend",
-                                      "unknown-time-basis"])
+                                      "unknown-time-basis", "summary-edited",
+                                      "csv-nan-wall", "csv-row-out-of-range",
+                                      "csv-extra-row", "csv-accuracy-differs"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
+        rows = csv_text.splitlines()
         if case == "schema-only":
             doc = {"schema": "fedsplit-report-v1"}
         elif case == "round-not-object":
@@ -312,6 +315,20 @@ class TestReportCmd:
             doc = [1, 2]
         elif case == "csv-without-wall":
             csv_text = csv_text.replace(",wall_time_s", "")
+        elif case == "summary-edited":
+            doc.update(final_accuracy=0.01, total_sim_time_s=123.0, efficiency_ratio=5.0)
+        elif case.startswith("csv-"):
+            cells = rows[1].split(",")
+            if case == "csv-nan-wall":
+                rows[1] = ",".join(cells[:-1] + ["nan"])
+            elif case == "csv-row-out-of-range":
+                rows[-1] = "7,9.0,3.5,-1,-5"
+            elif case == "csv-extra-row":
+                rows.append(rows[-1])
+            else:
+                cells[2] = repr(1.0 - float(cells[2]) / 2)
+                rows[1] = ",".join(cells)
+            csv_text = "\n".join(rows) + "\n"
         else:
             key, value = {"accuracy-above-one": ("final_accuracy", 7.0),
                           "negative-sim-time": ("total_sim_time_s", -3.0),

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsplit.datasets import synthetic_dataset
+from fedsplit.he import BACKENDS
 from fedsplit.metrics import (BoundInputs, ExperimentReport, RoundMetrics,
                               accuracy, efficiency_ratio, emit_report,
                               parse_report_json, theorem_bound)
@@ -219,6 +222,25 @@ class TestParseMalformedReport:
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_report_json(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("key,value", [
+        ("final_accuracy", 0.75), ("total_sim_time_s", 0.5),
+        ("total_wall_time_s", 2.0), ("efficiency_ratio", 10.0),
+    ])
+    def test_summary_disagreeing_with_rounds_named(self, key, value):
+        rep = sample_report()
+        rep.include_wall_time = True
+        doc = json.loads(emit_report(rep, "json"))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' is {value}, not "):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_summary_that_overflows_named(self):
+        doc = self.doc()
+        doc["rounds"] = [dict(doc["rounds"][0], round=i, sim_time_s=1.5e308) for i in (0, 1)]
+        doc["total_sim_time_s"] = float("inf")
+        with pytest.raises(ValueError, match="'total_sim_time_s' is not finite"):
+            parse_report_json(json.dumps(doc).encode())
+
     def test_time_basis_follows_backend(self):
         doc = self.doc()
         doc["backend"], doc["time_basis"], doc["efficiency_ratio"] = "ckks", "wall", None
@@ -232,3 +254,26 @@ class TestParseMalformedReport:
     def test_not_a_report_document(self, blob):
         with pytest.raises(ValueError):
             parse_report_json(blob)
+
+
+TIMES = st.just(0.0) | st.floats(min_value=1e-9, max_value=1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), TIMES, TIMES),
+                     max_size=6),
+       backend=st.sampled_from(sorted(BACKENDS)), wall=st.booleans())
+def test_json_roundtrip_keeps_every_field(rows, backend, wall):
+    """A report the program could write parses back to the same fields,
+    the derived summaries included."""
+    rep = ExperimentReport(config={"seed": "7", "he.backend": backend}, seed=7,
+                           backend=backend, complete=True, notes=["n"],
+                           rounds=[RoundMetrics(i, *row) for i, row in enumerate(rows)],
+                           include_wall_time=wall)
+    blob = emit_report(rep, "json")
+    doc = json.loads(blob)
+    parsed = parse_report_json(blob)
+    assert ("total_wall_time_s" in doc) is wall
+    for key in doc.keys() - {"schema", "rounds"}:
+        assert getattr(parsed, key) == getattr(rep, key) == doc[key], key
+    assert emit_report(parsed, "json") == blob
