@@ -58,7 +58,7 @@ class RoundMetrics:
 
 @dataclass
 class ExperimentReport:
-    """What a run produced; ``time_basis`` and the summaries derive from it."""
+    """What a run produced; time_basis ("simulated" or "wall") and the summaries derive from it."""
 
     schema: ClassVar[str] = "fedsplit-report-v1"
     config: dict
@@ -71,7 +71,6 @@ class ExperimentReport:
 
     @property
     def time_basis(self) -> str:
-        """"simulated" (mock backend) or "wall" (real crypto)."""
         return BACKENDS[self.backend].time_basis
 
     @property
@@ -179,10 +178,9 @@ def emit_report(report: ExperimentReport, fmt: str) -> bytes:
     them; the CSV always carries them.
     """
     if fmt == "json":
-        wall = report.include_wall_time
-        doc = _pick(report, _REPORT_KEYS, wall)
+        doc = _pick(report, _REPORT_KEYS, report.include_wall_time)
         doc["config"] = dict(sorted(report.config.items()))
-        doc["rounds"] = [_pick(rm, _ROUND_KEYS, wall) for rm in report.rounds]
+        doc["rounds"] = [_pick(rm, _ROUND_KEYS, report.include_wall_time) for rm in report.rounds]
         return (json.dumps(doc, indent=2) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
