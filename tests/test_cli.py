@@ -25,9 +25,10 @@ seed = 5
 
 
 COST_KEYS = ["he.per_op_seconds", "he.per_slot_seconds"]
+
 # Values that parse as their types but can never run, each with the words its
-# config error must name.  Every one trained or built data and exited 2 before
-# it was checked at the parse.
+# config error must name.  Before it was checked at the parse, each one trained
+# or built data and exited 2, unless a comment below says otherwise.
 NEVER_RUNS = {
     "hidden_width_negative": (["model.kind=mlp", "model.hidden_dims=-3"],
                               ["'model'", "hidden_dims"]),
@@ -56,6 +57,7 @@ NEVER_RUNS = {
     "no_test_row": (["dataset.test_fraction=0.0001"], ["'dataset'", "test_fraction"]),
     "fewer_train_rows_than_clients": (["dataset.num_samples=3", "round.clients_total_N=5"],
                                       ["dataset.num_samples", "round.clients_total_N"]),
+    # Escaped from the parse as an uncaught OverflowError.
     "num_samples_beyond_any_float": ([f"dataset.num_samples={10 ** 400}"], ["'dataset'"]),
     # A simulated cost model whose totals or ratio overflow: the first failed
     # in round 0 (exit 2), the other two wrote a report with an infinity.
