@@ -1,13 +1,14 @@
 """End-to-end federated rounds with parallel DP/HE protection.
 
-One round, in protocol order: sample a client cohort, train locally,
-vote on the partition (encrypted index tokens, server-side top-k), split
-each update, clip-and-noise the plaintext part, encrypt the remainder,
-aggregate both parts server-side, decrypt and merge client-side, and step
-the global model.  Every protection mode runs these same steps; ``_PIPELINES``
-says which coordinates each one encrypts and where it clips and noises
-(no protection, noise everywhere, encryption everywhere, both serially, or
-noise with per-round amplitude decay).
+One round, in protocol order, is two passes over a sampled cohort.  First,
+each client trains and, under the voted pipeline, proposes a partition as
+encrypted index tokens; the server tallies the top-k and clients decode the
+round's mask.  Second, each client splits its update, clips and noises the
+plaintext part and encrypts the rest; the server aggregates both parts,
+clients decrypt and merge, and the global model steps.  Every protection
+mode runs these steps; ``_PIPELINES`` says which coordinates each one
+encrypts and where it clips and noises (no protection, noise everywhere,
+encryption everywhere, both serially, or noise with per-round amplitude decay).
 
 Determinism contract: every random stream is derived from
 (experiment seed, purpose, round, client), aggregation folds in fixed
@@ -322,22 +323,6 @@ def _map_clients(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _consensus_mask(state: _State, t: int, r_t: float, items: list) -> PartitionMask:
-    """Vote on the round's encrypted coordinates: the top-k of the proposals."""
-    cfg = state.config
-    k = target_count(r_t, state.dim)
-    vk = state.vote_key.for_round(t)
-
-    def propose_one(item):
-        client, u = item
-        mask = propose_partition(u, r_t, cfg.strategy,
-                                 seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
-        return encrypt_indices(mask, vk, client_id=client)
-
-    messages = _map_clients(propose_one, items, cfg.workers)
-    return decode_partition(tally_votes(messages, k), vk, state.dim, k)
-
-
 def _run_round(state: _State, t: int) -> RoundMetrics:
     cfg = state.config
     pipe = cfg.protection.pipeline
@@ -346,28 +331,33 @@ def _run_round(state: _State, t: int) -> RoundMetrics:
     cohort = np.sort(rng_sample.choice(
         cfg.rounds.clients_total_N, size=cfg.rounds.clients_sampled_n,
         replace=False)).tolist()
+    voted = pipe.encrypted == "voted"
+    r_t = ratio_at(cfg.schedule, t) if voted else float(pipe.encrypted == "all")
+    k = target_count(r_t, state.dim)
+    vk = state.vote_key.for_round(t) if voted else None
 
-    def train_one(client: int) -> np.ndarray:
+    def train_one(client: int):
         ds = state.client_sets[client]
-        return local_train(cfg.model, state.w, ds.features, ds.labels,
-                           cfg.rounds.local_epochs_K, cfg.rounds.learning_rate_eta,
-                           cfg.rounds.batch_size,
-                           seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
+        u = local_train(cfg.model, state.w, ds.features, ds.labels,
+                        cfg.rounds.local_epochs_K, cfg.rounds.learning_rate_eta,
+                        cfg.rounds.batch_size,
+                        seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
+        if not voted:
+            return client, u, None
+        proposal = propose_partition(u, r_t, cfg.strategy,
+                                     seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
+        return client, u, encrypt_indices(proposal, vk, client_id=client)
 
-    items = list(zip(cohort, _map_clients(train_one, cohort, cfg.workers)))
-    if pipe.encrypted == "voted":
-        r_t = ratio_at(cfg.schedule, t)
-        mask = _consensus_mask(state, t, r_t, items)
-    else:
-        r_t = 1.0 if pipe.encrypted == "all" else 0.0
-        mask = PartitionMask(np.arange(target_count(r_t, state.dim)), state.dim)
+    trained = _map_clients(train_one, cohort, cfg.workers)
+    mask = (decode_partition(tally_votes([v for _, _, v in trained], k), vk, state.dim, k)
+            if voted else PartitionMask(np.arange(k), state.dim))
     dp = state.dp_params
     if pipe.decay:
         dp = DpParams(theta=dp.theta,
                       sigma_z=dp.sigma_z * cfg.protection.amplitude_scale ** t)
 
     def protect_one(item):
-        client, u = item
+        client, u, _vote = item
         dp_seed = seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client)
         if pipe.noised == "whole":
             u = protect_dp(u, dp, dp_seed)
@@ -382,7 +372,7 @@ def _run_round(state: _State, t: int) -> RoundMetrics:
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
         return rest, cts
 
-    protected = _map_clients(protect_one, items, cfg.workers)
+    protected = _map_clients(protect_one, trained, cfg.workers)
     rest_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
     he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
