@@ -5,7 +5,9 @@ wall-clock timing: ``report.json`` is byte-stable for a fixed config+seed
 (wall times enter it only on request), while ``rounds.csv`` always carries
 the measured wall time per round.  A report's summaries are derived from its
 backend and rounds, and the parser rejects a document whose summaries
-disagree with them.  One table per file declares its keys for both ends.
+disagree with them, or whose config echo disagrees with its stored seed,
+backend or wall-time switch.  One table per file declares its keys for both
+ends.
 """
 
 from __future__ import annotations
@@ -230,8 +232,8 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
             raise ValueError(f"report field 'rounds[{i}]': {exc}") from None
         if rounds[-1].round != i:
             raise ValueError(f"report field 'rounds[{i}].round' is {rounds[-1].round}, not {i}")
-    report = ExperimentReport(rounds=rounds, include_wall_time="total_wall_time_s" in doc,
-                              **fields)
+    wall = "total_wall_time_s" in doc
+    report = ExperimentReport(rounds=rounds, include_wall_time=wall, **fields)
     for key in (k for k in given if k in doc):
         derived = getattr(report, key)
         if derived == math.inf:
@@ -239,4 +241,9 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
         if given[key] != derived:
             raise ValueError(f"report field {key!r} is {given[key]!r}, not {derived!r}, "
                              f"which its backend and rounds give")
+    for key, stored in (("seed", str(report.seed)), ("he.backend", report.backend),
+                        ("report.include_wall_time", str(wall).lower())):
+        if report.config.get(key) != stored:
+            raise ValueError(f"report field 'config' echoes {key}="
+                             f"{report.config.get(key)!r}, not {stored!r} as the report stores")
     return report

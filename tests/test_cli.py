@@ -305,7 +305,9 @@ class TestReportCmd:
                                       "nan-ratio", "unknown-backend",
                                       "unknown-time-basis", "summary-edited",
                                       "csv-nan-wall", "csv-row-out-of-range",
-                                      "csv-extra-row", "csv-accuracy-differs"])
+                                      "csv-extra-row", "csv-accuracy-differs",
+                                      "echo-seed-differs", "echo-backend-ckks",
+                                      "echo-wall-without-wall-keys", "echo-empty"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
         rows = csv_text.splitlines()
@@ -317,6 +319,12 @@ class TestReportCmd:
             doc = [1, 2]
         elif case == "csv-without-wall":
             csv_text = csv_text.replace(",wall_time_s", "")
+        elif case.startswith("echo-"):
+            doc["config"] = {} if case == "echo-empty" else dict(doc["config"], **{
+                "echo-seed-differs": {"seed": str(doc["seed"] + 1)},
+                "echo-backend-ckks": {"he.backend": "ckks"},
+                "echo-wall-without-wall-keys": {"report.include_wall_time": "true"},
+            }[case])
         elif case == "summary-edited":
             doc.update(final_accuracy=0.01, total_sim_time_s=123.0, efficiency_ratio=5.0)
         elif case.startswith("csv-"):

@@ -100,14 +100,17 @@ class TestTheoremBound:
             BoundInputs(C1=1.0, C2=1.0, r=0.5, epsilon=1.0, delta=2.0, N=1, T=1)
 
 
-def sample_report(complete=True):
+def sample_report(complete=True, wall=False):
+    """A mock report whose config echo carries what the program writes."""
     return ExperimentReport(
-        config={"seed": "7", "protection.kind": "parallel"},
+        config={"seed": "7", "he.backend": "mock", "protection.kind": "parallel",
+                "report.include_wall_time": str(wall).lower()},
         seed=7, backend="mock",
         rounds=[RoundMetrics(round=0, r_t=0.1, accuracy=0.5,
                              sim_time_s=0.25, wall_time_s=1.5)],
         complete=complete,
         notes=["sigma_z=0.5 calibrated"],
+        include_wall_time=wall,
     )
 
 
@@ -120,14 +123,13 @@ class TestReportIO:
         assert lines[1].startswith("0,0.1,0.5,0.25,1.5")
 
     def test_json_roundtrip_with_wall_time(self):
-        rep = sample_report()
-        rep.include_wall_time = True
+        rep = sample_report(wall=True)
         parsed = parse_report_json(emit_report(rep, "json"))
         assert parsed == rep
 
     def test_wall_time_excluded_by_default(self):
         blob = emit_report(sample_report(), "json")
-        assert b"wall_time" not in blob
+        assert b"wall_time_s" not in blob
 
     def test_partial_flagged(self):
         blob = emit_report(sample_report(complete=False), "json")
@@ -227,8 +229,7 @@ class TestParseMalformedReport:
         ("total_wall_time_s", 2.0), ("efficiency_ratio", 10.0),
     ])
     def test_summary_disagreeing_with_rounds_named(self, key, value):
-        rep = sample_report()
-        rep.include_wall_time = True
+        rep = sample_report(wall=True)
         doc = json.loads(emit_report(rep, "json"))
         doc[key] = value
         with pytest.raises(ValueError, match=f"'{key}' is {value}, not "):
@@ -244,9 +245,35 @@ class TestParseMalformedReport:
     def test_time_basis_follows_backend(self):
         doc = self.doc()
         doc["backend"], doc["time_basis"], doc["efficiency_ratio"] = "ckks", "wall", None
+        doc["config"]["he.backend"] = "ckks"
         assert parse_report_json(json.dumps(doc).encode()).time_basis == "wall"
         doc["time_basis"] = "simulated"
         with pytest.raises(ValueError, match="'time_basis'"):
+            parse_report_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "8"), ("seed", 7), ("seed", None), ("he.backend", "ckks"),
+        ("report.include_wall_time", "true"), ("report.include_wall_time", "False"),
+    ])
+    def test_config_echo_disagreeing_with_report_named(self, key, value):
+        doc = self.doc()
+        if value is None:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
+        with pytest.raises(ValueError, match=f"'config' echoes {re.escape(key)}="):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_config_echo_without_wall_times_named(self):
+        doc = json.loads(emit_report(sample_report(wall=True), "json"))
+        doc["config"]["report.include_wall_time"] = "false"
+        with pytest.raises(ValueError, match="'config' echoes report.include_wall_time="):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_empty_config_echo_named(self):
+        doc = self.doc()
+        doc["config"] = {}
+        with pytest.raises(ValueError, match="'config' echoes seed=None"):
             parse_report_json(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("blob", [b"[1, 2]", b"null", b"\xff", b"{",
@@ -266,7 +293,8 @@ TIMES = st.just(0.0) | st.floats(min_value=1e-9, max_value=1e6)
 def test_json_roundtrip_keeps_every_field(rows, backend, wall):
     """A report the program could write parses back to the same fields,
     the derived summaries included."""
-    rep = ExperimentReport(config={"seed": "7", "he.backend": backend}, seed=7,
+    rep = ExperimentReport(config={"seed": "7", "he.backend": backend,
+                                   "report.include_wall_time": str(wall).lower()}, seed=7,
                            backend=backend, complete=True, notes=["n"],
                            rounds=[RoundMetrics(i, *row) for i, row in enumerate(rows)],
                            include_wall_time=wall)
