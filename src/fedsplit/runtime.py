@@ -130,6 +130,8 @@ class RoundConfig:
             )
         if self.local_epochs_K < 1 or self.rounds_T < 1 or self.batch_size < 1:
             raise ValueError("local_epochs_K, rounds_T, batch_size must be >= 1")
+        if self.rounds_T > 2 ** 52:  # the bound ExperimentConfig's cost check needs
+            raise ValueError(f"rounds_T must be at most 2**52, got {self.rounds_T}")
         if not 0 < self.learning_rate_eta < math.inf:
             raise ValueError(f"learning_rate_eta must be positive and finite, "
                              f"got {self.learning_rate_eta}")

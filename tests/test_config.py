@@ -94,6 +94,13 @@ class TestBuildConfig:
             config_from_flat({"round.clients_total_N": "2",
                               "round.clients_sampled_n": "5"})
 
+    @pytest.mark.parametrize("kind", ["he_only", "none"])
+    @pytest.mark.parametrize("rounds", [10 ** 400, 2 ** 52 + 1], ids=["10**400", "2**52+1"])
+    def test_rounds_beyond_bound_named(self, kind, rounds):
+        """Parse only: such a run overflowed the cost check or never ended."""
+        with pytest.raises(ConfigError, match=r"'round'.*rounds_T"):
+            config_from_flat({"round.rounds_T": str(rounds), "protection.kind": kind})
+
     def test_flat_echo_roundtrip(self):
         cfg = config_from_flat({"schedule.r0": "0.25", "seed": "9"})
         echoed = config_from_flat(cfg.as_flat_dict())
