@@ -149,7 +149,8 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed,
                     max_retries: int = 100) -> list[np.ndarray]:
     """Label-skewed shards: per-class client proportions ~ Dirichlet(alpha).
 
-    Resamples (bounded) until every client holds at least one sample.
+    Resamples (bounded) until every client holds at least one sample; if no
+    draw does, each empty shard takes one sample from the largest.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
@@ -172,8 +173,9 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed,
             for client, part in enumerate(np.split(cls_idx, cuts)):
                 shards[client].extend(part.tolist())
         if all(len(s) >= 1 for s in shards):
-            return [np.sort(np.array(s, dtype=np.int64)) for s in shards]
-    raise ValueError(
-        f"could not give every one of {num_clients} clients a sample after "
-        f"{max_retries} Dirichlet draws"
-    )
+            break
+    else:
+        for shard in shards:  # at most num_clients <= len(ds) moves
+            if not shard:
+                shard.append(max(shards, key=len).pop())
+    return [np.sort(np.array(s, dtype=np.int64)) for s in shards]

@@ -18,6 +18,7 @@ client-id order, and results are independent of the worker-pool size.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .dp import DpParams, PrivacyBudget, protect_dp, sigma_from_budget
 from .errors import DivergenceError, FedSplitError
 from .he import (BACKENDS, HeCostModel, HeParams, make_backend,
                  simulated_round_cost)
+from .he.ring import find_ntt_prime
 from .metrics import ExperimentReport, RoundMetrics, accuracy, efficiency_ratio
 from .models import ModelSpec, init_params, local_train, param_count
 from .vectors import PartitionMask, add_scaled, merge, split
@@ -222,12 +224,21 @@ class ExperimentConfig:
         if not 0.0 < self.dp_theta < math.inf:
             raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
         # Cross-key checks, decidable before any data is built.
-        n, cost = self.rounds.clients_sampled_n, self.he_cost
+        if self.protection.pipeline.noised and not sigma_from_budget(self._budget(1)) < math.inf:
+            raise ValueError(f"dp.theta={self.dp_theta}, dp.epsilon={self.dp_epsilon} and "
+                             f"dp.delta={self.dp_delta} give a noise std that is not finite")
+        n, cost, he = self.rounds.clients_sampled_n, self.he_cost, self.he_params
         if self.protection.pipeline.encrypted != "none":
-            if self.he_params.max_additions < n - 1:
-                raise ValueError(f"he.max_additions={self.he_params.max_additions} is below the "
+            if he.max_additions < n - 1:
+                raise ValueError(f"he.max_additions={he.max_additions} is below the "
                                  f"{n - 1} additions that summing round.clients_sampled_n={n} "
                                  f"ciphertexts takes")
+            if self.he_backend == "ckks":
+                try:
+                    find_ntt_prime(he.modulus_bits, he.ring_degree)
+                except ValueError:
+                    raise ValueError(f"he.modulus_bits={he.modulus_bits} holds no NTT-friendly "
+                                     f"prime for he.ring_degree={he.ring_degree}") from None
             # An in-order float sum of T round costs, each at most c, stays below
             # 2*T*c for T <= 2**52; a positive total is at least a 1-coordinate round.
             top = 2 * self.rounds.rounds_T * simulated_round_cost(cost, n, param_count(self.model))
@@ -238,10 +249,21 @@ class ExperimentConfig:
                                  "a simulated total or efficiency ratio that is not finite")
         d = self.data
         train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
-        if d.kind == "synthetic" and train_rows < self.rounds.clients_total_N:
+        n_total = self.rounds.clients_total_N
+        if d.kind == "synthetic" and train_rows < n_total:
             raise ValueError(f"dataset.num_samples={d.num_samples} leaves {train_rows} "
                              f"training rows after dataset.test_fraction={d.test_fraction}, "
-                             f"fewer than round.clients_total_N={self.rounds.clients_total_N}")
+                             f"fewer than round.clients_total_N={n_total}")
+        # The Dirichlet split sums clients_total_N gamma draws of about alpha each.
+        if d.partition == "dirichlet" and n_total > sys.float_info.max / (2 * d.dirichlet_alpha):
+            raise ValueError(f"dataset.dirichlet_alpha={d.dirichlet_alpha} times "
+                             f"round.clients_total_N={n_total} overflows the Dirichlet draw")
+
+    def _budget(self, min_dataset_size: int) -> PrivacyBudget:
+        """The run's privacy budget; one sample per client gives the largest noise std."""
+        return PrivacyBudget(epsilon=self.dp_epsilon, delta=self.dp_delta,
+                             q=self.rounds.sampling_ratio, rounds_T=self.rounds.rounds_T,
+                             theta=self.dp_theta, min_dataset_size=min_dataset_size)
 
     def as_flat_dict(self) -> dict:
         """Canonical flat key -> string echo, the config-file vocabulary."""
@@ -292,12 +314,7 @@ def _setup(cfg: ExperimentConfig) -> _State:
     dp_params = None
     sigma_note = ""
     if cfg.protection.pipeline.noised:
-        budget = PrivacyBudget(
-            epsilon=cfg.dp_epsilon, delta=cfg.dp_delta,
-            q=cfg.rounds.sampling_ratio, rounds_T=cfg.rounds.rounds_T,
-            theta=cfg.dp_theta,
-            min_dataset_size=min(len(c) for c in client_sets),
-        )
+        budget = cfg._budget(min(len(c) for c in client_sets))
         dp_params = DpParams(theta=cfg.dp_theta, sigma_z=sigma_from_budget(budget))
         sigma_note = (f"sigma_z={dp_params.sigma_z!r} calibrated once from "
                       f"(eps={budget.epsilon}, delta={budget.delta}, q={budget.q}, "

@@ -1,10 +1,16 @@
-"""Shared test helpers: the pinned acceptance experiment configuration."""
+"""Shared test helpers: the pinned acceptance experiment configuration, and
+the ``ci`` hypothesis profile (``--hypothesis-profile=ci``) that gives tests
+without a fixed ``max_examples`` a larger, derandomized budget."""
+
+from hypothesis import settings
 
 from fedsplit.models import ModelSpec
 from fedsplit.runtime import (DataConfig, ExperimentConfig, ProtectionMode,
                               RatioSchedule, RoundConfig)
 
 ACCEPT_SEEDS = (0, 1, 2)
+
+settings.register_profile("ci", max_examples=3000, derandomize=True, deadline=None)
 
 
 def acceptance_config(seed: int, **overrides) -> ExperimentConfig:

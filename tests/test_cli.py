@@ -67,6 +67,15 @@ NEVER_RUNS = {
                              "he.per_op_seconds=1e307"], COST_KEYS),
     "efficiency_ratio_infinite": (["he.per_op_seconds=1e-320", "he.per_slot_seconds=0"],
                                   COST_KEYS),
+    # Found by tests/test_config_property.py.
+    "ckks_no_ntt_prime": (["he.backend=ckks", "protection.kind=he_only",
+                           "he.ring_degree=65536", "he.modulus_bits=17", "he.scale_bits=4"],
+                          ["he.modulus_bits", "he.ring_degree"]),
+    "noise_std_infinite": (["dp.theta=1.7e308"], ["dp.theta", "dp.epsilon", "dp.delta"]),
+    "noise_std_infinite_delta": (["protection.kind=dp_only", "dp.delta=5e-324"],
+                                 ["dp.theta", "dp.epsilon", "dp.delta"]),
+    "dirichlet_draw_overflows": (["dataset.partition=dirichlet", "dataset.dirichlet_alpha=1e308"],
+                                 ["dataset.dirichlet_alpha", "round.clients_total_N"]),
 }
 
 

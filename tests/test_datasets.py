@@ -99,6 +99,12 @@ class TestSplits:
         assert np.unique(joined).size == 600
         assert all(s.size >= 1 for s in shards)
 
+    def test_dirichlet_too_skewed_for_any_draw_covers_every_client(self):
+        ds = synthetic_dataset(600, 4, 3, 2.0, seed=0)
+        shards = split_dirichlet(ds, 10, 0.01, seed=1)
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(600))
+        assert all(s.size >= 1 for s in shards)
+
     def test_dirichlet_skew_increases_as_alpha_shrinks(self):
         ds = synthetic_dataset(3000, 4, 4, 1.0, seed=0)
 
