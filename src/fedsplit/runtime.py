@@ -370,6 +370,7 @@ def _run_round(state: _State, t: int) -> RoundMetrics:
     trained = _map_clients(train_one, cohort, cfg.workers)
     mask = (decode_partition(tally_votes([v for _, _, v in trained], k), vk, state.dim, k)
             if voted else PartitionMask(np.arange(k), state.dim))
+    del vk  # the round's PRP memo is freed here, inside the round's wall time
     dp = state.dp_params
     if pipe.decay:
         dp = DpParams(theta=dp.theta,
