@@ -18,8 +18,9 @@ protocol.
 from dataclasses import replace
 
 from fedsplit import ModelSpec
-from fedsplit.runtime import (DataConfig, ExperimentConfig, ProtectionMode,
-                              RatioSchedule, RoundConfig, run_experiment)
+from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
+                             RatioSchedule, RoundConfig)
+from fedsplit.runtime import run_experiment
 
 base = ExperimentConfig(
     data=DataConfig(num_samples=600, input_dim=48, num_classes=4,

@@ -1,25 +1,237 @@
-"""Flat dotted-key configuration files and override handling.
+"""The experiment config: its sections, defaults and parse-time checks, and
+the flat dotted-key files that spell it.
 
-Format: one ``key = value`` pair per line, ``#`` comments, blank lines
+File format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  The flat shape keeps sweep overrides diff-friendly: a sweep
-mutates exactly one key.  Unknown keys and unparsable values are rejected
-with the offending key named.  Every key is declared once, in ``_KEYS``,
-which drives the parse, ``KNOWN_KEYS`` and the report's config echo.
+mutates exactly one key.  Unknown keys, unparsable values and configs that
+cannot run are rejected with the offending key named.  Every key is declared
+once, in ``_KEYS``, which drives the parse, ``KNOWN_KEYS`` and the echo.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import replace
+import sys
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
+from .datasets import held_out_rows
+from .dp import PrivacyBudget, sigma_from_budget
 from .errors import ConfigError
-from .he import BACKENDS
-from .runtime import ExperimentConfig
+from .he import BACKENDS, HeCostModel, HeParams, simulated_round_cost
+from .he.ring import find_ntt_prime
+from .metrics import efficiency_ratio
+from .models import ModelSpec, param_count
 from .voting import PartitionStrategy
 
-__all__ = ["parse_kv_text", "apply_overrides", "config_from_flat",
-           "config_to_flat", "load_config", "KNOWN_KEYS"]
+__all__ = ["DataConfig", "RoundConfig", "RatioSchedule", "ProtectionMode",
+           "ExperimentConfig", "PROTECTION_KINDS", "parse_kv_text",
+           "apply_overrides", "config_from_flat", "config_to_flat", "load_config",
+           "KNOWN_KEYS"]
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """What one protection kind does to each client update in a round."""
+
+    # Coordinates encrypted: "none", "all", or "voted" (the consensus mask).
+    encrypted: str
+    # Where clip+noise applies: "" nowhere, "rest" the unencrypted
+    # coordinates, "whole" the full update before the split.
+    noised: str = ""
+    # The noise std shrinks per round to sigma_z * amplitude_scale^t.
+    decay: bool = False
+
+
+_PIPELINES = {
+    "none": _Pipeline("none"),
+    "dp_only": _Pipeline("none", "rest"),
+    "he_only": _Pipeline("all"),
+    "serial": _Pipeline("all", "whole"),
+    "parallel": _Pipeline("voted", "rest"),
+    "varying_dp": _Pipeline("none", "rest", decay=True),
+}
+PROTECTION_KINDS = tuple(_PIPELINES)
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    kind: str = "synthetic"
+    num_samples: int = 600
+    input_dim: int = 10
+    num_classes: int = 3
+    separation: float = 2.0
+    path: str = ""
+    partition: str = "iid"
+    dirichlet_alpha: float = 0.5
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "csv"):
+            raise ValueError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
+        if self.partition not in ("iid", "dirichlet"):
+            raise ValueError(
+                f"partition must be iid or dirichlet, got {self.partition!r}"
+            )
+        if self.kind == "csv" and not self.path:
+            raise ValueError("csv dataset requires a path")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.partition == "dirichlet" and not 0.0 < self.dirichlet_alpha < math.inf:
+            raise ValueError(f"dirichlet_alpha must be positive and finite under the "
+                             f"dirichlet partition, got {self.dirichlet_alpha}")
+        if self.kind == "synthetic":
+            if self.num_samples < self.num_classes:
+                raise ValueError(f"num_samples must be at least num_classes "
+                                 f"({self.num_classes}), got {self.num_samples}")
+            if held_out_rows(self.num_samples, self.test_fraction) < 1:
+                raise ValueError(f"test_fraction {self.test_fraction} of num_samples "
+                                 f"{self.num_samples} leaves no test row")
+
+
+@dataclass(frozen=True)
+class RoundConfig:
+    clients_total_N: int = 5
+    clients_sampled_n: int = 5
+    local_epochs_K: int = 1
+    learning_rate_eta: float = 0.05
+    batch_size: int = 32
+    rounds_T: int = 3
+
+    def __post_init__(self):
+        if not 1 <= self.clients_sampled_n <= self.clients_total_N:
+            raise ValueError(
+                f"need 1 <= sampled n ({self.clients_sampled_n}) <= total N "
+                f"({self.clients_total_N})"
+            )
+        if self.local_epochs_K < 1 or self.rounds_T < 1 or self.batch_size < 1:
+            raise ValueError("local_epochs_K, rounds_T, batch_size must be >= 1")
+        if self.rounds_T > 2 ** 52:  # the bound ExperimentConfig's cost check needs
+            raise ValueError(f"rounds_T must be at most 2**52, got {self.rounds_T}")
+        if not 0 < self.learning_rate_eta < math.inf:
+            raise ValueError(f"learning_rate_eta must be positive and finite, "
+                             f"got {self.learning_rate_eta}")
+
+    @property
+    def sampling_ratio(self) -> float:
+        return self.clients_sampled_n / self.clients_total_N
+
+
+@dataclass(frozen=True)
+class RatioSchedule:
+    """Encrypted-fraction schedule: static r0, or r0 * lambda^t per round."""
+
+    r0: float = 0.1
+    lam: float = 0.99
+    mode: str = "static"
+
+    def __post_init__(self):
+        if not 0.0 <= self.r0 <= 1.0:
+            raise ValueError(f"r0 must lie in [0, 1], got {self.r0}")
+        if not 0.0 < self.lam <= 1.0:
+            raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
+        if self.mode not in ("static", "dynamic"):
+            raise ValueError(f"schedule mode must be static or dynamic, got {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class ProtectionMode:
+    kind: str = "parallel"
+    amplitude_scale: float = 0.9  # varying_dp only
+
+    def __post_init__(self):
+        if self.kind not in PROTECTION_KINDS:
+            raise ValueError(
+                f"protection kind must be one of {PROTECTION_KINDS}, got {self.kind!r}"
+            )
+        if not 0.0 < self.amplitude_scale <= 1.0:
+            raise ValueError(
+                f"amplitude_scale must lie in (0, 1], got {self.amplitude_scale}"
+            )
+
+    @property
+    def pipeline(self) -> _Pipeline:
+        return _PIPELINES[self.kind]
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelSpec = field(default_factory=lambda: ModelSpec(
+        kind="logistic", input_dim=10, num_classes=3))
+    rounds: RoundConfig = field(default_factory=RoundConfig)
+    protection: ProtectionMode = field(default_factory=ProtectionMode)
+    schedule: RatioSchedule = field(default_factory=RatioSchedule)
+    strategy: PartitionStrategy = PartitionStrategy.MAX_NORM
+    dp_epsilon: float = 1.0
+    dp_delta: float = 1e-5
+    dp_theta: float = 1.0
+    he_backend: str = "mock"
+    he_params: HeParams = field(default_factory=HeParams)
+    he_cost: HeCostModel = field(default_factory=HeCostModel)
+    seed: int = 0
+    workers: int = 1
+    include_wall_time: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "strategy", PartitionStrategy(self.strategy))
+        if self.he_backend not in BACKENDS:
+            raise ValueError(f"he_backend must be one of {list(BACKENDS)}, "
+                             f"got {self.he_backend!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.dp_epsilon > 0:
+            raise ValueError(f"dp.epsilon must be positive, got {self.dp_epsilon}")
+        if not 0.0 < self.dp_delta < 1.0:
+            raise ValueError(f"dp.delta must lie in (0, 1), got {self.dp_delta}")
+        if not 0.0 < self.dp_theta < math.inf:
+            raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
+        # Cross-key checks, decidable before any data is built.
+        if self.protection.pipeline.noised and not sigma_from_budget(self._budget(1)) < math.inf:
+            raise ValueError(f"dp.theta={self.dp_theta}, dp.epsilon={self.dp_epsilon} and "
+                             f"dp.delta={self.dp_delta} give a noise std that is not finite")
+        n, cost, he = self.rounds.clients_sampled_n, self.he_cost, self.he_params
+        if self.protection.pipeline.encrypted != "none":
+            if he.max_additions < n - 1:
+                raise ValueError(f"he.max_additions={he.max_additions} is below the "
+                                 f"{n - 1} additions that summing round.clients_sampled_n={n} "
+                                 f"ciphertexts takes")
+            if self.he_backend == "ckks":
+                try:
+                    find_ntt_prime(he.modulus_bits, he.ring_degree)
+                except ValueError:
+                    raise ValueError(f"he.modulus_bits={he.modulus_bits} holds no NTT-friendly "
+                                     f"prime for he.ring_degree={he.ring_degree}") from None
+            # An in-order float sum of T round costs, each at most c, stays below
+            # 2*T*c for T <= 2**52; a positive total is at least a 1-coordinate round.
+            top = 2 * self.rounds.rounds_T * simulated_round_cost(cost, n, param_count(self.model))
+            least = simulated_round_cost(cost, n, 1)
+            if BACKENDS[self.he_backend].time_basis == "simulated" and not (
+                    top < math.inf and (not least or efficiency_ratio(100.0, least) < math.inf)):
+                raise ValueError("he.per_op_seconds and he.per_slot_seconds let a run write "
+                                 "a simulated total or efficiency ratio that is not finite")
+        d = self.data
+        train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
+        n_total = self.rounds.clients_total_N
+        if d.kind == "synthetic" and train_rows < n_total:
+            raise ValueError(f"dataset.num_samples={d.num_samples} leaves {train_rows} "
+                             f"training rows after dataset.test_fraction={d.test_fraction}, "
+                             f"fewer than round.clients_total_N={n_total}")
+        # The Dirichlet split sums clients_total_N gamma draws of about alpha each.
+        if d.partition == "dirichlet" and n_total > sys.float_info.max / (2 * d.dirichlet_alpha):
+            raise ValueError(f"dataset.dirichlet_alpha={d.dirichlet_alpha} times "
+                             f"round.clients_total_N={n_total} overflows the Dirichlet draw")
+
+    def _budget(self, min_dataset_size: int) -> PrivacyBudget:
+        """The run's privacy budget; one sample per client gives the largest noise std."""
+        return PrivacyBudget(epsilon=self.dp_epsilon, delta=self.dp_delta,
+                             q=self.rounds.sampling_ratio, rounds_T=self.rounds.rounds_T,
+                             theta=self.dp_theta, min_dataset_size=min_dataset_size)
 
 
 def _parse_bool(text: str) -> bool:

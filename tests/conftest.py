@@ -5,8 +5,8 @@ without a fixed ``max_examples`` a larger, derandomized budget."""
 from hypothesis import settings
 
 from fedsplit.models import ModelSpec
-from fedsplit.runtime import (DataConfig, ExperimentConfig, ProtectionMode,
-                              RatioSchedule, RoundConfig)
+from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
+                             RatioSchedule, RoundConfig)
 
 ACCEPT_SEEDS = (0, 1, 2)
 

@@ -18,7 +18,8 @@ from fedsplit.cli import main
 from fedsplit.he import CkksBackend, HeParams
 from fedsplit.metrics import BoundInputs, efficiency_ratio, theorem_bound
 from fedsplit.models import param_count
-from fedsplit.runtime import RatioSchedule, run_experiment
+from fedsplit.config import RatioSchedule, config_to_flat
+from fedsplit.runtime import run_experiment
 from fedsplit.vectors import PartitionMask
 from fedsplit.voting import (decode_partition, encrypt_indices, new_vote_key,
                              tally_votes, target_count, _prp_encrypt)
@@ -164,7 +165,7 @@ def test_criterion_05_mode_limit_equivalence():
 
 
 def _mode(kind):
-    from fedsplit.runtime import ProtectionMode
+    from fedsplit.config import ProtectionMode
     return ProtectionMode(kind=kind)
 
 
@@ -249,7 +250,7 @@ def test_criterion_10_determinism(tmp_path):
     with criterion(10, "byte-identical report.json across reruns and worker "
                        "counts", 600.0):
         cfg_path = tmp_path / "accept.conf"
-        flat = acceptance_config(ACCEPT_SEEDS[0]).as_flat_dict()
+        flat = config_to_flat(acceptance_config(ACCEPT_SEEDS[0]))
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()
                                     if v != ""))
         blobs = []

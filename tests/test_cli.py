@@ -171,7 +171,7 @@ class TestRun:
 
     def test_data_file_gone_after_parse(self, mini_config, tmp_path, monkeypatch, capsys):
         from fedsplit import cli
-        from fedsplit.runtime import DataConfig, ExperimentConfig
+        from fedsplit.config import DataConfig, ExperimentConfig
         # DataConfig does not check that the file exists; only the parse does
         cfg = ExperimentConfig(data=DataConfig(kind="csv", path=str(tmp_path / "gone.csv")))
         monkeypatch.setattr(cli, "load_config", lambda path, overrides: cfg)

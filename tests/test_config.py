@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from fedsplit.config import (KNOWN_KEYS, apply_overrides, config_from_flat,
-                             load_config, parse_kv_text)
+from fedsplit.config import (KNOWN_KEYS, PROTECTION_KINDS, apply_overrides,
+                             config_from_flat, config_to_flat, load_config,
+                             parse_kv_text)
 from fedsplit.errors import ConfigError
-from fedsplit.runtime import PROTECTION_KINDS
 
 
 class TestParseKvText:
@@ -103,7 +103,7 @@ class TestBuildConfig:
 
     def test_flat_echo_roundtrip(self):
         cfg = config_from_flat({"schedule.r0": "0.25", "seed": "9"})
-        echoed = config_from_flat(cfg.as_flat_dict())
+        echoed = config_from_flat(config_to_flat(cfg))
         assert echoed == cfg
         for kind in PROTECTION_KINDS:
             cfg = config_from_flat({
@@ -112,8 +112,8 @@ class TestBuildConfig:
                 "voting.strategy": "random", "he.backend": "ckks",
                 "he.per_op_seconds": "0.1", "report.include_wall_time": "true",
             })
-            assert set(cfg.as_flat_dict()) == set(KNOWN_KEYS) - {"workers"}
-            assert config_from_flat(cfg.as_flat_dict()) == cfg
+            assert set(config_to_flat(cfg)) == set(KNOWN_KEYS) - {"workers"}
+            assert config_from_flat(config_to_flat(cfg)) == cfg
 
 
 def test_readme_key_table_matches_known_keys():

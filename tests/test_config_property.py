@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fedsplit import runtime
 from fedsplit.config import (_BOOL, _DIMS, _EXECUTION, _FLOAT, _INT, _KEYS, KNOWN_KEYS,
-                             config_from_flat)
+                             PROTECTION_KINDS, config_from_flat)
 from fedsplit.errors import ConfigError
 from fedsplit.he import BACKENDS
 from fedsplit.models import KINDS
@@ -35,7 +35,7 @@ CAPS = {
 CHOICES = {
     "dataset.partition": ["iid", "dirichlet"],
     "model.kind": list(KINDS),
-    "protection.kind": list(runtime.PROTECTION_KINDS),
+    "protection.kind": list(PROTECTION_KINDS),
     "schedule.mode": ["static", "dynamic"],
     "voting.strategy": [s.value for s in PartitionStrategy],
     "he.backend": list(BACKENDS),

@@ -13,8 +13,9 @@ import pytest
 from fedsplit.he import HeParams
 from fedsplit.metrics import emit_report
 from fedsplit.models import ModelSpec
-from fedsplit.runtime import (DataConfig, ExperimentConfig, ProtectionMode,
-                              RatioSchedule, RoundConfig, run_experiment)
+from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
+                             RatioSchedule, RoundConfig)
+from fedsplit.runtime import run_experiment
 
 
 def golden_config(kind: str, strategy: str = "max", **overrides) -> ExperimentConfig:

@@ -6,9 +6,9 @@ import fedsplit.runtime as runtime_mod
 from fedsplit import seeds
 from fedsplit.metrics import emit_report
 from fedsplit.models import ModelSpec, local_train, param_count
-from fedsplit.runtime import (DataConfig, ExperimentConfig, ProtectionMode,
-                              RatioSchedule, RoundConfig, RunAborted, ratio_at,
-                              run_experiment)
+from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
+                             RatioSchedule, RoundConfig)
+from fedsplit.runtime import RunAborted, ratio_at, run_experiment
 from fedsplit.voting import target_count
 
 
