@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import replace
@@ -124,11 +125,16 @@ def cmd_accountant(args) -> int:
         budget = PrivacyBudget(epsilon=args.epsilon, delta=args.delta, q=args.q,
                                rounds_T=args.rounds, theta=args.theta,
                                min_dataset_size=args.min_dataset)
-    except ValueError as exc:
+        delta_f = sensitivity(budget.theta, budget.min_dataset_size)
+        sigma_z = sigma_from_budget(budget)  # not finite whenever delta_f is not
+        if not math.isfinite(sigma_z):
+            raise ValueError(f"delta_f = {delta_f:.10g} gives sigma_z = {sigma_z:.10g}, "
+                             f"not a finite noise std")
+    except (ValueError, OverflowError) as exc:
         print(f"invalid budget: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"delta_f = {sensitivity(budget.theta, budget.min_dataset_size):.10g}")
-    print(f"sigma_z = {sigma_from_budget(budget):.10g}")
+    print(f"delta_f = {delta_f:.10g}")
+    print(f"sigma_z = {sigma_z:.10g}")
     return EXIT_OK
 
 

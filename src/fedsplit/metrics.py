@@ -219,6 +219,12 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
     if schema != ExperimentReport.schema:
         raise ValueError(f"report field 'schema' is {schema!r}, not {ExperimentReport.schema!r}")
     fields = _fields(doc, _REPORT_KEYS, "")
+    for i, note in enumerate(fields["notes"]):
+        if not isinstance(note, str):
+            raise ValueError(f"report field 'notes[{i}]' has wrong type {type(note).__name__}")
+    for key, value in fields["config"].items():
+        if not isinstance(value, str):
+            raise ValueError(f"report field 'config' echoes {key}={value!r}, not a string")
     given = {k: fields.pop(k) for k in _REPORT_KEYS if k not in _STORED}
     if fields["backend"] not in BACKENDS:
         raise ValueError(f"report field 'backend' is {fields['backend']!r}, "

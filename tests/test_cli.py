@@ -274,6 +274,18 @@ class TestAccountant:
         sigma2 = float(capsys.readouterr().out.splitlines()[1].split("=")[1])
         assert sigma2 == pytest.approx(sigma1 / 2, rel=1e-9)
 
+    @pytest.mark.parametrize("epsilon,rounds,theta", [
+        ("1", str(10 ** 400), "1"),  # T does not fit a float
+        ("1", "50", "1e308"),        # delta_f = 2 * theta overflows
+        ("5e-324", "50", "1"),       # delta_f / epsilon overflows
+    ], ids=["rounds-1e400", "theta-1e308", "epsilon-5e-324"])
+    def test_no_finite_noise_exits_one(self, epsilon, rounds, theta, capsys):
+        assert main(["accountant", "--epsilon", epsilon, "--delta", "1e-5", "--q", "1",
+                     "--rounds", rounds, "--theta", theta, "--min-dataset", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid budget: ")
+        assert captured.out == ""
+
 
 class TestVoteDemo:
     def test_single_voter_wins_verbatim(self, capsys):
@@ -316,7 +328,8 @@ class TestReportCmd:
                                       "csv-nan-wall", "csv-row-out-of-range",
                                       "csv-extra-row", "csv-accuracy-differs",
                                       "echo-seed-differs", "echo-backend-ckks",
-                                      "echo-wall-without-wall-keys", "echo-empty"])
+                                      "echo-wall-without-wall-keys", "echo-empty",
+                                      "echo-theta-list", "notes-not-strings"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
         rows = csv_text.splitlines()
@@ -333,7 +346,10 @@ class TestReportCmd:
                 "echo-seed-differs": {"seed": str(doc["seed"] + 1)},
                 "echo-backend-ckks": {"he.backend": "ckks"},
                 "echo-wall-without-wall-keys": {"report.include_wall_time": "true"},
+                "echo-theta-list": {"dp.theta": [1, 2]},
             }[case])
+        elif case == "notes-not-strings":
+            doc["notes"] = [1, {"a": 2}, None]
         elif case == "summary-edited":
             doc.update(final_accuracy=0.01, total_sim_time_s=123.0, efficiency_ratio=5.0)
         elif case.startswith("csv-"):

@@ -202,6 +202,17 @@ class TestParseMalformedReport:
         with pytest.raises(ValueError, match=re.escape("'rounds[0]")):
             parse_report_json(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("key,value,where", [
+        ("notes", [1, {"a": 2}, None], "'notes[0]'"),
+        ("notes", ["a note", None], "'notes[1]'"),
+        ("config", {"dp.theta": [1, 2]}, "'config'"),
+    ])
+    def test_non_string_element_named(self, key, value, where):
+        doc = self.doc()
+        doc[key] = dict(doc["config"], **value) if key == "config" else value
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_report_json(json.dumps(doc).encode())
+
     def test_rounds_numbered_in_order(self):
         doc = self.doc()
         doc["rounds"].append(dict(doc["rounds"][0]))
