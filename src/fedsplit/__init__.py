@@ -18,7 +18,7 @@ from .metrics import (BoundInputs, ExperimentReport, RoundMetrics, accuracy,
                       theorem_bound)
 from .models import ModelSpec, init_params, local_train, param_count
 from .runtime import RunAborted, ratio_at, run_experiment
-from .vectors import PartitionMask, UpdateSplit, add_scaled, merge, split
+from .vectors import PartitionMask, UpdateSplit, merge, split
 from .voting import (PartitionStrategy, VoteKey, VoteMessage, decode_partition,
                      encrypt_indices, new_vote_key, propose_partition,
                      tally_votes, target_count)

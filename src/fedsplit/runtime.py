@@ -35,7 +35,7 @@ from .errors import DivergenceError, FedSplitError
 from .he import make_backend, simulated_round_cost
 from .metrics import ExperimentReport, RoundMetrics, accuracy
 from .models import init_params, local_train, param_count
-from .vectors import PartitionMask, add_scaled, merge, split
+from .vectors import PartitionMask, merge, split
 from .voting import (decode_partition, encrypt_indices, new_vote_key,
                      propose_partition, tally_votes, target_count)
 
@@ -134,7 +134,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time."""
     cfg = state.config
     pipe = cfg.protection.pipeline
-    rng_sample = seeds.rng_for(cfg.seed, seeds.SAMPLING, t)
+    rng_sample = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
     cohort = np.sort(rng_sample.choice(
         cfg.rounds.clients_total_N, size=cfg.rounds.clients_sampled_n,
         replace=False)).tolist()
@@ -192,7 +192,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
 
     if not np.all(np.isfinite(global_update)):
         raise DivergenceError(f"round {t}: non-finite global update")
-    state.w = add_scaled(state.w, global_update, 1.0)
+    state.w = state.w + global_update
     acc = accuracy(cfg.model, state.w, state.test_set)
     if not math.isfinite(acc):
         raise DivergenceError(f"round {t}: non-finite accuracy")

@@ -31,14 +31,6 @@ def seed_sequence(experiment_seed: int, purpose: int, round_index: int = 0,
     )
 
 
-def rng_for(experiment_seed: int, purpose: int, round_index: int = 0,
-            client_id: int = 0) -> np.random.Generator:
-    """PCG64 generator for one (purpose, round, client) stream."""
-    return np.random.Generator(
-        np.random.PCG64(seed_sequence(experiment_seed, purpose, round_index, client_id))
-    )
-
-
 def as_rng(seed) -> np.random.Generator:
     """Accept an int, int tuple, SeedSequence, or Generator; return a Generator."""
     if isinstance(seed, np.random.Generator):

@@ -21,7 +21,6 @@ __all__ = [
     "UpdateSplit",
     "split",
     "merge",
-    "add_scaled",
 ]
 
 
@@ -126,12 +125,3 @@ def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.n
     out[mask.he_indices] = he_part
     out[mask.complement()] = dp_part
     return out
-
-
-def add_scaled(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """Elementwise ``a + s * b`` (the model step ``w + u``)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + s * b

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import fedsplit.runtime as runtime_mod
 from fedsplit import seeds
@@ -81,7 +80,7 @@ class TestFedAvgExactness:
         state = runtime_mod._setup(cfg)
         w = state.w.copy()
         for t in range(2):
-            rng = seeds.rng_for(cfg.seed, seeds.SAMPLING, t)
+            rng = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
             cohort = np.sort(rng.choice(3, size=3, replace=False)).tolist()
             updates = []
             for c in cohort:
@@ -150,7 +149,7 @@ class TestHePartFidelity:
         w0 = state.w.copy()
         runtime_mod._run_round(state, 0)
 
-        rng = seeds.rng_for(cfg.seed, seeds.SAMPLING, 0)
+        rng = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, 0))
         cohort = np.sort(rng.choice(4, size=4, replace=False)).tolist()
         updates = {c: local_train(cfg.model, w0, state.client_sets[c].features,
                                   state.client_sets[c].labels, 1, 0.1, 32,

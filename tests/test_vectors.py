@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError
-from fedsplit.vectors import PartitionMask, add_scaled, merge, split
+from fedsplit.vectors import PartitionMask, merge, split
 
 
 def mask(indices, dim):
@@ -48,17 +48,6 @@ class TestMerge:
             merge([1.0], [2.0, 4.0], mask([1], 3))
         with pytest.raises(DimensionError):
             merge([1.0, 2.0], [3.0], mask([0], 2))
-
-
-class TestNormAndAxpy:
-    def test_add_scaled(self):
-        assert add_scaled([1.0, 1.0], [2.0, 2.0], 0.5).tolist() == [2.0, 2.0]
-        assert add_scaled([1.0], [1.0], 0.0).tolist() == [1.0]
-        assert add_scaled([0.0, 0.0], [3.0, -3.0], 1.0).tolist() == [3.0, -3.0]
-
-    def test_add_scaled_mismatch(self):
-        with pytest.raises(DimensionError):
-            add_scaled([1.0], [1.0, 2.0], 1.0)
 
 
 class TestMaskValidation:
