@@ -16,16 +16,13 @@ import io
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import (KNOWN_KEYS, apply_overrides, config_from_flat, load_config,
                      parse_kv_text)
 from .dp import PrivacyBudget, sensitivity, sigma_from_budget
 from .errors import ConfigError, FedSplitError
-from .metrics import CSV_HEADER, RoundMetrics, emit_report, parse_report_json
+from .metrics import emit_report, parse_report_json, read_rounds_csv
 from .runtime import RunAborted, run_experiment
 from .seeds import as_rng
 from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
@@ -167,28 +164,11 @@ def cmd_vote_demo(args) -> int:
     return EXIT_OK
 
 
-def _csv_rounds(path: Path, report):
-    """Yield the rows of ``rounds.csv``: the report's rounds, wall times only if included."""
-    rows = list(csv.reader(path.read_text().splitlines()))
-    if rows[:1] != [CSV_HEADER] or len(rows) != len(report.rounds) + 1:
-        raise ValueError(f"{path.name} is not the header {','.join(CSV_HEADER)} "
-                         f"and a row for each of the report's {len(report.rounds)} rounds")
-    for line, (row, want) in enumerate(zip(rows[1:], report.rounds), start=2):
-        try:
-            got = RoundMetrics(*row)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path.name} line {line}: {exc}") from None
-        if got != (want if report.include_wall_time
-                   else replace(want, wall_time_s=got.wall_time_s)):
-            raise ValueError(f"{path.name} line {line} is not round {want.round} of the report")
-        yield got
-
-
 def cmd_report(args) -> int:
     csv_path = Path(args.input).with_name("rounds.csv")
     try:
         report = parse_report_json(Path(args.input).read_bytes())
-        wall = (sum(r.wall_time_s for r in _csv_rounds(csv_path, report))
+        wall = (sum(r.wall_time_s for r in read_rounds_csv(csv_path, report))
                 if csv_path.exists() else None)
     except (OSError, ValueError, csv.Error) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)

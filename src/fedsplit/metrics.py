@@ -6,8 +6,8 @@ wall-clock timing: ``report.json`` is byte-stable for a fixed config+seed
 the measured wall time per round.  A report's summaries are derived from its
 backend and rounds, and the parser rejects a document whose summaries
 disagree with them, or whose config echo disagrees with its stored seed,
-backend or wall-time switch.  One table per file declares its keys for both
-ends.
+backend or wall-time switch; ``read_rounds_csv`` rejects a row that is not
+its report's round.  One table per file declares its keys for both ends.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import ClassVar
 
 from .datasets import Dataset
@@ -32,6 +32,7 @@ __all__ = [
     "theorem_bound",
     "emit_report",
     "parse_report_json",
+    "read_rounds_csv",
     "CSV_HEADER",
 ]
 
@@ -191,6 +192,23 @@ def emit_report(report: ExperimentReport, fmt: str) -> bytes:
         writer.writerows([repr(getattr(rm, k)) for k in CSV_HEADER] for rm in report.rounds)
         return buf.getvalue().encode()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def read_rounds_csv(path, report: ExperimentReport):
+    """Yield the rows of ``rounds.csv``: the report's rounds, wall times only if included."""
+    rows = list(csv.reader(path.read_text().splitlines()))
+    if rows[:1] != [CSV_HEADER] or len(rows) != len(report.rounds) + 1:
+        raise ValueError(f"{path.name} is not the header {','.join(CSV_HEADER)} "
+                         f"and a row for each of the report's {len(report.rounds)} rounds")
+    for line, (row, want) in enumerate(zip(rows[1:], report.rounds), start=2):
+        try:
+            got = RoundMetrics(*row)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path.name} line {line}: {exc}") from None
+        if got != (want if report.include_wall_time
+                   else replace(want, wall_time_s=got.wall_time_s)):
+            raise ValueError(f"{path.name} line {line} is not round {want.round} of the report")
+        yield got
 
 
 def _fields(doc, table: dict, where: str) -> dict:
