@@ -115,10 +115,6 @@ class RoundConfig:
             raise ValueError(f"learning_rate_eta must be positive and finite, "
                              f"got {self.learning_rate_eta}")
 
-    @property
-    def sampling_ratio(self) -> float:
-        return self.clients_sampled_n / self.clients_total_N
-
 
 @dataclass(frozen=True)
 class RatioSchedule:
@@ -229,8 +225,9 @@ class ExperimentConfig:
 
     def _budget(self, min_dataset_size: int) -> PrivacyBudget:
         """The run's privacy budget; one sample per client gives the largest noise std."""
+        r = self.rounds
         return PrivacyBudget(epsilon=self.dp_epsilon, delta=self.dp_delta,
-                             q=self.rounds.sampling_ratio, rounds_T=self.rounds.rounds_T,
+                             q=r.clients_sampled_n / r.clients_total_N, rounds_T=r.rounds_T,
                              theta=self.dp_theta, min_dataset_size=min_dataset_size)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionError
 from .seeds import as_rng
-from .vectors import as_param_vector
 
 __all__ = [
     "DpParams",
@@ -84,12 +84,12 @@ def clip(u: np.ndarray, theta: float) -> np.ndarray:
     """Scale ``u`` to L2 norm at most ``theta``: returns u / max(1, ||u||/theta)."""
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    u = as_param_vector(u, name="update")
-    norm = float(np.linalg.norm(u))
-    scale = max(1.0, norm / theta)
-    if scale == 1.0:
-        return u
-    return u / scale
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1:
+        raise DimensionError(f"update must be 1-D, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("update contains non-finite values")
+    return u / max(1.0, float(np.linalg.norm(u)) / theta)
 
 
 def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:

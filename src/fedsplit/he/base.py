@@ -6,8 +6,10 @@ check, plaintext validation (finite values within the fixed-point
 headroom), chunking into at most ``slot_count`` values per ciphertext,
 slot-aligned addition with its depth check, the chunk-layout check and
 decrypt stitching (truncated to the caller's original length), and the
-client-order fold of ``aggregate``.  A backend supplies only its per-chunk
-math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
+client-order fold of ``aggregate``.  Each operation has one name:
+``encrypt``, ``hom_add`` and ``decrypt`` are defined once here, and a
+backend supplies only its ``keygen`` and per-chunk math:
+``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
 
 A ciphertext payload is a plain tuple of numpy arrays (ckks ``(c0, c1)``,
 mock ``(nonce, values)``), and so are the ckks keys (public ``(a, b)``,
@@ -56,13 +58,12 @@ class HeBackend:
     """Operation contract both backends implement.
 
     Each backend declares its config/wire ``name`` and the ``time_basis``
-    of its reports ("simulated" or "wall"), and defines ``keygen``,
-    ``encrypt``, ``hom_add`` and ``decrypt`` in its own class body (the
-    benchmark's tracer wraps them per class); the last three delegate to
-    the shared ``_encrypt``, ``_hom_add`` and ``_decrypt`` below, which
-    call the backend's per-chunk math: ``_encrypt_chunk(public_key, chunk,
-    rng)``, ``_add_payloads(a, b)`` and ``_decrypt_chunk(secret_key,
-    payload)``.
+    of its reports ("simulated" or "wall"), defines ``keygen``, and binds
+    this class's ``encrypt``, ``hom_add`` and ``decrypt`` in its own class
+    body, because the benchmark's tracer (``bench/tracer.py``) wraps each
+    backend's own ``cls.__dict__`` entries.  The three call the backend's
+    per-chunk math: ``_encrypt_chunk(public_key, chunk, rng)``,
+    ``_add_payloads(a, b)`` and ``_decrypt_chunk(secret_key, payload)``.
 
     decrypt with a mismatched secret key yields garbage without detection;
     only structural mismatches (params, chunk layout) raise.
@@ -94,7 +95,7 @@ class HeBackend:
         return Ciphertext(payload=payload, slots_used=slots_used, add_count=add_count,
                           params=self.params, backend=self.name)
 
-    def _encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
+    def encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
         self._check_key(pk, "public")
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
@@ -111,7 +112,7 @@ class HeBackend:
         return [self._ciphertext(self._encrypt_chunk(pk.public_key, chunk, rng), chunk.size)
                 for chunk in chunks]
 
-    def _hom_add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    def hom_add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         if a.backend != self.name or b.backend != self.name:
             raise DimensionError(f"ciphertext backend mismatch: {a.backend!r} + "
                                  f"{b.backend!r} under {self.name!r}")
@@ -126,7 +127,7 @@ class HeBackend:
         return self._ciphertext(self._add_payloads(a.payload, b.payload),
                                 a.slots_used, add_count)
 
-    def _decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
+    def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
         self._check_key(sk, "secret")
         if original_len < 0:
             raise ValueError("original_len must be nonnegative")

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DivergenceError
 from .seeds import as_rng
 
-__all__ = ["ModelSpec", "param_count", "init_params", "predict_logits",
-           "loss_and_grad", "local_train", "evaluate_accuracy"]
+__all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_train",
+           "evaluate_accuracy"]
 
 KINDS = ("linear", "logistic", "mlp")
 
@@ -97,11 +97,6 @@ def _forward(spec: ModelSpec, blocks: list[np.ndarray], X: np.ndarray):
     return h @ W + b, acts
 
 
-def predict_logits(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(spec, _unpack(spec, params), X)
-    return logits
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -180,5 +175,6 @@ def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     """Fraction of argmax-correct predictions."""
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    preds = predict_logits(spec, params, X).argmax(axis=1)
+    logits, _ = _forward(spec, _unpack(spec, params), X)
+    preds = logits.argmax(axis=1)
     return float(np.mean(preds == np.asarray(y)))

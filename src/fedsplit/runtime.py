@@ -69,7 +69,6 @@ class _State:
     dp_params: DpParams | None
     backend: object | None
     keypair: object | None
-    vote_key: object | None
     sigma_note: str = ""
 
 
@@ -109,18 +108,15 @@ def _setup(cfg: ExperimentConfig) -> _State:
                       f"T={budget.rounds_T}, theta={budget.theta}, "
                       f"min|D|={budget.min_dataset_size})")
 
-    backend = keypair = vote_key = None
+    backend = keypair = None
     if cfg.protection.pipeline.encrypted != "none":
         backend = make_backend(cfg.he_backend, cfg.he_params)
         keypair = backend.keygen(seeds.seed_sequence(cfg.seed, seeds.HE_KEYGEN))
-    if cfg.protection.pipeline.encrypted == "voted":
-        vote_key = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY))
 
     w = init_params(cfg.model, seeds.seed_sequence(cfg.seed, seeds.MODEL_INIT))
     return _State(config=cfg, dim=param_count(cfg.model), w=w,
                   client_sets=client_sets, test_set=test, dp_params=dp_params,
-                  backend=backend, keypair=keypair, vote_key=vote_key,
-                  sigma_note=sigma_note)
+                  backend=backend, keypair=keypair, sigma_note=sigma_note)
 
 
 def _map_clients(fn, items, workers: int):
@@ -141,7 +137,8 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     voted = pipe.encrypted == "voted"
     r_t = ratio_at(cfg.schedule, t) if voted else float(pipe.encrypted == "all")
     k = target_count(r_t, state.dim)
-    vk = state.vote_key.for_round(t) if voted else None
+    vk = (new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
+          if voted else None)
 
     def train_one(client: int):
         ds = state.client_sets[client]
@@ -168,14 +165,13 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
         dp_seed = seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client)
         if pipe.noised == "whole":
             u = protect_dp(u, dp, dp_seed)
-        parts = split(u, mask)
-        rest = parts.dp_part
+        rest, he_part = split(u, mask)
         if pipe.noised == "rest":
             rest = protect_dp(rest, dp, dp_seed)
         cts = []
         if mask.size:
             cts = state.backend.encrypt(
-                state.keypair, parts.he_part,
+                state.keypair, he_part,
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
         return rest, cts
 

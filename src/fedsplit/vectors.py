@@ -15,27 +15,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = [
-    "as_param_vector",
-    "PartitionMask",
-    "UpdateSplit",
-    "split",
-    "merge",
-]
-
-
-def as_param_vector(values, *, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-D float64 copy of ``values``.
-
-    Raises ValueError on non-finite entries and DimensionError on empty or
-    non-1-D input.
-    """
-    u = np.asarray(values, dtype=np.float64)
-    if u.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{name} contains non-finite values")
-    return u.copy()
+__all__ = ["PartitionMask", "split", "merge"]
 
 
 @dataclass(frozen=True)
@@ -83,19 +63,11 @@ class PartitionMask:
         return self.dim == other.dim and np.array_equal(self.he_indices, other.he_indices)
 
 
-@dataclass(frozen=True)
-class UpdateSplit:
-    """Disjoint halves of an update: noise-protected part and encrypted part."""
+def split(u: np.ndarray, mask: PartitionMask) -> tuple[np.ndarray, np.ndarray]:
+    """Divide ``u`` into ``(dp_part, he_part)``, in ``merge``'s argument order.
 
-    dp_part: np.ndarray
-    he_part: np.ndarray
-
-
-def split(u: np.ndarray, mask: PartitionMask) -> UpdateSplit:
-    """Divide ``u`` into its encrypted and noise-protected coordinates.
-
-    Both parts preserve ascending original-index order, so ``merge`` can
-    reconstruct ``u`` exactly.
+    Both parts are new arrays in ascending original-index order, so ``merge``
+    can reconstruct ``u`` exactly.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size != mask.dim:
@@ -103,9 +75,7 @@ def split(u: np.ndarray, mask: PartitionMask) -> UpdateSplit:
             f"vector length {u.size if u.ndim == 1 else u.shape} does not match "
             f"mask dim {mask.dim}"
         )
-    he_part = u[mask.he_indices].copy()
-    dp_part = u[mask.complement()].copy()
-    return UpdateSplit(dp_part=dp_part, he_part=he_part)
+    return u[mask.complement()], u[mask.he_indices]
 
 
 def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.ndarray:

@@ -15,9 +15,10 @@ the wire, so byte order and numeric order agree.  Tie-breaks are
 deterministic everywhere: equal vote counts prefer the smaller token, and
 equal magnitudes prefer the lower index.
 
-Tokens are memoized on the ``VoteKey`` object that ``VoteKey.for_round``
-returns, so the memo covers one round: every client of the round shares the
-key, and an index's token is computed once however many clients propose it.
+Tokens are memoized on the ``VoteKey`` object, which the runtime derives
+afresh each round from the experiment seed and the round index, so the memo
+covers one round: every client of the round shares the key, and an index's
+token is computed once however many clients propose it.
 This is a simulator shortcut; in a deployment each client still computes its
 own k PRPs.  Decoding a token no client of the round proposed (a foreign
 token) bypasses the memo and does not grow it.
@@ -84,9 +85,6 @@ class VoteKey:
         object.__setattr__(self, "_prefixes", tuple(
             hashlib.sha256(self.key + struct.pack(">qB", self.round_binding, i))
             for i in range(_FEISTEL_ROUNDS)))
-
-    def for_round(self, round_index: int) -> "VoteKey":
-        return VoteKey(key=self.key, round_binding=round_index)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedsplit.dp import (DpParams, PrivacyBudget, add_noise, clip, protect_dp,
                          sensitivity, sigma_from_budget)
+from fedsplit.errors import DimensionError
 
 # frozen against a 50-digit arbitrary-precision evaluation of the closed form
 SIGMA_REFERENCE = 0.67861404244151118
@@ -32,6 +33,10 @@ class TestClip:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             clip(np.array([1.0]), 0.0)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(DimensionError, match="1-D"):
+            clip(np.ones((2, 2)), 1.0)
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),

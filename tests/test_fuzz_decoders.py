@@ -53,7 +53,7 @@ def _blobs() -> dict:
 BLOBS = _blobs()
 CIPHERTEXTS = sorted(key for key in BLOBS if key[1] == "ciphertext")
 VOTE = encode_vote_message(encrypt_indices(
-    PartitionMask(np.array([0, 3, 5, 9]), 12), new_vote_key(4).for_round(0), client_id=2))
+    PartitionMask(np.array([0, 3, 5, 9]), 12), new_vote_key(4), client_id=2))
 
 
 def assert_decodes_soundly(blob: bytes) -> None:

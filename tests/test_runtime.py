@@ -139,7 +139,7 @@ class TestHePartFidelity:
         # equal the plaintext mean of the clients' encrypted parts exactly;
         # noise may touch only the complement
         from fedsplit.vectors import split
-        from fedsplit.voting import (decode_partition, encrypt_indices,
+        from fedsplit.voting import (decode_partition, encrypt_indices, new_vote_key,
                                      propose_partition, tally_votes)
 
         cfg = small_config(rounds=RoundConfig(clients_total_N=4, clients_sampled_n=4,
@@ -157,7 +157,7 @@ class TestHePartFidelity:
                    for c in cohort}
         r_t = 0.2
         k = target_count(r_t, state.dim)
-        vk = state.vote_key.for_round(0)
+        vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=0)
         msgs = [encrypt_indices(
                     propose_partition(updates[c], r_t, cfg.strategy,
                                       seeds.seed_sequence(cfg.seed, seeds.PROPOSE, 0, c)),
@@ -165,14 +165,14 @@ class TestHePartFidelity:
                 for c in cohort]
         mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
         # left-fold like the ciphertext aggregation so rounding matches exactly
-        he_parts = [split(updates[c], mask).he_part for c in cohort]
+        he_parts = [split(updates[c], mask)[1] for c in cohort]
         he_sum = he_parts[0].copy()
         for part in he_parts[1:]:
             he_sum = he_sum + part
         he_idx = mask.he_indices
         assert np.array_equal(state.w[he_idx], w0[he_idx] + he_sum / len(cohort))
         # and the DP complement was actually noised (nonzero deviation)
-        dp_mean = np.mean(np.stack([split(updates[c], mask).dp_part
+        dp_mean = np.mean(np.stack([split(updates[c], mask)[0]
                                     for c in cohort]), axis=0)
         dp_idx = mask.complement()
         assert not np.allclose(state.w[dp_idx] - w0[dp_idx], dp_mean)

@@ -13,19 +13,19 @@ def mask(indices, dim):
 
 class TestSplit:
     def test_basic(self):
-        parts = split(np.array([1.0, 2.0, 3.0, 4.0]), mask([1, 3], 4))
-        assert parts.dp_part.tolist() == [1.0, 3.0]
-        assert parts.he_part.tolist() == [2.0, 4.0]
+        dp_part, he_part = split(np.array([1.0, 2.0, 3.0, 4.0]), mask([1, 3], 4))
+        assert dp_part.tolist() == [1.0, 3.0]
+        assert he_part.tolist() == [2.0, 4.0]
 
     def test_empty_mask_identity(self):
-        parts = split(np.array([5.0]), mask([], 1))
-        assert parts.dp_part.tolist() == [5.0]
-        assert parts.he_part.tolist() == []
+        dp_part, he_part = split(np.array([5.0]), mask([], 1))
+        assert dp_part.tolist() == [5.0]
+        assert he_part.tolist() == []
 
     def test_signed_values(self):
-        parts = split(np.array([0.1, -5.0, 0.2, 3.0]), mask([1, 3], 4))
-        assert parts.he_part.tolist() == [-5.0, 3.0]
-        assert parts.dp_part.tolist() == [0.1, 0.2]
+        dp_part, he_part = split(np.array([0.1, -5.0, 0.2, 3.0]), mask([1, 3], 4))
+        assert he_part.tolist() == [-5.0, 3.0]
+        assert dp_part.tolist() == [0.1, 0.2]
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -83,16 +83,16 @@ def vector_and_mask(draw):
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_exact(data):
     u, m = data
-    parts = split(u, m)
-    assert np.array_equal(merge(parts.dp_part, parts.he_part, m), u)
+    dp_part, he_part = split(u, m)
+    assert np.array_equal(merge(dp_part, he_part, m), u)
 
 
 @given(vector_and_mask())
 @settings(max_examples=200, deadline=None)
 def test_partition_completeness(data):
     u, m = data
-    parts = split(u, m)
-    assert parts.dp_part.size + parts.he_part.size == m.dim
+    dp_part, he_part = split(u, m)
+    assert dp_part.size + he_part.size == m.dim
     he = set(m.he_indices.tolist())
     dp = set(m.complement().tolist())
     assert he.isdisjoint(dp)
@@ -103,7 +103,7 @@ def test_partition_completeness(data):
 @settings(max_examples=200, deadline=None)
 def test_norm_consistency(data):
     u, m = data
-    parts = split(u, m)
+    dp_part, he_part = split(u, m)
     total = np.linalg.norm(u) ** 2
-    parts_sq = np.linalg.norm(parts.dp_part) ** 2 + np.linalg.norm(parts.he_part) ** 2
+    parts_sq = np.linalg.norm(dp_part) ** 2 + np.linalg.norm(he_part) ** 2
     assert parts_sq == pytest.approx(total, rel=1e-12, abs=1e-300)

@@ -13,7 +13,7 @@ from fedsplit.errors import ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
-                             rank_tokens, tally_votes, target_count, VoteMessage,
+                             rank_tokens, tally_votes, target_count, VoteKey, VoteMessage,
                              _prp_decrypt, _prp_encrypt)
 from fedsplit.vectors import PartitionMask
 
@@ -189,11 +189,11 @@ class TestTokenMemo:
 
     def test_equality_and_hash_ignore_memo(self):
         base = new_vote_key(24)
-        a, b = base.for_round(3), base.for_round(3)
+        a, b = VoteKey(base.key, 3), VoteKey(base.key, 3)
         encrypt_indices(mask_of([1, 2, 3], 8), a)
-        assert a._tokens and not b._tokens and not base.for_round(3)._tokens
+        assert a._tokens and not b._tokens and not VoteKey(base.key, 3)._tokens
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert a != base.for_round(4)
+        assert a != VoteKey(base.key, 4)
 
 
 class TestTally:
