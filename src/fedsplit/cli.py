@@ -137,6 +137,8 @@ def cmd_accountant(args) -> int:
 
 def cmd_vote_demo(args) -> int:
     try:
+        if args.clients < 1:
+            raise ValueError(f"--clients must be >= 1, got {args.clients}")
         strategy = PartitionStrategy(args.strategy)
         vote_key = new_vote_key(args.seed, round_binding=0)
         k = target_count(args.ratio, args.dim)

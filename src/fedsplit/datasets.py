@@ -9,6 +9,7 @@ shards and Dirichlet(alpha) label-skewed shards; both are fully seeded.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
 def load_csv_dataset(path: str, num_classes: int) -> Dataset:
     """Parse a CSV with numeric feature columns and an integer ``label`` column.
 
-    Malformed rows and out-of-range labels raise with the line number.
+    Malformed rows, non-finite features and out-of-range labels raise
+    ValueError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -101,6 +103,8 @@ def load_csv_dataset(path: str, num_classes: int) -> Dataset:
             try:
                 feats = [float(row[i]) for i in feature_cols]
                 label = int(row[label_col])
+                if not all(map(math.isfinite, feats)):
+                    raise ValueError("non-finite feature value")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
             if not 0 <= label < num_classes:

@@ -3,7 +3,7 @@
 One round, in protocol order, is two passes over a sampled cohort.  First,
 each client trains and, under the voted pipeline, proposes a partition as
 encrypted index tokens; the server tallies the top-k and clients decode the
-round's mask.  Second, each client splits its update, clips and noises the
+round's mask, after which nothing of the vote is held.  Second, each client splits its update, clips and noises the
 plaintext part and encrypts the rest; the server aggregates both parts,
 clients decrypt and merge, and the global model steps.  Every protection
 mode runs these steps; its pipeline (``config._PIPELINES``) says which
@@ -12,8 +12,8 @@ config and its checks live in ``config``; this module only runs it, and
 ``run_experiment`` times each round from outside, so whatever a round frees
 counts toward that round's wall time.
 
-Determinism contract: every random stream is derived from
-(experiment seed, purpose, round, client), aggregation folds in fixed
+Determinism contract: every random stream, and the round's vote key, is derived
+from (experiment seed, purpose, round, client), aggregation folds in fixed
 client-id order, and results are independent of the worker-pool size.
 """
 
@@ -126,17 +126,15 @@ def _map_clients(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _run_round(state: _State, t: int) -> tuple[float, float, float]:
-    """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time."""
+def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
+                    k: int) -> tuple[list, PartitionMask]:
+    """The first pass and the decode: each client's ``(client, update)`` and the mask.
+
+    The round's vote key (with its memo) and the clients' vote messages live
+    only in this frame, so nothing of the vote outlives the decode.
+    """
     cfg = state.config
-    pipe = cfg.protection.pipeline
-    rng_sample = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
-    cohort = np.sort(rng_sample.choice(
-        cfg.rounds.clients_total_N, size=cfg.rounds.clients_sampled_n,
-        replace=False)).tolist()
-    voted = pipe.encrypted == "voted"
-    r_t = ratio_at(cfg.schedule, t) if voted else float(pipe.encrypted == "all")
-    k = target_count(r_t, state.dim)
+    voted = cfg.protection.pipeline.encrypted == "voted"
     vk = (new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
           if voted else None)
 
@@ -155,13 +153,28 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     trained = _map_clients(train_one, cohort, cfg.workers)
     mask = (decode_partition(tally_votes([v for _, _, v in trained], k), vk, state.dim, k)
             if voted else PartitionMask(np.arange(k), state.dim))
+    return [(client, u) for client, u, _ in trained], mask
+
+
+def _run_round(state: _State, t: int) -> tuple[float, float, float]:
+    """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time."""
+    cfg = state.config
+    pipe = cfg.protection.pipeline
+    rng_sample = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
+    cohort = np.sort(rng_sample.choice(
+        cfg.rounds.clients_total_N, size=cfg.rounds.clients_sampled_n,
+        replace=False)).tolist()
+    voted = pipe.encrypted == "voted"
+    r_t = ratio_at(cfg.schedule, t) if voted else float(pipe.encrypted == "all")
+    k = target_count(r_t, state.dim)
+    trained, mask = _train_and_vote(state, t, cohort, r_t, k)
     dp = state.dp_params
     if pipe.decay:
         dp = DpParams(theta=dp.theta,
                       sigma_z=dp.sigma_z * cfg.protection.amplitude_scale ** t)
 
     def protect_one(item):
-        client, u, _vote = item
+        client, u = item
         dp_seed = seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client)
         if pipe.noised == "whole":
             u = protect_dp(u, dp, dp_seed)

@@ -161,6 +161,33 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert doc["complete"] is True
 
+    @pytest.mark.parametrize("held_out", [True, False])
+    def test_csv_non_finite_feature_is_runtime_error(self, tmp_path, capsys, held_out):
+        # a NaN row that lands in the evaluation set used to run to exit 0,
+        # scored as class 0 (the argmax of NaN logits)
+        import numpy as np
+        from fedsplit import seeds
+        from fedsplit.datasets import Dataset, train_test_split
+        n = 40
+        numbered = Dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n, np.int64), 1)
+        train, test = train_test_split(numbered, 0.2, seeds.seed_sequence(0, seeds.SPLIT, 0))
+        row = int((test if held_out else train).features[0, 0])
+        rng = np.random.default_rng(0)
+        rows = ["f0,f1,label"]
+        for i in range(n):
+            feats = [f"{v:.5f}" for v in rng.normal(0.0, 1.0, 2)]
+            rows.append(",".join(["nan" if i == row else feats[0], feats[1], str(i % 2)]))
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        conf = tmp_path / "csv.conf"
+        conf.write_text(f"dataset.kind = csv\ndataset.path = {data}\ndataset.input_dim = 2\n"
+                        "dataset.num_classes = 2\nround.clients_total_N = 2\n"
+                        "round.clients_sampled_n = 2\nround.rounds_T = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert f"data.csv: line {row + 2}: non-finite" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["complete"] is False
+
     def test_missing_csv_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "csv.conf"
         conf.write_text(f"dataset.kind = csv\ndataset.path = {tmp_path / 'nope.csv'}\n")
@@ -299,6 +326,13 @@ class TestVoteDemo:
         assert main(["vote-demo", "--clients", "3", "--dim", "8",
                      "--ratio", "0", "--seed", "4"]) == 0
         assert "winning partition: []" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("clients", ["0", "-2"])
+    def test_no_clients_is_invalid(self, clients, capsys):
+        assert main(["vote-demo", "--clients", clients]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid parameters: ") and "--clients" in captured.err
+        assert captured.out == ""
 
     def test_demo_smoke(self, capsys):
         assert main(["vote-demo", "--clients", "3", "--dim", "16",

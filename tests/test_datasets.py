@@ -57,6 +57,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv_dataset(str(p), num_classes=2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
+            load_csv_dataset(str(p), num_classes=2)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,28 @@ class TestDynamicSchedule:
                                               batch_size=32, rounds_T=3))
         rep = run_experiment(cfg)
         assert [r.r_t for r in rep.rounds] == [0.4, 0.2, 0.1]
+
+
+class TestVoteScope:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nothing_of_the_vote_outlives_the_decode(self, monkeypatch, workers):
+        refs, checked = [], []
+        encrypt, split = runtime_mod.encrypt_indices, runtime_mod.split
+
+        def encrypt_spy(mask, vk, client_id=0):
+            msg = encrypt(mask, vk, client_id=client_id)
+            refs.extend([weakref.ref(vk), weakref.ref(msg)])
+            return msg
+
+        def split_spy(u, mask):
+            checked.append([ref for ref in refs if ref() is not None])
+            return split(u, mask)
+
+        monkeypatch.setattr(runtime_mod, "encrypt_indices", encrypt_spy)
+        monkeypatch.setattr(runtime_mod, "split", split_spy)
+        run_experiment(small_config(workers=workers))
+        assert refs and len(checked) == 4 * 4
+        assert all(alive == [] for alive in checked)
 
 
 class TestDeterminismAndBackends:
