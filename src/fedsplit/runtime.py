@@ -3,14 +3,15 @@
 One round, in protocol order, is two passes over a sampled cohort.  First,
 each client trains and, under the voted pipeline, proposes a partition as
 encrypted index tokens; the server tallies the top-k and clients decode the
-round's mask, after which nothing of the vote is held.  Second, each client splits its update, clips and noises the
-plaintext part and encrypts the rest; the server aggregates both parts,
-clients decrypt and merge, and the global model steps.  Every protection
-mode runs these steps; its pipeline (``config._PIPELINES``) says which
-coordinates it encrypts and where it clips and noises.  The experiment
-config and its checks live in ``config``; this module only runs it, and
-``run_experiment`` times each round from outside, so whatever a round frees
-counts toward that round's wall time.
+round's mask, after which nothing of the vote is held.  Second, each client
+splits its update, clips and noises the plaintext part and encrypts the
+rest; the server aggregates both parts, clients decrypt and merge, and the
+global model steps.  Every protection mode runs these steps; its pipeline
+(``config._PIPELINES``) says which coordinates it encrypts and where it
+clips and noises.  The experiment config and its checks live in
+``config``; this module only runs it, and ``run_experiment`` times each
+round from outside, so whatever a round frees counts toward that round's
+wall time.
 
 Determinism contract: every random stream, and the round's vote key, is derived
 from (experiment seed, purpose, round, client), aggregation folds in fixed
