@@ -12,7 +12,7 @@ from .datasets import Dataset, synthetic_dataset
 from .dp import (DpParams, PrivacyBudget, add_noise, clip, protect_dp,
                  sensitivity, sigma_from_budget)
 from .he import (CkksBackend, HeCostModel, HeParams, MockBackend,
-                 decode_tolerance, make_backend, simulated_cost)
+                 decode_tolerance, make_backend)
 from .metrics import (BoundInputs, ExperimentReport, RoundMetrics, accuracy,
                       efficiency_ratio, emit_report, parse_report_json,
                       theorem_bound)

@@ -98,8 +98,6 @@ def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
     Fixed, platform-independent construction: each pair of uniforms
     (u1, u2) with u1 in (0, 1] yields sqrt(-2 ln u1) * (cos, sin)(2 pi u2).
     """
-    if size == 0:
-        return np.empty(0, dtype=np.float64)
     pairs = (size + 1) // 2
     u1 = 1.0 - rng.random(pairs)  # (0, 1]: keeps log() finite
     u2 = rng.random(pairs)

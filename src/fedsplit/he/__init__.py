@@ -3,13 +3,12 @@
 from .base import Ciphertext, HeBackend, KeyPair
 from .ckks import CkksBackend
 from .mock import MockBackend
-from .params import (HeCostModel, HeParams, decode_tolerance, simulated_cost,
-                     simulated_round_cost)
+from .params import HeCostModel, HeParams, decode_tolerance, simulated_round_cost
 
 __all__ = [
     "Ciphertext", "KeyPair", "HeBackend", "CkksBackend", "MockBackend",
-    "HeParams", "HeCostModel", "decode_tolerance", "simulated_cost",
-    "simulated_round_cost", "make_backend", "BACKENDS",
+    "HeParams", "HeCostModel", "decode_tolerance", "simulated_round_cost",
+    "make_backend", "BACKENDS",
 ]
 
 BACKENDS = {cls.name: cls for cls in (CkksBackend, MockBackend)}

@@ -141,12 +141,6 @@ class HeBackend:
             total += ct.slots_used
         if total < original_len:
             raise DimensionError(f"ciphertexts cover {total} values, need {original_len}")
-        out = np.empty(original_len, dtype=np.float64)
-        pos = 0
-        for ct in cts:
-            if pos >= original_len:
-                break
-            take = min(ct.slots_used, original_len - pos)
-            out[pos: pos + take] = self._decrypt_chunk(sk.secret_key, ct.payload)[:take]
-            pos += take
-        return out
+        needed = cts[:-(-original_len // self.params.slot_count)]
+        parts = [self._decrypt_chunk(sk.secret_key, ct.payload)[:ct.slots_used] for ct in needed]
+        return np.concatenate([np.empty(0), *parts])[:original_len]

@@ -2,7 +2,7 @@
 
 Satisfies the same operation contracts as the lattice backend with zero
 decode error; the federated runtime charges it simulated time through
-``params.simulated_cost`` so the efficiency metric stays reproducible and
+``params.simulated_round_cost`` so the efficiency metric stays reproducible and
 free of wall-clock crypto noise.
 """
 

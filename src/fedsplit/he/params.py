@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["HeParams", "HeCostModel", "decode_tolerance", "simulated_cost",
-           "simulated_round_cost"]
+__all__ = ["HeParams", "HeCostModel", "decode_tolerance", "simulated_round_cost"]
 
 _MAX_MODULUS_BITS = 51  # exactness bound of the float-assisted modmul in ring.py
 
@@ -94,16 +93,10 @@ def decode_tolerance(params: HeParams) -> float:
     return (10.0 * noise_std + 0.5) / params.scale
 
 
-def simulated_cost(cost_model: HeCostModel, n_vectors: int, vec_len: int) -> float:
-    """Simulated seconds for one phase touching ``n_vectors`` of ``vec_len`` values."""
+def simulated_round_cost(cost_model: HeCostModel, n_vectors: int, vec_len: int) -> float:
+    """Encrypt ``n_vectors`` vectors, aggregate once and decrypt once: ``n_vectors + 2``
+    operations of ``per_op_seconds + per_slot_seconds * vec_len`` simulated seconds each."""
     if n_vectors < 0 or vec_len < 0:
         raise ValueError("n_vectors and vec_len must be nonnegative")
-    return n_vectors * (cost_model.per_op_seconds
-                        + cost_model.per_slot_seconds * vec_len)
-
-
-def simulated_round_cost(cost_model: HeCostModel, n_vectors: int, vec_len: int) -> float:
-    """Encrypt ``n_vectors`` vectors, then aggregate once and decrypt once."""
-    return (simulated_cost(cost_model, n_vectors, vec_len)
-            + simulated_cost(cost_model, 1, vec_len)
-            + simulated_cost(cost_model, 1, vec_len))
+    per = cost_model.per_op_seconds + cost_model.per_slot_seconds * vec_len
+    return n_vectors * per + per + per

@@ -66,9 +66,9 @@ def _find_psi(q: int, two_n: int) -> int:
     raise ValueError(f"no primitive {two_n}-th root of unity mod {q}")
 
 
-def _pow_table(base: int, count: int, q: int) -> np.ndarray:
+def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
     out = np.empty(count, dtype=np.uint64)
-    acc = 1
+    acc = first
     for i in range(count):
         out[i] = acc
         acc = acc * base % q
@@ -95,12 +95,12 @@ class NegacyclicRing:
         self._qinv = 1.0 / self.q
         psi = _find_psi(self.q, 2 * self.n)
         omega = psi * psi % self.q
-        self.psi = psi
         self._psi_pows = _pow_table(psi, self.n, self.q)
-        self._psi_inv_pows = _pow_table(pow(psi, self.q - 2, self.q), self.n, self.q)
+        # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
+        self._psi_inv_pows = _pow_table(pow(psi, self.q - 2, self.q), self.n, self.q,
+                                        first=pow(self.n, self.q - 2, self.q))
         self._omega_pows = _pow_table(omega, self.n, self.q)
         self._omega_inv_pows = _pow_table(pow(omega, self.q - 2, self.q), self.n, self.q)
-        self._n_inv = np.uint64(pow(self.n, self.q - 2, self.q))
         self._bitrev = _bit_reverse_indices(self.n)
 
     # -- modular scalar/vector ops -------------------------------------------------
@@ -160,9 +160,7 @@ class NegacyclicRing:
 
     def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form."""
-        x = self._transform(a_eval, self._omega_inv_pows)
-        x = self.mulmod(x, self._n_inv)
-        return self.mulmod(x, self._psi_inv_pows)
+        return self.mulmod(self._transform(a_eval, self._omega_inv_pows), self._psi_inv_pows)
 
     # -- sampling ---------------------------------------------------------------------
 

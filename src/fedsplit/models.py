@@ -120,13 +120,12 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     n = X.shape[0]
     Y = _one_hot(np.asarray(y, dtype=np.int64), spec.num_classes)
 
+    logits, acts = _forward(spec, blocks, X)
     if spec.kind == "linear":
-        logits = X @ blocks[0]
         resid = logits - Y
         loss = 0.5 * float(np.sum(resid ** 2)) / n
         return loss, (X.T @ resid).ravel() / n
 
-    logits, acts = _forward(spec, blocks, X)
     probs = _softmax(logits)
     eps = 1e-12
     loss = -float(np.sum(np.log(probs[np.arange(n), y] + eps))) / n

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
 from fedsplit.he import (CkksBackend, HeCostModel, HeParams, MockBackend,
-                         decode_tolerance, make_backend, simulated_cost,
-                         simulated_round_cost)
+                         decode_tolerance, make_backend, simulated_round_cost)
 from fedsplit.he.ring import NegacyclicRing, find_ntt_prime
 from fedsplit.he.wire import deserialize, serialize
 
@@ -272,6 +271,21 @@ class TestSharedValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             backend.decrypt(kp, backend.encrypt(kp, self.x, 1), -1)
 
+    @pytest.mark.parametrize("original_len,calls", [(40, 1), (64, 1), (100, 2), (128, 2)])
+    def test_decrypt_stops_after_the_last_needed_chunk(self, backend_cls, original_len, calls,
+                                                       monkeypatch):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        cts = backend.encrypt(kp, self.x, 1)
+        decrypted = []
+        decrypt_chunk = backend._decrypt_chunk
+        monkeypatch.setattr(backend, "_decrypt_chunk", lambda key, payload: (
+            decrypted.append(payload) or decrypt_chunk(key, payload)))
+        out = backend.decrypt(kp, cts, original_len)
+        assert len(cts) == 3 and len(decrypted) == calls
+        assert out.shape == (original_len,) and out.dtype == np.float64
+        assert np.max(np.abs(out - self.x[:original_len])) <= decode_tolerance(SMALL)
+
     def test_aggregate_is_the_client_order_mean(self, backend_cls):
         backend = backend_cls(SMALL)
         kp = backend.keygen(0)
@@ -330,22 +344,39 @@ class TestMockBackend:
 class TestSimulatedCost:
     def test_linear_cost_example(self):
         cm = HeCostModel(per_slot_seconds=1e-6, per_op_seconds=1e-3)
-        assert simulated_cost(cm, 1, 4096) == pytest.approx(5.096e-3, rel=1e-12)
+        assert simulated_round_cost(cm, 1, 4096) == pytest.approx(3 * 5.096e-3, rel=1e-12)
 
     def test_zero_length(self):
         cm = HeCostModel(per_slot_seconds=1e-6, per_op_seconds=1e-3)
-        assert simulated_cost(cm, 7, 0) == pytest.approx(7e-3, rel=1e-12)
+        assert simulated_round_cost(cm, 7, 0) == pytest.approx(9e-3, rel=1e-12)
 
     def test_doubling_length_doubles_slot_component(self):
         cm = HeCostModel(per_slot_seconds=2e-6, per_op_seconds=1e-3)
-        base = simulated_cost(cm, 3, 100) - 3 * cm.per_op_seconds
-        double = simulated_cost(cm, 3, 200) - 3 * cm.per_op_seconds
+        base = simulated_round_cost(cm, 3, 100) - 5 * cm.per_op_seconds
+        double = simulated_round_cost(cm, 3, 200) - 5 * cm.per_op_seconds
         assert double == pytest.approx(2 * base, rel=1e-12)
 
     def test_round_cost_adds_aggregate_and_decrypt(self):
         cm = HeCostModel(per_slot_seconds=1e-6, per_op_seconds=1e-3)
         assert simulated_round_cost(cm, 5, 100) == pytest.approx(
-            simulated_cost(cm, 5, 100) + 2 * simulated_cost(cm, 1, 100), rel=1e-12)
+            7 * (cm.per_op_seconds + 100 * cm.per_slot_seconds), rel=1e-12)
+
+    @given(n=st.integers(0, 10**6), vec_len=st.integers(0, 10**7),
+           per_op=st.floats(0.0, 1.0), per_slot=st.floats(0.0, 1e-3))
+    @settings(max_examples=300, deadline=None)
+    def test_round_cost_is_bitwise_the_three_phase_sum(self, n, vec_len, per_op, per_slot):
+        """Mock report bytes rest on this exact float sum: encrypt n, aggregate, decrypt."""
+        cm = HeCostModel(per_slot_seconds=per_slot, per_op_seconds=per_op)
+        three_phases = (n * (per_op + per_slot * vec_len)
+                        + 1 * (per_op + per_slot * vec_len)
+                        + 1 * (per_op + per_slot * vec_len))
+        assert simulated_round_cost(cm, n, vec_len) == three_phases
+
+    def test_negative_count_or_length_rejected(self):
+        cm = HeCostModel()
+        for n, vec_len in ((-1, 10), (3, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                simulated_round_cost(cm, n, vec_len)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
