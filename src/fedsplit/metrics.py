@@ -6,8 +6,9 @@ wall-clock timing: ``report.json`` is byte-stable for a fixed config+seed
 the measured wall time per round.  A report's summaries are derived from its
 backend and rounds, and the parser rejects a document whose summaries
 disagree with them, or whose config echo disagrees with its stored seed,
-backend or wall-time switch; ``read_rounds_csv`` rejects a row that is not
-its report's round.  One table per file declares its keys for both ends.
+backend, wall-time switch or complete flag; ``read_rounds_csv`` rejects a
+row that is not its report's round.  One table per file declares its keys
+for both ends.
 """
 
 from __future__ import annotations
@@ -268,4 +269,13 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
         if report.config.get(key) != stored:
             raise ValueError(f"report field 'config' echoes {key}="
                              f"{report.config.get(key)!r}, not {stored!r} as the report stores")
+    # A finished run writes all round.rounds_T rounds; an aborted one writes fewer.
+    echoed = report.config.get("round.rounds_T")
+    try:
+        total = int(echoed)
+    except (TypeError, ValueError):
+        total = -1
+    if len(rounds) > total or report.complete is not (len(rounds) == total):
+        raise ValueError(f"report field 'complete' is {str(report.complete).lower()} with "
+                         f"{len(rounds)} rounds, but the config echoes round.rounds_T={echoed!r}")
     return report

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit.cli import main
+from fedsplit.metrics import ExperimentReport, RoundMetrics
 
 MINI = """
 dataset.num_samples = 300
@@ -363,7 +364,8 @@ class TestReportCmd:
                                       "csv-extra-row", "csv-accuracy-differs",
                                       "echo-seed-differs", "echo-backend-ckks",
                                       "echo-wall-without-wall-keys", "echo-empty",
-                                      "echo-theta-list", "notes-not-strings"])
+                                      "echo-theta-list", "notes-not-strings",
+                                      "complete-flipped", "last-round-dropped"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
         rows = csv_text.splitlines()
@@ -386,6 +388,17 @@ class TestReportCmd:
             doc["notes"] = [1, {"a": 2}, None]
         elif case == "summary-edited":
             doc.update(final_accuracy=0.01, total_sim_time_s=123.0, efficiency_ratio=5.0)
+        elif case == "complete-flipped":
+            doc["complete"] = False
+        elif case == "last-round-dropped":
+            # a consistent report of the first round only, still flagged complete
+            del doc["rounds"][-1]
+            kept = ExperimentReport(config={}, seed=0, backend=doc["backend"], rounds=[
+                RoundMetrics(**r, wall_time_s=0.0) for r in doc["rounds"]])
+            doc.update(final_accuracy=kept.final_accuracy,
+                       total_sim_time_s=kept.total_sim_time_s,
+                       efficiency_ratio=kept.efficiency_ratio)
+            csv_text = "\n".join(rows[:-1]) + "\n"
         elif case.startswith("csv-"):
             cells = rows[1].split(",")
             if case == "csv-nan-wall":

@@ -104,7 +104,7 @@ def sample_report(complete=True, wall=False):
     """A mock report whose config echo carries what the program writes."""
     return ExperimentReport(
         config={"seed": "7", "he.backend": "mock", "protection.kind": "parallel",
-                "report.include_wall_time": str(wall).lower()},
+                "report.include_wall_time": str(wall).lower(), "round.rounds_T": "1"},
         seed=7, backend="mock",
         rounds=[RoundMetrics(round=0, r_t=0.1, accuracy=0.5,
                              sim_time_s=0.25, wall_time_s=1.5)],
@@ -213,6 +213,27 @@ class TestParseMalformedReport:
         with pytest.raises(ValueError, match=re.escape(where)):
             parse_report_json(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("complete,rounds_T", [
+        (False, "1"),  # every round written, yet flagged partial
+        (True, "2"),   # flagged complete a round short
+        (False, "0"),  # more rounds than the run asked for
+        (True, None),  # no round count echoed
+        (True, "one"),
+    ])
+    def test_complete_disagreeing_with_round_count_named(self, complete, rounds_T):
+        doc = self.doc()
+        doc["complete"] = complete
+        doc["config"].pop("round.rounds_T")
+        if rounds_T is not None:
+            doc["config"]["round.rounds_T"] = rounds_T
+        with pytest.raises(ValueError, match="'complete' is "):
+            parse_report_json(json.dumps(doc).encode())
+
+    def test_aborted_report_has_fewer_rounds(self):
+        doc = self.doc()
+        doc["complete"], doc["config"]["round.rounds_T"] = False, "3"
+        assert parse_report_json(json.dumps(doc).encode()).complete is False
+
     def test_rounds_numbered_in_order(self):
         doc = self.doc()
         doc["rounds"].append(dict(doc["rounds"][0]))
@@ -305,8 +326,9 @@ def test_json_roundtrip_keeps_every_field(rows, backend, wall):
     """A report the program could write parses back to the same fields,
     the derived summaries included."""
     rep = ExperimentReport(config={"seed": "7", "he.backend": backend,
-                                   "report.include_wall_time": str(wall).lower()}, seed=7,
-                           backend=backend, complete=True, notes=["n"],
+                                   "report.include_wall_time": str(wall).lower(),
+                                   "round.rounds_T": str(max(1, len(rows)))}, seed=7,
+                           backend=backend, complete=bool(rows), notes=["n"],
                            rounds=[RoundMetrics(i, *row) for i, row in enumerate(rows)],
                            include_wall_time=wall)
     blob = emit_report(rep, "json")
