@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (results are invariant to it)")
+                       help="accepted, no effect: rounds run on one thread, "
+                            "since threads slowed every benchmark workload")
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_common(p_run)

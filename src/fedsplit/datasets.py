@@ -26,6 +26,8 @@ __all__ = [
     "split_dirichlet",
 ]
 
+DIRICHLET_DRAWS = 100
+
 
 @dataclass
 class Dataset:
@@ -149,12 +151,12 @@ def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, num_clients)]
 
 
-def split_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed,
-                    max_retries: int = 100) -> list[np.ndarray]:
+def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
+                    seed) -> list[np.ndarray]:
     """Label-skewed shards: per-class client proportions ~ Dirichlet(alpha).
 
-    Resamples (bounded) until every client holds at least one sample; if no
-    draw does, each empty shard takes one sample from the largest.
+    Draws up to ``DIRICHLET_DRAWS`` times until every client holds a sample;
+    if no draw does, each empty shard takes one sample from the largest.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
@@ -165,7 +167,7 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed,
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rng = as_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
         for cls in range(ds.num_classes):
             cls_idx = np.nonzero(ds.labels == cls)[0]

@@ -164,9 +164,8 @@ class NegacyclicRing:
 
     # -- sampling ---------------------------------------------------------------------
 
-    def uniform(self, rng: np.random.Generator, shape=None) -> np.ndarray:
-        shape = (self.n,) if shape is None else shape
-        return rng.integers(0, self.q, shape, dtype=np.uint64)
+    def uniform(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, self.q, self.n, dtype=np.uint64)
 
     def ternary(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform {-1, 0, 1} secret/relay polynomial, embedded mod q."""

@@ -11,17 +11,16 @@ global model steps.  Every protection mode runs these steps; its pipeline
 clips and noises.  The experiment config and its checks live in
 ``config``; this module only runs it, and ``run_experiment`` times each
 round from outside, so whatever a round frees counts toward that round's
-wall time.
+wall time.  Both passes run on the calling thread in client-id order.
 
 Determinism contract: every random stream, and the round's vote key, is derived
-from (experiment seed, purpose, round, client), aggregation folds in fixed
-client-id order, and results are independent of the worker-pool size.
+from (experiment seed, purpose, round, client), and aggregation folds in fixed
+client-id order.  The ``workers`` key is accepted but does not change a run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +119,9 @@ def _setup(cfg: ExperimentConfig) -> _State:
 
 
 def _map_clients(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` over ``items`` in order, on this thread.  The benchmark's tracer
+    reads ``workers`` as the number of threads used, so callers pass 1."""
+    return [fn(item) for item in items]
 
 
 def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
@@ -150,7 +148,7 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
                                      seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
         return client, u, encrypt_indices(proposal, vk, client_id=client)
 
-    trained = _map_clients(train_one, cohort, cfg.workers)
+    trained = _map_clients(train_one, cohort, workers=1)
     mask = (decode_partition(tally_votes([v for _, _, v in trained], k), vk, state.dim, k)
             if voted else PartitionMask(np.arange(k), state.dim))
     return [(client, u) for client, u, _ in trained], mask
@@ -188,7 +186,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
         return rest, cts
 
-    protected = _map_clients(protect_one, trained, cfg.workers)
+    protected = _map_clients(protect_one, trained, workers=1)
     rest_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
     he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
@@ -209,9 +207,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run T rounds and return a complete report.
 
     Reports are bit-identical across runs with the same config and seed,
-    independent of the worker count; wall-clock timing is kept out of the
-    deterministic payload.  A failing round raises RunAborted carrying the
-    partial report (complete=False).
+    whatever ``workers`` says, since every round runs on this thread;
+    wall-clock timing is kept out of the deterministic payload.  A failing
+    round raises RunAborted carrying the partial report (complete=False).
     """
     report = ExperimentReport(config=config_to_flat(cfg), seed=cfg.seed,
                               backend=cfg.he_backend,

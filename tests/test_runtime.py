@@ -1,3 +1,4 @@
+import threading
 import weakref
 
 import numpy as np
@@ -246,6 +247,24 @@ class TestDeterminismAndBackends:
         a = emit_report(run_experiment(small_config(workers=1)), "json")
         b = emit_report(run_experiment(small_config(workers=3)), "json")
         assert a == b
+
+    def test_both_passes_run_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        train, split = runtime_mod.local_train, runtime_mod.split
+
+        def train_spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return train(*args, **kwargs)
+
+        def split_spy(u, mask):
+            threads.append(threading.get_ident())
+            return split(u, mask)
+
+        monkeypatch.setattr(runtime_mod, "local_train", train_spy)
+        monkeypatch.setattr(runtime_mod, "split", split_spy)
+        run_experiment(small_config(workers=3))
+        assert len(threads) == 2 * 4 * 4
+        assert set(threads) == {threading.get_ident()}
 
     def test_mock_and_ckks_trajectories_agree(self):
         mock = run_experiment(small_config(he_backend="mock"))
