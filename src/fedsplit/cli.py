@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (one experiment), ``sweep`` (one config key over many
-values), ``accountant`` (budget -> noise std), ``vote-demo`` (a printed
-walkthrough of one voting round), ``report`` (summarize a report.json).
+values), ``accountant`` (budget -> noise std), ``report`` (summarize a
+report.json).  ``demos/03_partition_voting.py`` walks through the vote.
 
-Exit codes are a stable scripting contract: 0 success, 1 config error,
-2 runtime error, 3 partial sweep failure.
+Exit codes are a stable scripting contract: 0 success, 1 config error
+(a malformed command line is one), 2 runtime error, 3 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .dp import PrivacyBudget, sensitivity, sigma_from_budget
 from .errors import ConfigError, FedSplitError
 from .metrics import emit_report, parse_report_json, read_rounds_csv
 from .runtime import RunAborted, run_experiment
-from .seeds import as_rng
-from .voting import (PartitionStrategy, decode_partition, encrypt_indices,
-                     new_vote_key, propose_partition, rank_tokens, tally_votes,
-                     target_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,37 +131,6 @@ def cmd_accountant(args) -> int:
     return EXIT_OK
 
 
-def cmd_vote_demo(args) -> int:
-    try:
-        if args.clients < 1:
-            raise ValueError(f"--clients must be >= 1, got {args.clients}")
-        strategy = PartitionStrategy(args.strategy)
-        vote_key = new_vote_key(args.seed, round_binding=0)
-        k = target_count(args.ratio, args.dim)
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"clients={args.clients} dim={args.dim} r={args.ratio} "
-          f"strategy={strategy.value} -> k={k}")
-    messages = []
-    for client in range(args.clients):
-        rng = as_rng((args.seed, client))
-        update = rng.normal(0.0, 1.0, args.dim)
-        mask = propose_partition(update, args.ratio, strategy, seed=(args.seed, client, 1))
-        msg = encrypt_indices(mask, vote_key, client_id=client)
-        messages.append(msg)
-        print(f"client {client} proposes indices {mask.he_indices.tolist()} "
-              f"-> tokens {[f'{t:016x}' for t in msg.tokens.tolist()]}")
-    tokens, counts = rank_tokens(messages)
-    print("server tally (token: count):")
-    for rank, (token, count) in enumerate(zip(tokens.tolist(), counts.tolist())):
-        marker = " *" if rank < k else ""
-        print(f"  {token:016x}: {count}{marker}")
-    mask = decode_partition(tally_votes(messages, k), vote_key, args.dim, k)
-    print(f"winning partition: {mask.he_indices.tolist()}")
-    return EXIT_OK
-
-
 def cmd_report(args) -> int:
     csv_path = Path(args.input).with_name("rounds.csv")
     try:
@@ -187,8 +152,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a malformed command line, where argparse exits 2 (the
+    runtime-error code); subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedsplit",
         description="Federated-learning protection simulator: parallel DP/HE "
                     "protection of partitioned updates with voted consensus.")
@@ -226,15 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.add_argument("--min-dataset", type=int, required=True,
                        help="smallest client dataset size")
     p_acc.set_defaults(func=cmd_accountant)
-
-    p_demo = sub.add_parser("vote-demo", help="trace one voting round")
-    p_demo.add_argument("--clients", type=int, default=3)
-    p_demo.add_argument("--dim", type=int, default=8)
-    p_demo.add_argument("--ratio", type=float, default=0.25)
-    p_demo.add_argument("--strategy", default="max",
-                        choices=[s.value for s in PartitionStrategy])
-    p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.set_defaults(func=cmd_vote_demo)
 
     p_rep = sub.add_parser("report", help="summarize a report.json")
     p_rep.add_argument("--input", required=True, help="path to report.json")

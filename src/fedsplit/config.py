@@ -212,6 +212,10 @@ class ExperimentConfig:
                 raise ValueError("he.per_op_seconds and he.per_slot_seconds let a run write "
                                  "a simulated total or efficiency ratio that is not finite")
         d = self.data
+        for attr in ("input_dim", "num_classes"):
+            if getattr(self.model, attr) != getattr(d, attr):
+                raise ValueError(f"model.{attr}={getattr(self.model, attr)} does not match "
+                                 f"dataset.{attr}={getattr(d, attr)}")
         train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
         n_total = self.rounds.clients_total_N
         if d.kind == "synthetic" and train_rows < n_total:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import as_rng
 
 __all__ = [
     "Dataset",
@@ -65,7 +64,7 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     """
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, (num_classes, input_dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -132,7 +131,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, 
     """Deterministic shuffled split; the test side is the held-out eval set."""
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
     n_test = held_out_rows(len(ds), test_fraction)
     return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
@@ -146,7 +145,7 @@ def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
         raise ValueError(
             f"cannot split {len(ds)} samples across {num_clients} clients"
         )
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
     return [np.sort(part) for part in np.array_split(perm, num_clients)]
 
@@ -166,7 +165,7 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
         )
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
         for cls in range(ds.num_classes):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .seeds import as_rng
 
 __all__ = [
     "DpParams",
@@ -114,7 +113,7 @@ def add_noise(u: np.ndarray, sigma_z: float, seed) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if sigma_z == 0:
         return u.copy()
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     return u + sigma_z * gaussian(rng, u.size)
 
 

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionError, EncodingOverflowError, ProtocolError
-from ..seeds import as_rng
 from .params import HeParams
 
 __all__ = ["Ciphertext", "KeyPair", "HeBackend"]
@@ -77,6 +76,8 @@ class HeBackend:
 
     def aggregate(self, kp: KeyPair, per_client_cts: Sequence[list], length: int) -> np.ndarray:
         """Fold each client's chunks in client order, decrypt, and divide by n."""
+        if not per_client_cts:
+            raise ProtocolError("no client ciphertexts to aggregate")
         n_chunks = len(per_client_cts[0])
         if any(len(cts) != n_chunks for cts in per_client_cts):
             raise ProtocolError("clients produced differing ciphertext chunk counts")
@@ -107,7 +108,7 @@ class HeBackend:
                 f"value magnitude {worst:g} exceeds fixed-point headroom "
                 f"{p.max_encodable:g} (modulus_bits={p.modulus_bits}, "
                 f"scale_bits={p.scale_bits}, max_additions={p.max_additions})")
-        rng = as_rng(seed)
+        rng = np.random.default_rng(seed)
         chunks = [x[start: start + p.slot_count] for start in range(0, x.size, p.slot_count)]
         return [self._ciphertext(self._encrypt_chunk(pk.public_key, chunk, rng), chunk.size)
                 for chunk in chunks]

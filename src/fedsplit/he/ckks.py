@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..seeds import as_rng
 from .base import HeBackend, KeyPair
 from .params import HeParams
 from .ring import NegacyclicRing
@@ -33,7 +32,7 @@ class CkksBackend(HeBackend):
 
     def keygen(self, seed) -> KeyPair:
         """Public key (a, b) with b = -a*s + e, secret key s, all in evaluation form."""
-        rng = as_rng(seed)
+        rng = np.random.default_rng(seed)
         ring = self.ring
         s_eval = ring.to_eval(ring.ternary(rng))
         a_eval = ring.to_eval(ring.uniform(rng))

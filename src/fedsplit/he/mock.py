@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..seeds import as_rng
 from .base import HeBackend, KeyPair
 
 __all__ = ["MockBackend"]
@@ -21,7 +20,7 @@ class MockBackend(HeBackend):
     time_basis = "simulated"
 
     def keygen(self, seed) -> KeyPair:
-        rng = as_rng(seed)
+        rng = np.random.default_rng(seed)
         key_id = int(rng.integers(0, 2**63, dtype=np.int64))
         return KeyPair(public_key=key_id, secret_key=key_id,
                        params=self.params, backend=self.name)

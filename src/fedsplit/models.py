@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .seeds import as_rng
 
 __all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_train",
            "evaluate_accuracy"]
@@ -71,7 +70,7 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
 
 def init_params(spec: ModelSpec, seed) -> np.ndarray:
     """Glorot-scaled weights, zero biases, packed flat."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     parts = []
     for shape in spec.layer_shapes():
         if len(shape) == 2:
@@ -155,7 +154,7 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     w = np.asarray(params, dtype=np.float64).copy()
     n = X.shape[0]
     for _ in range(epochs):

@@ -158,7 +158,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time."""
     cfg = state.config
     pipe = cfg.protection.pipeline
-    rng_sample = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
+    rng_sample = np.random.default_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
     cohort = np.sort(rng_sample.choice(
         cfg.rounds.clients_total_N, size=cfg.rounds.clients_sampled_n,
         replace=False)).tolist()

@@ -3,7 +3,9 @@
 All randomness flows from one experiment seed through
 ``numpy.random.SeedSequence`` keyed by (purpose, round, client).  Streams are
 therefore independent of worker count and of which protection mode consumes
-which stream.
+which stream.  Every consumer builds its generator with
+``numpy.random.default_rng``, which takes such a sequence, an int seed, or a
+``Generator`` (returned as is).
 """
 
 from __future__ import annotations
@@ -30,15 +32,3 @@ def seed_sequence(experiment_seed: int, purpose: int, round_index: int = 0,
         spawn_key=(int(purpose), int(round_index), int(client_id)),
     )
 
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int, int tuple, SeedSequence, or Generator; return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    if isinstance(seed, (tuple, list)):
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([int(s) for s in seed]))
-        )
-    return np.random.Generator(np.random.PCG64(int(seed)))

@@ -35,7 +35,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ProtocolError
-from .seeds import as_rng
 from .vectors import PartitionMask
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "target_count",
     "propose_partition",
     "encrypt_indices",
-    "rank_tokens",
     "tally_votes",
     "decode_partition",
     "encode_vote_message",
@@ -96,7 +94,7 @@ class VoteMessage:
 
 
 def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     return VoteKey(key=rng.bytes(16), round_binding=round_binding)
 
 
@@ -123,7 +121,7 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     k = target_count(r, dim)
     strategy = PartitionStrategy(strategy)
     if strategy is PartitionStrategy.RANDOM:
-        chosen = as_rng(seed).choice(dim, size=k, replace=False)
+        chosen = np.random.default_rng(seed).choice(dim, size=k, replace=False)
     else:
         largest_first = -1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0
         chosen = np.argsort(largest_first * np.abs(u), kind="stable")[:k]
@@ -170,24 +168,18 @@ def encrypt_indices(mask: PartitionMask, vk: VoteKey, client_id: int = 0) -> Vot
     return VoteMessage(client_id=client_id, tokens=np.sort(np.array(tokens, dtype=np.uint64)))
 
 
-def rank_tokens(msgs) -> tuple[np.ndarray, np.ndarray]:
-    """Server-side count over one round's tokens (never indices): the distinct
-    tokens and their votes, most votes first, ties to the smaller token."""
-    tokens = np.concatenate([np.empty(0, np.uint64), *(msg.tokens for msg in msgs)])
-    tokens, counts = np.unique(tokens, return_counts=True)
-    order = np.argsort(-counts, kind="stable")
-    return tokens[order], counts[order]
-
-
 def tally_votes(msgs, k: int) -> np.ndarray:
-    """The k top-ranked tokens of ``rank_tokens``, sorted.
+    """Server-side count over one round's tokens (never indices): the k tokens
+    with the most votes, ties to the smaller token, returned sorted.
 
     Fewer than k distinct proposals simply yield fewer tokens (clients pad
     when decoding).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return np.sort(rank_tokens(msgs)[0][:k])
+    tokens = np.concatenate([np.empty(0, np.uint64), *(msg.tokens for msg in msgs)])
+    tokens, counts = np.unique(tokens, return_counts=True)
+    return np.sort(tokens[np.argsort(-counts, kind="stable")[:k]])
 
 
 def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:

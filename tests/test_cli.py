@@ -197,6 +197,20 @@ class TestRun:
         assert "dataset.path" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_columns_differ_from_input_dim(self, tmp_path, capsys):
+        # the parse cannot see a CSV's columns: only the load finds three, not two
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,label\n"
+                        + "".join(f"{i}.0,1.0,2.0,{i % 2}\n" for i in range(20)))
+        conf = tmp_path / "csv.conf"
+        conf.write_text(f"dataset.kind = csv\ndataset.path = {data}\ndataset.input_dim = 2\n"
+                        "dataset.num_classes = 2\nround.clients_total_N = 2\n"
+                        "round.clients_sampled_n = 2\nround.rounds_T = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert "model.input_dim=2 does not match dataset input_dim=3" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["complete"] is False
+
     def test_data_file_gone_after_parse(self, mini_config, tmp_path, monkeypatch, capsys):
         from fedsplit import cli
         from fedsplit.config import DataConfig, ExperimentConfig
@@ -315,31 +329,24 @@ class TestAccountant:
         assert captured.out == ""
 
 
-class TestVoteDemo:
-    def test_single_voter_wins_verbatim(self, capsys):
-        assert main(["vote-demo", "--clients", "1", "--dim", "8",
-                     "--ratio", "0.5", "--seed", "4"]) == 0
-        out = capsys.readouterr().out
-        proposed = out.splitlines()[1].split("indices ")[1].split(" ->")[0]
-        assert f"winning partition: {proposed}" in out
-
-    def test_zero_ratio_empty_partition(self, capsys):
-        assert main(["vote-demo", "--clients", "3", "--dim", "8",
-                     "--ratio", "0", "--seed", "4"]) == 0
-        assert "winning partition: []" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("clients", ["0", "-2"])
-    def test_no_clients_is_invalid(self, clients, capsys):
-        assert main(["vote-demo", "--clients", clients]) == 1
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "x"],
+        ["run", "--config", "x", "--out", "y", "--seed", "abc"],
+        ["vote-demo"],  # an unknown subcommand
+    ], ids=["missing-out", "seed-not-int", "vote-demo"])
+    def test_malformed_command_line_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("invalid parameters: ") and "--clients" in captured.err
-        assert captured.out == ""
+        assert "error: " in captured.err and captured.out == ""
 
-    def test_demo_smoke(self, capsys):
-        assert main(["vote-demo", "--clients", "3", "--dim", "16",
-                     "--ratio", "0.25", "--strategy", "min", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "server tally" in out
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "accountant" in capsys.readouterr().out
 
 
 class TestReportCmd:

@@ -299,6 +299,8 @@ class TestSharedValidation:
         per_client = [backend.encrypt(kp, self.x, 1), backend.encrypt(kp, self.x[:100], 2)]
         with pytest.raises(ProtocolError, match="chunk counts"):
             backend.aggregate(kp, per_client, 100)
+        with pytest.raises(ProtocolError, match="no client"):
+            backend.aggregate(kp, [], 100)
 
 
 # -- mock backend -----------------------------------------------------------------

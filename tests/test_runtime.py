@@ -83,7 +83,7 @@ class TestFedAvgExactness:
         state = runtime_mod._setup(cfg)
         w = state.w.copy()
         for t in range(2):
-            rng = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
+            rng = np.random.default_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
             cohort = np.sort(rng.choice(3, size=3, replace=False)).tolist()
             updates = []
             for c in cohort:
@@ -152,7 +152,7 @@ class TestHePartFidelity:
         w0 = state.w.copy()
         runtime_mod._run_round(state, 0)
 
-        rng = seeds.as_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, 0))
+        rng = np.random.default_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, 0))
         cohort = np.sort(rng.choice(4, size=4, replace=False)).tolist()
         updates = {c: local_train(cfg.model, w0, state.client_sets[c].features,
                                   state.client_sets[c].labels, 1, 0.1, 32,
@@ -316,10 +316,15 @@ class TestMinimalAndErrors:
         assert excinfo.value.report.complete is False
 
     def test_dataset_model_mismatch(self):
-        cfg = small_config(model=ModelSpec(kind="mlp", input_dim=9, num_classes=3,
-                                           hidden_dims=(12,)))
-        with pytest.raises(RunAborted):
-            run_experiment(cfg)
+        # rejected at construction; a CSV's column count is checked at setup
+        with pytest.raises(ValueError, match="model.input_dim=9 does not match "
+                                             "dataset.input_dim=8"):
+            small_config(model=ModelSpec(kind="mlp", input_dim=9, num_classes=3,
+                                         hidden_dims=(12,)))
+        with pytest.raises(ValueError, match="model.num_classes=4 does not match "
+                                             "dataset.num_classes=3"):
+            small_config(model=ModelSpec(kind="mlp", input_dim=8, num_classes=4,
+                                         hidden_dims=(12,)))
 
     def test_sigma_note_recorded(self):
         rep = run_experiment(small_config())

@@ -1,16 +1,20 @@
-"""Golden vote outputs: wire bytes, tie-heavy tallies and ``vote-demo`` text.
+"""Golden vote outputs: wire bytes, tie-heavy tallies and the demo walkthrough.
 
 Values were recorded before the vote tokens changed representation; they pin
-the bytes a client sends, the winning tokens the server picks when many
-counts tie, and the walkthrough that ``fedsplit vote-demo`` prints.
+the bytes a client sends and the winning tokens the server picks when many
+counts tie.  The stdout of ``demos/03_partition_voting.py`` pins int-seeded
+vote keys, proposals, the tally and the decode end to end.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsplit.cli import main
 from fedsplit.vectors import PartitionMask
 from fedsplit.voting import (VoteMessage, encode_vote_message, encrypt_indices,
                              new_vote_key, tally_votes)
@@ -67,51 +71,31 @@ def test_tie_heavy_tally(k):
     assert [body[i:i + 16] for i in range(0, len(body), 16)] == TIED_WINNERS[k]
 
 
-VOTE_DEMO_MAX = """\
-clients=4 dim=12 r=0.25 strategy=max -> k=3
-client 0 proposes indices [0, 1, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', 'fb6ac3f665b510d3']
-client 1 proposes indices [2, 7, 11] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'd007fbc223ee97a3']
-client 2 proposes indices [1, 2, 7] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'fb6ac3f665b510d3']
-client 3 proposes indices [0, 3, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', '57086abdb607e3db']
-server tally (token: count):
-  11ce9519e4d85410: 2 *
-  3cff0abdb76ea42a: 2 *
-  45b6c3ca808b43f0: 2 *
-  c14dc045ecdacce8: 2
-  fb6ac3f665b510d3: 2
-  57086abdb607e3db: 1
-  d007fbc223ee97a3: 1
-winning partition: [0, 7, 9]
-"""
+DEMO_03 = """\
+--- three clients, five coordinates, k=2 ---
+client 0 proposes [1, 4] -> ['040e2fff1576f8ff', 'c2e35d724c66aee4']
+client 1 proposes [1, 2] -> ['040e2fff1576f8ff', 'ad138373dcabcd63']
+client 2 proposes [1, 4] -> ['040e2fff1576f8ff', 'c2e35d724c66aee4']
+server picks the 2 most frequent tokens; clients decode: [1, 4]  (index 1 had 3 votes, index 4 had 2)
 
-VOTE_DEMO_RANDOM = """\
-clients=5 dim=10 r=0.3 strategy=random -> k=3
-client 0 proposes indices [6, 7, 9] -> tokens ['171fd101bd9b798d', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
-client 1 proposes indices [2, 6, 7] -> tokens ['66584c3a4c80f002', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
-client 2 proposes indices [3, 5, 8] -> tokens ['49a1ada8dd1aebd6', 'cb3ad07a1df19552', 'e2bd8973be55fbde']
-client 3 proposes indices [1, 3, 8] -> tokens ['1cc2059d98c7dcff', '49a1ada8dd1aebd6', 'cb3ad07a1df19552']
-client 4 proposes indices [0, 4, 7] -> tokens ['48606e5187fed1f7', 'b187d5b9d9de24e3', 'b67fc0bf51270e43']
-server tally (token: count):
-  b67fc0bf51270e43: 3 *
-  49a1ada8dd1aebd6: 2 *
-  9973b4a3097a3a2e: 2 *
-  cb3ad07a1df19552: 2
-  171fd101bd9b798d: 1
-  1cc2059d98c7dcff: 1
-  48606e5187fed1f7: 1
-  66584c3a4c80f002: 1
-  b187d5b9d9de24e3: 1
-  e2bd8973be55fbde: 1
-winning partition: [3, 6, 7]
+--- a seeded round over 32 coordinates, r = 25% ---
+client 0 proposes [0, 1, 8, 9, 13, 21, 29, 30]
+client 1 proposes [3, 4, 8, 11, 15, 24, 25, 30]
+client 2 proposes [0, 5, 14, 18, 20, 25, 28, 30]
+client 3 proposes [1, 3, 5, 8, 12, 14, 19, 31]
+client 4 proposes [4, 5, 9, 11, 19, 24, 28, 29]
+client 5 proposes [5, 10, 12, 21, 24, 25, 26, 29]
+consensus mask (k=8): [0, 5, 8, 12, 24, 25, 29, 30]
+every client decodes the same mask from the same tokens; token != index, so the server learned only vote counts
 """
 
 
-@pytest.mark.parametrize("argv,expected", [
-    (["--clients", "4", "--dim", "12", "--ratio", "0.25", "--strategy", "max",
-      "--seed", "3"], VOTE_DEMO_MAX),
-    (["--clients", "5", "--dim", "10", "--ratio", "0.3", "--strategy", "random",
-      "--seed", "1"], VOTE_DEMO_RANDOM),
-], ids=["max", "random"])
-def test_vote_demo_stdout(argv, expected, capsys):
-    assert main(["vote-demo", *argv]) == 0
-    assert capsys.readouterr().out == expected
+def test_demo_03_stdout():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(root / "demos" / "03_partition_voting.py")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == DEMO_03

@@ -13,7 +13,7 @@ from fedsplit.errors import ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
-                             rank_tokens, tally_votes, target_count, VoteKey, VoteMessage,
+                             tally_votes, target_count, VoteKey, VoteMessage,
                              _prp_decrypt, _prp_encrypt)
 from fedsplit.vectors import PartitionMask
 
@@ -222,20 +222,17 @@ class TestTally:
         with pytest.raises(ValueError):
             tally_votes([], -1)
 
-    def test_rank_tokens_most_votes_first_ties_to_smaller_token(self):
+    def test_most_votes_first_ties_to_smaller_token(self):
         msgs = [VoteMessage(0, np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
                 VoteMessage(1, np.array([3, 9], dtype=np.uint64)),
                 VoteMessage(2, np.array([3, 7, 2**64 - 1], dtype=np.uint64))]
-        tokens, counts = rank_tokens(msgs)
-        assert tokens.dtype == np.uint64
-        assert tokens.tolist() == [3, 9, 2**64 - 1, 5, 7]
-        assert counts.tolist() == [2, 2, 2, 1, 1]
-        assert tally_votes(msgs, 4).tolist() == [3, 5, 9, 2**64 - 1]
-
-    def test_rank_tokens_of_no_messages(self):
-        tokens, counts = rank_tokens([])
-        assert tokens.dtype == np.uint64 and tokens.size == 0 and counts.size == 0
-        assert tally_votes([], 3).size == 0
+        # two votes each for 3, 9 and 2**64 - 1, then one each for 5 and 7;
+        # no messages yield no tokens
+        for given, ranked in ((msgs, [3, 9, 2**64 - 1, 5, 7]), ([], [])):
+            for k in range(len(ranked) + 2):
+                winners = tally_votes(given, k)
+                assert winners.dtype == np.uint64
+                assert winners.tolist() == sorted(ranked[:k])
 
 
 class TestDecodePartition:
