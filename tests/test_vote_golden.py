@@ -2,8 +2,10 @@
 
 Values were recorded before the vote tokens changed representation; they pin
 the bytes a client sends and the winning tokens the server picks when many
-counts tie.  The stdout of ``demos/03_partition_voting.py`` pins int-seeded
-vote keys, proposals, the tally and the decode end to end.
+counts tie, and two seeded walkthroughs of one voting round (max and random
+proposals) printed token by token.  The stdout of
+``demos/03_partition_voting.py`` pins int-seeded vote keys, proposals, the
+tally and the decode end to end.
 """
 
 import hashlib
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 from fedsplit.vectors import PartitionMask
-from fedsplit.voting import (VoteMessage, encode_vote_message, encrypt_indices,
-                             new_vote_key, tally_votes)
+from fedsplit.voting import (PartitionStrategy, VoteMessage, decode_partition,
+                             encode_vote_message, encrypt_indices, new_vote_key,
+                             propose_partition, tally_votes, target_count)
 
 VK = new_vote_key(41, round_binding=6)
 
@@ -69,6 +72,79 @@ def test_tie_heavy_tally(k):
     # the wire encoding spells the winners as big-endian hex, token by token
     body = encode_vote_message(VoteMessage(client_id=0, tokens=tally_votes(msgs, k))).hex()[16:]
     assert [body[i:i + 16] for i in range(0, len(body), 16)] == TIED_WINNERS[k]
+
+
+VOTE_DEMO_MAX = """\
+clients=4 dim=12 r=0.25 strategy=max -> k=3
+client 0 proposes indices [0, 1, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', 'fb6ac3f665b510d3']
+client 1 proposes indices [2, 7, 11] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'd007fbc223ee97a3']
+client 2 proposes indices [1, 2, 7] -> tokens ['45b6c3ca808b43f0', 'c14dc045ecdacce8', 'fb6ac3f665b510d3']
+client 3 proposes indices [0, 3, 9] -> tokens ['11ce9519e4d85410', '3cff0abdb76ea42a', '57086abdb607e3db']
+server tally (token: count):
+  11ce9519e4d85410: 2 *
+  3cff0abdb76ea42a: 2 *
+  45b6c3ca808b43f0: 2 *
+  c14dc045ecdacce8: 2
+  fb6ac3f665b510d3: 2
+  57086abdb607e3db: 1
+  d007fbc223ee97a3: 1
+winning partition: [0, 7, 9]
+"""
+
+VOTE_DEMO_RANDOM = """\
+clients=5 dim=10 r=0.3 strategy=random -> k=3
+client 0 proposes indices [6, 7, 9] -> tokens ['171fd101bd9b798d', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
+client 1 proposes indices [2, 6, 7] -> tokens ['66584c3a4c80f002', '9973b4a3097a3a2e', 'b67fc0bf51270e43']
+client 2 proposes indices [3, 5, 8] -> tokens ['49a1ada8dd1aebd6', 'cb3ad07a1df19552', 'e2bd8973be55fbde']
+client 3 proposes indices [1, 3, 8] -> tokens ['1cc2059d98c7dcff', '49a1ada8dd1aebd6', 'cb3ad07a1df19552']
+client 4 proposes indices [0, 4, 7] -> tokens ['48606e5187fed1f7', 'b187d5b9d9de24e3', 'b67fc0bf51270e43']
+server tally (token: count):
+  b67fc0bf51270e43: 3 *
+  49a1ada8dd1aebd6: 2 *
+  9973b4a3097a3a2e: 2 *
+  cb3ad07a1df19552: 2
+  171fd101bd9b798d: 1
+  1cc2059d98c7dcff: 1
+  48606e5187fed1f7: 1
+  66584c3a4c80f002: 1
+  b187d5b9d9de24e3: 1
+  e2bd8973be55fbde: 1
+winning partition: [3, 6, 7]
+"""
+
+
+def _print_vote_round(clients, dim, ratio, strategy, seed):
+    """One voting round traced token by token: each client's seeded proposal,
+    every token's votes (most first, ties to the smaller token; the winners
+    ``tally_votes`` picks are starred), and the decoded partition."""
+    vote_key = new_vote_key(seed, round_binding=0)
+    k = target_count(ratio, dim)
+    print(f"clients={clients} dim={dim} r={ratio} strategy={strategy.value} -> k={k}")
+    messages = []
+    for client in range(clients):
+        update = np.random.default_rng((seed, client)).normal(0.0, 1.0, dim)
+        mask = propose_partition(update, ratio, strategy, seed=(seed, client, 1))
+        msg = encrypt_indices(mask, vote_key, client_id=client)
+        messages.append(msg)
+        print(f"client {client} proposes indices {mask.he_indices.tolist()} "
+              f"-> tokens {[f'{t:016x}' for t in msg.tokens.tolist()]}")
+    winners = tally_votes(messages, k)
+    tokens, counts = np.unique(np.concatenate([m.tokens for m in messages]),
+                               return_counts=True)
+    print("server tally (token: count):")
+    for count, token in sorted(zip((-counts).tolist(), tokens.tolist())):
+        print(f"  {token:016x}: {-count}{' *' if token in winners.tolist() else ''}")
+    mask = decode_partition(winners, vote_key, dim, k)
+    print(f"winning partition: {mask.he_indices.tolist()}")
+
+
+@pytest.mark.parametrize("clients,dim,ratio,strategy,seed,expected", [
+    (4, 12, 0.25, PartitionStrategy.MAX_NORM, 3, VOTE_DEMO_MAX),
+    (5, 10, 0.3, PartitionStrategy.RANDOM, 1, VOTE_DEMO_RANDOM),
+], ids=["max", "random"])
+def test_vote_demo_stdout(clients, dim, ratio, strategy, seed, expected, capsys):
+    _print_vote_round(clients, dim, ratio, strategy, seed)
+    assert capsys.readouterr().out == expected
 
 
 DEMO_03 = """\

@@ -222,17 +222,22 @@ class TestTally:
         with pytest.raises(ValueError):
             tally_votes([], -1)
 
-    def test_most_votes_first_ties_to_smaller_token(self):
+    def test_rank_tokens_most_votes_first_ties_to_smaller_token(self):
         msgs = [VoteMessage(0, np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
                 VoteMessage(1, np.array([3, 9], dtype=np.uint64)),
                 VoteMessage(2, np.array([3, 7, 2**64 - 1], dtype=np.uint64))]
         # two votes each for 3, 9 and 2**64 - 1, then one each for 5 and 7;
-        # no messages yield no tokens
-        for given, ranked in ((msgs, [3, 9, 2**64 - 1, 5, 7]), ([], [])):
-            for k in range(len(ranked) + 2):
-                winners = tally_votes(given, k)
-                assert winners.dtype == np.uint64
-                assert winners.tolist() == sorted(ranked[:k])
+        # tally_votes keeps the first k of that ranking, sorted
+        ranked = [3, 9, 2**64 - 1, 5, 7]
+        for k in range(len(ranked) + 2):
+            winners = tally_votes(msgs, k)
+            assert winners.dtype == np.uint64
+            assert winners.tolist() == sorted(ranked[:k])
+
+    def test_rank_tokens_of_no_messages(self):
+        for k in (0, 3):
+            winners = tally_votes([], k)
+            assert winners.dtype == np.uint64 and winners.size == 0
 
 
 class TestDecodePartition:
