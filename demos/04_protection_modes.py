@@ -23,8 +23,7 @@ from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
 from fedsplit.runtime import run_experiment
 
 base = ExperimentConfig(
-    data=DataConfig(num_samples=600, input_dim=48, num_classes=4,
-                    separation=2.0, test_fraction=0.2),
+    data=DataConfig(num_samples=600, separation=2.0, test_fraction=0.2),
     model=ModelSpec(kind="mlp", input_dim=48, num_classes=4, hidden_dims=(64,)),
     rounds=RoundConfig(clients_total_N=10, clients_sampled_n=10,
                        local_epochs_K=3, learning_rate_eta=0.2,

@@ -5,7 +5,8 @@ File format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  The flat shape keeps sweep overrides diff-friendly: a sweep
 mutates exactly one key.  Unknown keys, unparsable values and configs that
 cannot run are rejected with the offending key named.  Every key is declared
-once, in ``_KEYS``, which drives the parse, ``KNOWN_KEYS`` and the echo.
+once, in ``_KEYS``, which drives the parse, ``KNOWN_KEYS`` and the echo; the
+keys ``dataset.input_dim`` and ``dataset.num_classes`` set the model's shape.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ PROTECTION_KINDS = tuple(_PIPELINES)
 
 @dataclass(frozen=True)
 class DataConfig:
+    """Where the rows come from and how they split; ``ModelSpec`` holds their shape."""
+
     kind: str = "synthetic"
     num_samples: int = 600
-    input_dim: int = 10
-    num_classes: int = 3
     separation: float = 2.0
     path: str = ""
     partition: str = "iid"
@@ -83,13 +84,9 @@ class DataConfig:
         if self.partition == "dirichlet" and not 0.0 < self.dirichlet_alpha < math.inf:
             raise ValueError(f"dirichlet_alpha must be positive and finite under the "
                              f"dirichlet partition, got {self.dirichlet_alpha}")
-        if self.kind == "synthetic":
-            if self.num_samples < self.num_classes:
-                raise ValueError(f"num_samples must be at least num_classes "
-                                 f"({self.num_classes}), got {self.num_samples}")
-            if held_out_rows(self.num_samples, self.test_fraction) < 1:
-                raise ValueError(f"test_fraction {self.test_fraction} of num_samples "
-                                 f"{self.num_samples} leaves no test row")
+        if self.kind == "synthetic" and held_out_rows(self.num_samples, self.test_fraction) < 1:
+            raise ValueError(f"test_fraction {self.test_fraction} of num_samples "
+                             f"{self.num_samples} leaves no test row")
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,11 @@ class ExperimentConfig:
                 raise ValueError("he.per_op_seconds and he.per_slot_seconds let a run write "
                                  "a simulated total or efficiency ratio that is not finite")
         d = self.data
-        for attr in ("input_dim", "num_classes"):
-            if getattr(self.model, attr) != getattr(d, attr):
-                raise ValueError(f"model.{attr}={getattr(self.model, attr)} does not match "
-                                 f"dataset.{attr}={getattr(d, attr)}")
         train_rows = d.num_samples - held_out_rows(d.num_samples, d.test_fraction)
         n_total = self.rounds.clients_total_N
+        if d.kind == "synthetic" and d.num_samples < self.model.num_classes:
+            raise ValueError(f"dataset.num_samples={d.num_samples} is below "
+                             f"dataset.num_classes={self.model.num_classes}")
         if d.kind == "synthetic" and train_rows < n_total:
             raise ValueError(f"dataset.num_samples={d.num_samples} leaves {train_rows} "
                              f"training rows after dataset.test_fraction={d.test_fraction}, "
@@ -282,8 +278,8 @@ _EXECUTION = (int, None)
 _KEYS = {
     "dataset.kind": ("data.kind", _STR),
     "dataset.num_samples": ("data.num_samples", _INT),
-    "dataset.input_dim": ("data.input_dim", _INT),
-    "dataset.num_classes": ("data.num_classes", _INT),
+    "dataset.input_dim": ("model.input_dim", _INT),
+    "dataset.num_classes": ("model.num_classes", _INT),
     "dataset.separation": ("data.separation", _FLOAT),
     "dataset.path": ("data.path", _PATH),
     "dataset.partition": ("data.partition", _STR),
@@ -320,8 +316,8 @@ _KEYS = {
 
 KNOWN_KEYS = tuple(sorted(_KEYS))
 
-# Nested ExperimentConfig attribute -> its flat section, named in errors.
-# Table order puts the dataset before the model whose shape it sets.
+# Nested ExperimentConfig attribute -> its flat section, named in errors.  The
+# model's shape keys are spelled dataset.*; its own keys, later, name its section.
 _SECTIONS = {path.split(".")[0]: key.split(".")[0]
              for key, (path, _codec) in _KEYS.items() if "." in path}
 
@@ -372,12 +368,8 @@ def config_from_flat(flat: dict) -> ExperimentConfig:
     default = ExperimentConfig()
     top = values.get("", {})
     for attr, section in _SECTIONS.items():
-        kwargs = values.get(attr, {})
-        if attr == "model":  # the model's shape follows the dataset's
-            kwargs.update(input_dim=top["data"].input_dim,
-                          num_classes=top["data"].num_classes)
         try:
-            top[attr] = replace(getattr(default, attr), **kwargs)
+            top[attr] = replace(getattr(default, attr), **values.get(attr, {}))
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"config section {section!r}: {exc}") from None
     try:

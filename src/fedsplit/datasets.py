@@ -45,10 +45,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.features.shape[1]
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(features=self.features[idx], labels=self.labels[idx],
@@ -75,11 +71,12 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def load_csv_dataset(path: str, num_classes: int) -> Dataset:
-    """Parse a CSV with numeric feature columns and an integer ``label`` column.
+def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
+    """Parse a CSV with ``input_dim`` numeric feature columns and an integer
+    ``label`` column in [0, ``num_classes``).
 
-    Malformed rows, non-finite features and out-of-range labels raise
-    ValueError naming the file and line.
+    A header of the wrong width, malformed rows, non-finite features and
+    out-of-range labels raise ValueError naming the file (and a row's line).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -92,6 +89,9 @@ def load_csv_dataset(path: str, num_classes: int) -> Dataset:
             raise ValueError(f"{path}: header must contain a 'label' column")
         label_col = header.index("label")
         feature_cols = [i for i in range(len(header)) if i != label_col]
+        if len(feature_cols) != input_dim:
+            raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
+                             f"but dataset.input_dim is {input_dim}")
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:

@@ -72,19 +72,15 @@ class _State:
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
-    d = cfg.data
+    d, m = cfg.data, cfg.model
     if d.kind == "synthetic":
-        return synthetic_dataset(d.num_samples, d.input_dim, d.num_classes,
+        return synthetic_dataset(d.num_samples, m.input_dim, m.num_classes,
                                  d.separation, seeds.seed_sequence(cfg.seed, seeds.DATA))
-    return load_csv_dataset(d.path, d.num_classes)
+    return load_csv_dataset(d.path, m.input_dim, m.num_classes)
 
 
 def _setup(cfg: ExperimentConfig) -> _State:
     full = _build_dataset(cfg)
-    for attr in ("input_dim", "num_classes"):
-        if getattr(full, attr) != getattr(cfg.model, attr):
-            raise ValueError(f"model.{attr}={getattr(cfg.model, attr)} does not match "
-                             f"dataset {attr}={getattr(full, attr)}")
     train, test = train_test_split(full, cfg.data.test_fraction,
                                    seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
     if len(test) == 0:

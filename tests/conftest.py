@@ -19,8 +19,7 @@ def acceptance_config(seed: int, **overrides) -> ExperimentConfig:
     mock backend. Strategy/schedule are overridable per criterion.
     """
     base = dict(
-        data=DataConfig(num_samples=600, input_dim=48, num_classes=4,
-                        separation=2.0, test_fraction=0.2),
+        data=DataConfig(num_samples=600, separation=2.0, test_fraction=0.2),
         model=ModelSpec(kind="mlp", input_dim=48, num_classes=4,
                         hidden_dims=(64,)),
         rounds=RoundConfig(clients_total_N=10, clients_sampled_n=10,

@@ -58,6 +58,9 @@ NEVER_RUNS = {
     "no_test_row": (["dataset.test_fraction=0.0001"], ["'dataset'", "test_fraction"]),
     "fewer_train_rows_than_clients": (["dataset.num_samples=3", "round.clients_total_N=5"],
                                       ["dataset.num_samples", "round.clients_total_N"]),
+    "fewer_samples_than_classes": (["dataset.num_samples=5", "dataset.num_classes=8",
+                                    "round.clients_total_N=1", "round.clients_sampled_n=1"],
+                                   ["dataset.num_samples=5", "dataset.num_classes=8"]),
     # Escaped from the parse as an uncaught OverflowError.
     "num_samples_beyond_any_float": ([f"dataset.num_samples={10 ** 400}"], ["'dataset'"]),
     # A simulated cost model whose totals or ratio overflow: the first failed
@@ -208,7 +211,8 @@ class TestRun:
                         "round.clients_sampled_n = 2\nround.rounds_T = 1\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
-        assert "model.input_dim=2 does not match dataset input_dim=3" in capsys.readouterr().err
+        assert "data.csv: header has 3 feature columns, but dataset.input_dim is 2" \
+            in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["complete"] is False
 
     def test_data_file_gone_after_parse(self, mini_config, tmp_path, monkeypatch, capsys):

@@ -34,7 +34,7 @@ class TestCsv:
     def test_parse(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("f0,f1,label\n1.0,2.0,0\n3.5,-1.0,1\n0.0,0.0,2\n")
-        ds = load_csv_dataset(str(p), num_classes=3)
+        ds = load_csv_dataset(str(p), input_dim=2, num_classes=3)
         assert len(ds) == 3
         assert ds.features.shape == (3, 2)
         assert ds.labels.tolist() == [0, 1, 2]
@@ -43,32 +43,41 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("f0,f1,label\n1.0,2.0,9\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_csv_dataset(str(p), num_classes=4)
+            load_csv_dataset(str(p), input_dim=2, num_classes=4)
 
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("f0,f1,label\n1.0,2.0,0\n1.0,oops,1\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_csv_dataset(str(p), num_classes=2)
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
     def test_wrong_field_count_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("f0,f1,label\n1.0,0\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_csv_dataset(str(p), num_classes=2)
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_feature_names_line(self, tmp_path, value):
         p = tmp_path / "bad.csv"
         p.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
         with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
-            load_csv_dataset(str(p), num_classes=2)
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
+    @pytest.mark.parametrize("header", ["f0,label", "f0,f1,f2,label", "label,f0,f1,f2"])
+    def test_header_width_differs_from_input_dim(self, tmp_path, header):
+        p = tmp_path / "wide.csv"
+        p.write_text(f"{header}\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+        width = len(header.split(",")) - 1
+        with pytest.raises(ValueError, match=rf"wide\.csv: header has {width} feature "
+                                             rf"columns, but dataset\.input_dim is 2"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="label"):
-            load_csv_dataset(str(p), num_classes=2)
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
 
 class TestSplits:

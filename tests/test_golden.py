@@ -20,8 +20,7 @@ from fedsplit.runtime import run_experiment
 
 def golden_config(kind: str, strategy: str = "max", **overrides) -> ExperimentConfig:
     base = dict(
-        data=DataConfig(num_samples=300, input_dim=8, num_classes=3,
-                        separation=2.0, test_fraction=0.2),
+        data=DataConfig(num_samples=300, separation=2.0, test_fraction=0.2),
         model=ModelSpec(kind="mlp", input_dim=8, num_classes=3, hidden_dims=(12,)),
         rounds=RoundConfig(clients_total_N=4, clients_sampled_n=3,
                            local_epochs_K=1, learning_rate_eta=0.1,

@@ -16,8 +16,7 @@ from fedsplit.voting import target_count
 
 def small_config(**overrides):
     base = dict(
-        data=DataConfig(num_samples=400, input_dim=8, num_classes=3,
-                        separation=2.5, test_fraction=0.2),
+        data=DataConfig(num_samples=400, separation=2.5, test_fraction=0.2),
         model=ModelSpec(kind="mlp", input_dim=8, num_classes=3, hidden_dims=(12,)),
         rounds=RoundConfig(clients_total_N=5, clients_sampled_n=4,
                            local_epochs_K=2, learning_rate_eta=0.1,
@@ -309,22 +308,10 @@ class TestMinimalAndErrors:
 
     def test_data_file_gone_after_parse_aborts_with_partial_report(self, tmp_path):
         # DataConfig does not check that the file exists; only the parse does
-        cfg = small_config(data=DataConfig(kind="csv", path=str(tmp_path / "gone.csv"),
-                                           input_dim=8, num_classes=3))
+        cfg = small_config(data=DataConfig(kind="csv", path=str(tmp_path / "gone.csv")))
         with pytest.raises(RunAborted) as excinfo:
             run_experiment(cfg)
         assert excinfo.value.report.complete is False
-
-    def test_dataset_model_mismatch(self):
-        # rejected at construction; a CSV's column count is checked at setup
-        with pytest.raises(ValueError, match="model.input_dim=9 does not match "
-                                             "dataset.input_dim=8"):
-            small_config(model=ModelSpec(kind="mlp", input_dim=9, num_classes=3,
-                                         hidden_dims=(12,)))
-        with pytest.raises(ValueError, match="model.num_classes=4 does not match "
-                                             "dataset.num_classes=3"):
-            small_config(model=ModelSpec(kind="mlp", input_dim=8, num_classes=4,
-                                         hidden_dims=(12,)))
 
     def test_sigma_note_recorded(self):
         rep = run_experiment(small_config())
