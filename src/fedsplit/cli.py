@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import (KNOWN_KEYS, apply_overrides, config_from_flat, load_config,
-                     parse_kv_text)
+                     read_flat_config)
 from .dp import PrivacyBudget, sensitivity, sigma_from_budget
 from .errors import ConfigError, FedSplitError
 from .metrics import emit_report, parse_report_json, read_rounds_csv
@@ -73,15 +73,9 @@ def cmd_sweep(args) -> int:
     if not values:
         print("sweep error: no values given", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        with open(args.config) as fh:
-            base_flat = parse_kv_text(fh.read(), source=args.config)
-        base_flat = apply_overrides(base_flat, _collect_overrides(args))
-        if args.param not in KNOWN_KEYS:
-            raise ConfigError(f"unknown sweep key {args.param!r}")
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base_flat = read_flat_config(args.config, _collect_overrides(args))  # ConfigError: exit 1
+    if args.param not in KNOWN_KEYS:
+        raise ConfigError(f"unknown sweep key {args.param!r}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,13 @@
 """The experiment config: its sections, defaults and parse-time checks, and
 the flat dotted-key files that spell it.
 
-File format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  The flat shape keeps sweep overrides diff-friendly: a sweep
-mutates exactly one key.  Unknown keys, unparsable values and configs that
-cannot run are rejected with the offending key named.  Every key is declared
-once, in ``_KEYS``, which drives the parse, ``KNOWN_KEYS`` and the echo; the
-keys ``dataset.input_dim`` and ``dataset.num_classes`` set the model's shape.
+File format: UTF-8, one ``key = value`` pair per line and each key at most
+once, ``#`` comments, blank lines ignored.  The flat shape keeps sweep
+overrides diff-friendly: a sweep mutates exactly one key.  Unknown keys,
+unparsable values and configs that cannot run are rejected with the
+offending key named.  Every key is declared once, in ``_KEYS``, which drives
+the parse, ``KNOWN_KEYS`` and the echo; the keys ``dataset.input_dim`` and
+``dataset.num_classes`` set the model's shape.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .voting import PartitionStrategy
 
 __all__ = ["DataConfig", "RoundConfig", "RatioSchedule", "ProtectionMode",
            "ExperimentConfig", "PROTECTION_KINDS", "parse_kv_text",
-           "apply_overrides", "config_from_flat", "config_to_flat", "load_config",
-           "KNOWN_KEYS"]
+           "apply_overrides", "config_from_flat", "config_to_flat", "read_flat_config",
+           "load_config", "KNOWN_KEYS"]
 
 
 @dataclass(frozen=True)
@@ -323,8 +324,8 @@ _SECTIONS = {path.split(".")[0]: key.split(".")[0]
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
-    """Parse flat key = value lines into a raw string map."""
-    flat = {}
+    """Parse flat key = value lines into a raw string map; a key may appear once."""
+    flat, first_line = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,6 +337,10 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"{source}: line {line_no}: empty key")
+        if key in first_line:
+            raise ConfigError(f"{source}: line {line_no}: key {key!r} repeats "
+                              f"line {first_line[key]}")
+        first_line[key] = line_no
         flat[key] = value.strip()
     return flat
 
@@ -384,11 +389,15 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
             for key, (path, (_parse, fmt)) in _KEYS.items() if fmt}
 
 
-def load_config(path: str, overrides=None) -> ExperimentConfig:
+def read_flat_config(path: str, overrides=None) -> dict:
+    """The UTF-8 config file's raw string map, with ``overrides`` on top."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    flat = apply_overrides(parse_kv_text(text, source=path), overrides)
-    return config_from_flat(flat)
+    return apply_overrides(parse_kv_text(text, source=path), overrides)
+
+
+def load_config(path: str, overrides=None) -> ExperimentConfig:
+    return config_from_flat(read_flat_config(path, overrides))

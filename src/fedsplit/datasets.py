@@ -72,49 +72,54 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
 
 
 def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
-    """Parse a CSV with ``input_dim`` numeric feature columns and an integer
-    ``label`` column in [0, ``num_classes``).
+    """Parse a UTF-8 CSV with ``input_dim`` numeric feature columns and an
+    integer ``label`` column in [0, ``num_classes``).
 
-    A header of the wrong width, malformed rows, non-finite features and
-    out-of-range labels raise ValueError naming the file (and a row's line).
+    Bytes that are not UTF-8, a header of the wrong width, malformed rows,
+    non-finite features and out-of-range labels raise ValueError naming the
+    file (and a row's line).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if "label" not in header:
+        raise ValueError(f"{path}: header must contain a 'label' column")
+    label_col = header.index("label")
+    feature_cols = [i for i in range(len(header)) if i != label_col]
+    if len(feature_cols) != input_dim:
+        raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
+                         f"but dataset.input_dim is {input_dim}")
+    rows, labels = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line_no}: expected {len(header)} fields, "
+                f"got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise ValueError(f"{path}: header must contain a 'label' column")
-        label_col = header.index("label")
-        feature_cols = [i for i in range(len(header)) if i != label_col]
-        if len(feature_cols) != input_dim:
-            raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
-                             f"but dataset.input_dim is {input_dim}")
-        rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                feats = [float(row[i]) for i in feature_cols]
-                label = int(row[label_col])
-                if not all(map(math.isfinite, feats)):
-                    raise ValueError("non-finite feature value")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            if not 0 <= label < num_classes:
-                raise ValueError(
-                    f"{path}: line {line_no}: label {label} outside "
-                    f"[0, {num_classes})"
-                )
-            rows.append(feats)
-            labels.append(label)
+            feats = [float(row[i]) for i in feature_cols]
+            label = int(row[label_col])
+            if not all(map(math.isfinite, feats)):
+                raise ValueError("non-finite feature value")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        if not 0 <= label < num_classes:
+            raise ValueError(
+                f"{path}: line {line_no}: label {label} outside "
+                f"[0, {num_classes})"
+            )
+        rows.append(feats)
+        labels.append(label)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset(features=np.array(rows, dtype=np.float64),

@@ -297,6 +297,32 @@ class TestSweep:
         assert "dp.thetaa" in capsys.readouterr().err
 
 
+# Config files that cannot be read or parsed, each with the words its error names.
+BAD_CONFIG_FILES = {
+    "missing": (None, ["cannot read config", "No such file"]),
+    "not_utf8": (b"seed = 1\n# caf\xe9\n", ["cannot read config", "byte 0xe9"]),
+    "repeated_key": (b"seed = 1\nround.rounds_T = 2\nseed = 2\n",
+                     ["line 3: key 'seed' repeats line 1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_run_and_sweep_reject_a_config_file_alike(case, tmp_path, capsys):
+    data, named = BAD_CONFIG_FILES[case]
+    conf = tmp_path / "exp.conf"
+    if data is not None:
+        conf.write_bytes(data)
+    errs = []
+    for argv in (["run"], ["sweep", "--param", "dp.theta", "--values", "1,2"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", str(conf), "--out", str(out)]) == 1
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("config error: ")
+    assert all(word in errs[0] for word in named), errs[0]
+
+
 class TestAccountant:
     def test_reference_value(self, capsys):
         assert main(["accountant", "--epsilon", "1", "--delta", "1e-5",

@@ -73,6 +73,12 @@ class TestCsv:
                                              rf"columns, but dataset\.input_dim is 2"):
             load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"f0,f1,label\n1.0,2.0,0\n1.0,2.0,1 # caf\xe9\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv: .*0xe9"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n")
