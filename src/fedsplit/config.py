@@ -2,7 +2,8 @@
 the flat dotted-key files that spell it.
 
 File format: UTF-8, one ``key = value`` pair per line and each key at most
-once, ``#`` comments, blank lines ignored.  The flat shape keeps sweep
+once, blank lines ignored.  A ``#`` at the start of a line or after
+whitespace starts a comment; elsewhere it is part of the value.  The flat shape keeps sweep
 overrides diff-friendly: a sweep mutates exactly one key.  Unknown keys,
 unparsable values and configs that cannot run are rejected with the
 offending key named.  Every key is declared once, in ``_KEYS``, which drives
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -248,6 +250,13 @@ def _parse_hidden_dims(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
+def _parse_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_path(text: str) -> str:
     if text and not os.path.isfile(text):
         raise ValueError(f"no such file {text!r}")
@@ -266,6 +275,7 @@ def _choice(*allowed: str):
 # A codec without a formatter keeps its key out of the echo.
 _STR = (str, str)
 _INT = (int, str)
+_SIZE = (_parse_size, str)
 _FLOAT = (float, repr)
 _BOOL = (_parse_bool, lambda flag: str(flag).lower())
 _DIMS = (_parse_hidden_dims, lambda dims: ",".join(str(h) for h in dims))
@@ -279,8 +289,8 @@ _EXECUTION = (int, None)
 _KEYS = {
     "dataset.kind": ("data.kind", _STR),
     "dataset.num_samples": ("data.num_samples", _INT),
-    "dataset.input_dim": ("model.input_dim", _INT),
-    "dataset.num_classes": ("model.num_classes", _INT),
+    "dataset.input_dim": ("model.input_dim", _SIZE),
+    "dataset.num_classes": ("model.num_classes", _SIZE),
     "dataset.separation": ("data.separation", _FLOAT),
     "dataset.path": ("data.path", _PATH),
     "dataset.partition": ("data.partition", _STR),
@@ -323,11 +333,16 @@ _SECTIONS = {path.split(".")[0]: key.split(".")[0]
              for key, (path, _codec) in _KEYS.items() if "." in path}
 
 
+# A comment starts at a '#' that begins the line or follows whitespace, so
+# a value such as a path may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
     """Parse flat key = value lines into a raw string map; a key may appear once."""
     flat, first_line = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

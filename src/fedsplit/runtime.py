@@ -1,12 +1,13 @@
 """End-to-end federated rounds with parallel DP/HE protection.
 
 One round, in protocol order, is two passes over a sampled cohort.  First,
-each client trains and, under the voted pipeline, proposes a partition as
-encrypted index tokens; the server tallies the top-k and clients decode the
-round's mask, after which nothing of the vote is held.  Second, each client
-splits its update, clips and noises the plaintext part and encrypts the
-rest; the server aggregates both parts, clients decrypt and merge, and the
-global model steps.  Every protection mode runs these steps; its pipeline
+each client trains and, under the voted pipeline, proposes a partition.  One
+PRP batch tokenizes the union of the proposals, each client sends its
+proposal as encrypted index tokens, the server tallies the top-k and clients
+decode the round's mask, after which nothing of the vote is held.  Second,
+each client splits its update, clips and noises the plaintext part and
+encrypts the rest; the server aggregates both parts, clients decrypt and
+merge, and the global model steps.  Every protection mode runs these steps; its pipeline
 (``config._PIPELINES``) says which coordinates it encrypts and where it
 clips and noises.  The experiment config and its checks live in
 ``config``; this module only runs it, and ``run_experiment`` times each
@@ -36,7 +37,7 @@ from .metrics import ExperimentReport, RoundMetrics, accuracy
 from .models import init_params, local_train, param_count
 from .vectors import PartitionMask, merge, split
 from .voting import (decode_partition, encrypt_indices, new_vote_key,
-                     propose_partition, tally_votes, target_count)
+                     propose_partition, tally_votes, target_count, tokenize_round)
 
 __all__ = ["RunAborted", "ratio_at", "run_experiment"]
 
@@ -124,13 +125,12 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
                     k: int) -> tuple[list, PartitionMask]:
     """The first pass and the decode: each client's ``(client, update)`` and the mask.
 
-    The round's vote key (with its memo) and the clients' vote messages live
-    only in this frame, so nothing of the vote outlives the decode.
+    The round's vote key (with its token table) and the clients' vote
+    messages live only in this frame, so nothing of the vote outlives the
+    decode.
     """
     cfg = state.config
     voted = cfg.protection.pipeline.encrypted == "voted"
-    vk = (new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
-          if voted else None)
 
     def train_one(client: int):
         ds = state.client_sets[client]
@@ -140,14 +140,17 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
                         seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
         if not voted:
             return client, u, None
-        proposal = propose_partition(u, r_t, cfg.strategy,
-                                     seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
-        return client, u, encrypt_indices(proposal, vk, client_id=client)
+        return client, u, propose_partition(
+            u, r_t, cfg.strategy, seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
 
     trained = _map_clients(train_one, cohort, workers=1)
-    mask = (decode_partition(tally_votes([v for _, _, v in trained], k), vk, state.dim, k)
-            if voted else PartitionMask(np.arange(k), state.dim))
-    return [(client, u) for client, u, _ in trained], mask
+    updates = [(client, u) for client, u, _ in trained]
+    if not voted:
+        return updates, PartitionMask(np.arange(k), state.dim)
+    vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
+    tokenize_round(vk, [proposal for _, _, proposal in trained])
+    msgs = [encrypt_indices(proposal, vk, client_id=client) for client, _, proposal in trained]
+    return updates, decode_partition(tally_votes(msgs, k), vk, state.dim, k)
 
 
 def _run_round(state: _State, t: int) -> tuple[float, float, float]:

@@ -40,6 +40,8 @@ NEVER_RUNS = {
     "test_fraction_above_one": (["dataset.test_fraction=1.5"],
                                 ["'dataset'", "test_fraction"]),
     "no_samples": (["dataset.num_samples=0"], ["'dataset'", "num_samples"]),
+    "no_features": (["dataset.input_dim=0"], ["'dataset.input_dim'", "got 0"]),
+    "no_classes": (["dataset.num_classes=0"], ["'dataset.num_classes'", "got 0"]),
     "separation_nan": (["dataset.separation=nan"], ["'dataset'", "separation"]),
     "learning_rate_infinite": (["round.learning_rate_eta=inf"],
                                ["'round'", "learning_rate_eta"]),

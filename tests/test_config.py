@@ -142,6 +142,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.conf")
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        data = tmp_path / "a#b.csv"
+        data.write_text("f0,label\n0.5,0\n")
+        p = tmp_path / "exp.conf"
+        p.write_text(f"dataset.kind = csv\ndataset.path = {data}  # the data\n")
+        assert load_config(str(p)).data.path == str(data)
+
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["justakey"])

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from fedsplit import runtime
-from fedsplit.config import (_BOOL, _DIMS, _EXECUTION, _FLOAT, _INT, _KEYS, KNOWN_KEYS,
-                             PROTECTION_KINDS, config_from_flat)
+from fedsplit.config import (_BOOL, _DIMS, _EXECUTION, _FLOAT, _INT, _KEYS, _SIZE,
+                             KNOWN_KEYS, PROTECTION_KINDS, config_from_flat)
 from fedsplit.errors import ConfigError
 from fedsplit.he import BACKENDS
 from fedsplit.models import KINDS
@@ -66,7 +66,7 @@ def value_text(key: str):
         return st.sampled_from(CHOICES[key] + ["bogus"])
     if key == "he.ring_degree":
         return st.builds(str, st.sampled_from([2 ** j for j in range(13)]) | ints(cap))
-    if codec in (_INT, _EXECUTION):
+    if codec in (_INT, _SIZE, _EXECUTION):
         return st.builds(str, ints(cap))
     if codec == _FLOAT:
         return st.builds(repr, floats())

@@ -3,18 +3,20 @@ import struct
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedsplit import voting
 from fedsplit.errors import ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
-                             tally_votes, target_count, VoteKey, VoteMessage,
-                             _prp_decrypt, _prp_encrypt)
+                             tally_votes, target_count, tokenize_round, VoteKey,
+                             VoteMessage, _prp_decrypt, _prp_encrypt)
 from fedsplit.vectors import PartitionMask
 
 
@@ -121,7 +123,7 @@ def reference_round(vk, feistel_round, half):
 
 
 def reference_token(vk, index):
-    """The 4-round Feistel PRP written out, independent of the memo."""
+    """The 4-round Feistel PRP written out, independent of the token table."""
     left, right = index >> 32, index & 0xFFFFFFFF
     for i in range(4):
         left, right = right, left ^ reference_round(vk, i, right)
@@ -135,40 +137,86 @@ def reference_index(vk, token):
     return (left << 32) | right
 
 
+@pytest.fixture
+def prp_lanes(monkeypatch):
+    """Every block the PRP computes (table lookups excluded), in call order."""
+    computed, prp = [], voting._prp
+
+    def spy(vk, blocks, inverse=False):
+        computed.extend(blocks.tolist())
+        return prp(vk, blocks, inverse)
+
+    monkeypatch.setattr(voting, "_prp", spy)
+    return computed
+
+
+class TestBatchedPrp:
+    """The PRP routine equals the hashlib reference whichever path it takes."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40),
+           st.integers(min_value=-2**63, max_value=2**63 - 1),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, blocks, round_binding, seed, batched):
+        vk = new_vote_key(seed, round_binding=round_binding)
+        arr = np.array(blocks, dtype=np.uint64)
+        with mock.patch.object(voting, "_BATCH_LANES", 0 if batched else len(blocks) + 1):
+            forward, inverse = voting._prp(vk, arr), voting._prp(vk, arr, inverse=True)
+        assert forward.dtype == inverse.dtype == np.uint64
+        assert forward.tolist() == [reference_token(vk, b) for b in blocks]
+        assert inverse.tolist() == [reference_index(vk, b) for b in blocks]
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_either_side_of_the_lane_threshold(self, offset):
+        vk = new_vote_key(25, round_binding=9)
+        blocks = np.random.default_rng(26).integers(
+            0, 2**64, voting._BATCH_LANES + offset, dtype=np.uint64, endpoint=False)
+        tokens = voting._prp(vk, blocks)
+        assert tokens.tolist() == [reference_token(vk, b) for b in blocks.tolist()]
+        assert np.array_equal(voting._prp(vk, tokens, inverse=True), blocks)
+
+
 class TestTokenMemo:
-    """Tokens computed once per round key must equal the plain PRP."""
+    """A round key's token table serves the round's proposals; tokens always
+    equal the plain PRP, whatever the table holds."""
 
     @staticmethod
     def reference_tokens(vk, indices):
         return np.sort(np.array([reference_token(vk, i) for i in indices], np.uint64))
 
     def test_fresh_and_warm_key_match_reference(self):
-        vk = new_vote_key(21, round_binding=5)
         first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**33 + 7]
-        fresh = encrypt_indices(mask_of(first, 2**34), vk)
-        warm = encrypt_indices(mask_of(second, 2**34), vk)
-        again = encrypt_indices(mask_of(first, 2**34), vk)
-        assert np.array_equal(fresh.tokens, self.reference_tokens(vk, first))
-        assert np.array_equal(warm.tokens, self.reference_tokens(vk, second))
-        assert np.array_equal(again.tokens, fresh.tokens)
+        fresh = new_vote_key(21, round_binding=5)
+        warm = new_vote_key(21, round_binding=5)
+        tokenize_round(warm, [mask_of(first, 2**34)])
+        for vk in (fresh, warm):
+            assert np.array_equal(encrypt_indices(mask_of(first, 2**34), vk).tokens,
+                                  self.reference_tokens(vk, first))
+            assert np.array_equal(encrypt_indices(mask_of(second, 2**34), vk).tokens,
+                                  self.reference_tokens(vk, second))
 
-    def test_foreign_token_with_warm_memo(self):
+    def test_foreign_token_with_warm_memo(self, prp_lanes):
+        """Proposed tokens decode from the table; a foreign token runs the
+        inverse PRP each time it arrives, so it is never stored."""
         vk = new_vote_key(22, round_binding=1)
-        encrypt_indices(mask_of(range(0, 40, 2), 64), vk)
-        memo_size = len(vk._indices)
+        tokenize_round(vk, [mask_of(range(0, 40, 2), 64)])
+        prp_lanes.clear()
         for token in (reference_token(vk, 5), 2**64 - 1, 12345, 2**63):
             assert _prp_decrypt(vk, token) == reference_index(vk, token)
-        beyond = np.array([reference_token(vk, 64)], dtype=np.uint64)
-        with pytest.raises(ProtocolError, match="does not decode"):
-            decode_partition(beyond, vk, 64, 1)
-        odd = np.array([reference_token(vk, 1), reference_token(vk, 3)], np.uint64)
-        assert decode_partition(odd, vk, 64, 2).he_indices.tolist() == [1, 3]
-        assert len(vk._indices) == memo_size == len(vk._tokens) == 20
+        beyond = reference_token(vk, 64)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="does not decode"):
+                decode_partition(np.array([beyond], np.uint64), vk, 64, 1)
+        odd = [reference_token(vk, 1), reference_token(vk, 3)]
+        assert decode_partition(np.array(odd, np.uint64), vk, 64, 2).he_indices.tolist() == [1, 3]
+        even = [reference_token(vk, 38), reference_token(vk, 2)]
+        assert decode_partition(np.array(even, np.uint64), vk, 64, 2).he_indices.tolist() == [2, 38]
+        assert prp_lanes == [beyond, beyond, *odd]
 
     def test_threads_share_one_memo(self):
         """More workers than cores and a short switch interval on one round
-        key: the messages equal a single thread's and the memo stays a
-        bijection."""
+        key whose table is replaced while they read it: the messages equal a
+        single thread's, and each decodes back to its proposal."""
         dim = 5000
         masks = [mask_of(range(c * 300, c * 300 + 1500), dim) for c in range(8)]
         serial = [encrypt_indices(m, new_vote_key(23, round_binding=2), client_id=c)
@@ -180,20 +228,26 @@ class TestTokenMemo:
             with ThreadPoolExecutor(4) as pool:
                 futures = [pool.submit(encrypt_indices, m, vk, c)
                            for c, m in enumerate(masks)]
+                tokenize_round(vk, masks[::2])
+                tokenize_round(vk, masks)
                 threaded = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a.tokens, b.tokens) for a, b in zip(serial, threaded))
-        assert len(vk._tokens) == len(vk._indices) == 3600
-        assert all(vk._indices[t] == i for i, t in vk._tokens.items())
+        for msg, mask in zip(threaded, masks):
+            decoded = decode_partition(msg.tokens, vk, dim, msg.tokens.size)
+            assert np.array_equal(decoded.he_indices, mask.he_indices)
 
-    def test_equality_and_hash_ignore_memo(self):
+    def test_equality_and_hash_ignore_memo(self, prp_lanes):
         base = new_vote_key(24)
         a, b = VoteKey(base.key, 3), VoteKey(base.key, 3)
-        encrypt_indices(mask_of([1, 2, 3], 8), a)
-        assert a._tokens and not b._tokens and not VoteKey(base.key, 3)._tokens
+        tokenize_round(a, [mask_of([1, 2, 3], 8)])
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a != VoteKey(base.key, 4)
+        prp_lanes.clear()
+        assert np.array_equal(encrypt_indices(mask_of([1, 3], 8), a).tokens,
+                              encrypt_indices(mask_of([1, 3], 8), b).tokens)
+        assert prp_lanes == [1, 3]  # b's table is its own, and empty
 
 
 class TestTally:
