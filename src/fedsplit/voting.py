@@ -24,14 +24,19 @@ sorted arrays index -> token and token -> index.  Each client's
 table.  This is a simulator shortcut; in a deployment each client still
 computes its own k PRPs.  An index or token the table lacks (a foreign token,
 or a key whose round was never tokenized) runs through the PRP on the spot,
-and the result is not stored.
+and the result is not stored.  So a caller that skips ``tokenize_round``
+computes a token once for every proposal that holds its index, and the
+inverse once for every winner it decodes, where a per-key memo would compute
+each once; the runtime always tokenizes the round first.
 
 From ``_BATCH_LANES`` blocks on, the PRP runs as numpy SHA-256 with one
 ``uint32`` lane per block: every block of a batch hashes a message with the
 same first 24 bytes, so the first 6 compression rounds are computed once
 per batch as a midstate.  Smaller batches make one ``hashlib`` call per
 block and Feistel round, which is faster below the fixed cost of the
-numpy path's few thousand array operations.
+numpy path's few thousand array operations.  The crossover was measured
+with a microbenchmark of the two paths; the timed benchmark workloads all
+tokenize rounds above it.
 """
 
 from __future__ import annotations
@@ -174,8 +179,14 @@ _SHA_IV = tuple(np.uint32(h) for h in (
 _SHA_TAIL = [np.uint32(0)] * 7 + [np.uint32(29 * 8)]
 
 
+# Shift counts as np.uint32, so no Python int enters the word arithmetic: under
+# NumPy 1.x's value-based casting a uint32 scalar and a Python int promote to
+# int64, which would stop the midstate's sums and shifts wrapping mod 2**32.
+_SHIFT = tuple(np.uint32(n) for n in range(32))
+
+
 def _rotr(x, n: int):
-    return (x >> n) | (x << (32 - n))
+    return (x >> _SHIFT[n]) | (x << _SHIFT[32 - n])
 
 
 def _sha256_rounds(state: tuple, w: list, start: int, stop: int) -> tuple:
@@ -191,8 +202,8 @@ def _sha256_rounds(state: tuple, w: list, start: int, stop: int) -> tuple:
         if t >= 16:
             w2, w15 = w[(t - 2) % 16], w[(t - 15) % 16]
             w[t % 16] = (w[t % 16] + w[(t - 7) % 16]
-                         + (_rotr(w2, 17) ^ _rotr(w2, 19) ^ (w2 >> 10))
-                         + (_rotr(w15, 7) ^ _rotr(w15, 18) ^ (w15 >> 3)))
+                         + (_rotr(w2, 17) ^ _rotr(w2, 19) ^ (w2 >> _SHIFT[10]))
+                         + (_rotr(w15, 7) ^ _rotr(w15, 18) ^ (w15 >> _SHIFT[3])))
         t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + (g ^ (e & (f ^ g)))
               + (_SHA_K[t] + w[t % 16]))
         ab = a ^ b  # Maj(a, b, c) = b ^ ((a ^ b) & (b ^ c)); this a ^ b is next b ^ c
@@ -213,8 +224,8 @@ def _feistel_lanes(vk: VoteKey, blocks: np.ndarray, inverse: bool) -> np.ndarray
     with np.errstate(over="ignore"):
         midstate = _sha256_rounds(_SHA_IV, head, 0, 6)
         for i in (reversed(order) if inverse else order):
-            w = [*head, np.uint32(i << 24) | (right >> 8),
-                 (right << 24) | np.uint32(0x800000), *_SHA_TAIL]
+            w = [*head, np.uint32(i << 24) | (right >> _SHIFT[8]),
+                 (right << _SHIFT[24]) | np.uint32(0x800000), *_SHA_TAIL]
             left, right = right, left ^ (_SHA_IV[0] + _sha256_rounds(midstate, w, 6, 64)[0])
     if inverse:
         left, right = right, left

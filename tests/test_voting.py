@@ -150,6 +150,29 @@ def prp_lanes(monkeypatch):
     return computed
 
 
+class StrictWord:
+    """A ``np.uint32`` whose operators refuse Python ints."""
+
+    __array_ufunc__ = None  # np.uint32 <op> StrictWord falls to the reflected op
+
+    def __init__(self, value):
+        self.value = np.uint32(value)
+
+    def _apply(op):
+        def apply(self, other):
+            if isinstance(other, int):
+                raise TypeError(f"Python int {other} in uint32 arithmetic")
+            return StrictWord(op(self.value, getattr(other, "value", other)))
+        return apply
+
+    __add__ = __radd__ = _apply(np.add)
+    __and__ = __rand__ = _apply(np.bitwise_and)
+    __or__ = __ror__ = _apply(np.bitwise_or)
+    __xor__ = __rxor__ = _apply(np.bitwise_xor)
+    __rshift__ = _apply(np.right_shift)
+    __lshift__ = _apply(np.left_shift)
+
+
 class TestBatchedPrp:
     """The PRP routine equals the hashlib reference whichever path it takes."""
 
@@ -165,6 +188,20 @@ class TestBatchedPrp:
         assert forward.dtype == inverse.dtype == np.uint64
         assert forward.tolist() == [reference_token(vk, b) for b in blocks]
         assert inverse.tolist() == [reference_index(vk, b) for b in blocks]
+
+    @given(st.binary(min_size=29, max_size=29))
+    @settings(max_examples=50, deadline=None)
+    def test_compression_keeps_uint32_words(self, message):
+        """One SHA-256 block through ``_sha256_rounds`` equals hashlib, with
+        every word a ``StrictWord``: a Python int operand would promote
+        differently under NumPy 1.x and NumPy 2, so none may occur."""
+        block = message + b"\x80" + bytes(26) + struct.pack(">Q", 29 * 8)
+        iv = [StrictWord(h) for h in voting._SHA_IV]
+        w = [StrictWord(x) for x in struct.unpack(">16I", block)]
+        with np.errstate(over="ignore"):
+            state = voting._sha256_rounds(tuple(iv), w, 0, 64)
+            digest = [(h + s).value for h, s in zip(iv, state)]
+        assert struct.pack(">8I", *digest) == hashlib.sha256(message).digest()
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_either_side_of_the_lane_threshold(self, offset):
@@ -213,12 +250,13 @@ class TestTokenMemo:
         assert decode_partition(np.array(even, np.uint64), vk, 64, 2).he_indices.tolist() == [2, 38]
         assert prp_lanes == [beyond, beyond, *odd]
 
-    def test_threads_share_one_memo(self):
+    @staticmethod
+    def encrypt_while_retokenizing(width):
         """More workers than cores and a short switch interval on one round
         key whose table is replaced while they read it: the messages equal a
         single thread's, and each decodes back to its proposal."""
-        dim = 5000
-        masks = [mask_of(range(c * 300, c * 300 + 1500), dim) for c in range(8)]
+        dim = 7 * 300 + width
+        masks = [mask_of(range(c * 300, c * 300 + width), dim) for c in range(8)]
         serial = [encrypt_indices(m, new_vote_key(23, round_binding=2), client_id=c)
                   for c, m in enumerate(masks)]
         vk = new_vote_key(23, round_binding=2)
@@ -237,6 +275,14 @@ class TestTokenMemo:
         for msg, mask in zip(threaded, masks):
             decoded = decode_partition(msg.tokens, vk, dim, msg.tokens.size)
             assert np.array_equal(decoded.he_indices, mask.he_indices)
+
+    def test_threads_share_one_memo(self):
+        self.encrypt_while_retokenizing(1500)
+
+    def test_threads_on_the_lane_path(self):
+        """Each client's proposal is as wide as ``_BATCH_LANES``, so the
+        misses of a client that reads an empty table run as numpy lanes."""
+        self.encrypt_while_retokenizing(voting._BATCH_LANES)
 
     def test_equality_and_hash_ignore_memo(self, prp_lanes):
         base = new_vote_key(24)
