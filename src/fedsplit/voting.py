@@ -29,14 +29,13 @@ computes a token once for every proposal that holds its index, and the
 inverse once for every winner it decodes, where a per-key memo would compute
 each once; the runtime always tokenizes the round first.
 
-From ``_BATCH_LANES`` blocks on, the PRP runs as numpy SHA-256 with one
-``uint32`` lane per block: every block of a batch hashes a message with the
-same first 24 bytes, so the first 6 compression rounds are computed once
-per batch as a midstate.  Smaller batches make one ``hashlib`` call per
-block and Feistel round, which is faster below the fixed cost of the
-numpy path's few thousand array operations.  The crossover was measured
-with a microbenchmark of the two paths; the timed benchmark workloads all
-tokenize rounds above it.
+``_prp`` is the one Feistel network, on the blocks' ``uint32`` halves; the
+inverse swaps the halves and reverses the rounds.  Its round function has
+two kernels, picked per call by batch size.  From ``_BATCH_LANES`` blocks on
+it is numpy SHA-256 with one lane per block, a fixed cost of about 9 ms
+(some 11,000 numpy calls); below, one ``hashlib`` call per half and round,
+about a microsecond each.  They cross between 3,000 and 4,000 blocks
+(2 cores, x86-64); the timed benchmark workloads all tokenize above that.
 """
 
 from __future__ import annotations
@@ -96,16 +95,10 @@ class VoteKey:
     # reader sees one consistent snapshot.
     _table: tuple = field(default=((_NO_BLOCKS, _NO_BLOCKS), (_NO_BLOCKS, _NO_BLOCKS)),
                           compare=False, repr=False)
-    # SHA-256 state after each Feistel round's fixed prefix (key, round,
-    # Feistel round); the round function only appends the half-block.
-    _prefixes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.key) != 16:
             raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
-        object.__setattr__(self, "_prefixes", tuple(
-            hashlib.sha256(self.key + struct.pack(">qB", self.round_binding, i))
-            for i in range(_FEISTEL_ROUNDS)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +107,13 @@ class VoteMessage:
 
     client_id: int
     tokens: np.ndarray
+
+    def __post_init__(self):
+        tokens = self.tokens
+        if (not isinstance(tokens, np.ndarray) or tokens.dtype != np.uint64
+                or tokens.ndim != 1 or np.any(tokens[1:] <= tokens[:-1])):
+            raise ProtocolError("vote message tokens must be a strictly increasing "
+                                "1-D uint64 array")
 
 
 def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
@@ -213,53 +213,41 @@ def _sha256_rounds(state: tuple, w: list, start: int, stop: int) -> tuple:
     return a, b, c, d, e, f, g, h
 
 
-def _feistel_lanes(vk: VoteKey, blocks: np.ndarray, inverse: bool) -> np.ndarray:
-    """The Feistel network (or its inverse) over ``uint64`` blocks as numpy SHA-256."""
+def _round_hash(vk: VoteKey, lanes: bool):
+    """The round function F(i, half) over a ``uint32`` array of halves: as
+    numpy SHA-256 with one lane per half, or with one ``hashlib`` call each."""
+    if not lanes:
+        return lambda i, half: np.fromiter(
+            (struct.unpack_from(">I", hashlib.sha256(
+                vk.key + struct.pack(">qBI", vk.round_binding, i, h)).digest())[0]
+             for h in half.tolist()), np.uint32, half.size)
+    # every message of the call shares its first 24 bytes (the key and the
+    # round), so the first 6 compression rounds run once, as a midstate
     head = [np.uint32(x) for x in
             struct.unpack(">6I", vk.key + struct.pack(">q", vk.round_binding))]
+    midstate = _sha256_rounds(_SHA_IV, head, 0, 6)
+
+    def lane_hash(i: int, half: np.ndarray) -> np.ndarray:
+        w = [*head, np.uint32(i << 24) | (half >> _SHIFT[8]),
+             (half << _SHIFT[24]) | np.uint32(0x800000), *_SHA_TAIL]
+        return _SHA_IV[0] + _sha256_rounds(midstate, w, 6, 64)[0]
+    return lane_hash
+
+
+def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The PRP (or its inverse) of each ``uint64`` block: the Feistel network
+    on the blocks' ``uint32`` halves."""
     high, low = (blocks >> 32).astype(np.uint32), blocks.astype(np.uint32)
     # the inverse is the network run backwards: swapped halves, rounds reversed
     left, right = (low, high) if inverse else (high, low)
     order = range(_FEISTEL_ROUNDS)
     with np.errstate(over="ignore"):
-        midstate = _sha256_rounds(_SHA_IV, head, 0, 6)
+        round_hash = _round_hash(vk, lanes=blocks.size >= _BATCH_LANES)
         for i in (reversed(order) if inverse else order):
-            w = [*head, np.uint32(i << 24) | (right >> _SHIFT[8]),
-                 (right << _SHIFT[24]) | np.uint32(0x800000), *_SHA_TAIL]
-            left, right = right, left ^ (_SHA_IV[0] + _sha256_rounds(midstate, w, 6, 64)[0])
+            left, right = right, left ^ round_hash(i, right)
     if inverse:
         left, right = right, left
     return (left.astype(np.uint64) << 32) | right
-
-
-def _feistel(prefixes, block: int) -> int:
-    left, right = block >> 32, block & 0xFFFFFFFF
-    for prefix in prefixes:
-        h = prefix.copy()
-        h.update(right.to_bytes(4, "big"))
-        left, right = right, left ^ int.from_bytes(h.digest()[:4], "big")
-    return (left << 32) | right
-
-
-def _swap_halves(block: int) -> int:
-    return ((block & 0xFFFFFFFF) << 32) | (block >> 32)
-
-
-def _prp_encrypt(vk: VoteKey, index: int) -> int:
-    return _feistel(vk._prefixes, index)
-
-
-def _prp_decrypt(vk: VoteKey, token: int) -> int:
-    return _swap_halves(_feistel(reversed(vk._prefixes), _swap_halves(token)))
-
-
-def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """The PRP (or its inverse) of each ``uint64`` block, batched from
-    ``_BATCH_LANES`` blocks on, else one block at a time through ``hashlib``."""
-    if blocks.size >= _BATCH_LANES:
-        return _feistel_lanes(vk, blocks, inverse)
-    one = _prp_decrypt if inverse else _prp_encrypt
-    return np.fromiter((one(vk, b) for b in blocks.tolist()), np.uint64, blocks.size)
 
 
 def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -300,7 +288,7 @@ def tally_votes(msgs, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    tokens = np.concatenate([np.empty(0, np.uint64), *(msg.tokens for msg in msgs)])
+    tokens = np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)])
     tokens, counts = np.unique(tokens, return_counts=True)
     return np.sort(tokens[np.argsort(-counts, kind="stable")[:k]])
 
@@ -308,14 +296,25 @@ def tally_votes(msgs, k: int) -> np.ndarray:
 def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     """Client-side inversion of the winning tokens into the global mask.
 
-    The server's tokens are checked here: at most ``k``, all distinct, each
-    decoding below ``dim``.  A shortfall below ``k`` is padded with the
-    smallest unselected indices so the encrypted part keeps size ``k``.
+    The server's tokens are checked here: integers in [0, 2**64), at most
+    ``k``, all distinct, each decoding below ``dim``.  A shortfall below
+    ``k`` is padded with the smallest unselected indices so the encrypted
+    part keeps size ``k``.
     """
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
-    tokens = np.fromiter(tokens, dtype=np.uint64)
-    distinct = np.unique(tokens).size
+    if not isinstance(tokens, np.ndarray):
+        # one element at a time, so that no conversion truncates or wraps a
+        # token that is not an integer in [0, 2**64)
+        tokens = np.fromiter(tokens, dtype=object)
+        if all(isinstance(t, (int, np.integer)) and 0 <= int(t) < 2**64 for t in tokens):
+            tokens = tokens.astype(np.uint64)
+    if tokens.ndim != 1 or tokens.dtype.kind not in "ui" or tokens.min(initial=0) < 0:
+        raise ProtocolError(f"winning tokens must be integers in [0, 2**64), got "
+                            f"dtype {tokens.dtype} with shape {tokens.shape}")
+    tokens = tokens.astype(np.uint64, copy=False)
+    ordered = np.sort(tokens)
+    distinct = tokens.size - np.count_nonzero(ordered[1:] == ordered[:-1])
     if tokens.size > k or distinct < tokens.size:
         raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
                             f"{tokens.size} with {distinct} distinct")
@@ -323,8 +322,10 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
                             f"to an index below {dim} under this vote key")
-    pad = np.setdiff1d(np.arange(k, dtype=np.uint64), indices)[:k - indices.size]
-    return PartitionMask(he_indices=np.union1d(indices, pad), dim=dim)
+    chosen = np.zeros(dim, dtype=bool)
+    chosen[indices] = True
+    chosen[np.flatnonzero(~chosen[:k])[:k - indices.size]] = True
+    return PartitionMask(he_indices=np.flatnonzero(chosen), dim=dim)
 
 
 # -- wire encoding ------------------------------------------------------------------
@@ -346,6 +347,4 @@ def decode_vote_message(blob: bytes) -> VoteMessage:
             f"vote message declares {count} tokens but carries {len(body)} bytes"
         )
     tokens = np.frombuffer(body, dtype=_WIRE_TOKEN).astype(np.uint64)
-    if np.any(tokens[1:] <= tokens[:-1]):
-        raise ProtocolError("vote message tokens are not strictly increasing")
     return VoteMessage(client_id=client_id, tokens=tokens)

@@ -22,7 +22,7 @@ from fedsplit.config import RatioSchedule, config_to_flat
 from fedsplit.runtime import run_experiment
 from fedsplit.vectors import PartitionMask
 from fedsplit.voting import (decode_partition, encrypt_indices, new_vote_key,
-                             tally_votes, target_count, _prp_encrypt)
+                             tally_votes, target_count, _prp)
 
 
 _CAPTURE = None
@@ -136,7 +136,8 @@ def test_criterion_04_voting_oracle_equivalence():
                 msgs.append(encrypt_indices(
                     PartitionMask.from_indices(prop, dim), vk, client_id=client))
             got = decode_partition(tally_votes(msgs, k), vk, dim, k)
-            expected = _oracle(proposals, k, lambda i: _prp_encrypt(vk, i))
+            tokens = _prp(vk, np.arange(dim, dtype=np.uint64)).tolist()
+            expected = _oracle(proposals, k, tokens.__getitem__)
             assert got.he_indices.tolist() == expected, f"trial {trial}"
 
         # the reference three-client scenario: proposals {1,4}, {1,2}, {4,1}

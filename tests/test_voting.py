@@ -16,7 +16,7 @@ from fedsplit.voting import (PartitionStrategy, decode_partition,
                              decode_vote_message, encode_vote_message,
                              encrypt_indices, new_vote_key, propose_partition,
                              tally_votes, target_count, tokenize_round, VoteKey,
-                             VoteMessage, _prp_decrypt, _prp_encrypt)
+                             VoteMessage)
 from fedsplit.vectors import PartitionMask
 
 
@@ -107,14 +107,6 @@ class TestTokens:
         msg = encrypt_indices(mask_of([1, 4], 6), vk)
         assert len(msg.tokens) == 2
 
-    @given(st.integers(min_value=0, max_value=2**20),
-           st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=200, deadline=None)
-    def test_prp_roundtrip(self, index, round_binding):
-        from fedsplit.voting import _prp_decrypt, _prp_encrypt
-        vk = new_vote_key(9, round_binding=round_binding)
-        assert _prp_decrypt(vk, _prp_encrypt(vk, index)) == index
-
 
 def reference_round(vk, feistel_round, half):
     digest = hashlib.sha256(
@@ -174,20 +166,24 @@ class StrictWord:
 
 
 class TestBatchedPrp:
-    """The PRP routine equals the hashlib reference whichever path it takes."""
+    """The PRP routine equals the hashlib reference whichever round-hash
+    kernel it takes.  The example budget of the hypothesis tests comes from
+    the profile (``--hypothesis-profile=ci`` runs 3,000)."""
 
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40),
            st.integers(min_value=-2**63, max_value=2**63 - 1),
            st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
     def test_matches_reference(self, blocks, round_binding, seed, batched):
         vk = new_vote_key(seed, round_binding=round_binding)
         arr = np.array(blocks, dtype=np.uint64)
         with mock.patch.object(voting, "_BATCH_LANES", 0 if batched else len(blocks) + 1):
             forward, inverse = voting._prp(vk, arr), voting._prp(vk, arr, inverse=True)
+            roundtrip = voting._prp(vk, forward, inverse=True)
         assert forward.dtype == inverse.dtype == np.uint64
         assert forward.tolist() == [reference_token(vk, b) for b in blocks]
         assert inverse.tolist() == [reference_index(vk, b) for b in blocks]
+        assert roundtrip.tolist() == blocks
 
     @given(st.binary(min_size=29, max_size=29))
     @settings(max_examples=50, deadline=None)
@@ -237,9 +233,10 @@ class TestTokenMemo:
         inverse PRP each time it arrives, so it is never stored."""
         vk = new_vote_key(22, round_binding=1)
         tokenize_round(vk, [mask_of(range(0, 40, 2), 64)])
-        prp_lanes.clear()
         for token in (reference_token(vk, 5), 2**64 - 1, 12345, 2**63):
-            assert _prp_decrypt(vk, token) == reference_index(vk, token)
+            one = np.array([token], np.uint64)
+            assert voting._prp(vk, one, inverse=True).tolist() == [reference_index(vk, token)]
+        prp_lanes.clear()
         beyond = reference_token(vk, 64)
         for _ in range(2):
             with pytest.raises(ProtocolError, match="does not decode"):
@@ -339,8 +336,75 @@ class TestTally:
             winners = tally_votes([], k)
             assert winners.dtype == np.uint64 and winners.size == 0
 
+    def test_int64_tokens_never_reach_the_tally(self):
+        """Concatenated with ``uint64``, int64 tokens promote to float64, and
+        the tally would elect 2**62, a token nobody sent.  A message holds
+        only a strictly increasing 1-D ``uint64`` array."""
+        with pytest.raises(ProtocolError, match="strictly increasing"):
+            tally_votes([VoteMessage(0, np.array([2**62 + 1, 2**62 + 3], np.int64)),
+                         VoteMessage(1, np.array([2**62 + 1], np.int64))], 1)
+        for tokens in ([1, 2], np.array([[1, 2]], np.uint64), np.array([2, 1], np.uint64),
+                       np.array([1, 1], np.uint64), np.array([1.0, 2.0])):
+            with pytest.raises(ProtocolError, match="strictly increasing"):
+                VoteMessage(0, tokens)
+        sent = np.array([2**62 + 1, 2**62 + 3], np.uint64)
+        assert tally_votes([VoteMessage(0, sent), VoteMessage(1, sent[:1])], 1).tolist() == [2**62 + 1]
+
+
+def set_algebra_decode(tokens, vk, dim, k):
+    """``decode_partition`` as it was written with set operations, kept as
+    the reference for the boolean-mask decode."""
+    if not 0 <= k <= dim:
+        raise ValueError(f"k must lie in [0, {dim}], got {k}")
+    tokens = np.fromiter(tokens, dtype=np.uint64)
+    distinct = np.unique(tokens).size
+    if tokens.size > k or distinct < tokens.size:
+        raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
+                            f"{tokens.size} with {distinct} distinct")
+    indices = voting._lookup(vk, tokens, inverse=True)
+    if np.any(indices >= dim):
+        raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
+                            f"to an index below {dim} under this vote key")
+    pad = np.setdiff1d(np.arange(k, dtype=np.uint64), indices)[:k - indices.size]
+    return PartitionMask(he_indices=np.union1d(indices, pad), dim=dim)
+
+
+@st.composite
+def decode_cases(draw):
+    """(winning tokens, vote key, dim, k) for dim <= 64 and every k: winners
+    that decode, or (second branch) that may repeat, exceed k or decode at
+    or beyond dim; given as an array, a list (of ints or of numpy scalars) or
+    a frozenset; to a key whose table holds some of the round's indices, or
+    to an untokenized key."""
+    dim = draw(st.integers(min_value=1, max_value=64))
+    k = draw(st.integers(min_value=0, max_value=dim))
+    winners = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True, max_size=k)
+                   | st.lists(st.integers(min_value=0, max_value=dim + 3), max_size=k + 1))
+    vk = new_vote_key(draw(st.integers(min_value=0, max_value=2**32 - 1)),
+                      round_binding=draw(st.integers(min_value=0, max_value=2**16)))
+    if draw(st.booleans()):
+        table = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True))
+        tokenize_round(vk, [mask_of(table, dim)])
+    tokens = [reference_token(vk, i) for i in winners]
+    given_as = draw(st.sampled_from([lambda t: np.array(t, np.uint64), list, frozenset,
+                                     lambda t: [np.uint64(x) for x in t]]))
+    return given_as(tokens), vk, dim, k
+
 
 class TestDecodePartition:
+    @given(decode_cases())
+    @settings(deadline=None)
+    def test_equals_set_algebra_decode(self, case):
+        """The same mask, or the same ProtocolError, as the set-algebra
+        decode; the example budget comes from the hypothesis profile."""
+        def outcome(decode):
+            try:
+                mask = decode(*case)
+            except ProtocolError as err:
+                return str(err)
+            return mask.he_indices.tolist(), mask.dim
+        assert outcome(decode_partition) == outcome(set_algebra_decode)
+
     def test_inverse(self):
         vk = new_vote_key(10)
         tokens = encrypt_indices(mask_of([1, 4], 5), vk).tokens
@@ -373,6 +437,17 @@ class TestDecodePartition:
         token = encrypt_indices(mask_of([3], 5), vk).tokens
         with pytest.raises(ProtocolError, match="at most 2 distinct"):
             decode_partition(np.concatenate([token, token]), vk, 5, 2)
+
+    @pytest.mark.parametrize("tokens", [[1.5], [-1], [2**64], [True, 2.0], ["7"],
+                                        np.array([1.5]), np.array([-1]), np.array([[1]]),
+                                        np.array([True])],
+                             ids=["float", "negative", "2**64", "int-then-float", "str",
+                                  "float-array", "int64-negative", "2-D", "bool-array"])
+    def test_non_integer_token_rejected(self, tokens):
+        """A token must be an integer in [0, 2**64): 1.5 is not truncated to
+        1, and -1 or 2**64 is a ProtocolError, not an OverflowError."""
+        with pytest.raises(ProtocolError, match=r"integers? in \[0, 2\*\*64\)"):
+            decode_partition(tokens, new_vote_key(17), 5, 2)
 
     def test_consensus_across_clients(self):
         vk = new_vote_key(14, round_binding=2)
@@ -412,8 +487,7 @@ def run_oracle_trial(rng, trial):
         proposals.append(prop)
         msgs.append(encrypt_indices(mask_of(prop, dim), vk, client_id=client))
     got = decode_partition(tally_votes(msgs, k), vk, dim, k).he_indices.tolist()
-    from fedsplit.voting import _prp_encrypt
-    expected = brute_force_winners(proposals, k, lambda i: _prp_encrypt(vk, i))
+    expected = brute_force_winners(proposals, k, lambda i: reference_token(vk, i))
     return got, expected
 
 
