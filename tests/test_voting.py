@@ -107,6 +107,14 @@ class TestTokens:
         msg = encrypt_indices(mask_of([1, 4], 6), vk)
         assert len(msg.tokens) == 2
 
+    @given(st.integers(min_value=0, max_value=2**20),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_prp_roundtrip(self, index, round_binding):
+        vk = new_vote_key(9, round_binding=round_binding)
+        token = voting._prp(vk, np.array([index], dtype=np.uint64))
+        assert voting._prp(vk, token, inverse=True).tolist() == [index]
+
 
 def reference_round(vk, feistel_round, half):
     digest = hashlib.sha256(
