@@ -4,7 +4,9 @@ Each client proposes the indices of its largest-magnitude update
 coordinates.  Proposals travel as tokens from a keyed pseudorandom
 permutation, so the server can count votes without learning which
 coordinates are hot.  The top-k tokens win; clients invert them back to
-indices.
+indices.  Before anyone encrypts, ``tokenize_round`` runs the permutation
+once over the round's proposals and returns the round's key, as the
+simulator's runtime does; the tokens are the same either way.
 
 The first section replays the canonical three-client example where indices
 1 and 4 collect the most votes; the second runs a larger seeded round.
@@ -14,15 +16,15 @@ import numpy as np
 
 from fedsplit import (PartitionMask, decode_partition, encrypt_indices,
                       new_vote_key, propose_partition, tally_votes,
-                      target_count)
+                      target_count, tokenize_round)
 
 print("--- three clients, five coordinates, k=2 ---")
-vote_key = new_vote_key(seed=7, round_binding=0)
 proposals = [[1, 4], [1, 2], [4, 1]]
+masks = [PartitionMask.from_indices(prop, 5) for prop in proposals]
+vote_key = tokenize_round(new_vote_key(seed=7, round_binding=0), masks)
 messages = []
-for cid, prop in enumerate(proposals):
-    msg = encrypt_indices(PartitionMask.from_indices(prop, 5), vote_key,
-                          client_id=cid)
+for cid, (prop, mask) in enumerate(zip(proposals, masks)):
+    msg = encrypt_indices(mask, vote_key, client_id=cid)
     messages.append(msg)
     print(f"client {cid} proposes {sorted(prop)} -> "
           f"{[f'{t:016x}' for t in msg.tokens.tolist()]}")
@@ -37,13 +39,14 @@ print("--- a seeded round over 32 coordinates, r = 25% ---")
 rng = np.random.default_rng(3)
 dim, r = 32, 0.25
 k = target_count(r, dim)
-vote_key = new_vote_key(seed=11, round_binding=5)
-messages = []
+masks = []
 for cid in range(6):
     update = rng.normal(0, 1, dim) * rng.uniform(0.1, 2.0, dim)
-    mask = propose_partition(update, r, "max")
-    messages.append(encrypt_indices(mask, vote_key, client_id=cid))
-    print(f"client {cid} proposes {mask.he_indices.tolist()}")
+    masks.append(propose_partition(update, r, "max"))
+    print(f"client {cid} proposes {masks[-1].he_indices.tolist()}")
+vote_key = tokenize_round(new_vote_key(seed=11, round_binding=5), masks)
+messages = [encrypt_indices(mask, vote_key, client_id=cid)
+            for cid, mask in enumerate(masks)]
 consensus = decode_partition(tally_votes(messages, k), vote_key, dim, k)
 print(f"consensus mask (k={k}): {consensus.he_indices.tolist()}")
 print("every client decodes the same mask from the same tokens; "

@@ -21,6 +21,6 @@ from .runtime import RunAborted, ratio_at, run_experiment
 from .vectors import PartitionMask, merge, split
 from .voting import (PartitionStrategy, VoteKey, VoteMessage, decode_partition,
                      encrypt_indices, new_vote_key, propose_partition,
-                     tally_votes, target_count)
+                     tally_votes, target_count, tokenize_round)
 
 __version__ = "0.1.0"

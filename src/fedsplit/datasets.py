@@ -32,23 +32,19 @@ DIRICHLET_DRAWS = 100
 class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64
-    num_classes: int
 
     def __post_init__(self):
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length must match feature rows")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[idx], labels=self.labels[idx],
-                       num_classes=self.num_classes)
+        return Dataset(features=self.features[idx], labels=self.labels[idx])
 
 
 def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
@@ -68,7 +64,7 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
     features = means[labels] + rng.normal(0.0, 1.0, (num_samples, input_dim))
-    return Dataset(features=features, labels=labels, num_classes=num_classes)
+    return Dataset(features=features, labels=labels)
 
 
 def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
@@ -123,8 +119,7 @@ def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset(features=np.array(rows, dtype=np.float64),
-                   labels=np.array(labels, dtype=np.int64),
-                   num_classes=num_classes)
+                   labels=np.array(labels, dtype=np.int64))
 
 
 def held_out_rows(num_rows: int, test_fraction: float) -> int:
@@ -173,11 +168,8 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
     rng = np.random.default_rng(seed)
     for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
-        for cls in range(ds.num_classes):
-            cls_idx = np.nonzero(ds.labels == cls)[0]
-            if cls_idx.size == 0:
-                continue
-            cls_idx = rng.permutation(cls_idx)
+        for cls in np.unique(ds.labels):
+            cls_idx = rng.permutation(np.nonzero(ds.labels == cls)[0])
             proportions = rng.dirichlet(np.full(num_clients, alpha))
             cuts = (np.cumsum(proportions)[:-1] * cls_idx.size).astype(np.int64)
             for client, part in enumerate(np.split(cls_idx, cuts)):

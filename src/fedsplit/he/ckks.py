@@ -37,7 +37,7 @@ class CkksBackend(HeBackend):
         s_eval = ring.to_eval(ring.ternary(rng))
         a_eval = ring.to_eval(ring.uniform(rng))
         e_eval = ring.to_eval(ring.cbd_error(rng))
-        b_eval = ring.addmod(ring.negmod(ring.mulmod(a_eval, s_eval)), e_eval)
+        b_eval = ring.submod(e_eval, ring.mulmod(a_eval, s_eval))
         return KeyPair(public_key=(a_eval, b_eval), secret_key=s_eval,
                        params=self.params, backend=self.name)
 

@@ -122,9 +122,6 @@ class NegacyclicRing:
         s = a + self._qv - b
         return np.where(s >= self._qv, s - self._qv, s)
 
-    def negmod(self, a: np.ndarray) -> np.ndarray:
-        return np.where(a == 0, a, self._qv - a)
-
     # -- integer <-> residue embedding ----------------------------------------------
 
     def from_signed(self, v: np.ndarray) -> np.ndarray:

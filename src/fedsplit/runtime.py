@@ -148,7 +148,7 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
     if not voted:
         return updates, PartitionMask(np.arange(k), state.dim)
     vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
-    tokenize_round(vk, [proposal for _, _, proposal in trained])
+    vk = tokenize_round(vk, [proposal for _, _, proposal in trained])
     msgs = [encrypt_indices(proposal, vk, client_id=client) for client, _, proposal in trained]
     return updates, decode_partition(tally_votes(msgs, k), vk, state.dim, k)
 
@@ -227,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             r_t, acc, sim_time = _run_round(state, t)
             report.rounds.append(RoundMetrics(t, r_t, acc, sim_time,
                                               time.perf_counter() - started))
-    except (FedSplitError, ValueError, OSError) as exc:
+    except (FedSplitError, ValueError, OSError, MemoryError) as exc:
         raise RunAborted(f"experiment aborted: {exc}", report) from exc
     report.complete = True
     return report

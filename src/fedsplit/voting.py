@@ -18,16 +18,17 @@ equal magnitudes prefer the lower index.
 Each round's tokens come from one PRP batch.  The runtime derives the
 ``VoteKey`` afresh each round from the experiment seed and the round index;
 after the first pass, ``tokenize_round`` runs the PRP once over the union of
-the round's proposals and stores the result on the key as its round table,
-sorted arrays index -> token and token -> index.  Each client's
-``encrypt_indices`` and the ``decode_partition`` are then lookups in that
-table.  This is a simulator shortcut; in a deployment each client still
-computes its own k PRPs.  An index or token the table lacks (a foreign token,
-or a key whose round was never tokenized) runs through the PRP on the spot,
-and the result is not stored.  So a caller that skips ``tokenize_round``
-computes a token once for every proposal that holds its index, and the
-inverse once for every winner it decodes, where a per-key memo would compute
-each once; the runtime always tokenizes the round first.
+the round's proposals and returns the round's key, a copy holding the
+result as its round table: sorted arrays index -> token and token -> index.
+Each client's ``encrypt_indices`` and the ``decode_partition`` take that key,
+so they are lookups in its table.  This is a simulator shortcut; in a
+deployment each client still computes its own k PRPs.  An index or token the
+table lacks (a foreign token, or a key whose round was never tokenized) runs
+through the PRP on the spot, and the result is not stored; so a caller that
+skips ``tokenize_round`` runs the PRP for every proposal it encrypts and
+every winner it decodes.  Vote messages and the server's winners pass one
+check: a strictly increasing 1-D ``uint64`` array (what ``tally_votes``
+returns), else ``ProtocolError``.
 
 ``_prp`` is the one Feistel network, on the blocks' ``uint32`` halves; the
 inverse swaps the halves and reverses the rounds.  Its round function has
@@ -43,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -84,21 +85,32 @@ class PartitionStrategy(str, Enum):
 class VoteKey:
     """Secret shared by clients; the server only ever sees tokens.
 
-    Also holds this (key, round)'s token table, replaced as a whole by
-    ``tokenize_round``; equality and hashing see only the key and the round.
+    Also holds this (key, round)'s token table, on the copy ``tokenize_round``
+    returns; equality and hashing see only the key and the round.
     """
 
     key: bytes
     round_binding: int
     # ((sorted indices, their tokens), (sorted tokens, their indices)), so
-    # ``_table[inverse]`` maps a PRP input to its output; one tuple, so a
-    # reader sees one consistent snapshot.
+    # ``_table[inverse]`` maps a PRP input to its output.
     _table: tuple = field(default=((_NO_BLOCKS, _NO_BLOCKS), (_NO_BLOCKS, _NO_BLOCKS)),
                           compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.key) != 16:
             raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
+        # the round function packs the round binding as a signed 64-bit integer
+        if not -2**63 <= self.round_binding < 2**63:
+            raise ValueError(f"round binding must lie in [-2**63, 2**63), got "
+                             f"{self.round_binding}")
+
+
+def _check_tokens(tokens, what: str) -> None:
+    """Raise ``ProtocolError`` unless ``tokens`` is a strictly increasing 1-D
+    ``uint64`` array, so it holds no repeat and no value outside [0, 2**64)."""
+    if (not isinstance(tokens, np.ndarray) or tokens.dtype != np.uint64
+            or tokens.ndim != 1 or np.any(tokens[1:] <= tokens[:-1])):
+        raise ProtocolError(f"{what} must be a strictly increasing 1-D uint64 array")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +121,7 @@ class VoteMessage:
     tokens: np.ndarray
 
     def __post_init__(self):
-        tokens = self.tokens
-        if (not isinstance(tokens, np.ndarray) or tokens.dtype != np.uint64
-                or tokens.ndim != 1 or np.any(tokens[1:] <= tokens[:-1])):
-            raise ProtocolError("vote message tokens must be a strictly increasing "
-                                "1-D uint64 array")
+        _check_tokens(self.tokens, "vote message tokens")
 
 
 def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
@@ -263,14 +271,15 @@ def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarra
     return out
 
 
-def tokenize_round(vk: VoteKey, proposals) -> None:
+def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
     """Run the PRP once over the union of the round's proposals (an iterable
-    of ``PartitionMask``) and make the result ``vk``'s round table."""
+    of ``PartitionMask``) and return ``vk`` with the result as its round
+    table; ``vk`` itself is left as it was."""
     indices = np.unique(np.concatenate(
         [_NO_BLOCKS, *(mask.he_indices.astype(np.uint64) for mask in proposals)]))
     tokens = _prp(vk, indices)
     order = np.argsort(tokens)
-    object.__setattr__(vk, "_table", ((indices, tokens), (tokens[order], indices[order])))
+    return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
 
 
 def encrypt_indices(mask: PartitionMask, vk: VoteKey, client_id: int = 0) -> VoteMessage:
@@ -296,28 +305,16 @@ def tally_votes(msgs, k: int) -> np.ndarray:
 def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     """Client-side inversion of the winning tokens into the global mask.
 
-    The server's tokens are checked here: integers in [0, 2**64), at most
-    ``k``, all distinct, each decoding below ``dim``.  A shortfall below
-    ``k`` is padded with the smallest unselected indices so the encrypted
-    part keeps size ``k``.
+    The server's tokens are checked here: the strictly increasing ``uint64``
+    array that ``tally_votes`` returns, at most ``k`` tokens, each decoding
+    below ``dim``.  A shortfall below ``k`` is padded with the smallest
+    unselected indices so the encrypted part keeps size ``k``.
     """
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
-    if not isinstance(tokens, np.ndarray):
-        # one element at a time, so that no conversion truncates or wraps a
-        # token that is not an integer in [0, 2**64)
-        tokens = np.fromiter(tokens, dtype=object)
-        if all(isinstance(t, (int, np.integer)) and 0 <= int(t) < 2**64 for t in tokens):
-            tokens = tokens.astype(np.uint64)
-    if tokens.ndim != 1 or tokens.dtype.kind not in "ui" or tokens.min(initial=0) < 0:
-        raise ProtocolError(f"winning tokens must be integers in [0, 2**64), got "
-                            f"dtype {tokens.dtype} with shape {tokens.shape}")
-    tokens = tokens.astype(np.uint64, copy=False)
-    ordered = np.sort(tokens)
-    distinct = tokens.size - np.count_nonzero(ordered[1:] == ordered[:-1])
-    if tokens.size > k or distinct < tokens.size:
-        raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
-                            f"{tokens.size} with {distinct} distinct")
+    _check_tokens(tokens, "winning tokens")
+    if tokens.size > k:
+        raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
     indices = _lookup(vk, tokens, inverse=True)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "

@@ -22,7 +22,7 @@ from fedsplit.config import RatioSchedule, config_to_flat
 from fedsplit.runtime import run_experiment
 from fedsplit.vectors import PartitionMask
 from fedsplit.voting import (decode_partition, encrypt_indices, new_vote_key,
-                             tally_votes, target_count, _prp)
+                             tally_votes, target_count, tokenize_round, _prp)
 
 
 _CAPTURE = None
@@ -128,13 +128,14 @@ def test_criterion_04_voting_oracle_equivalence():
             n_clients = int(rng.integers(1, 17))
             k = int(rng.integers(0, dim + 1))
             vk = new_vote_key(int(rng.integers(0, 2**31)), round_binding=trial)
-            proposals, msgs = [], []
+            proposals = []
             for client in range(n_clients):
                 size = int(rng.integers(0, dim + 1))
-                prop = sorted(rng.choice(dim, size=size, replace=False).tolist())
-                proposals.append(prop)
-                msgs.append(encrypt_indices(
-                    PartitionMask.from_indices(prop, dim), vk, client_id=client))
+                proposals.append(sorted(rng.choice(dim, size=size, replace=False).tolist()))
+            masks = [PartitionMask.from_indices(prop, dim) for prop in proposals]
+            vk = tokenize_round(vk, masks)
+            msgs = [encrypt_indices(mask, vk, client_id=client)
+                    for client, mask in enumerate(masks)]
             got = decode_partition(tally_votes(msgs, k), vk, dim, k)
             tokens = _prp(vk, np.arange(dim, dtype=np.uint64)).tolist()
             expected = _oracle(proposals, k, tokens.__getitem__)
@@ -142,9 +143,9 @@ def test_criterion_04_voting_oracle_equivalence():
 
         # the reference three-client scenario: proposals {1,4}, {1,2}, {4,1}
         # must elect exactly {1, 4}
-        vk = new_vote_key(7, round_binding=0)
-        msgs = [encrypt_indices(PartitionMask.from_indices(p, 5), vk, client_id=i)
-                for i, p in enumerate([[1, 4], [1, 2], [4, 1]])]
+        masks = [PartitionMask.from_indices(p, 5) for p in ([1, 4], [1, 2], [4, 1])]
+        vk = tokenize_round(new_vote_key(7, round_binding=0), masks)
+        msgs = [encrypt_indices(mask, vk, client_id=i) for i, mask in enumerate(masks)]
         winners = decode_partition(tally_votes(msgs, 2), vk, 5, 2)
         assert winners.he_indices.tolist() == [1, 4]
 

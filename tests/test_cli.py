@@ -92,6 +92,26 @@ def mini_config(tmp_path):
     return p
 
 
+CKKS_HE_ONLY = ["--set", "he.backend=ckks", "--set", "protection.kind=he_only"]
+
+
+@pytest.fixture
+def huge_ring_out_of_memory(monkeypatch):
+    """A ring's power table of more than 2**20 entries raises MemoryError,
+    as numpy does when it cannot allocate one, without allocating it.  A
+    ckks ring of degree 2**40 parses (an NTT prime exists), but each of its
+    tables would need 8 TiB."""
+    from fedsplit.he import ring
+    pow_table = ring._pow_table
+
+    def refuse_huge(base, count, q, first=1):
+        if count > 2**20:
+            raise MemoryError(f"Unable to allocate {8 * count} bytes")
+        return pow_table(base, count, q, first)
+
+    monkeypatch.setattr(ring, "_pow_table", refuse_huge)
+
+
 class TestRun:
     def test_minimal_run_writes_outputs(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -175,7 +195,7 @@ class TestRun:
         from fedsplit import seeds
         from fedsplit.datasets import Dataset, train_test_split
         n = 40
-        numbered = Dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n, np.int64), 1)
+        numbered = Dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n, np.int64))
         train, test = train_test_split(numbered, 0.2, seeds.seed_sequence(0, seeds.SPLIT, 0))
         row = int((test if held_out else train).features[0, 0])
         rng = np.random.default_rng(0)
@@ -241,6 +261,15 @@ class TestRun:
         assert all(word in err for word in named), err
         assert not out.exists()
 
+    def test_out_of_memory_is_runtime_error(self, mini_config, tmp_path, capsys,
+                                            huge_ring_out_of_memory):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(mini_config), "--out", str(out), *CKKS_HE_ONLY,
+                     "--set", f"he.ring_degree={2**40}"])
+        assert code == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["complete"] is False
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         p = tmp_path / "diverge.conf"
         p.write_text(MINI + "model.kind = linear\nround.learning_rate_eta = 1e18\n")
@@ -290,6 +319,16 @@ class TestSweep:
         rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
         assert len(rows) == 2
         assert rows[1]["accuracy"] == ""
+
+    def test_out_of_memory_value_fails_alone(self, mini_config, tmp_path, capsys,
+                                             huge_ring_out_of_memory):
+        out = tmp_path / "sweepM"
+        code = main(["sweep", "--config", str(mini_config), "--out", str(out), *CKKS_HE_ONLY,
+                     "--param", "he.ring_degree", "--values", f"{2**40},4096"])
+        assert code == 3
+        rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
+        assert [(row["value"], bool(row["accuracy"])) for row in rows] == [
+            (str(2**40), False), ("4096", True)]
 
     def test_unknown_sweep_key(self, mini_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(mini_config),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fedsplit.runtime as runtime_mod
-from fedsplit import seeds
+from fedsplit import seeds, voting
 from fedsplit.metrics import emit_report
 from fedsplit.models import ModelSpec, local_train, param_count
 from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
@@ -228,6 +228,30 @@ class TestVoteScope:
         run_experiment(small_config(workers=workers))
         assert refs and len(checked) == 4 * 4
         assert all(alive == [] for alive in checked)
+
+    def test_one_prp_batch_per_round(self, monkeypatch):
+        """Each round runs the PRP once, forward, over the union of its
+        proposals; every client's tokens and the decode read that batch
+        from the round key ``tokenize_round`` returns."""
+        proposals, batches = [], []
+        propose, prp = runtime_mod.propose_partition, voting._prp
+
+        def propose_spy(*args):
+            proposals.append(propose(*args))
+            return proposals[-1]
+
+        def prp_spy(vk, blocks, inverse=False):
+            if blocks.size:
+                batches.append((blocks.tolist(), inverse))
+            return prp(vk, blocks, inverse)
+
+        monkeypatch.setattr(runtime_mod, "propose_partition", propose_spy)
+        monkeypatch.setattr(voting, "_prp", prp_spy)
+        run_experiment(small_config())
+        assert len(proposals) == 4 * 4
+        unions = [np.unique(np.concatenate([m.he_indices for m in proposals[t:t + 4]])).tolist()
+                  for t in range(0, 16, 4)]
+        assert batches == [(union, False) for union in unions]
 
 
 class TestDeterminismAndBackends:

@@ -1,8 +1,6 @@
 import hashlib
 import struct
-import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -114,6 +112,18 @@ class TestTokens:
         vk = new_vote_key(9, round_binding=round_binding)
         token = voting._prp(vk, np.array([index], dtype=np.uint64))
         assert voting._prp(vk, token, inverse=True).tolist() == [index]
+
+    def test_round_binding_is_an_int64(self):
+        """The round function packs the binding as a signed 64-bit integer,
+        so the key refuses any other value where it is made."""
+        key = new_vote_key(8).key
+        for binding in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match=r"round binding must lie in \[-2\*\*63, 2\*\*63\)"):
+                VoteKey(key, binding)
+        for binding in (2**63 - 1, -2**63):
+            vk = VoteKey(key, binding)
+            token = voting._prp(vk, np.array([5], np.uint64))
+            assert token.tolist() == [reference_token(vk, 5)]
 
 
 def reference_round(vk, feistel_round, half):
@@ -228,8 +238,7 @@ class TestTokenMemo:
     def test_fresh_and_warm_key_match_reference(self):
         first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**33 + 7]
         fresh = new_vote_key(21, round_binding=5)
-        warm = new_vote_key(21, round_binding=5)
-        tokenize_round(warm, [mask_of(first, 2**34)])
+        warm = tokenize_round(new_vote_key(21, round_binding=5), [mask_of(first, 2**34)])
         for vk in (fresh, warm):
             assert np.array_equal(encrypt_indices(mask_of(first, 2**34), vk).tokens,
                                   self.reference_tokens(vk, first))
@@ -239,8 +248,7 @@ class TestTokenMemo:
     def test_foreign_token_with_warm_memo(self, prp_lanes):
         """Proposed tokens decode from the table; a foreign token runs the
         inverse PRP each time it arrives, so it is never stored."""
-        vk = new_vote_key(22, round_binding=1)
-        tokenize_round(vk, [mask_of(range(0, 40, 2), 64)])
+        vk = tokenize_round(new_vote_key(22, round_binding=1), [mask_of(range(0, 40, 2), 64)])
         for token in (reference_token(vk, 5), 2**64 - 1, 12345, 2**63):
             one = np.array([token], np.uint64)
             assert voting._prp(vk, one, inverse=True).tolist() == [reference_index(vk, token)]
@@ -255,44 +263,35 @@ class TestTokenMemo:
         assert decode_partition(np.array(even, np.uint64), vk, 64, 2).he_indices.tolist() == [2, 38]
         assert prp_lanes == [beyond, beyond, *odd]
 
-    @staticmethod
-    def encrypt_while_retokenizing(width):
-        """More workers than cores and a short switch interval on one round
-        key whose table is replaced while they read it: the messages equal a
-        single thread's, and each decodes back to its proposal."""
-        dim = 7 * 300 + width
-        masks = [mask_of(range(c * 300, c * 300 + width), dim) for c in range(8)]
-        serial = [encrypt_indices(m, new_vote_key(23, round_binding=2), client_id=c)
-                  for c, m in enumerate(masks)]
+    def test_untokenized_key_on_the_lane_path(self, prp_lanes):
+        """A proposal as wide as ``_BATCH_LANES`` on a key whose round was
+        never tokenized: its misses run as numpy lanes, forward to the
+        reference tokens and inverse back to the proposal."""
+        dim = 2 * voting._BATCH_LANES
+        mask = mask_of(range(1, dim, 2), dim)
         vk = new_vote_key(23, round_binding=2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                futures = [pool.submit(encrypt_indices, m, vk, c)
-                           for c, m in enumerate(masks)]
-                tokenize_round(vk, masks[::2])
-                tokenize_round(vk, masks)
-                threaded = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(a.tokens, b.tokens) for a, b in zip(serial, threaded))
-        for msg, mask in zip(threaded, masks):
-            decoded = decode_partition(msg.tokens, vk, dim, msg.tokens.size)
-            assert np.array_equal(decoded.he_indices, mask.he_indices)
+        msg = encrypt_indices(mask, vk)
+        assert np.array_equal(msg.tokens, self.reference_tokens(vk, range(1, dim, 2)))
+        decoded = decode_partition(msg.tokens, vk, dim, msg.tokens.size)
+        assert np.array_equal(decoded.he_indices, mask.he_indices)
+        assert len(prp_lanes) == 2 * voting._BATCH_LANES
 
-    def test_threads_share_one_memo(self):
-        self.encrypt_while_retokenizing(1500)
-
-    def test_threads_on_the_lane_path(self):
-        """Each client's proposal is as wide as ``_BATCH_LANES``, so the
-        misses of a client that reads an empty table run as numpy lanes."""
-        self.encrypt_while_retokenizing(voting._BATCH_LANES)
+    def test_tokenize_round_returns_a_new_key(self):
+        """The table goes on the returned copy; the argument keeps its empty
+        table and still equals the copy."""
+        vk = new_vote_key(27, round_binding=4)
+        keyed = tokenize_round(vk, [mask_of([1, 5], 8), mask_of([5, 6], 8)])
+        assert keyed is not vk and keyed == vk
+        assert all(part.size == 0 for side in vk._table for part in side)
+        (indices, tokens), (sorted_tokens, _) = keyed._table
+        assert indices.tolist() == [1, 5, 6]
+        assert tokens.tolist() == [reference_token(vk, i) for i in (1, 5, 6)]
+        assert sorted_tokens.tolist() == sorted(tokens.tolist())
 
     def test_equality_and_hash_ignore_memo(self, prp_lanes):
         base = new_vote_key(24)
-        a, b = VoteKey(base.key, 3), VoteKey(base.key, 3)
-        tokenize_round(a, [mask_of([1, 2, 3], 8)])
+        a = tokenize_round(VoteKey(base.key, 3), [mask_of([1, 2, 3], 8)])
+        b = VoteKey(base.key, 3)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a != VoteKey(base.key, 4)
         prp_lanes.clear()
@@ -361,14 +360,12 @@ class TestTally:
 
 def set_algebra_decode(tokens, vk, dim, k):
     """``decode_partition`` as it was written with set operations, kept as
-    the reference for the boolean-mask decode."""
+    the reference for the boolean-mask decode of a valid token array."""
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
     tokens = np.fromiter(tokens, dtype=np.uint64)
-    distinct = np.unique(tokens).size
-    if tokens.size > k or distinct < tokens.size:
-        raise ProtocolError(f"expected at most {k} distinct winning tokens, got "
-                            f"{tokens.size} with {distinct} distinct")
+    if tokens.size > k or np.unique(tokens).size < tokens.size:
+        raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
     indices = voting._lookup(vk, tokens, inverse=True)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
@@ -377,13 +374,20 @@ def set_algebra_decode(tokens, vk, dim, k):
     return PartitionMask(he_indices=np.union1d(indices, pad), dim=dim)
 
 
+def is_token_array(tokens):
+    """What ``tally_votes`` returns: a 1-D ``uint64`` array, sorted, no repeats."""
+    return (isinstance(tokens, np.ndarray) and tokens.dtype == np.uint64
+            and tokens.ndim == 1 and tokens.tolist() == sorted(set(tokens.tolist())))
+
+
 @st.composite
 def decode_cases(draw):
     """(winning tokens, vote key, dim, k) for dim <= 64 and every k: winners
     that decode, or (second branch) that may repeat, exceed k or decode at
-    or beyond dim; given as an array, a list (of ints or of numpy scalars) or
-    a frozenset; to a key whose table holds some of the round's indices, or
-    to an untokenized key."""
+    or beyond dim; half the time as a sorted ``uint64`` array without
+    repeats, else as drawn: an array (``uint64``, int64 or float), a list (of
+    ints or of numpy scalars) or a frozenset; to a key whose table holds some
+    of the round's indices, or to an untokenized key."""
     dim = draw(st.integers(min_value=1, max_value=64))
     k = draw(st.integers(min_value=0, max_value=dim))
     winners = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True, max_size=k)
@@ -392,10 +396,14 @@ def decode_cases(draw):
                       round_binding=draw(st.integers(min_value=0, max_value=2**16)))
     if draw(st.booleans()):
         table = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True))
-        tokenize_round(vk, [mask_of(table, dim)])
+        vk = tokenize_round(vk, [mask_of(table, dim)])
     tokens = [reference_token(vk, i) for i in winners]
+    if draw(st.booleans()):
+        return np.array(sorted(set(tokens)), np.uint64), vk, dim, k
     given_as = draw(st.sampled_from([lambda t: np.array(t, np.uint64), list, frozenset,
-                                     lambda t: [np.uint64(x) for x in t]]))
+                                     lambda t: [np.uint64(x) for x in t],
+                                     lambda t: np.array(t, np.uint64).astype(np.int64),
+                                     lambda t: np.array(t, np.float64)]))
     return given_as(tokens), vk, dim, k
 
 
@@ -403,8 +411,14 @@ class TestDecodePartition:
     @given(decode_cases())
     @settings(deadline=None)
     def test_equals_set_algebra_decode(self, case):
-        """The same mask, or the same ProtocolError, as the set-algebra
-        decode; the example budget comes from the hypothesis profile."""
+        """On a token array, the same mask or the same ProtocolError as the
+        set-algebra decode; any other form is rejected.  The example budget
+        comes from the hypothesis profile."""
+        if not is_token_array(case[0]):
+            with pytest.raises(ProtocolError, match="strictly increasing 1-D uint64 array"):
+                decode_partition(*case)
+            return
+
         def outcome(decode):
             try:
                 mask = decode(*case)
@@ -425,7 +439,7 @@ class TestDecodePartition:
 
     def test_empty(self):
         vk = new_vote_key(12)
-        m = decode_partition(frozenset(), vk, 5, 0)
+        m = decode_partition(np.empty(0, np.uint64), vk, 5, 0)
         assert m.size == 0
 
     def test_foreign_token_rejected(self):
@@ -437,24 +451,30 @@ class TestDecodePartition:
     def test_more_than_k_tokens_rejected(self):
         vk = new_vote_key(15)
         tokens = encrypt_indices(mask_of([0, 2, 3], 5), vk).tokens
-        with pytest.raises(ProtocolError, match="at most 2 distinct"):
+        with pytest.raises(ProtocolError, match="at most 2 winning tokens, got 3"):
             decode_partition(tokens, vk, 5, 2)
 
     def test_repeated_token_rejected(self):
         vk = new_vote_key(16)
         token = encrypt_indices(mask_of([3], 5), vk).tokens
-        with pytest.raises(ProtocolError, match="at most 2 distinct"):
+        with pytest.raises(ProtocolError, match="strictly increasing"):
             decode_partition(np.concatenate([token, token]), vk, 5, 2)
 
     @pytest.mark.parametrize("tokens", [[1.5], [-1], [2**64], [True, 2.0], ["7"],
                                         np.array([1.5]), np.array([-1]), np.array([[1]]),
-                                        np.array([True])],
+                                        np.array([True]), [1, 2], frozenset(), frozenset({1}),
+                                        np.array([1, 2], np.int64),
+                                        np.array([2, 1], np.uint64)],
                              ids=["float", "negative", "2**64", "int-then-float", "str",
-                                  "float-array", "int64-negative", "2-D", "bool-array"])
+                                  "float-array", "int64-negative", "2-D", "bool-array",
+                                  "int-list", "empty-frozenset", "frozenset", "int64-array",
+                                  "unsorted"])
     def test_non_integer_token_rejected(self, tokens):
-        """A token must be an integer in [0, 2**64): 1.5 is not truncated to
-        1, and -1 or 2**64 is a ProtocolError, not an OverflowError."""
-        with pytest.raises(ProtocolError, match=r"integers? in \[0, 2\*\*64\)"):
+        """The winners are the tally's strictly increasing 1-D ``uint64``
+        array, and nothing else: 1.5 is not truncated to 1, -1 or 2**64 is a
+        ProtocolError and not an OverflowError, and a list or a frozenset of
+        valid tokens is refused as well."""
+        with pytest.raises(ProtocolError, match="strictly increasing 1-D uint64 array"):
             decode_partition(tokens, new_vote_key(17), 5, 2)
 
     def test_consensus_across_clients(self):
