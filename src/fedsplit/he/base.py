@@ -5,11 +5,11 @@ in ``mock.py``) run one shared path, written once in ``HeBackend``: the key
 check, plaintext validation (finite values within the fixed-point
 headroom), chunking into at most ``slot_count`` values per ciphertext,
 slot-aligned addition with its depth check, the chunk-layout check and
-decrypt stitching (truncated to the caller's original length), and the
-client-order fold of ``aggregate``.  Each operation has one name:
-``encrypt``, ``hom_add`` and ``decrypt`` are defined once here, and a
-backend supplies only its ``keygen`` and per-chunk math:
-``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
+decrypt stitching (every chunk's ``slots_used`` values, so decrypt returns
+exactly what was encrypted), and the client-order fold of ``aggregate``.
+Each operation has one name: ``encrypt``, ``hom_add`` and ``decrypt`` are
+defined once here, and a backend supplies only its ``keygen`` and per-chunk
+math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
 
 A ciphertext payload is a plain tuple of numpy arrays (ckks ``(c0, c1)``,
 mock ``(nonce, values)``), and so are the ckks keys (public ``(a, b)``,
@@ -74,7 +74,7 @@ class HeBackend:
     def __init__(self, params: HeParams):
         self.params = params
 
-    def aggregate(self, kp: KeyPair, per_client_cts: Sequence[list], length: int) -> np.ndarray:
+    def aggregate(self, kp: KeyPair, per_client_cts: Sequence[list]) -> np.ndarray:
         """Fold each client's chunks in client order, decrypt, and divide by n."""
         if not per_client_cts:
             raise ProtocolError("no client ciphertexts to aggregate")
@@ -84,7 +84,7 @@ class HeBackend:
         summed = list(per_client_cts[0])
         for cts in per_client_cts[1:]:
             summed = [self.hom_add(a, b) for a, b in zip(summed, cts)]
-        return self.decrypt(kp, summed, length) / len(per_client_cts)
+        return self.decrypt(kp, summed) / len(per_client_cts)
 
     # -- the shared path -------------------------------------------------------
 
@@ -128,20 +128,14 @@ class HeBackend:
         return self._ciphertext(self._add_payloads(a.payload, b.payload),
                                 a.slots_used, add_count)
 
-    def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext], original_len: int) -> np.ndarray:
+    def decrypt(self, sk: KeyPair, cts: Sequence[Ciphertext]) -> np.ndarray:
+        """Join every chunk's ``slots_used`` decrypted values, in chunk order."""
         self._check_key(sk, "secret")
-        if original_len < 0:
-            raise ValueError("original_len must be nonnegative")
-        total = 0
         for i, ct in enumerate(cts):
             if ct.backend != self.name or ct.params != self.params:
                 raise DimensionError(f"ciphertext {i} params/backend mismatch")
             if i < len(cts) - 1 and ct.slots_used != self.params.slot_count:
                 raise DimensionError(f"non-final chunk {i} uses {ct.slots_used} slots, "
                                      f"expected {self.params.slot_count}")
-            total += ct.slots_used
-        if total < original_len:
-            raise DimensionError(f"ciphertexts cover {total} values, need {original_len}")
-        needed = cts[:-(-original_len // self.params.slot_count)]
-        parts = [self._decrypt_chunk(sk.secret_key, ct.payload)[:ct.slots_used] for ct in needed]
-        return np.concatenate([np.empty(0), *parts])[:original_len]
+        parts = [self._decrypt_chunk(sk.secret_key, ct.payload)[:ct.slots_used] for ct in cts]
+        return np.concatenate([np.empty(0), *parts])

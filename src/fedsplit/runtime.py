@@ -190,8 +190,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
     if mask.size:
-        he_mean = state.backend.aggregate(state.keypair, [p[1] for p in protected],
-                                          mask.size)
+        he_mean = state.backend.aggregate(state.keypair, [p[1] for p in protected])
         if state.backend.time_basis == "simulated":
             sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
     global_update = merge(rest_mean, he_mean, mask)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -100,9 +101,10 @@ class VoteKey:
         if len(self.key) != 16:
             raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
         # the round function packs the round binding as a signed 64-bit integer
-        if not -2**63 <= self.round_binding < 2**63:
-            raise ValueError(f"round binding must lie in [-2**63, 2**63), got "
-                             f"{self.round_binding}")
+        if not (isinstance(self.round_binding, numbers.Integral)
+                and -2**63 <= int(self.round_binding) < 2**63):
+            raise ValueError(f"round binding must lie in [-2**63, 2**63) and be an "
+                             f"integer, got {self.round_binding!r}")
 
 
 def _check_tokens(tokens, what: str) -> None:
@@ -121,6 +123,10 @@ class VoteMessage:
     tokens: np.ndarray
 
     def __post_init__(self):
+        # the wire carries client_id as an unsigned 32-bit integer
+        if not (isinstance(self.client_id, numbers.Integral) and 0 <= int(self.client_id) < 2**32):
+            raise ProtocolError(f"vote message client_id must lie in [0, 2**32) and be "
+                                f"an integer, got {self.client_id!r}")
         _check_tokens(self.tokens, "vote message tokens")
 
 

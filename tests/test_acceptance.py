@@ -100,7 +100,7 @@ def test_criterion_03_he_correctness():
             acc = encrypted[0]
             for cts in encrypted[1:]:
                 acc = [backend.hom_add(a, b) for a, b in zip(acc, cts)]
-            got = backend.decrypt(kp, acc, length)
+            got = backend.decrypt(kp, acc)
             expected = np.sum(vecs, axis=0)
             worst = max(worst, float(np.max(np.abs(got - expected))))
         assert worst <= 1e-2, f"worst per-coordinate error {worst}"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
@@ -89,7 +89,7 @@ class TestCkksRoundtrip:
         kp = backend.keygen(42)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 1000)
-        y = backend.decrypt(kp, backend.encrypt(kp, x, 1), 1000)
+        y = backend.decrypt(kp, backend.encrypt(kp, x, 1))
         assert np.max(np.abs(y - x)) < decode_tolerance(backend.params)
 
     def test_distinct_seeds_distinct_ciphertexts(self):
@@ -101,19 +101,19 @@ class TestCkksRoundtrip:
         ct2 = backend.encrypt(kp2, x, 5)[0]
         assert not np.array_equal(ct1.payload[0], ct2.payload[0])
         for kp, ct in ((kp1, ct1), (kp2, ct2)):
-            assert np.max(np.abs(backend.decrypt(kp, [ct], 8) - x)) < 1e-3
+            assert np.max(np.abs(backend.decrypt(kp, [ct]) - x)) < 1e-3
 
     def test_empty_input(self):
         backend = CkksBackend(SMALL)
         kp = backend.keygen(0)
         assert backend.encrypt(kp, np.empty(0), 0) == []
-        assert backend.decrypt(kp, [], 0).size == 0
+        assert backend.decrypt(kp, []).size == 0
 
     def test_zero_vector_full_slots(self):
         backend = CkksBackend(SMALL)
         kp = backend.keygen(0)
         x = np.zeros(SMALL.slot_count)
-        y = backend.decrypt(kp, backend.encrypt(kp, x, 3), x.size)
+        y = backend.decrypt(kp, backend.encrypt(kp, x, 3))
         assert np.max(np.abs(y)) < 1e-3
 
     def test_chunking_8192_over_2048_slots(self):
@@ -124,24 +124,15 @@ class TestCkksRoundtrip:
         x = rng.uniform(-1, 1, 8192)
         cts = backend.encrypt(kp, x, 9)
         assert len(cts) == 4
-        y = backend.decrypt(kp, cts, 8192)
+        y = backend.decrypt(kp, cts)
         assert np.max(np.abs(y - x)) < 1e-3
 
     def test_roundtrip_two_values(self):
         backend = CkksBackend(SMALL)
         kp = backend.keygen(3)
         x = np.array([0.5, -0.25])
-        y = backend.decrypt(kp, backend.encrypt(kp, x, 4), 2)
+        y = backend.decrypt(kp, backend.encrypt(kp, x, 4))
         assert np.max(np.abs(y - x)) <= 1e-3
-
-    def test_trailing_slots_discarded(self):
-        backend = CkksBackend(SMALL)
-        kp = backend.keygen(3)
-        x = np.linspace(-1, 1, 40)
-        cts = backend.encrypt(kp, x, 4)
-        y = backend.decrypt(kp, cts, 10)
-        assert y.size == 10
-        assert np.max(np.abs(y - x[:10])) <= 1e-3
 
     def test_overflow_names_magnitude(self):
         import re
@@ -159,8 +150,8 @@ class TestCkksRoundtrip:
         ct_a = backend.encrypt(kp, x, 1)[0]
         ct_b = backend.encrypt(kp, x, 2)[0]
         assert not np.array_equal(ct_a.payload[0], ct_b.payload[0])
-        ya = backend.decrypt(kp, [ct_a], 16)
-        yb = backend.decrypt(kp, [ct_b], 16)
+        ya = backend.decrypt(kp, [ct_a])
+        yb = backend.decrypt(kp, [ct_b])
         assert np.max(np.abs(ya - yb)) < 2 * decode_tolerance(SMALL)
 
 
@@ -174,7 +165,7 @@ class TestHomAdd:
         x = rng.uniform(-1, 1, 512)
         ct = self.backend.hom_add(self.backend.encrypt(self.kp, x, 1)[0],
                                   self.backend.encrypt(self.kp, np.zeros(512), 2)[0])
-        y = self.backend.decrypt(self.kp, [ct], 512)
+        y = self.backend.decrypt(self.kp, [ct])
         assert np.max(np.abs(y - x)) < 2 * decode_tolerance(self.backend.params)
 
     def test_additive_inverse(self):
@@ -182,7 +173,7 @@ class TestHomAdd:
         x = rng.uniform(-1, 1, 512)
         ct = self.backend.hom_add(self.backend.encrypt(self.kp, x, 1)[0],
                                   self.backend.encrypt(self.kp, -x, 2)[0])
-        y = self.backend.decrypt(self.kp, [ct], 512)
+        y = self.backend.decrypt(self.kp, [ct])
         assert np.max(np.abs(y)) < 2 * decode_tolerance(self.backend.params)
 
     def test_ten_vector_sum_against_plaintext_oracle(self):
@@ -194,7 +185,7 @@ class TestHomAdd:
         for ct in cts[1:]:
             acc = self.backend.hom_add(acc, ct)
         assert acc.add_count == 9
-        y = self.backend.decrypt(self.kp, [acc], 1024)
+        y = self.backend.decrypt(self.kp, [acc])
         err = np.max(np.abs(y - np.sum(vecs, axis=0)))
         assert err < 1e-2
         # advertised accumulation contract
@@ -243,7 +234,7 @@ class TestSharedValidation:
             backend.encrypt(other, self.x, 1)
         cts = backend.encrypt(kp, self.x, 1)
         with pytest.raises(DimensionError, match="secret key"):
-            backend.decrypt(other, cts, self.x.size)
+            backend.decrypt(other, cts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_plaintext_rejected(self, backend_cls, bad):
@@ -256,41 +247,40 @@ class TestSharedValidation:
         kp = backend.keygen(0)
         cts = backend.encrypt(kp, self.x, 1)
         with pytest.raises(DimensionError, match="non-final chunk 0"):
-            backend.decrypt(kp, [cts[2], cts[0]], 86)
+            backend.decrypt(kp, [cts[2], cts[0]])
 
-    def test_too_few_slots_rejected(self, backend_cls):
+    @given(length=st.integers(0, 3 * SMALL.slot_count + 1), clients=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(length=0, clients=1, seed=0)
+    @example(length=SMALL.slot_count, clients=2, seed=1)
+    @example(length=2 * SMALL.slot_count, clients=3, seed=2)
+    @example(length=3 * SMALL.slot_count, clients=4, seed=3)
+    @example(length=3 * SMALL.slot_count + 1, clients=4, seed=4)
+    @settings(deadline=None)
+    def test_decrypt_returns_exactly_what_was_encrypted(self, backend_cls, length, clients,
+                                                        seed):
+        """Every chunk gives back its ``slots_used`` values: decrypt and aggregate
+        return ``x.size`` values, exact on mock and within the decode tolerance
+        on ckks, for lengths on and off the chunk boundaries."""
         backend = backend_cls(SMALL)
-        kp = backend.keygen(0)
-        cts = backend.encrypt(kp, self.x, 1)
-        with pytest.raises(DimensionError, match="cover 150 values, need 151"):
-            backend.decrypt(kp, cts, 151)
-
-    def test_negative_original_len_rejected(self, backend_cls):
-        backend = backend_cls(SMALL)
-        kp = backend.keygen(0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            backend.decrypt(kp, backend.encrypt(kp, self.x, 1), -1)
-
-    @pytest.mark.parametrize("original_len,calls", [(40, 1), (64, 1), (100, 2), (128, 2)])
-    def test_decrypt_stops_after_the_last_needed_chunk(self, backend_cls, original_len, calls,
-                                                       monkeypatch):
-        backend = backend_cls(SMALL)
-        kp = backend.keygen(0)
-        cts = backend.encrypt(kp, self.x, 1)
-        decrypted = []
-        decrypt_chunk = backend._decrypt_chunk
-        monkeypatch.setattr(backend, "_decrypt_chunk", lambda key, payload: (
-            decrypted.append(payload) or decrypt_chunk(key, payload)))
-        out = backend.decrypt(kp, cts, original_len)
-        assert len(cts) == 3 and len(decrypted) == calls
-        assert out.shape == (original_len,) and out.dtype == np.float64
-        assert np.max(np.abs(out - self.x[:original_len])) <= decode_tolerance(SMALL)
+        kp = backend.keygen(seed)
+        rng = np.random.default_rng(seed)
+        xs = [rng.uniform(-1.0, 1.0, length) for _ in range(clients)]
+        per_client = [backend.encrypt(kp, x, (seed, i)) for i, x in enumerate(xs)]
+        client_order_mean = sum(xs[1:], xs[0]) / clients
+        for got, want in ((backend.decrypt(kp, per_client[0]), xs[0]),
+                          (backend.aggregate(kp, per_client), client_order_mean)):
+            assert got.shape == (length,) and got.dtype == np.float64
+            if backend.name == "mock":
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want), initial=0.0) <= decode_tolerance(SMALL)
 
     def test_aggregate_is_the_client_order_mean(self, backend_cls):
         backend = backend_cls(SMALL)
         kp = backend.keygen(0)
         per_client = [backend.encrypt(kp, self.x * (i + 1), i) for i in range(3)]
-        mean = backend.aggregate(kp, per_client, self.x.size)
+        mean = backend.aggregate(kp, per_client)
         assert np.max(np.abs(mean - 2 * self.x)) < 1e-3
 
     def test_aggregate_rejects_differing_chunk_counts(self, backend_cls):
@@ -298,9 +288,9 @@ class TestSharedValidation:
         kp = backend.keygen(0)
         per_client = [backend.encrypt(kp, self.x, 1), backend.encrypt(kp, self.x[:100], 2)]
         with pytest.raises(ProtocolError, match="chunk counts"):
-            backend.aggregate(kp, per_client, 100)
+            backend.aggregate(kp, per_client)
         with pytest.raises(ProtocolError, match="no client"):
-            backend.aggregate(kp, [], 100)
+            backend.aggregate(kp, [])
 
 
 # -- mock backend -----------------------------------------------------------------
@@ -314,7 +304,7 @@ class TestMockBackend:
         x = rng.uniform(-1, 1, 20)
         cts = backend.encrypt(kp, x, 1)
         assert len(cts) == 3
-        assert np.array_equal(backend.decrypt(kp, cts, 20), x)
+        assert np.array_equal(backend.decrypt(kp, cts), x)
 
     def test_hom_add_exact(self):
         backend = MockBackend(HeParams())
@@ -323,7 +313,7 @@ class TestMockBackend:
         b = np.array([0.25, 0.75])
         ct = backend.hom_add(backend.encrypt(kp, a, 1)[0],
                              backend.encrypt(kp, b, 2)[0])
-        assert np.array_equal(backend.decrypt(kp, [ct], 2), a + b)
+        assert np.array_equal(backend.decrypt(kp, [ct]), a + b)
 
     def test_payloads_differ_across_seeds(self):
         backend = MockBackend(HeParams())
@@ -397,15 +387,15 @@ class TestWire:
         blobs = [serialize(ct) for ct in cts]
         assert all(blob[:4] == b"PAHE" for blob in blobs)
         restored = [deserialize(blob) for blob in blobs]
-        assert np.array_equal(backend.decrypt(kp, restored, 30),
-                              backend.decrypt(kp, cts, 30))
+        assert np.array_equal(backend.decrypt(kp, restored),
+                              backend.decrypt(kp, cts))
 
     def test_mock_ciphertext_roundtrip(self):
         backend = MockBackend(SMALL)
         kp = backend.keygen(9)
         cts = backend.encrypt(kp, np.array([1.0, -2.5]), 1)
         restored = deserialize(serialize(cts[0]))
-        assert np.array_equal(backend.decrypt(kp, [restored], 2),
+        assert np.array_equal(backend.decrypt(kp, [restored]),
                               np.array([1.0, -2.5]))
 
     def test_bad_magic_rejected(self):
@@ -425,9 +415,9 @@ class TestWire:
                            backend="ckks")
         x = np.array([0.125, -0.5, 0.75])
         cts = backend.encrypt(restored, x, 3)
-        assert np.array_equal(backend.decrypt(restored, cts, 3),
-                              backend.decrypt(kp, cts, 3))
-        assert np.max(np.abs(backend.decrypt(kp, cts, 3) - x)) < 1e-3
+        assert np.array_equal(backend.decrypt(restored, cts),
+                              backend.decrypt(kp, cts))
+        assert np.max(np.abs(backend.decrypt(kp, cts) - x)) < 1e-3
 
 
 # -- backend interchangeability ------------------------------------------------------
@@ -445,5 +435,5 @@ def test_homomorphism_randomized_sets():
         acc = all_cts[0]
         for cts in all_cts[1:]:
             acc = [backend.hom_add(a, b) for a, b in zip(acc, cts)]
-        got = backend.decrypt(kp, acc, length)
+        got = backend.decrypt(kp, acc)
         assert np.max(np.abs(got - np.sum(vecs, axis=0))) <= 1e-2

@@ -70,7 +70,7 @@ class TestProposePartition:
         c = propose_partition(u, 0.3, PartitionStrategy.RANDOM, seed=6)
         assert a == b
         assert a.size == target_count(0.3, 20)
-        assert not np.array_equal(a.he_indices, c.he_indices) or True  # seeded only
+        assert a.he_indices.tolist() != c.he_indices.tolist()
 
     @given(st.integers(min_value=2, max_value=64),
            st.floats(min_value=0.05, max_value=1.0),
@@ -115,15 +115,19 @@ class TestTokens:
 
     def test_round_binding_is_an_int64(self):
         """The round function packs the binding as a signed 64-bit integer,
-        so the key refuses any other value where it is made."""
+        so the key refuses any other value where it is made; a numpy integer
+        packs as its value."""
         key = new_vote_key(8).key
-        for binding in (2**63, -2**63 - 1):
+        for binding in (2**63, -2**63 - 1, 1.5, np.float64(3.0), "3", None):
             with pytest.raises(ValueError, match=r"round binding must lie in \[-2\*\*63, 2\*\*63\)"):
                 VoteKey(key, binding)
         for binding in (2**63 - 1, -2**63):
             vk = VoteKey(key, binding)
             token = voting._prp(vk, np.array([5], np.uint64))
             assert token.tolist() == [reference_token(vk, 5)]
+        for blocks in (np.array([5], np.uint64), np.arange(voting._BATCH_LANES, dtype=np.uint64)):
+            assert np.array_equal(voting._prp(VoteKey(key, np.int64(3)), blocks),
+                                  voting._prp(VoteKey(key, 3), blocks))
 
 
 def reference_round(vk, feistel_round, half):
@@ -565,6 +569,13 @@ class TestWireFormat:
         tokens = [blob[8 + 8 * i: 16 + 8 * i] for i in range(3)]
         with pytest.raises(ProtocolError, match="strictly increasing"):
             decode_vote_message(blob[:8] + b"".join(tokens[i] for i in order))
+
+    @pytest.mark.parametrize("client_id", [2**32, -1, 1.5])
+    def test_client_id_the_wire_cannot_carry_rejected(self, client_id):
+        """The wire holds client_id as an unsigned 32-bit integer, so a message
+        is made only for an integer in [0, 2**32)."""
+        with pytest.raises(ProtocolError, match=r"client_id must lie in \[0, 2\*\*32\)"):
+            encrypt_indices(mask_of([2, 7], 12), new_vote_key(33), client_id=client_id)
 
     def test_truncated_rejected(self):
         vk = new_vote_key(31)
