@@ -4,9 +4,11 @@ Both backends (the lattice scheme in ``ckks.py`` and the cost-modeled mock
 in ``mock.py``) run one shared path, written once in ``HeBackend``: the key
 check, plaintext validation (finite values within the fixed-point
 headroom), chunking into at most ``slot_count`` values per ciphertext,
-slot-aligned addition with its depth check, the chunk-layout check and
-decrypt stitching (every chunk's ``slots_used`` values, so decrypt returns
-exactly what was encrypted), and the client-order fold of ``aggregate``.
+slot-aligned addition with its depth check, the slot-count check (each
+chunk's ``slots_used`` is an integer in [1, ``slot_count``]), the
+chunk-layout check and decrypt stitching (every chunk's ``slots_used``
+values, so decrypt returns exactly what was encrypted), and the
+client-order fold of ``aggregate``.
 Each operation has one name: ``encrypt``, ``hom_add`` and ``decrypt`` are
 defined once here, and a backend supplies only its ``keygen`` and per-chunk
 math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
@@ -92,6 +94,13 @@ class HeBackend:
         if kp.backend != self.name or kp.params != self.params:
             raise DimensionError(f"{half} key params/backend mismatch")
 
+    def _check_slots(self, ct: Ciphertext, what: str) -> None:
+        n = ct.slots_used
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not 1 <= n <= self.params.slot_count):
+            raise DimensionError(f"{what} uses {n!r} slots, expected an integer "
+                                 f"in [1, {self.params.slot_count}]")
+
     def _ciphertext(self, payload, slots_used: int, add_count: int = 0) -> Ciphertext:
         return Ciphertext(payload=payload, slots_used=slots_used, add_count=add_count,
                           params=self.params, backend=self.name)
@@ -119,6 +128,8 @@ class HeBackend:
                                  f"{b.backend!r} under {self.name!r}")
         if a.params != b.params or a.params != self.params:
             raise DimensionError("ciphertext params mismatch in hom_add")
+        self._check_slots(a, "left ciphertext")
+        self._check_slots(b, "right ciphertext")
         if a.slots_used != b.slots_used:
             raise DimensionError(f"slot mismatch in hom_add: {a.slots_used} vs {b.slots_used}")
         add_count = a.add_count + b.add_count + 1
@@ -134,6 +145,7 @@ class HeBackend:
         for i, ct in enumerate(cts):
             if ct.backend != self.name or ct.params != self.params:
                 raise DimensionError(f"ciphertext {i} params/backend mismatch")
+            self._check_slots(ct, f"ciphertext {i}")
             if i < len(cts) - 1 and ct.slots_used != self.params.slot_count:
                 raise DimensionError(f"non-final chunk {i} uses {ct.slots_used} slots, "
                                      f"expected {self.params.slot_count}")

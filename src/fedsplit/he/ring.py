@@ -7,7 +7,21 @@ convolution into a plain length-N NTT (the standard psi-twist).
 All coefficient vectors are uint64 arrays reduced mod q.  Modular products
 use a float64-assisted quotient estimate, exact for q < 2^51: the quotient
 a*b/q fits in 53 bits with at most +-2 estimation error, and the remainder
-is recovered through wrapping uint64 arithmetic.
+is recovered through wrapping uint64 arithmetic.  Nothing divides or
+branches: the remainder r = a*b - t*q of the truncated estimate t lies in
+(-2q, 2q), where a negative r has wrapped above 2^64 - 2q, so
+``min(r, r + 2q)`` lifts it into [0, 2q) and ``min(r, r - q)`` into [0, q);
+a sum below 2q reduces as ``min(s, s - q)``.  Tabled multipliers w (twists
+and twiddles) carry a float64 copy of w / q, so their estimate costs one
+float product; it stays within the window for a multiplicand below 2q,
+which lets a butterfly multiply its difference a + q - b unreduced.
+
+The NTT is a natural-order Stockham radix-2 transform (decimation in
+frequency).  With the rows viewed as ``(..., 2, m, s)``, the stage for
+``s = 1, 2, ..., N/2`` (``m = N/(2s)``) reads the two contiguous halves
+``a, b`` and writes ``a + b`` and ``(a - b) * omega^(p*s)`` to rows ``2p``
+and ``2p + 1`` of a fresh ``(..., m, 2, s)`` buffer, so every pass is
+contiguous and no bit-reversal permutation is needed.
 """
 
 from __future__ import annotations
@@ -75,14 +89,16 @@ def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
     return out
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _with_quotients(w: np.ndarray, q: int) -> tuple:
+    """A multiplier table and its float64 quotients w / q, for ``_mulmod_by``."""
+    return w, w.astype(np.float64) / q
+
+
+def _stage_tables(omega: int, n: int, q: int) -> tuple:
+    """Each Stockham stage's twiddles omega^(p*s), p < n/(2s), as (m, 1) columns."""
+    pows = _pow_table(omega, n // 2, q)
+    return tuple(_with_quotients(np.ascontiguousarray(pows[::s]).reshape(-1, 1), q)
+                 for s in (1 << i for i in range(n.bit_length() - 1)))
 
 
 class NegacyclicRing:
@@ -91,42 +107,52 @@ class NegacyclicRing:
     def __init__(self, ring_degree: int, modulus_bits: int):
         self.n = ring_degree
         self.q = find_ntt_prime(modulus_bits, ring_degree)
-        self._qv = np.uint64(self.q)
-        self._qinv = 1.0 / self.q
-        psi = _find_psi(self.q, 2 * self.n)
-        omega = psi * psi % self.q
-        self._psi_pows = _pow_table(psi, self.n, self.q)
+        q = self.q
+        self._qv = np.uint64(q)
+        self._two_qv = np.uint64(2 * q)
+        self._qinv = 1.0 / q
+        psi = _find_psi(q, 2 * self.n)
+        psi_inv = pow(psi, q - 2, q)
+        self._twist = _with_quotients(_pow_table(psi, self.n, q), q)
         # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
-        self._psi_inv_pows = _pow_table(pow(psi, self.q - 2, self.q), self.n, self.q,
-                                        first=pow(self.n, self.q - 2, self.q))
-        self._omega_pows = _pow_table(omega, self.n, self.q)
-        self._omega_inv_pows = _pow_table(pow(omega, self.q - 2, self.q), self.n, self.q)
-        self._bitrev = _bit_reverse_indices(self.n)
+        self._untwist = _with_quotients(
+            _pow_table(psi_inv, self.n, q, first=pow(self.n, q - 2, q)), q)
+        self._stages = _stage_tables(psi * psi % q, self.n, q)
+        self._inv_stages = _stage_tables(psi_inv * psi_inv % q, self.n, q)
 
     # -- modular scalar/vector ops -------------------------------------------------
 
+    def _reduce(self, r: np.ndarray) -> np.ndarray:
+        """[0, q) representative of a wrapped uint64 remainder in (-2q, 2q)."""
+        r = np.minimum(r, r + self._two_qv)
+        return np.minimum(r, r - self._qv)
+
     def mulmod(self, a: np.ndarray, b) -> np.ndarray:
         """Exact (a * b) mod q for uint64 operands < q."""
-        a = np.asarray(a, dtype=np.uint64)
         b = np.asarray(b, dtype=np.uint64)
-        t = np.floor(a.astype(np.float64) * b.astype(np.float64) * self._qinv + 0.5)
-        t = t.astype(np.uint64)
-        r = (a * b - t * self._qv).view(np.int64) % self.q
-        return r.view(np.uint64)
+        return self._mulmod_by(np.asarray(a, dtype=np.uint64),
+                               (b, b.astype(np.float64) * self._qinv))
+
+    def _mulmod_by(self, a: np.ndarray, table: tuple) -> np.ndarray:
+        """Exact (a * w) mod q for a < 2q and a ``_with_quotients`` table of w < q."""
+        w, w_over_q = table
+        t = (a.astype(np.float64) * w_over_q).astype(np.int64)
+        return self._reduce(a * w - t.view(np.uint64) * self._qv)
 
     def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = a + b  # < 2q < 2^52: no wrap
-        return np.where(s >= self._qv, s - self._qv, s)
+        return np.minimum(s, s - self._qv)
 
     def submod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = a + self._qv - b
-        return np.where(s >= self._qv, s - self._qv, s)
+        return np.minimum(s, s - self._qv)
 
     # -- integer <-> residue embedding ----------------------------------------------
 
     def from_signed(self, v: np.ndarray) -> np.ndarray:
         """Embed signed int64 coefficients (|v| < q/2) into [0, q)."""
-        return np.mod(np.asarray(v, dtype=np.int64), self.q).astype(np.uint64)
+        u = np.asarray(v, dtype=np.int64).view(np.uint64)
+        return np.minimum(u, u + self._qv)
 
     def to_signed(self, a: np.ndarray) -> np.ndarray:
         """Centered lift of residues to (-q/2, q/2]."""
@@ -135,29 +161,30 @@ class NegacyclicRing:
 
     # -- transforms ------------------------------------------------------------------
 
-    def _transform(self, a: np.ndarray, w_pows: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(a[..., self._bitrev])
-        n = self.n
-        length = 2
-        while length <= n:
-            half = length // 2
-            tw = w_pows[(n // length) * np.arange(half)]
-            y = x.reshape(*x.shape[:-1], n // length, length)
-            lo = y[..., :half]
-            hi = self.mulmod(y[..., half:], tw)
-            added = self.addmod(lo, hi)
-            y[..., half:] = self.submod(lo, hi)  # before lo is overwritten
-            y[..., :half] = added
-            length *= 2
-        return x
+    def _ntt(self, x: np.ndarray, stages: tuple) -> np.ndarray:
+        """Natural-order NTT of the rows of ``x``; ``x`` itself is never written."""
+        rows = x.reshape(-1, self.n)
+        for table in stages:
+            m = table[0].shape[0]
+            s = self.n // (2 * m)
+            halves = rows.reshape(rows.shape[0], 2, m, s)
+            a, b = halves[:, 0], halves[:, 1]
+            rows = np.empty_like(rows)
+            out = rows.reshape(rows.shape[0], m, 2, s)
+            out[:, :, 0] = self.addmod(a, b)
+            out[:, :, 1] = self._mulmod_by(a + self._qv - b, table)
+        return rows
 
     def to_eval(self, a: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation (NTT) form, with the psi twist."""
-        return self._transform(self.mulmod(a, self._psi_pows), self._omega_pows)
+        a = np.asarray(a, dtype=np.uint64)
+        return self._ntt(self._mulmod_by(a, self._twist), self._stages).reshape(a.shape)
 
     def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form."""
-        return self.mulmod(self._transform(a_eval, self._omega_inv_pows), self._psi_inv_pows)
+        a_eval = np.asarray(a_eval, dtype=np.uint64)
+        return self._mulmod_by(self._ntt(a_eval, self._inv_stages),
+                               self._untwist).reshape(a_eval.shape)
 
     # -- sampling ---------------------------------------------------------------------
 

@@ -158,11 +158,18 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     k = target_count(r, dim)
     strategy = PartitionStrategy(strategy)
     if strategy is PartitionStrategy.RANDOM:
-        chosen = np.random.default_rng(seed).choice(dim, size=k, replace=False)
+        chosen = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
     else:
-        largest_first = -1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0
-        chosen = np.argsort(largest_first * np.abs(u), kind="stable")[:k]
-    return PartitionMask(he_indices=np.sort(chosen), dim=dim)
+        # the k smallest keys win: every key below the k-th smallest, then
+        # the lowest-index ties at it
+        key = (-1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0) * np.abs(u)
+        mask = np.zeros(dim, dtype=bool)
+        if k:
+            kth = np.partition(key, k - 1)[k - 1]
+            mask = key < kth
+            mask[np.flatnonzero(key == kth)[:k - np.count_nonzero(mask)]] = True
+        chosen = np.flatnonzero(mask)
+    return PartitionMask(he_indices=chosen, dim=dim)
 
 
 # -- keyed PRP over 64-bit index blocks ------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
 from fedsplit.he import (CkksBackend, HeCostModel, HeParams, MockBackend,
                          decode_tolerance, make_backend, simulated_round_cost)
-from fedsplit.he.ring import NegacyclicRing, find_ntt_prime
+from fedsplit.he.ring import NegacyclicRing, _find_psi, _pow_table, find_ntt_prime
 from fedsplit.he.wire import deserialize, serialize
 
 SMALL = HeParams(ring_degree=64, scale_bits=20, modulus_bits=50, max_additions=256)
@@ -17,22 +20,144 @@ BACKEND_CLASSES = (CkksBackend, MockBackend)
 # -- ring ------------------------------------------------------------------------
 
 
+def _bit_reverse_indices(n: int) -> np.ndarray:
+    bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.int64)
+    rev = np.zeros(n, dtype=np.int64)
+    for _ in range(bits):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    return rev
+
+
+class _ReferenceRing:
+    """The bit-reversed Cooley-Tukey NTT that ``NegacyclicRing`` replaced,
+    kept as it was (int64 ``%`` and ``np.where`` reductions, strided
+    butterflies): the new transform must equal it bit for bit."""
+
+    def __init__(self, ring_degree: int, modulus_bits: int):
+        self.n = ring_degree
+        self.q = find_ntt_prime(modulus_bits, ring_degree)
+        self._qv = np.uint64(self.q)
+        self._qinv = 1.0 / self.q
+        psi = _find_psi(self.q, 2 * self.n)
+        omega = psi * psi % self.q
+        self._psi_pows = _pow_table(psi, self.n, self.q)
+        # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
+        self._psi_inv_pows = _pow_table(pow(psi, self.q - 2, self.q), self.n, self.q,
+                                        first=pow(self.n, self.q - 2, self.q))
+        self._omega_pows = _pow_table(omega, self.n, self.q)
+        self._omega_inv_pows = _pow_table(pow(omega, self.q - 2, self.q), self.n, self.q)
+        self._bitrev = _bit_reverse_indices(self.n)
+
+    def mulmod(self, a: np.ndarray, b) -> np.ndarray:
+        """Exact (a * b) mod q for uint64 operands < q."""
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        t = np.floor(a.astype(np.float64) * b.astype(np.float64) * self._qinv + 0.5)
+        t = t.astype(np.uint64)
+        r = (a * b - t * self._qv).view(np.int64) % self.q
+        return r.view(np.uint64)
+
+    def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        s = a + b  # < 2q < 2^52: no wrap
+        return np.where(s >= self._qv, s - self._qv, s)
+
+    def submod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        s = a + self._qv - b
+        return np.where(s >= self._qv, s - self._qv, s)
+
+    def _transform(self, a: np.ndarray, w_pows: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(a[..., self._bitrev])
+        n = self.n
+        length = 2
+        while length <= n:
+            half = length // 2
+            tw = w_pows[(n // length) * np.arange(half)]
+            y = x.reshape(*x.shape[:-1], n // length, length)
+            lo = y[..., :half]
+            hi = self.mulmod(y[..., half:], tw)
+            added = self.addmod(lo, hi)
+            y[..., half:] = self.submod(lo, hi)  # before lo is overwritten
+            y[..., :half] = added
+            length *= 2
+        return x
+
+    def to_eval(self, a: np.ndarray) -> np.ndarray:
+        """Coefficient form -> evaluation (NTT) form, with the psi twist."""
+        return self._transform(self.mulmod(a, self._psi_pows), self._omega_pows)
+
+    def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
+        """Evaluation form -> coefficient form."""
+        return self.mulmod(self._transform(a_eval, self._omega_inv_pows), self._psi_inv_pows)
+
+
+@functools.lru_cache(maxsize=None)
+def _rings(ring_degree: int, modulus_bits: int) -> tuple:
+    return NegacyclicRing(ring_degree, modulus_bits), _ReferenceRing(ring_degree, modulus_bits)
+
+
+# A draw of -1 stands for q - 1 (tests reduce draws mod q), so the edge
+# residues 0, 1 and q - 1 are reachable at every modulus.
+_RESIDUE = st.integers(min_value=-1, max_value=2**51 - 1)
+
+
 class TestRing:
     def test_prime_properties(self):
         q = find_ntt_prime(50, 4096)
         assert q < 2**50 and q > 2**49
         assert (q - 1) % 8192 == 0
 
-    @given(st.integers(min_value=0, max_value=2**50 - 1),
-           st.integers(min_value=0, max_value=2**50 - 1))
+    @given(_RESIDUE, _RESIDUE)
+    @example(0, 0)
+    @example(0, -1)
+    @example(1, -1)
+    @example(-1, -1)
     @settings(max_examples=500, deadline=None)
     def test_mulmod_exact(self, a, b):
-        ring = NegacyclicRing(8, 50)
-        a %= ring.q
-        b %= ring.q
-        out = ring.mulmod(np.array([a], dtype=np.uint64),
-                          np.array([b], dtype=np.uint64))
-        assert int(out[0]) == (a * b) % ring.q
+        for modulus_bits in (50, 51):  # 51: HeParams' cap
+            ring = _rings(8, modulus_bits)[0]
+            x, y = a % ring.q, b % ring.q
+            out = ring.mulmod(np.array([x], dtype=np.uint64),
+                              np.array([y], dtype=np.uint64))
+            assert int(out[0]) == (x * y) % ring.q
+
+    @given(_RESIDUE, _RESIDUE)
+    @example(0, 0)
+    @example(0, -1)
+    @example(1, -1)
+    @example(-1, -1)
+    @settings(max_examples=500, deadline=None)
+    def test_addmod_submod_exact(self, a, b):
+        for modulus_bits in (50, 51):
+            ring = _rings(8, modulus_bits)[0]
+            x, y = a % ring.q, b % ring.q
+            vx, vy = np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64)
+            assert int(ring.addmod(vx, vy)[0]) == (x + y) % ring.q
+            assert int(ring.submod(vx, vy)[0]) == (x - y) % ring.q
+
+    @given(log_degree=st.integers(3, 12), modulus_bits=st.sampled_from([30, 50, 51]),
+           kind=st.sampled_from(["random", "zero", "top", "ternary"]),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]), seed=st.integers(0, 2**32 - 1))
+    @example(log_degree=12, modulus_bits=51, kind="top", lead=(3,), seed=0)
+    @example(log_degree=12, modulus_bits=50, kind="random", lead=(), seed=0)
+    @settings(deadline=None)
+    def test_transforms_equal_the_cooley_tukey_reference(self, log_degree, modulus_bits,
+                                                         kind, lead, seed):
+        ring, reference = _rings(1 << log_degree, modulus_bits)
+        shape = (*lead, ring.n)
+        rng = np.random.default_rng(seed)
+        a = {"random": lambda: rng.integers(0, ring.q, shape, dtype=np.uint64),
+             "zero": lambda: np.zeros(shape, dtype=np.uint64),
+             "top": lambda: np.full(shape, ring.q - 1, dtype=np.uint64),
+             "ternary": lambda: np.mod(rng.integers(-1, 2, shape), ring.q).astype(np.uint64),
+             }[kind]()
+        before = a.copy()
+        for name in ("to_eval", "from_eval"):
+            got = getattr(ring, name)(a)
+            assert got.dtype == np.uint64 and got.shape == shape
+            assert np.array_equal(got, getattr(reference, name)(a))
+            assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_mul_matches_schoolbook(self, n):
@@ -241,6 +366,17 @@ class TestSharedValidation:
         backend = backend_cls(SMALL)
         with pytest.raises(ValueError, match="non-finite"):
             backend.encrypt(backend.keygen(0), np.array([0.5, bad]), 1)
+
+    @pytest.mark.parametrize("slots_used", [-1, 0, SMALL.slot_count + 1, 2.5, True])
+    def test_slots_used_outside_the_slots_rejected(self, backend_cls, slots_used):
+        backend = backend_cls(SMALL)
+        kp = backend.keygen(0)
+        ct = dataclasses.replace(backend.encrypt(kp, self.x[:10], 1)[0],
+                                 slots_used=slots_used)
+        with pytest.raises(DimensionError, match="slots"):
+            backend.decrypt(kp, [ct])
+        with pytest.raises(DimensionError, match="slots"):
+            backend.hom_add(ct, ct)
 
     def test_short_non_final_chunk_rejected(self, backend_cls):
         backend = backend_cls(SMALL)

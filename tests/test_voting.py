@@ -47,7 +47,26 @@ class TestTargetCount:
         assert 0 <= target_count(r, dim) <= dim
 
 
+def _argsort_proposal(u, k, strategy):
+    """The full-sort proposal ``propose_partition`` replaced: a stable sort of
+    the keys keeps equal magnitudes in index order."""
+    largest_first = -1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0
+    return np.sort(np.argsort(largest_first * np.abs(u), kind="stable")[:k])
+
+
 class TestProposePartition:
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           st.sampled_from([PartitionStrategy.MAX_NORM, PartitionStrategy.MIN_NORM]))
+    @settings(deadline=None)
+    def test_equals_stable_argsort_reference(self, values, strategy):
+        # small integers: ties at the k-th magnitude are the common case
+        u = np.array(values, dtype=np.float64)
+        dim = u.size
+        for k in range(dim + 1):
+            assert target_count(k / dim, dim) == k
+            got = propose_partition(u, k / dim, strategy)
+            assert got.he_indices.tolist() == _argsort_proposal(u, k, strategy).tolist()
+
     def test_max_selects_largest_magnitudes(self):
         u = np.array([0.1, -5.0, 0.2, 3.0])
         m = propose_partition(u, 0.5, PartitionStrategy.MAX_NORM)
