@@ -108,6 +108,8 @@ class HeBackend:
     def encrypt(self, pk: KeyPair, x: np.ndarray, seed) -> list[Ciphertext]:
         self._check_key(pk, "public")
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise DimensionError(f"plaintext must be a 1-D vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("plaintext contains non-finite values")
         worst = float(np.max(np.abs(x))) if x.size else 0.0

@@ -3,11 +3,13 @@
 Three kinds: Linear (least-squares onto one-hot targets, no bias),
 Logistic (softmax regression), and Mlp (tanh hidden layers, softmax
 output).  All parameters live in one flat float64 vector so the protection
-pipeline can treat every model uniformly; pack/unpack is view-based.
+pipeline can treat every model uniformly; pack/unpack is view-based, and one
+gradient kernel writes the gradient into views of a flat vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,21 +47,17 @@ class ModelSpec:
         if self.kind == "linear":
             return [(self.input_dim, self.num_classes)]
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
-        shapes = []
-        for a, b in zip(dims[:-1], dims[1:]):
-            shapes.append((a, b))
-            shapes.append((b,))
-        return shapes
+        return [s for a, b in zip(dims, dims[1:]) for s in ((a, b), (b,))]
 
 
 def param_count(spec: ModelSpec) -> int:
-    return sum(int(np.prod(s)) for s in spec.layer_shapes())
+    return sum(math.prod(s) for s in spec.layer_shapes())
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     blocks, offset = [], 0
     for shape in spec.layer_shapes():
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         blocks.append(params[offset: offset + size].reshape(shape))
         offset += size
     if offset != params.size:
@@ -85,61 +83,60 @@ def _forward(spec: ModelSpec, blocks: list[np.ndarray], X: np.ndarray):
     """Returns (logits, hidden activations); backprop needs the activations."""
     if spec.kind == "linear":
         return X @ blocks[0], []
-    acts = []
-    h = X
-    n_hidden = len(spec.hidden_dims)
-    for layer in range(n_hidden):
-        W, b = blocks[2 * layer], blocks[2 * layer + 1]
-        h = np.tanh(h @ W + b)
-        acts.append(h)
-    W, b = blocks[2 * n_hidden], blocks[2 * n_hidden + 1]
-    return h @ W + b, acts
+    h, acts = X, []
+    for layer in range(len(spec.hidden_dims)):
+        h = h @ blocks[2 * layer]  # fresh, so the bias and tanh go in place
+        h += blocks[2 * layer + 1]
+        acts.append(np.tanh(h, out=h))
+    logits = h @ blocks[-2]
+    logits += blocks[-1]
+    return logits, acts
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _check_labels(spec: ModelSpec, X: np.ndarray, y) -> np.ndarray:
+    y = np.asarray(y)
+    if (y.dtype.kind not in "iu" or y.shape != X.shape[:1]
+            or (y.size and not 0 <= y.min() <= y.max() < spec.num_classes)):
+        raise ValueError(f"labels must be a 1-D integer array, one label in "
+                         f"[0, {spec.num_classes}) per row of X ({X.shape[0]})")
+    return y
 
 
-def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((y.size, num_classes), dtype=np.float64)
-    out[np.arange(y.size), y] = 1.0
-    return out
+def _loss_into(spec: ModelSpec, blocks: list[np.ndarray], grads: list[np.ndarray],
+               X: np.ndarray, y: np.ndarray) -> float:
+    """Batch-mean loss; writes the gradient into ``grads``, views shaped like ``blocks``."""
+    n = X.shape[0]
+    rows = np.arange(n)
+    z, acts = _forward(spec, blocks, X)
+    if spec.kind == "linear":
+        z[rows, y] -= 1.0  # the residual XW - onehot(y)
+        np.matmul(X.T, z, out=grads[0])
+        grads[0] /= n
+        return 0.5 * float(np.sum(z ** 2)) / n
+    z -= z.max(axis=1, keepdims=True)  # softmax, in place
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    loss = -float(np.sum(np.log(z[rows, y] + 1e-12))) / n
+    z[rows, y] -= 1.0
+    delta = np.divide(z, n, out=z)
+    layers = [X, *acts]  # inputs to each weight block
+    for layer in range(len(acts), -1, -1):
+        np.matmul(layers[layer].T, delta, out=grads[2 * layer])
+        np.sum(delta, axis=0, out=grads[2 * layer + 1])
+        if layer > 0:
+            delta = (delta @ blocks[2 * layer].T) * (1.0 - layers[layer] ** 2)  # tanh'
+    return loss
 
 
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                   y: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch-mean loss and the flat gradient.
 
-    Linear: squared loss 0.5 * ||XW - onehot(y)||^2 per sample.
-    Logistic/Mlp: softmax cross-entropy.
-    """
-    blocks = _unpack(spec, params)
-    n = X.shape[0]
-    Y = _one_hot(np.asarray(y, dtype=np.int64), spec.num_classes)
-
-    logits, acts = _forward(spec, blocks, X)
-    if spec.kind == "linear":
-        resid = logits - Y
-        loss = 0.5 * float(np.sum(resid ** 2)) / n
-        return loss, (X.T @ resid).ravel() / n
-
-    probs = _softmax(logits)
-    eps = 1e-12
-    loss = -float(np.sum(np.log(probs[np.arange(n), y] + eps))) / n
-
-    grads = [np.zeros_like(b) for b in blocks]
-    delta = (probs - Y) / n
-    layers = [X, *acts]  # inputs to each weight block
-    n_hidden = len(spec.hidden_dims) if spec.kind == "mlp" else 0
-    for layer in range(n_hidden, -1, -1):
-        W = blocks[2 * layer]
-        grads[2 * layer] = layers[layer].T @ delta
-        grads[2 * layer + 1] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ W.T) * (1.0 - layers[layer] ** 2)  # tanh'
-    return loss, np.concatenate([g.ravel() for g in grads])
+    Linear: squared loss 0.5 * ||XW - onehot(y)||^2 per sample; Logistic/Mlp: softmax
+    cross-entropy."""
+    grad = np.empty(params.size)
+    y = _check_labels(spec, X, y)
+    return _loss_into(spec, _unpack(spec, params), _unpack(spec, grad), X, y), grad
 
 
 def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -154,14 +151,17 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    y = _check_labels(spec, X, y)
     rng = np.random.default_rng(seed)
     w = np.asarray(params, dtype=np.float64).copy()
+    grad = np.empty_like(w)
+    blocks, grads = _unpack(spec, w), _unpack(spec, grad)  # views, made once
     n = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start: start + batch_size]
-            loss, grad = loss_and_grad(spec, w, X[batch], y[batch])
+            loss = _loss_into(spec, blocks, grads, X[batch], y[batch])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss}")
             w -= learning_rate * grad
@@ -174,5 +174,4 @@ def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
     logits, _ = _forward(spec, _unpack(spec, params), X)
-    preds = logits.argmax(axis=1)
-    return float(np.mean(preds == np.asarray(y)))
+    return float(np.mean(logits.argmax(axis=1) == np.asarray(y)))

@@ -367,6 +367,12 @@ class TestSharedValidation:
         with pytest.raises(ValueError, match="non-finite"):
             backend.encrypt(backend.keygen(0), np.array([0.5, bad]), 1)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (), (1, 4)], ids=["2x3", "scalar", "1x4"])
+    def test_plaintext_not_1d_rejected(self, backend_cls, shape):
+        backend = backend_cls(SMALL)
+        with pytest.raises(DimensionError, match="1-D"):
+            backend.encrypt(backend.keygen(0), np.zeros(shape), 1)
+
     @pytest.mark.parametrize("slots_used", [-1, 0, SMALL.slot_count + 1, 2.5, True])
     def test_slots_used_outside_the_slots_rejected(self, backend_cls, slots_used):
         backend = backend_cls(SMALL)

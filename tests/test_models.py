@@ -1,10 +1,130 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsplit.datasets import synthetic_dataset
 from fedsplit.errors import DivergenceError
 from fedsplit.models import (ModelSpec, evaluate_accuracy, init_params,
                              local_train, loss_and_grad, param_count)
+
+# -- reference: the gradient path before the in-place kernel -----------------
+# Copied verbatim from fedsplit/models.py as it stood with a one-hot matrix, a
+# per-step unpack and a concatenated gradient; only the names carry a ref prefix.
+
+
+def _ref_unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
+    blocks, offset = [], 0
+    for shape in spec.layer_shapes():
+        size = int(np.prod(shape))
+        blocks.append(params[offset: offset + size].reshape(shape))
+        offset += size
+    if offset != params.size:
+        raise ValueError(f"parameter vector has {params.size} entries, "
+                         f"model needs {offset}")
+    return blocks
+
+
+def _ref_forward(spec: ModelSpec, blocks: list[np.ndarray], X: np.ndarray):
+    """Returns (logits, hidden activations); backprop needs the activations."""
+    if spec.kind == "linear":
+        return X @ blocks[0], []
+    acts = []
+    h = X
+    n_hidden = len(spec.hidden_dims)
+    for layer in range(n_hidden):
+        W, b = blocks[2 * layer], blocks[2 * layer + 1]
+        h = np.tanh(h @ W + b)
+        acts.append(h)
+    W, b = blocks[2 * n_hidden], blocks[2 * n_hidden + 1]
+    return h @ W + b, acts
+
+
+def _ref_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
+    out = np.zeros((y.size, num_classes), dtype=np.float64)
+    out[np.arange(y.size), y] = 1.0
+    return out
+
+
+def ref_loss_and_grad(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                      y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean loss and the flat gradient.
+
+    Linear: squared loss 0.5 * ||XW - onehot(y)||^2 per sample.
+    Logistic/Mlp: softmax cross-entropy.
+    """
+    blocks = _ref_unpack(spec, params)
+    n = X.shape[0]
+    Y = _ref_one_hot(np.asarray(y, dtype=np.int64), spec.num_classes)
+
+    logits, acts = _ref_forward(spec, blocks, X)
+    if spec.kind == "linear":
+        resid = logits - Y
+        loss = 0.5 * float(np.sum(resid ** 2)) / n
+        return loss, (X.T @ resid).ravel() / n
+
+    probs = _ref_softmax(logits)
+    eps = 1e-12
+    loss = -float(np.sum(np.log(probs[np.arange(n), y] + eps))) / n
+
+    grads = [np.zeros_like(b) for b in blocks]
+    delta = (probs - Y) / n
+    layers = [X, *acts]  # inputs to each weight block
+    n_hidden = len(spec.hidden_dims) if spec.kind == "mlp" else 0
+    for layer in range(n_hidden, -1, -1):
+        W = blocks[2 * layer]
+        grads[2 * layer] = layers[layer].T @ delta
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ W.T) * (1.0 - layers[layer] ** 2)  # tanh'
+    return loss, np.concatenate([g.ravel() for g in grads])
+
+
+def ref_local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                    epochs: int, learning_rate: float, batch_size: int,
+                    seed) -> np.ndarray:
+    """K epochs of seeded minibatch SGD; returns the update (final - initial).
+
+    The input parameter vector is never mutated.  Non-finite loss aborts
+    with DivergenceError.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    rng = np.random.default_rng(seed)
+    w = np.asarray(params, dtype=np.float64).copy()
+    n = X.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start: start + batch_size]
+            loss, grad = ref_loss_and_grad(spec, w, X[batch], y[batch])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss {loss}")
+            w -= learning_rate * grad
+    return w - params
+
+
+@st.composite
+def _training_cases(draw):
+    """A model (linear, logistic, or mlp with 1-3 hidden layers), 1-70 rows,
+    a batch size from 1 to past the row count, 1-3 epochs, a learning rate
+    (1e100 makes linear runs diverge) and a seed."""
+    kind = draw(st.sampled_from(["linear", "logistic", "mlp"]))
+    hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)) if kind == "mlp" else ()
+    spec = ModelSpec(kind, draw(st.integers(1, 6)), draw(st.integers(1, 5)), hidden)
+    rows = draw(st.integers(1, 70))
+    return dict(spec=spec, rows=rows, batch_size=draw(st.integers(1, rows + 8)),
+                epochs=draw(st.integers(1, 3)),
+                learning_rate=draw(st.sampled_from([0.01, 0.2, 1.0, 1e100])),
+                seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestSpecAndPacking:
@@ -104,6 +224,69 @@ class TestLocalTrain:
         u1 = local_train(spec, w, ds.features, ds.labels, 2, 0.05, 16, seed=9)
         u2 = local_train(spec, w, ds.features, ds.labels, 2, 0.05, 16, seed=9)
         assert np.array_equal(u1, u2)
+
+
+def _update_or_message(train, args):
+    """The update a training run returns, or its DivergenceError message."""
+    try:
+        return train(*args)
+    except DivergenceError as err:
+        return str(err)
+
+
+class TestAgainstReference:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(case=_training_cases())
+    @settings(deadline=None)
+    def test_equals_the_reference_bit_for_bit(self, case):
+        """local_train's update, loss_and_grad's loss and gradient, and
+        evaluate_accuracy equal the reference copy exactly."""
+        spec, seed = case["spec"], case["seed"]
+        rng = np.random.default_rng(seed)
+        w = init_params(spec, seed) + rng.normal(0.0, 0.1, param_count(spec))
+        X = rng.normal(0.0, 1.0, (case["rows"], spec.input_dim))
+        y = rng.integers(0, spec.num_classes, case["rows"])
+        train = (spec, w, X, y, case["epochs"], case["learning_rate"], case["batch_size"], seed)
+        got = _update_or_message(local_train, train)
+        want = _update_or_message(ref_local_train, train)
+        assert got == want if isinstance(want, str) else np.array_equal(got, want, equal_nan=True)
+        loss, grad = loss_and_grad(spec, w, X, y)
+        ref_loss, ref_grad = ref_loss_and_grad(spec, w, X, y)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+        ref_logits, _ = _ref_forward(spec, _ref_unpack(spec, w), X)
+        assert evaluate_accuracy(spec, w, X, y) == float(np.mean(ref_logits.argmax(axis=1) == y))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x", [1e200, 1e120, 1e60])
+    def test_divergence_message_equals_the_reference(self, x):
+        # an overflowing linear run: inf or nan loss, at the first step or later
+        args = (ModelSpec("linear", 1, 1), np.array([1.0]), np.array([[x], [0.0]]),
+                np.array([0, 0]), 5, 1e300, 1, 0)
+        with pytest.raises(DivergenceError) as ref:
+            ref_local_train(*args)
+        with pytest.raises(DivergenceError) as got:
+            local_train(*args)
+        assert str(got.value) == str(ref.value)
+
+
+class TestLabels:
+    """Labels are checked once per call: a 1-D integer array, one label per
+    row of X, each in [0, num_classes)."""
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(np.array([0, 1, -1, 2, 0]), id="negative"),
+        pytest.param(np.array([0, 1, 2, 0, 1, 2, 0]), id="more_labels_than_rows"),
+        pytest.param(np.array([0, 1, 3, 2, 0]), id="equal_to_num_classes"),
+        pytest.param(np.array([0.0, 1.0, 2.0, 0.0, 1.0]), id="float"),
+    ])
+    def test_bad_labels_rejected(self, y):
+        spec = ModelSpec("logistic", 2, 3)
+        w = init_params(spec, 0)
+        X = np.ones((5, 2))
+        with pytest.raises(ValueError, match="labels must be"):
+            local_train(spec, w, X, y, epochs=1, learning_rate=0.1, batch_size=2, seed=0)
+        with pytest.raises(ValueError, match="labels must be"):
+            loss_and_grad(spec, w, X, y)
 
 
 class TestEvaluate:
