@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 DIRICHLET_DRAWS = 100
+# Rows per block when the class means are added into the noise, so no
+# temporary the size of the feature matrix is made.
+_ROW_BLOCK = 4096
 
 
 @dataclass
@@ -53,6 +56,8 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
 
     Class means are drawn on a sphere of radius ``separation``; labels are
     exactly balanced (within one sample) and shuffled deterministically.
+    The means are added into the noise matrix in row blocks, so the matrix
+    is held once; addition commutes, so every value is ``mean + noise``.
     """
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
@@ -63,20 +68,25 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     means = means / norms * separation
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
-    features = means[labels] + rng.normal(0.0, 1.0, (num_samples, input_dim))
+    features = rng.normal(0.0, 1.0, (num_samples, input_dim))
+    for start in range(0, num_samples, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        features[rows] += means[labels[rows]]
     return Dataset(features=features, labels=labels)
 
 
 def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
-    """Parse a UTF-8 CSV with ``input_dim`` numeric feature columns and an
-    integer ``label`` column in [0, ``num_classes``).
+    """Parse a UTF-8 CSV (a leading BOM is skipped) with ``input_dim`` numeric
+    feature columns and an integer ``label`` column in [0, ``num_classes``).
 
+    Rows are parsed straight into a matrix sized from the line count, so the
+    load holds the file's text and the matrix, not a Python float per value.
     Bytes that are not UTF-8, a header of the wrong width, malformed rows,
     non-finite features and out-of-range labels raise ValueError naming the
     file (and a row's line).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -93,7 +103,11 @@ def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
     if len(feature_cols) != input_dim:
         raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
                          f"but dataset.input_dim is {input_dim}")
-    rows, labels = [], []
+    # Each record takes at least one of the lines the header left.
+    capacity = len(lines) - reader.line_num
+    features = np.empty((capacity, input_dim), dtype=np.float64)
+    labels = np.empty(capacity, dtype=np.int64)
+    n = 0
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -114,12 +128,12 @@ def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
                 f"{path}: line {line_no}: label {label} outside "
                 f"[0, {num_classes})"
             )
-        rows.append(feats)
-        labels.append(label)
-    if not rows:
+        features[n] = feats
+        labels[n] = label
+        n += 1
+    if not n:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(features=np.array(rows, dtype=np.float64),
-                   labels=np.array(labels, dtype=np.int64))
+    return Dataset(features=features[:n], labels=labels[:n])
 
 
 def held_out_rows(num_rows: int, test_fraction: float) -> int:

@@ -81,8 +81,9 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _setup(cfg: ExperimentConfig) -> _State:
-    full = _build_dataset(cfg)
-    train, test = train_test_split(full, cfg.data.test_fraction,
+    # No name holds the full dataset, so it is freed as the split returns and
+    # never sits beside the client shards.
+    train, test = train_test_split(_build_dataset(cfg), cfg.data.test_fraction,
                                    seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
     if len(test) == 0:
         raise ValueError("test_fraction left an empty evaluation set")

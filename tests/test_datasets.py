@@ -1,8 +1,93 @@
+import csv
+import math
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fedsplit.datasets import (load_csv_dataset, split_dirichlet, split_iid,
+from fedsplit import datasets, runtime
+from fedsplit.config import config_from_flat
+from fedsplit.datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
                                synthetic_dataset, train_test_split)
+
+
+def reference_synthetic(num_samples, input_dim, num_classes, separation, seed):
+    """``synthetic_dataset`` as it was before the class means were added into
+    the noise in row blocks: the whole gather, then the sum."""
+    if num_samples < num_classes:
+        raise ValueError("need at least one sample per class")
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, (num_classes, input_dim))
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    means = means / norms * separation
+    labels = np.arange(num_samples, dtype=np.int64) % num_classes
+    rng.shuffle(labels)
+    features = means[labels] + rng.normal(0.0, 1.0, (num_samples, input_dim))
+    return Dataset(features=features, labels=labels)
+
+
+def reference_load_csv(path, input_dim, num_classes):
+    """``load_csv_dataset`` as it was before rows were parsed into a
+    preallocated matrix: a list of Python-float rows, UTF-8 without BOM."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if "label" not in header:
+        raise ValueError(f"{path}: header must contain a 'label' column")
+    label_col = header.index("label")
+    feature_cols = [i for i in range(len(header)) if i != label_col]
+    if len(feature_cols) != input_dim:
+        raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
+                         f"but dataset.input_dim is {input_dim}")
+    rows, labels = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line_no}: expected {len(header)} fields, "
+                f"got {len(row)}"
+            )
+        try:
+            feats = [float(row[i]) for i in feature_cols]
+            label = int(row[label_col])
+            if not all(map(math.isfinite, feats)):
+                raise ValueError("non-finite feature value")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        if not 0 <= label < num_classes:
+            raise ValueError(
+                f"{path}: line {line_no}: label {label} outside "
+                f"[0, {num_classes})"
+            )
+        rows.append(feats)
+        labels.append(label)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return Dataset(features=np.array(rows, dtype=np.float64),
+                   labels=np.array(labels, dtype=np.int64))
+
+
+def assert_same_dataset(got, want):
+    """Same dtypes, shapes and bits (so -0.0 and 0.0 differ)."""
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.labels.dtype == want.labels.dtype == np.int64
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert np.array_equal(got.labels, want.labels)
 
 
 class TestSynthetic:
@@ -28,6 +113,24 @@ class TestSynthetic:
             return np.linalg.norm(m0 - m1)
 
         assert mean_gap(far) > mean_gap(near)
+
+    @given(st.integers(1, 3 * datasets._ROW_BLOCK), st.integers(1, 5), st.integers(1, 12),
+           st.floats(0.0, 1e6), st.integers(0, 2**32 - 1))
+    @example(datasets._ROW_BLOCK - 1, 3, 4, 2.0, 0)
+    @example(datasets._ROW_BLOCK, 1, 1, 0.0, 1)
+    @example(datasets._ROW_BLOCK + 1, 2, 3, 1e6, 2)
+    @example(2 * datasets._ROW_BLOCK + 7, 4, 12, 3.5, 3)
+    @settings(deadline=None)
+    def test_equals_the_whole_gather_reference(self, num_samples, input_dim, num_classes,
+                                               separation, seed):
+        """Adding the means into the noise block by block keeps every bit,
+        including sample counts across the row-block boundary."""
+        args = (num_samples, input_dim, num_classes, separation, seed)
+        if num_samples < num_classes:
+            with pytest.raises(ValueError, match="at least one sample per class"):
+                synthetic_dataset(*args)
+            return
+        assert_same_dataset(synthetic_dataset(*args), reference_synthetic(*args))
 
 
 class TestCsv:
@@ -84,6 +187,122 @@ class TestCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="label"):
             load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        """A BOM before a label-first header used to hide the label column."""
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,f0,f1\r\n1,1.0,2.0\r\n\r\n0,3.5,-1.0\r\n")
+        ds = load_csv_dataset(str(p), input_dim=2, num_classes=2)
+        assert ds.labels.tolist() == [1, 0]
+        assert ds.features.tolist() == [[1.0, 2.0], [3.5, -1.0]]
+
+    def test_not_utf8_after_a_bom_names_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,f0,f1\n0,1.0,2.0 # caf\xe9\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv: .*0xe9"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
+
+_FEATURE_FAULTS = ("oops", "", "nan", "NaN", "inf", "-inf", "1e999", "0x10")
+_LABEL_FAULTS = ("1.5", "x", "", "-1", "99", "1e0")
+# Most files are well formed; the rest carry one fault of each kind.
+_FILE_FAULTS = ("none",) * 6 + ("no label column", "header width", "not utf-8",
+                                "field count", "feature", "label")
+
+
+@st.composite
+def csv_cases(draw):
+    """A small CSV file's bytes, with the loader's ``input_dim`` and
+    ``num_classes``: any field order, blank lines, quoted and multi-line
+    fields, LF or CRLF endings, and at most one fault, of any kind."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    fault = draw(st.sampled_from(_FILE_FAULTS))
+    label_col = draw(st.integers(0, d))
+    names = [f"f{i}" for i in range(d)]
+    names.insert(label_col, "lbl" if fault == "no label column" else
+                 draw(st.sampled_from(["label", " label "])))
+
+    def cell(text):
+        quoting = draw(st.sampled_from(["plain", "plain", "quoted", "multi-line"]))
+        if quoting == "quoted":
+            return f'"{text}"'
+        if quoting == "multi-line":
+            return f'"{text}{eol}"'
+        return text
+
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 5)) == 5:
+            rows.append(None)  # a blank line
+            continue
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=d, max_size=d))
+        fmt = draw(st.sampled_from(["{!r}", "{:.6f}", "{:.0f}", " {!r} "]))
+        fields = [fmt.format(v) for v in values]
+        fields.insert(label_col, str(draw(st.integers(0, k - 1))))
+        rows.append(fields)
+    data_rows = [fields for fields in rows if fields is not None]
+    if fault in ("field count", "feature", "label") and data_rows:
+        fields = draw(st.sampled_from(data_rows))
+        if fault == "field count":
+            if draw(st.booleans()):
+                fields.append("0")
+            else:
+                fields.pop()
+        elif fault == "feature":
+            at = draw(st.sampled_from([i for i in range(d + 1) if i != label_col]))
+            fields[at] = draw(st.sampled_from(_FEATURE_FAULTS))
+        else:
+            fields[label_col] = draw(st.sampled_from(_LABEL_FAULTS))
+    lines = [",".join(cell(n) for n in names)]
+    lines += ["" if fields is None else ",".join(cell(f) for f in fields) for fields in rows]
+    data = (eol.join(lines) + (eol if draw(st.booleans()) else "")).encode("ascii")
+    if fault == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    input_dim = d
+    if fault == "header width":
+        input_dim = draw(st.sampled_from([i for i in (d - 1, d + 1) if i >= 1]))
+    return data, input_dim, k
+
+
+class TestCsvAgainstReference:
+    @staticmethod
+    def outcome(load, path, input_dim, num_classes):
+        try:
+            return load(path, input_dim, num_classes)
+        except ValueError as exc:
+            return str(exc)
+
+    @given(csv_cases(), st.booleans())
+    @example((b"", 1, 1), False)
+    @example((b"", 1, 1), True)
+    @example((b"label,f0\r\n", 1, 1), True)
+    @example((b"f0,label\n\n\n", 1, 1), False)
+    @example((b"label,f0\r\n1,2.5\r\n\r\n0,-0.0\r\n", 1, 2), True)
+    @example((b"f0,label\n\n1.5,0\n\n\n2.5,1\n\n", 1, 2), False)
+    @example((b'"f0\n",label\n"1.0\n","1\n"\n"2.0",0', 1, 2), False)
+    @settings(deadline=None)
+    def test_equals_the_list_reference(self, case, bom):
+        """The file with an optional BOM loads to the same bits, or fails
+        with the same message, as the list-based parser on the file without
+        one (bytes under 8 KiB, so a decode error's position is the same)."""
+        data, input_dim, num_classes = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            want = self.outcome(reference_load_csv, path, input_dim, num_classes)
+            with open(path, "wb") as fh:
+                fh.write(b"\xef\xbb\xbf" * bom + data)
+            got = self.outcome(load_csv_dataset, path, input_dim, num_classes)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert_same_dataset(got, want)
 
 
 class TestSplits:
@@ -144,3 +363,44 @@ class TestSplits:
         assert len(train) == 80 and len(test) == 20
         with pytest.raises(ValueError):
             train_test_split(ds, 1.0, seed=1)
+
+
+class TestMemory:
+    """``tracemalloc`` peaks as multiples of the feature matrix's bytes: a
+    setup holds the matrix at most about twice, a CSV load the file's text
+    and the matrix."""
+
+    @staticmethod
+    def traced(fn, *args):
+        """``fn(*args)`` and the peak bytes traced while it ran."""
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_setup_of_a_mixed_ckks_shape(self):
+        """20,000 x 100 synthetic rows, Dirichlet shards over N = 20, a ckks
+        key: full, train and test once (2x), never full beside the shards."""
+        cfg = config_from_flat({
+            "dataset.num_samples": "20000", "dataset.input_dim": "100",
+            "dataset.num_classes": "10", "dataset.partition": "dirichlet",
+            "dataset.dirichlet_alpha": "0.5", "model.kind": "mlp",
+            "model.hidden_dims": "256", "protection.kind": "parallel",
+            "he.backend": "ckks", "round.clients_total_N": "20",
+            "round.clients_sampled_n": "10", "seed": "1"})
+        features = 20000 * 100 * 8
+        state, peak = self.traced(runtime._setup, cfg)
+        assert peak <= 2.2 * features
+        assert sum(len(c) for c in state.client_sets) + len(state.test_set) == 20000
+
+    def test_csv_load(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.normal(0.0, 1.0, (4000, 100)), np.arange(4000) % 10])
+        path = tmp_path / "data.csv"
+        np.savetxt(path, rows, fmt=["%.6f"] * 100 + ["%d"], delimiter=",", comments="",
+                   header=",".join([f"f{i}" for i in range(100)] + ["label"]))
+        features = 4000 * 100 * 8
+        ds, peak = self.traced(load_csv_dataset, str(path), 100, 10)
+        assert peak <= 2.6 * features
+        assert ds.features.shape == (4000, 100) and np.array_equal(ds.labels, rows[:, 100])

@@ -311,6 +311,31 @@ class TestTokenMemo:
         assert tokens.tolist() == [reference_token(vk, i) for i in (1, 5, 6)]
         assert sorted_tokens.tolist() == sorted(tokens.tolist())
 
+    @given(st.integers(1, 2**34), st.lists(st.lists(st.integers(0, 2**34 - 1), max_size=40),
+                                           max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_the_np_unique_union(self, dim, proposals, seed):
+        """The sorted union equals ``np.unique`` of the round's proposals
+        (none, or empty ones, included), and every table entry is that
+        index's token."""
+        masks = [mask_of([i % dim for i in p], dim) for p in proposals]
+        vk = tokenize_round(new_vote_key(seed, round_binding=1), masks)
+        union = np.unique(np.concatenate(
+            [np.empty(0, np.uint64), *(m.he_indices.astype(np.uint64) for m in masks)]))
+        (indices, tokens), (sorted_tokens, their_indices) = vk._table
+        assert indices.dtype == np.uint64 and np.array_equal(indices, union)
+        assert np.array_equal(tokens, voting._prp(vk, union))
+        order = np.argsort(tokens)
+        assert np.array_equal(sorted_tokens, tokens[order])
+        assert np.array_equal(their_indices, union[order])
+
+    def test_no_proposals_give_an_empty_table(self):
+        vk = tokenize_round(new_vote_key(28, round_binding=0), [])
+        for side in vk._table:
+            for part in side:
+                assert part.dtype == np.uint64 and part.size == 0
+
     def test_equality_and_hash_ignore_memo(self, prp_lanes):
         base = new_vote_key(24)
         a = tokenize_round(VoteKey(base.key, 3), [mask_of([1, 2, 3], 8)])
