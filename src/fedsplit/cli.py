@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from .config import (KNOWN_KEYS, apply_overrides, config_from_flat, load_config,
                      read_flat_config)
@@ -81,7 +82,8 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], 0
     for value in values:
-        sub_dir = out_dir / f"{args.param.replace('.', '_')}={value}"
+        # percent-encoded, so a value holding '/' stays one directory under --out
+        sub_dir = out_dir / f"{args.param.replace('.', '_')}={quote(value, safe='')}"
         try:
             cfg = config_from_flat(apply_overrides(base_flat, [f"{args.param}={value}"]))
             report = run_experiment(cfg)

@@ -405,9 +405,10 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
 
 
 def read_flat_config(path: str, overrides=None) -> dict:
-    """The UTF-8 config file's raw string map, with ``overrides`` on top."""
+    """The UTF-8 config file's raw string map (a leading BOM is skipped),
+    with ``overrides`` on top."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,61 +80,53 @@ def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
     """Parse a UTF-8 CSV (a leading BOM is skipped) with ``input_dim`` numeric
     feature columns and an integer ``label`` column in [0, ``num_classes``).
 
-    Rows are parsed straight into a matrix sized from the line count, so the
-    load holds the file's text and the matrix, not a Python float per value.
-    Bytes that are not UTF-8, a header of the wrong width, malformed rows,
+    The file is read once, row by row, into flat ``array`` buffers that
+    become the matrix without a copy, so the load holds the matrix and one
+    row, not the file's text.  Bytes that are not UTF-8, a field longer than
+    the csv module's limit, a header of the wrong width, malformed rows,
     non-finite features and out-of-range labels raise ValueError naming the
-    file (and a row's line).
+    file (and a row's line).  Faults are met in file order, so in a file
+    over 8 KiB a row fault before an undecodable byte is the one reported.
     """
+    line = None  # the data row being read, once the header is checked
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file")
+            header = [h.strip() for h in header]
+            if "label" not in header:
+                raise ValueError("header must contain a 'label' column")
+            label_col = header.index("label")
+            feature_cols = [i for i in range(len(header)) if i != label_col]
+            if len(feature_cols) != input_dim:
+                raise ValueError(f"header has {len(feature_cols)} feature columns, "
+                                 f"but dataset.input_dim is {input_dim}")
+            features, labels = array("d"), array("q")
+            line = 2
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    feats = [float(row[i]) for i in feature_cols]
+                    label = int(row[label_col])
+                    if not all(map(math.isfinite, feats)):
+                        raise ValueError("non-finite feature value")
+                    if not 0 <= label < num_classes:
+                        raise ValueError(f"label {label} outside [0, {num_classes})")
+                    features.extend(feats)
+                    labels.append(label)
+                line += 1
+    except UnicodeDecodeError as exc:  # a whole chunk is decoded: no line is known
         raise ValueError(f"{path}: {exc}") from None
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if "label" not in header:
-        raise ValueError(f"{path}: header must contain a 'label' column")
-    label_col = header.index("label")
-    feature_cols = [i for i in range(len(header)) if i != label_col]
-    if len(feature_cols) != input_dim:
-        raise ValueError(f"{path}: header has {len(feature_cols)} feature columns, "
-                         f"but dataset.input_dim is {input_dim}")
-    # Each record takes at least one of the lines the header left.
-    capacity = len(lines) - reader.line_num
-    features = np.empty((capacity, input_dim), dtype=np.float64)
-    labels = np.empty(capacity, dtype=np.int64)
-    n = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {line_no}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
-        try:
-            feats = [float(row[i]) for i in feature_cols]
-            label = int(row[label_col])
-            if not all(map(math.isfinite, feats)):
-                raise ValueError("non-finite feature value")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        if not 0 <= label < num_classes:
-            raise ValueError(
-                f"{path}: line {line_no}: label {label} outside "
-                f"[0, {num_classes})"
-            )
-        features[n] = feats
-        labels[n] = label
-        n += 1
-    if not n:
+    except (csv.Error, ValueError) as exc:
+        where = "" if line is None else f"line {line}: "
+        raise ValueError(f"{path}: {where}{exc}") from None
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(features=features[:n], labels=labels[:n])
+    return Dataset(features=np.frombuffer(features).reshape(len(labels), input_dim),
+                   labels=np.frombuffer(labels, dtype=np.int64))
 
 
 def held_out_rows(num_rows: int, test_fraction: float) -> int:

@@ -214,6 +214,19 @@ class TestRun:
         assert f"data.csv: line {row + 2}: non-finite" in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["complete"] is False
 
+    def test_csv_over_long_field_is_runtime_error(self, tmp_path, capsys):
+        # the csv module's field limit used to escape as _csv.Error: exit 1, no report
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label\n" + "1" * 140_000 + ",2.0,0\n")
+        conf = tmp_path / "csv.conf"
+        conf.write_text(f"dataset.kind = csv\ndataset.path = {data}\ndataset.input_dim = 2\n"
+                        "dataset.num_classes = 2\nround.clients_total_N = 2\n"
+                        "round.clients_sampled_n = 2\nround.rounds_T = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert "data.csv: line 2: field larger than field limit" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["complete"] is False
+
     def test_missing_csv_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "csv.conf"
         conf.write_text(f"dataset.kind = csv\ndataset.path = {tmp_path / 'nope.csv'}\n")
@@ -329,6 +342,29 @@ class TestSweep:
         rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
         assert [(row["value"], bool(row["accuracy"])) for row in rows] == [
             (str(2**40), False), ("4096", True)]
+
+    def test_values_with_a_slash_stay_sibling_dirs_under_out(self, tmp_path, capsys):
+        # a value's '/' used to nest or scatter sub-runs, '../' to leave --out
+        data = tmp_path / "x.csv"
+        data.write_text("f0,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(20)))
+        conf = tmp_path / "base" / "csv.conf"
+        conf.parent.mkdir()
+        conf.write_text("dataset.kind = csv\ndataset.input_dim = 1\ndataset.num_classes = 2\n"
+                        "round.clients_total_N = 2\nround.clients_sampled_n = 2\n"
+                        "round.rounds_T = 1\n")
+        out = tmp_path / "base" / "a" / "b" / "sweep"
+        out.parent.mkdir(parents=True)
+        before = set(tmp_path.rglob("*"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(out.parent)  # so both values name tmp_path/x.csv
+            code = main(["sweep", "--config", str(conf), "--out", str(out),
+                         "--param", "dataset.path", "--values", "../../../x.csv,./../../../x.csv"])
+        assert code == 0, capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset_path=.%2F..%2F..%2F..%2Fx.csv", "dataset_path=..%2F..%2F..%2Fx.csv",
+            "summary.csv"]
+        written = set(tmp_path.rglob("*")) - before
+        assert all(p == out or out in p.parents for p in written)
 
     def test_unknown_sweep_key(self, mini_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(mini_config),

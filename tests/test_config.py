@@ -142,6 +142,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.conf")
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        """A BOM used to stick to the first key, which then read as unknown."""
+        text = "seed = 3\nround.rounds_T = 2\n"
+        plain, bom = tmp_path / "plain.conf", tmp_path / "bom.conf"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_config(str(bom)) == load_config(str(plain))
+
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         data = tmp_path / "a#b.csv"
         data.write_text("f0,label\n0.5,0\n")

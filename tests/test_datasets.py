@@ -202,6 +202,28 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"latin1\.csv: .*0xe9"):
             load_csv_dataset(str(p), input_dim=2, num_classes=2)
 
+    def test_over_long_field_names_file_and_line(self, tmp_path):
+        """The csv module's field limit used to escape as ``_csv.Error``."""
+        p = tmp_path / "long.csv"
+        p.write_text("f0,f1,label\n1.0,2.0,0\n" + "1" * 140_000 + ",2.0,1\n")
+        with pytest.raises(ValueError, match=r"long\.csv: line 3: field larger than "
+                                             r"field limit"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
+    def test_row_fault_before_an_undecodable_byte_past_8_kib(self, tmp_path):
+        """Rows are parsed as the file is decoded, one 8 KiB chunk at a time,
+        so a bad row in the first chunk is met before a bad byte in a later one."""
+        p = tmp_path / "late.csv"
+        good = b"1.0,2.0,0\n" * 1000
+        p.write_bytes(b"f0,f1,label\n1.0,oops,1\n" + good + b"1.0,2.0,1 # caf\xe9\n")
+        assert p.stat().st_size > 8192
+        with pytest.raises(ValueError, match=r"late\.csv: line 2: could not convert "
+                                             r"string to float: 'oops'"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+        p.write_bytes(b"f0,f1,label\n" + good + b"1.0,2.0,1 # caf\xe9\n")
+        with pytest.raises(ValueError, match=r"late\.csv: .*0xe9"):
+            load_csv_dataset(str(p), input_dim=2, num_classes=2)
+
 
 _FEATURE_FAULTS = ("oops", "", "nan", "NaN", "inf", "-inf", "1e999", "0x10")
 _LABEL_FAULTS = ("1.5", "x", "", "-1", "99", "1e0")
@@ -284,6 +306,7 @@ class TestCsvAgainstReference:
     @example((b"label,f0\r\n1,2.5\r\n\r\n0,-0.0\r\n", 1, 2), True)
     @example((b"f0,label\n\n1.5,0\n\n\n2.5,1\n\n", 1, 2), False)
     @example((b'"f0\n",label\n"1.0\n","1\n"\n"2.0",0', 1, 2), False)
+    @example((b"\nf0,label\n1.5,0\n", 1, 2), False)
     @settings(deadline=None)
     def test_equals_the_list_reference(self, case, bom):
         """The file with an optional BOM loads to the same bits, or fails
@@ -367,8 +390,8 @@ class TestSplits:
 
 class TestMemory:
     """``tracemalloc`` peaks as multiples of the feature matrix's bytes: a
-    setup holds the matrix at most about twice, a CSV load the file's text
-    and the matrix."""
+    setup holds the matrix at most about twice, a CSV load the matrix and
+    one row."""
 
     @staticmethod
     def traced(fn, *args):
@@ -402,5 +425,5 @@ class TestMemory:
                    header=",".join([f"f{i}" for i in range(100)] + ["label"]))
         features = 4000 * 100 * 8
         ds, peak = self.traced(load_csv_dataset, str(path), 100, 10)
-        assert peak <= 2.6 * features
+        assert peak <= 1.3 * features
         assert ds.features.shape == (4000, 100) and np.array_equal(ds.labels, rows[:, 100])
