@@ -9,8 +9,7 @@ utility under one privacy budget.
 from .config import (DataConfig, ExperimentConfig, ProtectionMode,
                      RatioSchedule, RoundConfig)
 from .datasets import Dataset, synthetic_dataset
-from .dp import (DpParams, PrivacyBudget, add_noise, clip, protect_dp,
-                 sensitivity, sigma_from_budget)
+from .dp import DpParams, PrivacyBudget, protect_dp
 from .he import (CkksBackend, HeCostModel, HeParams, MockBackend,
                  decode_tolerance, make_backend)
 from .metrics import (BoundInputs, ExperimentReport, RoundMetrics, accuracy,

@@ -14,6 +14,7 @@ the parse, ``KNOWN_KEYS`` and the echo; the keys ``dataset.input_dim`` and
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 import sys
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .datasets import held_out_rows
-from .dp import PrivacyBudget, sigma_from_budget
+from .dp import PrivacyBudget
 from .errors import ConfigError
 from .he import BACKENDS, HeCostModel, HeParams, simulated_round_cost
 from .he.ring import find_ntt_prime
@@ -102,6 +103,11 @@ class RoundConfig:
     rounds_T: int = 3
 
     def __post_init__(self):
+        for name in ("clients_total_N", "clients_sampled_n", "local_epochs_K", "batch_size",
+                     "rounds_T"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.clients_sampled_n <= self.clients_total_N:
             raise ValueError(
                 f"need 1 <= sampled n ({self.clients_sampled_n}) <= total N "
@@ -188,9 +194,13 @@ class ExperimentConfig:
         if not 0.0 < self.dp_theta < math.inf:
             raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
         # Cross-key checks, decidable before any data is built.
-        if self.protection.pipeline.noised and not sigma_from_budget(self._budget(1)) < math.inf:
-            raise ValueError(f"dp.theta={self.dp_theta}, dp.epsilon={self.dp_epsilon} and "
-                             f"dp.delta={self.dp_delta} give a noise std that is not finite")
+        if self.protection.pipeline.noised:
+            try:
+                self._budget(1)
+            except ValueError as exc:
+                raise ValueError(f"dp.theta={self.dp_theta}, dp.epsilon={self.dp_epsilon} and "
+                                 f"dp.delta={self.dp_delta} give a noise std that is not "
+                                 f"finite") from exc
         n, cost, he = self.rounds.clients_sampled_n, self.he_cost, self.he_params
         if self.protection.pipeline.encrypted != "none":
             if he.max_additions < n - 1:

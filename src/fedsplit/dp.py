@@ -5,32 +5,27 @@ zero-mean Gaussian noise with per-coordinate std ``sigma_z``:
 
     protected = u / max(1, ||u|| / theta) + z,   z_j ~ N(0, sigma_z)
 
-``sigma_from_budget`` calibrates ``sigma_z`` once for the whole experiment
-from the privacy budget (epsilon, delta), the client sampling ratio q, the
-round count T and the mechanism sensitivity 2*theta / min_i |D_i|.
+``PrivacyBudget.sigma_z`` calibrates ``sigma_z`` once for the whole
+experiment from the privacy budget (epsilon, delta), the client sampling
+ratio q, the round count T and the mechanism sensitivity
+``PrivacyBudget.delta_f`` = 2*theta / min_i |D_i|; a budget whose
+``sigma_z`` is not finite cannot be built.
 
 Gaussian sampling uses Box-Muller over the PCG64 uniform stream, so seeded
-draws are reproducible bit-for-bit across platforms (see ``add_noise``).
+draws are reproducible bit-for-bit across platforms (see ``gaussian``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 
-__all__ = [
-    "DpParams",
-    "PrivacyBudget",
-    "clip",
-    "add_noise",
-    "sensitivity",
-    "sigma_from_budget",
-    "protect_dp",
-]
+__all__ = ["DpParams", "PrivacyBudget", "protect_dp"]
 
 
 @dataclass(frozen=True)
@@ -69,26 +64,29 @@ class PrivacyBudget:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0 < self.q <= 1:
             raise ValueError(f"sampling ratio q must lie in (0, 1], got {self.q}")
-        if self.rounds_T < 1:
-            raise ValueError(f"rounds_T must be >= 1, got {self.rounds_T}")
+        for name in ("rounds_T", "min_dataset_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.min_dataset_size < 1:
-            raise ValueError(
-                f"min_dataset_size must be >= 1, got {self.min_dataset_size}"
-            )
+        if not math.isfinite(self.sigma_z):  # not finite whenever delta_f is not
+            raise ValueError(f"delta_f = {self.delta_f:.10g} gives sigma_z = "
+                             f"{self.sigma_z:.10g}, not a finite noise std")
 
+    @property
+    def delta_f(self) -> float:
+        """Mechanism sensitivity 2*theta / min_i |D_i|."""
+        return 2.0 * self.theta / self.min_dataset_size
 
-def clip(u: np.ndarray, theta: float) -> np.ndarray:
-    """Scale ``u`` to L2 norm at most ``theta``: returns u / max(1, ||u||/theta)."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise DimensionError(f"update must be 1-D, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("update contains non-finite values")
-    return u / max(1.0, float(np.linalg.norm(u)) / theta)
+    @property
+    def sigma_z(self) -> float:
+        """Per-coordinate noise std implied by the budget:
+
+        sigma_z = (delta_f / epsilon) * sqrt(2 q T ln(1/delta)).
+        """
+        return (self.delta_f / self.epsilon) * math.sqrt(
+            2.0 * self.q * self.rounds_T * math.log(1.0 / self.delta))
 
 
 def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -106,35 +104,15 @@ def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
     return z[:size]
 
 
-def add_noise(u: np.ndarray, sigma_z: float, seed) -> np.ndarray:
-    """Add i.i.d. N(0, sigma_z) noise to every coordinate; exact identity at 0."""
-    if sigma_z < 0:
-        raise ValueError(f"sigma_z must be nonnegative, got {sigma_z}")
-    u = np.asarray(u, dtype=np.float64)
-    if sigma_z == 0:
-        return u.copy()
-    rng = np.random.default_rng(seed)
-    return u + sigma_z * gaussian(rng, u.size)
-
-
-def sensitivity(theta: float, min_dataset_size: int) -> float:
-    """Mechanism sensitivity 2*theta / min_i |D_i|."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if min_dataset_size < 1:
-        raise ValueError(f"min_dataset_size must be >= 1, got {min_dataset_size}")
-    return 2.0 * theta / min_dataset_size
-
-
-def sigma_from_budget(b: PrivacyBudget) -> float:
-    """Per-coordinate noise std implied by the budget:
-
-    sigma_z = (delta_f / epsilon) * sqrt(2 q T ln(1/delta)).
-    """
-    df = sensitivity(b.theta, b.min_dataset_size)
-    return (df / b.epsilon) * math.sqrt(2.0 * b.q * b.rounds_T * math.log(1.0 / b.delta))
-
-
 def protect_dp(u_dp: np.ndarray, p: DpParams, seed) -> np.ndarray:
-    """Clip then noise the plaintext part of a local update."""
-    return add_noise(clip(u_dp, p.theta), p.sigma_z, seed)
+    """Clip the plaintext part of a local update to L2 norm at most ``p.theta``,
+    then add i.i.d. N(0, p.sigma_z) noise to every coordinate (none at 0)."""
+    u = np.asarray(u_dp, dtype=np.float64)
+    if u.ndim != 1:
+        raise DimensionError(f"update must be 1-D, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("update contains non-finite values")
+    u = u / max(1.0, float(np.linalg.norm(u)) / p.theta)
+    if p.sigma_z == 0:
+        return u
+    return u + p.sigma_z * gaussian(np.random.default_rng(seed), u.size)

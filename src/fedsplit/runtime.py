@@ -30,7 +30,7 @@ from . import seeds
 from .config import ExperimentConfig, RatioSchedule, config_to_flat
 from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
                        synthetic_dataset, train_test_split)
-from .dp import DpParams, protect_dp, sigma_from_budget
+from .dp import DpParams, protect_dp
 from .errors import DivergenceError, FedSplitError
 from .he import make_backend, simulated_round_cost
 from .metrics import ExperimentReport, RoundMetrics, accuracy
@@ -99,7 +99,7 @@ def _setup(cfg: ExperimentConfig) -> _State:
     sigma_note = ""
     if cfg.protection.pipeline.noised:
         budget = cfg._budget(min(len(c) for c in client_sets))
-        dp_params = DpParams(theta=cfg.dp_theta, sigma_z=sigma_from_budget(budget))
+        dp_params = DpParams(theta=cfg.dp_theta, sigma_z=budget.sigma_z)
         sigma_note = (f"sigma_z={dp_params.sigma_z!r} calibrated once from "
                       f"(eps={budget.epsilon}, delta={budget.delta}, q={budget.q}, "
                       f"T={budget.rounds_T}, theta={budget.theta}, "

@@ -9,6 +9,7 @@ exact inverse of ``split``: the round trip is bit-identical.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,15 @@ class PartitionMask:
     dim: int
 
     def __post_init__(self):
-        idx = np.asarray(self.he_indices, dtype=np.int64)
+        idx = np.asarray(self.he_indices)
         if idx.ndim != 1:
             raise DimensionError("he_indices must be 1-D")
-        if self.dim < 1:
-            raise DimensionError(f"dim must be positive, got {self.dim}")
+        if idx.size and idx.dtype.kind not in "iu":
+            raise DimensionError(f"he_indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
+                or self.dim < 1):
+            raise DimensionError(f"dim must be a positive integer, got {self.dim!r}")
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise DimensionError(

@@ -135,10 +135,17 @@ def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
     return VoteKey(key=rng.bytes(16), round_binding=round_binding)
 
 
+def _check_size(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def target_count(r: float, dim: int) -> int:
     """Number of encrypted coordinates for ratio ``r``: round-half-up of r*dim."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {r}")
+    _check_size("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return min(dim, max(0, int(math.floor(r * dim + 0.5))))
@@ -313,6 +320,7 @@ def tally_votes(msgs, k: int) -> np.ndarray:
     Fewer than k distinct proposals simply yield fewer tokens (clients pad
     when decoding).
     """
+    _check_size("k", k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     tokens = np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)])
@@ -328,6 +336,8 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     below ``dim``.  A shortfall below ``k`` is padded with the smallest
     unselected indices so the encrypted part keeps size ``k``.
     """
+    _check_size("dim", dim)
+    _check_size("k", k)
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
     _check_tokens(tokens, "winning tokens")

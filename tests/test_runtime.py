@@ -59,6 +59,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RoundConfig(clients_total_N=3, clients_sampled_n=4)
 
+    @pytest.mark.parametrize("name,value", [
+        ("rounds_T", 2.5), ("rounds_T", True), ("batch_size", 32.0),
+        ("local_epochs_K", "1"), ("clients_total_N", 5.0), ("clients_sampled_n", False),
+    ])
+    def test_non_integer_counts_rejected(self, name, value):
+        """A count that is not an integer is named here, before a noising
+        config's privacy budget could see it."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RoundConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        r = RoundConfig(clients_total_N=np.int64(5), rounds_T=np.uint16(3))
+        assert small_config(rounds=r, protection=ProtectionMode(kind="dp_only")).rounds is r
+
     def test_protection_kind(self):
         with pytest.raises(ValueError):
             ProtectionMode(kind="both")

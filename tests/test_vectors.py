@@ -63,6 +63,29 @@ class TestMaskValidation:
         with pytest.raises(ValueError):
             mask([1, 1], 4)
 
+    @pytest.mark.parametrize("indices", [
+        [0.5, 1.7], np.array([False, True]), np.array([0.0, 1.0]),
+        np.array(["0", "1"]), np.array([0, 1], dtype=object),
+    ], ids=["floats", "bools", "float-array", "strings", "objects"])
+    def test_non_integer_indices_rejected(self, indices):
+        with pytest.raises(DimensionError, match="he_indices must be integers"):
+            PartitionMask(he_indices=indices, dim=4)
+
+    @pytest.mark.parametrize("dim", [3.5, 4.0, True, "4", None])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(DimensionError, match="dim must be a positive integer"):
+            PartitionMask(he_indices=np.array([0], dtype=np.int64), dim=dim)
+
+    @pytest.mark.parametrize("indices", [
+        [], np.array([], dtype=np.int64), np.array([0, 3], dtype=np.int64),
+        np.array([0, 3], dtype=np.uint64), [1, 2],
+    ], ids=["empty-list", "empty-int64", "int64", "uint64", "int-list"])
+    def test_integer_indices_accepted(self, indices):
+        m = PartitionMask(he_indices=indices, dim=np.int64(4))
+        assert m.he_indices.dtype == np.int64
+        assert m.he_indices.tolist() == [int(i) for i in indices]
+        assert m.complement().size == 4 - len(indices)
+
     def test_from_indices_sorts(self):
         m = PartitionMask.from_indices([3, 1], 4)
         assert m.he_indices.tolist() == [1, 3]

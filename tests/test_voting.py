@@ -40,6 +40,14 @@ class TestTargetCount:
         with pytest.raises(ValueError):
             target_count(0.5, 0)
 
+    @pytest.mark.parametrize("dim", [True, 2.5, 4.0, "4"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            target_count(0.5, dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        assert target_count(0.1, np.int64(100)) == 10
+
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=300, deadline=None)
@@ -374,6 +382,16 @@ class TestTally:
         with pytest.raises(ValueError):
             tally_votes([], -1)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 1.0, "1"])
+    def test_non_integer_k_rejected(self, k):
+        msg = VoteMessage(0, np.array([3, 9], dtype=np.uint64))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            tally_votes([msg], k)
+
+    def test_numpy_integer_k_accepted(self):
+        msg = VoteMessage(0, np.array([3, 9], dtype=np.uint64))
+        assert tally_votes([msg], np.int64(1)).tolist() == [3]
+
     def test_rank_tokens_most_votes_first_ties_to_smaller_token(self):
         msgs = [VoteMessage(0, np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
                 VoteMessage(1, np.array([3, 9], dtype=np.uint64)),
@@ -489,6 +507,20 @@ class TestDecodePartition:
         vk = new_vote_key(12)
         m = decode_partition(np.empty(0, np.uint64), vk, 5, 0)
         assert m.size == 0
+
+    @pytest.mark.parametrize("dim,k", [(5, True), (5, 2.5), (5, 1.0), (True, 1), (5.0, 1),
+                                       (5.5, 1), ("5", 1)])
+    def test_non_integer_sizes_rejected(self, dim, k):
+        vk = new_vote_key(18)
+        tokens = encrypt_indices(mask_of([3], 5), vk).tokens
+        with pytest.raises(ValueError, match="(dim|k) must be an integer"):
+            decode_partition(tokens, vk, dim, k)
+
+    def test_numpy_integer_sizes_accepted(self):
+        vk = new_vote_key(18)
+        tokens = encrypt_indices(mask_of([3], 5), vk).tokens
+        m = decode_partition(tokens, vk, np.int64(5), np.uint8(2))
+        assert m.he_indices.tolist() == [0, 3]
 
     def test_foreign_token_rejected(self):
         vk = new_vote_key(13)
