@@ -14,7 +14,6 @@ the parse, ``KNOWN_KEYS`` and the echo; the keys ``dataset.input_dim`` and
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
 import sys
@@ -23,7 +22,7 @@ from functools import reduce
 
 from .datasets import held_out_rows
 from .dp import PrivacyBudget
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .he import BACKENDS, HeCostModel, HeParams, simulated_round_cost
 from .he.ring import find_ntt_prime
 from .metrics import efficiency_ratio
@@ -81,6 +80,7 @@ class DataConfig:
             )
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
+        check_int("num_samples", self.num_samples, 1)
         if not math.isfinite(self.separation):
             raise ValueError(f"separation must be finite, got {self.separation}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -103,20 +103,12 @@ class RoundConfig:
     rounds_T: int = 3
 
     def __post_init__(self):
-        for name in ("clients_total_N", "clients_sampled_n", "local_epochs_K", "batch_size",
-                     "rounds_T"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.clients_sampled_n <= self.clients_total_N:
-            raise ValueError(
-                f"need 1 <= sampled n ({self.clients_sampled_n}) <= total N "
-                f"({self.clients_total_N})"
-            )
-        if self.local_epochs_K < 1 or self.rounds_T < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs_K, rounds_T, batch_size must be >= 1")
-        if self.rounds_T > 2 ** 52:  # the bound ExperimentConfig's cost check needs
-            raise ValueError(f"rounds_T must be at most 2**52, got {self.rounds_T}")
+        check_int("clients_total_N", self.clients_total_N, 1)
+        check_int("clients_sampled_n", self.clients_sampled_n, 1, self.clients_total_N)
+        check_int("local_epochs_K", self.local_epochs_K, 1)
+        check_int("batch_size", self.batch_size, 1)
+        # 2**52 is the bound ExperimentConfig's cost check needs
+        check_int("rounds_T", self.rounds_T, 1, 2 ** 52)
         if not 0 < self.learning_rate_eta < math.inf:
             raise ValueError(f"learning_rate_eta must be positive and finite, "
                              f"got {self.learning_rate_eta}")
@@ -183,10 +175,8 @@ class ExperimentConfig:
         if self.he_backend not in BACKENDS:
             raise ValueError(f"he_backend must be one of {list(BACKENDS)}, "
                              f"got {self.he_backend!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_int("workers", self.workers, 1)
+        check_int("seed", self.seed, 0)
         if not self.dp_epsilon > 0:
             raise ValueError(f"dp.epsilon must be positive, got {self.dp_epsilon}")
         if not 0.0 < self.dp_delta < 1.0:

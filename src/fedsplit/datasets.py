@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int
+
 
 __all__ = [
     "Dataset",
@@ -146,12 +148,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, 
 
 def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
     """Random equal-size shards (sizes differ by at most one sample)."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if num_clients > len(ds):
-        raise ValueError(
-            f"cannot split {len(ds)} samples across {num_clients} clients"
-        )
+    check_int("num_clients", num_clients, 1, len(ds))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
     return [np.sort(part) for part in np.array_split(perm, num_clients)]
@@ -164,12 +161,7 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
     Draws up to ``DIRICHLET_DRAWS`` times until every client holds a sample;
     if no draw does, each empty shard takes one sample from the largest.
     """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if num_clients > len(ds):
-        raise ValueError(
-            f"cannot split {len(ds)} samples across {num_clients} clients"
-        )
+    check_int("num_clients", num_clients, 1, len(ds))
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)

@@ -18,12 +18,11 @@ draws are reproducible bit-for-bit across platforms (see ``gaussian``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_int
 
 __all__ = ["DpParams", "PrivacyBudget", "protect_dp"]
 
@@ -64,10 +63,8 @@ class PrivacyBudget:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0 < self.q <= 1:
             raise ValueError(f"sampling ratio q must lie in (0, 1], got {self.q}")
-        for name in ("rounds_T", "min_dataset_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int("rounds_T", self.rounds_T, 1)
+        check_int("min_dataset_size", self.min_dataset_size, 1)
         if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if not math.isfinite(self.sigma_z):  # not finite whenever delta_f is not

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionError, EncodingOverflowError, ProtocolError
+from ..errors import DimensionError, EncodingOverflowError, ProtocolError, check_int
 from .params import HeParams
 
 __all__ = ["Ciphertext", "KeyPair", "HeBackend"]
@@ -95,11 +95,8 @@ class HeBackend:
             raise DimensionError(f"{half} key params/backend mismatch")
 
     def _check_slots(self, ct: Ciphertext, what: str) -> None:
-        n = ct.slots_used
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or not 1 <= n <= self.params.slot_count):
-            raise DimensionError(f"{what} uses {n!r} slots, expected an integer "
-                                 f"in [1, {self.params.slot_count}]")
+        check_int(f"{what} slots_used", ct.slots_used, 1, self.params.slot_count,
+                  DimensionError)
 
     def _ciphertext(self, payload, slots_used: int, add_count: int = 0) -> Ciphertext:
         return Ciphertext(payload=payload, slots_used=slots_used, add_count=add_count,

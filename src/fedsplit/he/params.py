@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import check_int
+
 __all__ = ["HeParams", "HeCostModel", "decode_tolerance", "simulated_round_cost"]
 
 _MAX_MODULUS_BITS = 51  # exactness bound of the float-assisted modmul in ring.py
@@ -31,21 +33,17 @@ class HeParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        if n < 8 or n & (n - 1):
+        check_int("ring_degree", n, 8)
+        if n & (n - 1):
             raise ValueError(f"ring_degree must be a power of two >= 8, got {n}")
-        if self.scale_bits < 1:
-            raise ValueError(f"scale_bits must be >= 1, got {self.scale_bits}")
-        if self.modulus_bits > _MAX_MODULUS_BITS:
-            raise ValueError(
-                f"modulus_bits must be <= {_MAX_MODULUS_BITS}, got {self.modulus_bits}"
-            )
+        check_int("scale_bits", self.scale_bits, 1)
+        check_int("modulus_bits", self.modulus_bits, 2, _MAX_MODULUS_BITS)
         if self.scale_bits >= self.modulus_bits:
             raise ValueError(
                 f"scale_bits ({self.scale_bits}) must be smaller than "
                 f"modulus_bits ({self.modulus_bits})"
             )
-        if self.max_additions < 1:
-            raise ValueError(f"max_additions must be >= 1, got {self.max_additions}")
+        check_int("max_additions", self.max_additions, 1)
 
     @property
     def slot_count(self) -> int:

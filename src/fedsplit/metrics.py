@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import ClassVar
 
 from .datasets import Dataset
+from .errors import check_int
 from .he import BACKENDS
 from .models import ModelSpec, evaluate_accuracy
 
@@ -135,8 +136,8 @@ class BoundInputs:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.N < 1 or self.T < 1:
-            raise ValueError("N and T must be >= 1")
+        check_int("N", self.N, 1)
+        check_int("T", self.T, 1)
 
 
 def theorem_bound(b: BoundInputs) -> float:

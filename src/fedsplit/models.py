@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_int
 
 __all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_train",
            "evaluate_accuracy"]
@@ -32,11 +32,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"model kind must be one of {KINDS}, got {self.kind!r}")
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ValueError("input_dim and num_classes must be >= 1")
+        check_int("input_dim", self.input_dim, 1)
+        check_int("num_classes", self.num_classes, 1)
+        for i, h in enumerate(self.hidden_dims):
+            check_int(f"hidden_dims[{i}]", h, 1)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
         if self.kind == "mlp" and not self.hidden_dims:
             raise ValueError("mlp requires at least one hidden layer")
         if self.kind != "mlp" and self.hidden_dims:
@@ -147,10 +147,8 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
     The input parameter vector is never mutated.  Non-finite loss aborts
     with DivergenceError.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_int("epochs", epochs, 1)
+    check_int("batch_size", batch_size, 1)
     y = _check_labels(spec, X, y)
     rng = np.random.default_rng(seed)
     w = np.asarray(params, dtype=np.float64).copy()

@@ -9,12 +9,11 @@ exact inverse of ``split``: the round trip is bit-identical.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_int
 
 __all__ = ["PartitionMask", "split", "merge"]
 
@@ -33,9 +32,7 @@ class PartitionMask:
         if idx.size and idx.dtype.kind not in "iu":
             raise DimensionError(f"he_indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.int64, copy=False)
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
-                or self.dim < 1):
-            raise DimensionError(f"dim must be a positive integer, got {self.dim!r}")
+        check_int("dim", self.dim, 1, error=DimensionError)
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise DimensionError(
@@ -48,9 +45,11 @@ class PartitionMask:
 
     @classmethod
     def from_indices(cls, indices, dim: int) -> "PartitionMask":
-        """Build a mask from an unordered, possibly unsorted index collection."""
-        idx = np.unique(np.fromiter(indices, dtype=np.int64))
-        return cls(he_indices=idx, dim=dim)
+        """Build a mask from an unordered collection of integer indices."""
+        indices = list(indices)
+        for i in indices:
+            check_int("index", i, 0, 2**63 - 1, DimensionError)
+        return cls(he_indices=np.unique(np.array(indices, dtype=np.int64)), dim=dim)
 
     @property
     def size(self) -> int:
@@ -87,6 +86,9 @@ def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.n
     """Reassemble the full vector from its two parts; exact inverse of ``split``."""
     dp_part = np.asarray(dp_part, dtype=np.float64)
     he_part = np.asarray(he_part, dtype=np.float64)
+    if dp_part.ndim != 1 or he_part.ndim != 1:
+        raise DimensionError(f"dp_part and he_part must be 1-D, got shapes "
+                             f"{dp_part.shape} and {he_part.shape}")
     if he_part.size != mask.size:
         raise DimensionError(
             f"he_part length {he_part.size} does not match mask size {mask.size}"

@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import DimensionError, ProtocolError, check_int
 from .vectors import PartitionMask
 
 __all__ = [
@@ -101,10 +100,7 @@ class VoteKey:
         if len(self.key) != 16:
             raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
         # the round function packs the round binding as a signed 64-bit integer
-        if not (isinstance(self.round_binding, numbers.Integral)
-                and -2**63 <= int(self.round_binding) < 2**63):
-            raise ValueError(f"round binding must lie in [-2**63, 2**63) and be an "
-                             f"integer, got {self.round_binding!r}")
+        check_int("round_binding", self.round_binding, -2**63, 2**63 - 1)
 
 
 def _check_tokens(tokens, what: str) -> None:
@@ -124,9 +120,7 @@ class VoteMessage:
 
     def __post_init__(self):
         # the wire carries client_id as an unsigned 32-bit integer
-        if not (isinstance(self.client_id, numbers.Integral) and 0 <= int(self.client_id) < 2**32):
-            raise ProtocolError(f"vote message client_id must lie in [0, 2**32) and be "
-                                f"an integer, got {self.client_id!r}")
+        check_int("vote message client_id", self.client_id, 0, 2**32 - 1, ProtocolError)
         _check_tokens(self.tokens, "vote message tokens")
 
 
@@ -135,19 +129,11 @@ def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
     return VoteKey(key=rng.bytes(16), round_binding=round_binding)
 
 
-def _check_size(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def target_count(r: float, dim: int) -> int:
     """Number of encrypted coordinates for ratio ``r``: round-half-up of r*dim."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {r}")
-    _check_size("dim", dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_int("dim", dim, 1)
     return min(dim, max(0, int(math.floor(r * dim + 0.5))))
 
 
@@ -159,6 +145,8 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     toward the lower index.
     """
     u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1:
+        raise DimensionError(f"update must be 1-D, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("update contains non-finite values")
     dim = u.size
@@ -320,9 +308,7 @@ def tally_votes(msgs, k: int) -> np.ndarray:
     Fewer than k distinct proposals simply yield fewer tokens (clients pad
     when decoding).
     """
-    _check_size("k", k)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    check_int("k", k, 0)
     tokens = np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)])
     tokens, counts = np.unique(tokens, return_counts=True)
     return np.sort(tokens[np.argsort(-counts, kind="stable")[:k]])
@@ -336,10 +322,8 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     below ``dim``.  A shortfall below ``k`` is padded with the smallest
     unselected indices so the encrypted part keeps size ``k``.
     """
-    _check_size("dim", dim)
-    _check_size("k", k)
-    if not 0 <= k <= dim:
-        raise ValueError(f"k must lie in [0, {dim}], got {k}")
+    check_int("dim", dim, 1)
+    check_int("k", k, 0, dim)
     _check_tokens(tokens, "winning tokens")
     if tokens.size > k:
         raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")

@@ -73,7 +73,7 @@ class TestMaskValidation:
 
     @pytest.mark.parametrize("dim", [3.5, 4.0, True, "4", None])
     def test_non_integer_dim_rejected(self, dim):
-        with pytest.raises(DimensionError, match="dim must be a positive integer"):
+        with pytest.raises(DimensionError, match="dim must be an integer >= 1"):
             PartitionMask(he_indices=np.array([0], dtype=np.int64), dim=dim)
 
     @pytest.mark.parametrize("indices", [

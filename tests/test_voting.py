@@ -146,7 +146,8 @@ class TestTokens:
         packs as its value."""
         key = new_vote_key(8).key
         for binding in (2**63, -2**63 - 1, 1.5, np.float64(3.0), "3", None):
-            with pytest.raises(ValueError, match=r"round binding must lie in \[-2\*\*63, 2\*\*63\)"):
+            with pytest.raises(ValueError, match=rf"round_binding must be an integer in "
+                                                 rf"\[{-2**63}, {2**63 - 1}\]"):
                 VoteKey(key, binding)
         for binding in (2**63 - 1, -2**63):
             vk = VoteKey(key, binding)
@@ -650,7 +651,8 @@ class TestWireFormat:
     def test_client_id_the_wire_cannot_carry_rejected(self, client_id):
         """The wire holds client_id as an unsigned 32-bit integer, so a message
         is made only for an integer in [0, 2**32)."""
-        with pytest.raises(ProtocolError, match=r"client_id must lie in \[0, 2\*\*32\)"):
+        with pytest.raises(ProtocolError,
+                           match=rf"client_id must be an integer in \[0, {2**32 - 1}\]"):
             encrypt_indices(mask_of([2, 7], 12), new_vote_key(33), client_id=client_id)
 
     def test_truncated_rejected(self):
