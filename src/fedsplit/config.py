@@ -22,7 +22,7 @@ from functools import reduce
 
 from .datasets import held_out_rows
 from .dp import PrivacyBudget
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .he import BACKENDS, HeCostModel, HeParams, simulated_round_cost
 from .he.ring import find_ntt_prime
 from .metrics import efficiency_ratio
@@ -81,13 +81,10 @@ class DataConfig:
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
         check_int("num_samples", self.num_samples, 1)
-        if not math.isfinite(self.separation):
-            raise ValueError(f"separation must be finite, got {self.separation}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        if self.partition == "dirichlet" and not 0.0 < self.dirichlet_alpha < math.inf:
-            raise ValueError(f"dirichlet_alpha must be positive and finite under the "
-                             f"dirichlet partition, got {self.dirichlet_alpha}")
+        check_real("separation", self.separation, "(-inf, inf)")
+        check_real("test_fraction", self.test_fraction, "(0, 1)")
+        if self.partition == "dirichlet":
+            check_real("dirichlet_alpha", self.dirichlet_alpha, "(0, inf)")
         if self.kind == "synthetic" and held_out_rows(self.num_samples, self.test_fraction) < 1:
             raise ValueError(f"test_fraction {self.test_fraction} of num_samples "
                              f"{self.num_samples} leaves no test row")
@@ -109,9 +106,7 @@ class RoundConfig:
         check_int("batch_size", self.batch_size, 1)
         # 2**52 is the bound ExperimentConfig's cost check needs
         check_int("rounds_T", self.rounds_T, 1, 2 ** 52)
-        if not 0 < self.learning_rate_eta < math.inf:
-            raise ValueError(f"learning_rate_eta must be positive and finite, "
-                             f"got {self.learning_rate_eta}")
+        check_real("learning_rate_eta", self.learning_rate_eta, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -123,10 +118,8 @@ class RatioSchedule:
     mode: str = "static"
 
     def __post_init__(self):
-        if not 0.0 <= self.r0 <= 1.0:
-            raise ValueError(f"r0 must lie in [0, 1], got {self.r0}")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
+        check_real("r0", self.r0, "[0, 1]")
+        check_real("lambda", self.lam, "(0, 1]")
         if self.mode not in ("static", "dynamic"):
             raise ValueError(f"schedule mode must be static or dynamic, got {self.mode!r}")
 
@@ -141,10 +134,7 @@ class ProtectionMode:
             raise ValueError(
                 f"protection kind must be one of {PROTECTION_KINDS}, got {self.kind!r}"
             )
-        if not 0.0 < self.amplitude_scale <= 1.0:
-            raise ValueError(
-                f"amplitude_scale must lie in (0, 1], got {self.amplitude_scale}"
-            )
+        check_real("amplitude_scale", self.amplitude_scale, "(0, 1]")
 
     @property
     def pipeline(self) -> _Pipeline:
@@ -177,12 +167,9 @@ class ExperimentConfig:
                              f"got {self.he_backend!r}")
         check_int("workers", self.workers, 1)
         check_int("seed", self.seed, 0)
-        if not self.dp_epsilon > 0:
-            raise ValueError(f"dp.epsilon must be positive, got {self.dp_epsilon}")
-        if not 0.0 < self.dp_delta < 1.0:
-            raise ValueError(f"dp.delta must lie in (0, 1), got {self.dp_delta}")
-        if not 0.0 < self.dp_theta < math.inf:
-            raise ValueError(f"dp.theta must be positive and finite, got {self.dp_theta}")
+        check_real("dp.epsilon", self.dp_epsilon, "(0, inf]")
+        check_real("dp.delta", self.dp_delta, "(0, 1)")
+        check_real("dp.theta", self.dp_theta, "(0, inf)")
         # Cross-key checks, decidable before any data is built.
         if self.protection.pipeline.noised:
             try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_real
 
 
 __all__ = [
@@ -64,6 +64,7 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     """
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
+    check_real("separation", separation, "(-inf, inf)")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, (num_classes, input_dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
@@ -138,8 +139,7 @@ def held_out_rows(num_rows: int, test_fraction: float) -> int:
 
 def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled split; the test side is the held-out eval set."""
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
+    check_real("test_fraction", test_fraction, "[0, 1)")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
     n_test = held_out_rows(len(ds), test_fraction)
@@ -162,14 +162,14 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
     if no draw does, each empty shard takes one sample from the largest.
     """
     check_int("num_clients", num_clients, 1, len(ds))
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    # an infinite alpha draws NaN proportions, which cast to invalid cuts
+    check_real("alpha", alpha, "(0, inf)")
     rng = np.random.default_rng(seed)
     for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
         for cls in np.unique(ds.labels):
             cls_idx = rng.permutation(np.nonzero(ds.labels == cls)[0])
-            proportions = rng.dirichlet(np.full(num_clients, alpha))
+            proportions = rng.dirichlet(np.full(num_clients, float(alpha)))
             cuts = (np.cumsum(proportions)[:-1] * cls_idx.size).astype(np.int64)
             for client, part in enumerate(np.split(cls_idx, cuts)):
                 shards[client].extend(part.tolist())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_int
+from .errors import DimensionError, check_int, check_real
 
 __all__ = ["DpParams", "PrivacyBudget", "protect_dp"]
 
@@ -35,10 +35,8 @@ class DpParams:
     sigma_z: float
 
     def __post_init__(self):
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ValueError(f"theta must be a positive finite real, got {self.theta}")
-        if not (self.sigma_z >= 0 and math.isfinite(self.sigma_z)):
-            raise ValueError(f"sigma_z must be nonnegative, got {self.sigma_z}")
+        check_real("theta", self.theta, "(0, inf)")
+        check_real("sigma_z", self.sigma_z, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -57,16 +55,12 @@ class PrivacyBudget:
     min_dataset_size: int
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0 < self.q <= 1:
-            raise ValueError(f"sampling ratio q must lie in (0, 1], got {self.q}")
+        check_real("epsilon", self.epsilon, "(0, inf]")
+        check_real("delta", self.delta, "(0, 1)")
+        check_real("sampling ratio q", self.q, "(0, 1]")
         check_int("rounds_T", self.rounds_T, 1)
         check_int("min_dataset_size", self.min_dataset_size, 1)
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        check_real("theta", self.theta, "(0, inf]")
         if not math.isfinite(self.sigma_z):  # not finite whenever delta_f is not
             raise ValueError(f"delta_f = {self.delta_f:.10g} gives sigma_z = "
                              f"{self.sigma_z:.10g}, not a finite noise std")

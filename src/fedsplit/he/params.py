@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import check_int
+from ..errors import check_int, check_real
 
 __all__ = ["HeParams", "HeCostModel", "decode_tolerance", "simulated_round_cost"]
 
@@ -73,9 +73,8 @@ class HeCostModel:
     per_op_seconds: float = 1e-3
 
     def __post_init__(self):
-        if not (0 <= self.per_slot_seconds < math.inf and 0 <= self.per_op_seconds < math.inf):
-            raise ValueError(f"per_slot_seconds and per_op_seconds must be finite and "
-                             f"nonnegative, got {self.per_slot_seconds}, {self.per_op_seconds}")
+        check_real("per_slot_seconds", self.per_slot_seconds, "[0, inf)")
+        check_real("per_op_seconds", self.per_op_seconds, "[0, inf)")
 
 
 def decode_tolerance(params: HeParams) -> float:
@@ -94,7 +93,7 @@ def decode_tolerance(params: HeParams) -> float:
 def simulated_round_cost(cost_model: HeCostModel, n_vectors: int, vec_len: int) -> float:
     """Encrypt ``n_vectors`` vectors, aggregate once and decrypt once: ``n_vectors + 2``
     operations of ``per_op_seconds + per_slot_seconds * vec_len`` simulated seconds each."""
-    if n_vectors < 0 or vec_len < 0:
-        raise ValueError("n_vectors and vec_len must be nonnegative")
+    check_int("n_vectors", n_vectors, 0)
+    check_int("vec_len", vec_len, 0)
     per = cost_model.per_op_seconds + cost_model.per_slot_seconds * vec_len
     return n_vectors * per + per + per

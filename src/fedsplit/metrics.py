@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import ClassVar
 
 from .datasets import Dataset
-from .errors import check_int
+from .errors import check_int, check_real
 from .he import BACKENDS
 from .models import ModelSpec, evaluate_accuracy
 
@@ -48,17 +48,12 @@ class RoundMetrics:
     wall_time_s: float
 
     def __post_init__(self):
+        check_int("round", self.round, 0)
         self.round = int(self.round)
-        for name in ("r_t", "accuracy", "sim_time_s", "wall_time_s"):
+        for name, interval in (("r_t", "[0, 1]"), ("accuracy", "[0, 1]"),
+                               ("sim_time_s", "[0, inf)"), ("wall_time_s", "[0, inf)")):
+            check_real(name, getattr(self, name), interval)
             setattr(self, name, float(getattr(self, name)))
-        if self.round < 0:
-            raise ValueError(f"round must be >= 0, got {self.round}")
-        if not 0.0 <= self.r_t <= 1.0:
-            raise ValueError(f"r_t must lie in [0, 1], got {self.r_t}")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
-        if not (0 <= self.sim_time_s < math.inf and 0 <= self.wall_time_s < math.inf):
-            raise ValueError("times must be finite and nonnegative")
 
 
 @dataclass
@@ -105,8 +100,7 @@ def accuracy(spec: ModelSpec, params, test_set: Dataset) -> float:
 
 def efficiency_ratio(accuracy_pct: float, time_s: float) -> float:
     """Trade-off score (accuracy / time) x 100, accuracy in percent."""
-    if not time_s > 0:
-        raise ValueError(f"time must be positive, got {time_s}")
+    check_real("time", time_s, "(0, inf]")
     return accuracy_pct / time_s * 100.0
 
 
@@ -128,14 +122,11 @@ class BoundInputs:
     T: int
 
     def __post_init__(self):
-        if self.C1 < 0 or self.C2 < 0:
-            raise ValueError("C1 and C2 must be nonnegative")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        check_real("C1", self.C1, "[0, inf]")
+        check_real("C2", self.C2, "[0, inf]")
+        check_real("r", self.r, "[0, 1]")
+        check_real("epsilon", self.epsilon, "(0, inf]")
+        check_real("delta", self.delta, "(0, 1)")
         check_int("N", self.N, 1)
         check_int("T", self.T, 1)
 
@@ -201,8 +192,9 @@ def read_rounds_csv(path, report: ExperimentReport):
         raise ValueError(f"{path.name} is not the header {','.join(CSV_HEADER)} "
                          f"and a row for each of the report's {len(report.rounds)} rounds")
     for line, (row, want) in enumerate(zip(rows[1:], report.rounds), start=2):
-        try:
-            got = RoundMetrics(*row)
+        try:  # the reals are checked as numbers, so their text is parsed here
+            round_, *reals = row
+            got = RoundMetrics(int(round_), *map(float, reals))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path.name} line {line}: {exc}") from None
         if got != (want if report.include_wall_time

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, check_int
+from .errors import DivergenceError, check_int, check_real
 
 __all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_train",
            "evaluate_accuracy"]
@@ -149,6 +149,7 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
     """
     check_int("epochs", epochs, 1)
     check_int("batch_size", batch_size, 1)
+    check_real("learning_rate", learning_rate, "[0, inf)")
     y = _check_labels(spec, X, y)
     rng = np.random.default_rng(seed)
     w = np.asarray(params, dtype=np.float64).copy()

@@ -31,7 +31,7 @@ from .config import ExperimentConfig, RatioSchedule, config_to_flat
 from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
                        synthetic_dataset, train_test_split)
 from .dp import DpParams, protect_dp
-from .errors import DivergenceError, FedSplitError
+from .errors import DivergenceError, FedSplitError, check_int
 from .he import make_backend, simulated_round_cost
 from .metrics import ExperimentReport, RoundMetrics, accuracy
 from .models import init_params, local_train, param_count
@@ -52,8 +52,7 @@ class RunAborted(FedSplitError):
 
 def ratio_at(schedule: RatioSchedule, t: int) -> float:
     """Encrypted fraction at round t (round 0 uses r0)."""
-    if t < 0:
-        raise ValueError(f"round index must be >= 0, got {t}")
+    check_int("round index t", t, 0)
     if schedule.mode == "static":
         return schedule.r0
     return schedule.r0 * schedule.lam ** t

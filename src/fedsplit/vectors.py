@@ -31,16 +31,15 @@ class PartitionMask:
             raise DimensionError("he_indices must be 1-D")
         if idx.size and idx.dtype.kind not in "iu":
             raise DimensionError(f"he_indices must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(np.int64, copy=False)
         check_int("dim", self.dim, 1, error=DimensionError)
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise DimensionError(
-                    f"indices must lie in [0, {self.dim}), got range "
-                    f"[{idx.min()}, {idx.max()}]"
-                )
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("he_indices must be strictly increasing")
+        # the range is checked on the values as given: a uint64 past 2**63
+        # would wrap negative in the int64 cast
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
+            raise DimensionError(f"indices must lie in [0, {self.dim}), got range "
+                                 f"[{idx.min()}, {idx.max()}]")
+        idx = idx.astype(np.int64, copy=False)
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("he_indices must be strictly increasing")
         object.__setattr__(self, "he_indices", idx)
 
     @classmethod

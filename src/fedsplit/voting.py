@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ProtocolError, check_int
+from .errors import DimensionError, ProtocolError, check_int, check_real
 from .vectors import PartitionMask
 
 __all__ = [
@@ -131,8 +131,7 @@ def new_vote_key(seed, round_binding: int = 0) -> VoteKey:
 
 def target_count(r: float, dim: int) -> int:
     """Number of encrypted coordinates for ratio ``r``: round-half-up of r*dim."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {r}")
+    check_real("ratio", r, "[0, 1]")
     check_int("dim", dim, 1)
     return min(dim, max(0, int(math.floor(r * dim + 0.5))))
 

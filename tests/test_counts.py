@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsplit.config import DataConfig, ExperimentConfig, RoundConfig
+from fedsplit.config import DataConfig, ExperimentConfig, RatioSchedule, RoundConfig
 from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset
 from fedsplit.dp import PrivacyBudget
 from fedsplit.errors import DimensionError, ProtocolError
-from fedsplit.he import HeParams, MockBackend
-from fedsplit.metrics import BoundInputs
+from fedsplit.he import HeCostModel, HeParams, MockBackend, simulated_round_cost
+from fedsplit.metrics import BoundInputs, RoundMetrics
 from fedsplit.models import ModelSpec, init_params, local_train
+from fedsplit.runtime import ratio_at
 from fedsplit.vectors import PartitionMask, merge
 from fedsplit.voting import (PartitionStrategy, VoteKey, VoteMessage, decode_partition,
                              new_vote_key, propose_partition, tally_votes, target_count)
@@ -86,6 +87,12 @@ SITES = [
      ValueError),
     ("BoundInputs.N", lambda v: BoundInputs(**{**_BOUND, "N": v}), 1, None, ValueError),
     ("BoundInputs.T", lambda v: BoundInputs(**{**_BOUND, "T": v}), 1, None, ValueError),
+    ("RoundMetrics.round", lambda v: RoundMetrics(v, 0.5, 0.5, 0.0, 0.0), 0, None, ValueError),
+    ("ratio_at.t", lambda v: ratio_at(RatioSchedule(mode="dynamic"), v), 0, None, ValueError),
+    ("simulated_round_cost.n_vectors", lambda v: simulated_round_cost(HeCostModel(), v, 1), 0,
+     None, ValueError),
+    ("simulated_round_cost.vec_len", lambda v: simulated_round_cost(HeCostModel(), 1, v), 0,
+     None, ValueError),
 ]
 
 _NUMPY_INTS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)

@@ -508,8 +508,8 @@ class TestSimulatedCost:
 
     def test_negative_count_or_length_rejected(self):
         cm = HeCostModel()
-        for n, vec_len in ((-1, 10), (3, -1)):
-            with pytest.raises(ValueError, match="nonnegative"):
+        for n, vec_len, name in ((-1, 10, "n_vectors"), (3, -1, "vec_len")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got -1$"):
                 simulated_round_cost(cm, n, vec_len)
 
     def test_negative_rejected(self):

@@ -6,12 +6,14 @@ import pytest
 
 import fedsplit.runtime as runtime_mod
 from fedsplit import seeds, voting
+from fedsplit.he import HeParams
 from fedsplit.metrics import emit_report
 from fedsplit.models import ModelSpec, local_train, param_count
 from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
                              RatioSchedule, RoundConfig)
 from fedsplit.runtime import RunAborted, ratio_at, run_experiment
 from fedsplit.voting import target_count
+from test_golden import golden_config
 
 
 def small_config(**overrides):
@@ -147,6 +149,34 @@ class TestModeLimits:
         rep = run_experiment(small_config(
             protection=ProtectionMode(kind="varying_dp", amplitude_scale=0.5)))
         assert any("varying_dp" in note for note in rep.notes)
+
+
+class TestNorthStarEndpoints:
+    """parallel at r0 = 0 is dp_only and at r0 = 1 is he_only, round by round,
+    for every strategy and both schedules, at the golden config."""
+
+    ENDPOINTS = [("dp_only", RatioSchedule(r0=0.0, lam=0.8, mode="static")),
+                 ("dp_only", RatioSchedule(r0=0.0, lam=0.8, mode="dynamic")),
+                 ("he_only", RatioSchedule(r0=1.0, lam=1.0, mode="static")),
+                 ("he_only", RatioSchedule(r0=1.0, lam=1.0, mode="dynamic"))]
+    IDS = ["dp_only-static", "dp_only-dynamic", "he_only-static", "he_only-dynamic"]
+
+    @pytest.mark.parametrize("strategy", ["max", "min", "random"])
+    @pytest.mark.parametrize("kind,schedule", ENDPOINTS, ids=IDS)
+    def test_mock_rounds_equal(self, kind, schedule, strategy):
+        para, end = (run_experiment(golden_config(k, strategy, schedule=schedule))
+                     for k in ("parallel", kind))
+        assert ([(r.r_t, r.accuracy, r.sim_time_s) for r in para.rounds]
+                == [(r.r_t, r.accuracy, r.sim_time_s) for r in end.rounds])
+
+    @pytest.mark.parametrize("strategy", ["max", "min", "random"])
+    @pytest.mark.parametrize("kind,schedule", ENDPOINTS, ids=IDS)
+    def test_ckks_accuracies_equal(self, kind, schedule, strategy):
+        para, end = (run_experiment(golden_config(k, strategy, schedule=schedule,
+                                                  he_backend="ckks",
+                                                  he_params=HeParams(ring_degree=256)))
+                     for k in ("parallel", kind))
+        assert accs(para) == accs(end)
 
 
 class TestHePartFidelity:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,16 @@ class TestMaskValidation:
         assert m.he_indices.dtype == np.int64
         assert m.he_indices.tolist() == [int(i) for i in indices]
         assert m.complement().size == 4 - len(indices)
+
+    @pytest.mark.parametrize("indices,shown", [
+        ([2**64 - 1], "[18446744073709551615, 18446744073709551615]"),
+        ([1, 2**64 - 1], "[1, 18446744073709551615]"),
+    ], ids=["max", "increasing"])
+    def test_uint64_range_checked_before_the_cast(self, indices, shown):
+        """A uint64 index past 2**63 is reported as given, not wrapped
+        negative by the int64 cast."""
+        with pytest.raises(DimensionError, match=re.escape(f"[0, 5), got range {shown}")):
+            PartitionMask(np.array(indices, dtype=np.uint64), 5)
 
     def test_from_indices_sorts(self):
         m = PartitionMask.from_indices([3, 1], 4)
