@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import os
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
-from .datasets import held_out_rows
+from .datasets import check_dirichlet_sum, held_out_rows
 from .dp import PrivacyBudget
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_choice, check_int, check_real
 from .he import BACKENDS, HeCostModel, HeParams, simulated_round_cost
 from .he.ring import find_ntt_prime
 from .metrics import efficiency_ratio
@@ -72,12 +71,10 @@ class DataConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "csv"):
-            raise ValueError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
-        if self.partition not in ("iid", "dirichlet"):
-            raise ValueError(
-                f"partition must be iid or dirichlet, got {self.partition!r}"
-            )
+        check_choice("kind", self.kind, ("synthetic", "csv"))
+        check_choice("partition", self.partition, ("iid", "dirichlet"))
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ValueError(f"path must be a str or os.PathLike, not {type(self.path).__name__}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
         check_int("num_samples", self.num_samples, 1)
@@ -120,8 +117,7 @@ class RatioSchedule:
     def __post_init__(self):
         check_real("r0", self.r0, "[0, 1]")
         check_real("lambda", self.lam, "(0, 1]")
-        if self.mode not in ("static", "dynamic"):
-            raise ValueError(f"schedule mode must be static or dynamic, got {self.mode!r}")
+        check_choice("mode", self.mode, ("static", "dynamic"))
 
 
 @dataclass(frozen=True)
@@ -130,10 +126,7 @@ class ProtectionMode:
     amplitude_scale: float = 0.9  # varying_dp only
 
     def __post_init__(self):
-        if self.kind not in PROTECTION_KINDS:
-            raise ValueError(
-                f"protection kind must be one of {PROTECTION_KINDS}, got {self.kind!r}"
-            )
+        check_choice("kind", self.kind, PROTECTION_KINDS)
         check_real("amplitude_scale", self.amplitude_scale, "(0, 1]")
 
     @property
@@ -161,10 +154,10 @@ class ExperimentConfig:
     include_wall_time: bool = False
 
     def __post_init__(self):
+        check_choice("voting.strategy", self.strategy, tuple(s.value for s in PartitionStrategy))
         object.__setattr__(self, "strategy", PartitionStrategy(self.strategy))
-        if self.he_backend not in BACKENDS:
-            raise ValueError(f"he_backend must be one of {list(BACKENDS)}, "
-                             f"got {self.he_backend!r}")
+        check_choice("he.backend", self.he_backend, tuple(BACKENDS))
+        check_choice("report.include_wall_time", self.include_wall_time, (False, True))
         check_int("workers", self.workers, 1)
         check_int("seed", self.seed, 0)
         check_real("dp.epsilon", self.dp_epsilon, "(0, inf]")
@@ -208,10 +201,9 @@ class ExperimentConfig:
             raise ValueError(f"dataset.num_samples={d.num_samples} leaves {train_rows} "
                              f"training rows after dataset.test_fraction={d.test_fraction}, "
                              f"fewer than round.clients_total_N={n_total}")
-        # The Dirichlet split sums clients_total_N gamma draws of about alpha each.
-        if d.partition == "dirichlet" and n_total > sys.float_info.max / (2 * d.dirichlet_alpha):
-            raise ValueError(f"dataset.dirichlet_alpha={d.dirichlet_alpha} times "
-                             f"round.clients_total_N={n_total} overflows the Dirichlet draw")
+        if d.partition == "dirichlet":
+            check_dirichlet_sum("dataset.dirichlet_alpha", d.dirichlet_alpha,
+                                "round.clients_total_N", n_total)
 
     def _budget(self, min_dataset_size: int) -> PrivacyBudget:
         """The run's privacy budget; one sample per client gives the largest noise std."""
@@ -250,14 +242,6 @@ def _parse_path(text: str) -> str:
     return text
 
 
-def _choice(*allowed: str):
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise ValueError(f"must be one of {list(allowed)}, got {text!r}")
-        return text
-    return parse
-
-
 # Value codecs: (parse config text, format for the report's config echo).
 # A codec without a formatter keeps its key out of the echo.
 _STR = (str, str)
@@ -267,8 +251,7 @@ _FLOAT = (float, repr)
 _BOOL = (_parse_bool, lambda flag: str(flag).lower())
 _DIMS = (_parse_hidden_dims, lambda dims: ",".join(str(h) for h in dims))
 _PATH = (_parse_path, str)
-_BACKEND = (_choice(*BACKENDS), str)
-_STRATEGY = (_choice(*(s.value for s in PartitionStrategy)), lambda s: s.value)
+_STRATEGY = (str, lambda s: s.value)
 # Results are invariant to the worker count, so it stays out of the echo.
 _EXECUTION = (int, None)
 
@@ -300,7 +283,7 @@ _KEYS = {
     "dp.epsilon": ("dp_epsilon", _FLOAT),
     "dp.delta": ("dp_delta", _FLOAT),
     "dp.theta": ("dp_theta", _FLOAT),
-    "he.backend": ("he_backend", _BACKEND),
+    "he.backend": ("he_backend", _STR),
     "he.ring_degree": ("he_params.ring_degree", _INT),
     "he.scale_bits": ("he_params.scale_bits", _INT),
     "he.modulus_bits": ("he_params.modulus_bits", _INT),

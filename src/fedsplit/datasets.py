@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "held_out_rows",
     "split_iid",
     "split_dirichlet",
+    "check_dirichlet_sum",
 ]
 
 DIRICHLET_DRAWS = 100
@@ -164,6 +166,7 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
     check_int("num_clients", num_clients, 1, len(ds))
     # an infinite alpha draws NaN proportions, which cast to invalid cuts
     check_real("alpha", alpha, "(0, inf)")
+    check_dirichlet_sum("alpha", alpha, "num_clients", num_clients)
     rng = np.random.default_rng(seed)
     for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
@@ -180,3 +183,12 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
             if not shard:
                 shard.append(max(shards, key=len).pop())
     return [np.sort(np.array(s, dtype=np.int64)) for s in shards]
+
+
+def check_dirichlet_sum(alpha_name: str, alpha: float, clients_name: str,
+                        num_clients: int) -> None:
+    """Raise ValueError if the Dirichlet draw's sum of ``num_clients`` gamma draws
+    of about ``alpha`` each can overflow, which leaves a shard empty in every draw."""
+    if num_clients > sys.float_info.max / (2 * float(alpha)):
+        raise ValueError(f"{alpha_name}={alpha} times {clients_name}={num_clients} "
+                         f"overflows the Dirichlet draw")

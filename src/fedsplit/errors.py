@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the two checks every
+"""Exception types shared across the package, and the three checks every
 parameter goes through: ``check_int`` that a count or an index is an integer
-in its range, and ``check_real`` that a real parameter is a real number in
-its interval."""
+in its range, ``check_real`` that a real parameter is a real number in its
+interval, and ``check_choice`` that a named choice is one of its choices."""
 
 from __future__ import annotations
 
@@ -65,3 +65,11 @@ def check_real(name: str, value, interval: str) -> None:
     if not ((low < x if interval[0] == "(" else low <= x)
             and (x < high if interval[-1] == ")" else x <= high)):
         raise ValueError(f"{name} must be a real number in {interval}, got {_shown(value)}")
+
+
+def check_choice(name: str, value, choices: tuple, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` equals one of ``choices`` and is an
+    instance of that choice's type, so a ``str`` subclass passes for a string
+    and ``1`` does not for ``True``.  ``value`` is never hashed."""
+    if not any(isinstance(value, type(c)) and value == c for c in choices):
+        raise error(f"{name} must be one of {list(choices)}, got {_shown(value)}")

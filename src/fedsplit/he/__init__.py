@@ -1,5 +1,6 @@
 """Addition-only homomorphic encryption backends for real-valued vectors."""
 
+from ..errors import check_choice
 from .base import Ciphertext, HeBackend, KeyPair
 from .ckks import CkksBackend
 from .mock import MockBackend
@@ -16,6 +17,5 @@ BACKENDS = {cls.name: cls for cls in (CkksBackend, MockBackend)}
 
 def make_backend(name: str, params: HeParams | None = None) -> HeBackend:
     """Instantiate a backend by its ``name`` (a key of ``BACKENDS``)."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown HE backend {name!r}; choose from {sorted(BACKENDS)}")
+    check_choice("HE backend", name, tuple(BACKENDS))
     return BACKENDS[name](params or HeParams())

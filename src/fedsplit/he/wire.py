@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, check_choice
 from .base import Ciphertext
 from .params import HeParams
 from .ring import find_ntt_prime
@@ -51,8 +51,7 @@ _LAYOUTS = {
 
 def serialize(ct: Ciphertext) -> bytes:
     """Serialize a Ciphertext to the PAHE container."""
-    if ct.backend not in _BACKEND_CODES:
-        raise ProtocolError(f"unknown backend {ct.backend!r}")
+    check_choice("ciphertext backend", ct.backend, tuple(_BACKEND_CODES), ProtocolError)
     p = ct.params
     params_block = _PARAMS.pack(p.ring_degree, p.scale_bits, p.modulus_bits,
                                 p.max_additions, _BACKEND_CODES[ct.backend])
@@ -78,8 +77,7 @@ def _unpack_params(block: bytes) -> tuple[HeParams, str]:
     if len(block) != _PARAMS.size:
         raise ProtocolError(f"params block has {len(block)} bytes, expected {_PARAMS.size}")
     ring_degree, scale_bits, modulus_bits, max_additions, code = _PARAMS.unpack(block)
-    if code not in _BACKEND_NAMES:
-        raise ProtocolError(f"unknown backend code {code}")
+    check_choice("backend code", code, tuple(_BACKEND_NAMES), ProtocolError)
     try:
         return HeParams(ring_degree=ring_degree, scale_bits=scale_bits,
                         modulus_bits=modulus_bits,

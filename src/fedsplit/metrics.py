@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import ClassVar
 
 from .datasets import Dataset
-from .errors import check_int, check_real
+from .errors import check_choice, check_int, check_real
 from .he import BACKENDS
 from .models import ModelSpec, evaluate_accuracy
 
@@ -171,18 +171,17 @@ def emit_report(report: ExperimentReport, fmt: str) -> bytes:
     bytes.  Wall-clock fields enter the JSON only when the report includes
     them; the CSV always carries them.
     """
+    check_choice("report format", fmt, ("json", "csv"))
     if fmt == "json":
         doc = _pick(report, _REPORT_KEYS, report.include_wall_time)
         doc["config"] = dict(sorted(report.config.items()))
         doc["rounds"] = [_pick(rm, _ROUND_KEYS, report.include_wall_time) for rm in report.rounds]
         return (json.dumps(doc, indent=2) + "\n").encode()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([repr(getattr(rm, k)) for k in CSV_HEADER] for rm in report.rounds)
-        return buf.getvalue().encode()
-    raise ValueError(f"unknown report format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows([repr(getattr(rm, k)) for k in CSV_HEADER] for rm in report.rounds)
+    return buf.getvalue().encode()
 
 
 def read_rounds_csv(path, report: ExperimentReport):
@@ -236,9 +235,7 @@ def parse_report_json(blob: bytes) -> ExperimentReport:
         if not isinstance(value, str):
             raise ValueError(f"report field 'config' echoes {key}={value!r}, not a string")
     given = {k: fields.pop(k) for k in _REPORT_KEYS if k not in _STORED}
-    if fields["backend"] not in BACKENDS:
-        raise ValueError(f"report field 'backend' is {fields['backend']!r}, "
-                         f"not one of {sorted(BACKENDS)}")
+    check_choice("report field 'backend'", fields["backend"], tuple(BACKENDS))
     rounds = []
     for i, item in enumerate(fields.pop("rounds")):
         values = _fields(item, _ROUND_KEYS, f"rounds[{i}]")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, check_int, check_real
+from .errors import DivergenceError, check_choice, check_int, check_real
 
 __all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_train",
            "evaluate_accuracy"]
@@ -30,8 +30,7 @@ class ModelSpec:
     hidden_dims: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"model kind must be one of {KINDS}, got {self.kind!r}")
+        check_choice("kind", self.kind, KINDS)
         check_int("input_dim", self.input_dim, 1)
         check_int("num_classes", self.num_classes, 1)
         for i, h in enumerate(self.hidden_dims):

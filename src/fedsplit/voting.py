@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ProtocolError, check_int, check_real
+from .errors import DimensionError, ProtocolError, check_choice, check_int, check_real
 from .vectors import PartitionMask
 
 __all__ = [
@@ -150,13 +150,13 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
         raise ValueError("update contains non-finite values")
     dim = u.size
     k = target_count(r, dim)
-    strategy = PartitionStrategy(strategy)
-    if strategy is PartitionStrategy.RANDOM:
+    check_choice("strategy", strategy, tuple(s.value for s in PartitionStrategy))
+    if strategy == PartitionStrategy.RANDOM:
         chosen = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
     else:
         # the k smallest keys win: every key below the k-th smallest, then
         # the lowest-index ties at it
-        key = (-1.0 if strategy is PartitionStrategy.MAX_NORM else 1.0) * np.abs(u)
+        key = (-1.0 if strategy == PartitionStrategy.MAX_NORM else 1.0) * np.abs(u)
         mask = np.zeros(dim, dtype=bool)
         if k:
             kth = np.partition(key, k - 1)[k - 1]

@@ -93,19 +93,19 @@ def mini_config(tmp_path):
 
 
 CKKS_HE_ONLY = ["--set", "he.backend=ckks", "--set", "protection.kind=he_only"]
+HUGE_RING = 2**17
 
 
 @pytest.fixture
 def huge_ring_out_of_memory(monkeypatch):
-    """A ring's power table of more than 2**20 entries raises MemoryError,
-    as numpy does when it cannot allocate one, without allocating it.  A
-    ckks ring of degree 2**40 parses (an NTT prime exists), but each of its
-    tables would need 8 TiB."""
+    """A ring's power table of ``HUGE_RING`` entries raises MemoryError, as
+    numpy does when it cannot allocate one, so a run at the largest ring
+    degree the config takes meets an allocation failure."""
     from fedsplit.he import ring
     pow_table = ring._pow_table
 
     def refuse_huge(base, count, q, first=1):
-        if count > 2**20:
+        if count >= HUGE_RING:
             raise MemoryError(f"Unable to allocate {8 * count} bytes")
         return pow_table(base, count, q, first)
 
@@ -278,7 +278,7 @@ class TestRun:
                                             huge_ring_out_of_memory):
         out = tmp_path / "out"
         code = main(["run", "--config", str(mini_config), "--out", str(out), *CKKS_HE_ONLY,
-                     "--set", f"he.ring_degree={2**40}"])
+                     "--set", f"he.ring_degree={HUGE_RING}"])
         assert code == 2
         assert "Unable to allocate" in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["complete"] is False
@@ -337,11 +337,11 @@ class TestSweep:
                                              huge_ring_out_of_memory):
         out = tmp_path / "sweepM"
         code = main(["sweep", "--config", str(mini_config), "--out", str(out), *CKKS_HE_ONLY,
-                     "--param", "he.ring_degree", "--values", f"{2**40},4096"])
+                     "--param", "he.ring_degree", "--values", f"{HUGE_RING},4096"])
         assert code == 3
         rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
         assert [(row["value"], bool(row["accuracy"])) for row in rows] == [
-            (str(2**40), False), ("4096", True)]
+            (str(HUGE_RING), False), ("4096", True)]
 
     def test_values_with_a_slash_stay_sibling_dirs_under_out(self, tmp_path, capsys):
         # a value's '/' used to nest or scatter sub-runs, '../' to leave --out

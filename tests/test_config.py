@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fedsplit.config import (KNOWN_KEYS, PROTECTION_KINDS, apply_overrides,
+from fedsplit.config import (KNOWN_KEYS, PROTECTION_KINDS, DataConfig, apply_overrides,
                              config_from_flat, config_to_flat, load_config,
                              parse_kv_text)
 from fedsplit.errors import ConfigError
@@ -41,6 +41,21 @@ class TestBuildConfig:
     def test_bad_section_value(self):
         with pytest.raises(ConfigError, match="protection"):
             config_from_flat({"protection.kind": "both"})
+
+    def test_ring_degree_above_the_cap_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^config section 'he': ring_degree must be an "
+                                              r"integer in \[8, 131072\], got 1099511627776$"):
+            config_from_flat({"he.ring_degree": str(2**40)})
+
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    @pytest.mark.parametrize("path", [3, 0, None, b"data.csv", 1.5],
+                             ids=["fd", "fd0", "None", "bytes", "float"])
+    def test_dataset_path_is_a_str_or_pathlike(self, kind, path):
+        # an int path made load_csv_dataset open that file descriptor
+        with pytest.raises(ValueError, match=rf"^path must be a str or os\.PathLike, "
+                                             rf"not {type(path).__name__}$"):
+            DataConfig(kind=kind, path=path)
+        assert DataConfig(kind=kind, path=Path("data.csv")).path == Path("data.csv")
 
     def test_overrides_take_precedence(self):
         flat = apply_overrides({"schedule.lambda": "0.99"}, ["schedule.lambda=0.95"])

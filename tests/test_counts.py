@@ -73,7 +73,7 @@ SITES = [
     ("VoteMessage.client_id", lambda v: VoteMessage(v, _NO_TOKENS), 0, 2**32 - 1,
      ProtocolError),
     ("HeBackend.slots_used", _add_with_slots, 1, 64, DimensionError),
-    ("HeParams.ring_degree", lambda v: HeParams(ring_degree=v), 8, None, ValueError),
+    ("HeParams.ring_degree", lambda v: HeParams(ring_degree=v), 8, 2**17, ValueError),
     ("HeParams.scale_bits", lambda v: HeParams(scale_bits=v), 1, 49, ValueError),
     ("HeParams.modulus_bits", lambda v: HeParams(modulus_bits=v), 21, 51, ValueError),
     ("HeParams.max_additions", lambda v: HeParams(max_additions=v), 1, None, ValueError),

@@ -369,6 +369,17 @@ class TestSplits:
         assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(600))
         assert all(s.size >= 1 for s in shards)
 
+    @pytest.mark.parametrize("alpha", [1.7e308, 2**1023, 4.5e307],
+                             ids=["1.7e308", "2**1023", "4.5e307"])
+    def test_dirichlet_refuses_an_alpha_whose_draw_overflows(self, alpha):
+        # rng.dirichlet(np.full(2, 1.7e308)) is [0, 0]: every draw left a
+        # shard empty, so all DIRICHLET_DRAWS were burnt for the fallback
+        ds = synthetic_dataset(6, 2, 2, 1.0, seed=0)
+        with pytest.raises(ValueError, match=r"^alpha=.* times num_clients=2 overflows "
+                                             r"the Dirichlet draw$"):
+            split_dirichlet(ds, 2, alpha, seed=0)
+        assert len(split_dirichlet(ds, 2, 4e307, seed=0)) == 2
+
     def test_dirichlet_skew_increases_as_alpha_shrinks(self):
         ds = synthetic_dataset(3000, 4, 4, 1.0, seed=0)
 

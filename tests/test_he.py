@@ -200,6 +200,14 @@ class TestParams:
         with pytest.raises(ValueError):
             HeParams(ring_degree=4)
 
+    def test_ring_degree_is_capped(self):
+        # 2**40 once parsed; where memory is overcommitted its tables took hours to fill
+        assert HeParams(ring_degree=2**17).slot_count == 2**17
+        for n in (2**18, 2**40):
+            with pytest.raises(ValueError, match=rf"^ring_degree must be an integer in "
+                                                 rf"\[8, 131072\], got {n}$"):
+                HeParams(ring_degree=n)
+
     def test_scale_must_fit(self):
         with pytest.raises(ValueError):
             HeParams(scale_bits=50, modulus_bits=50)

@@ -40,9 +40,12 @@ def _train(learning_rate):
 
 # (site, builder of the value, interval[, later]): the site
 # takes the value exactly when it is a real number in the interval.  ``later``
-# marks the values in the interval that a later check of the site refuses:
-# PrivacyBudget takes no budget whose sigma_z is not finite, which a theta
-# whose double overflows or a delta whose reciprocal overflows gives.
+# is (which values in the interval a later check of the site refuses, that
+# check's message): PrivacyBudget takes no budget whose sigma_z is not
+# finite, which a theta whose double overflows or a delta whose reciprocal
+# overflows gives, and split_dirichlet no alpha whose draw for its two
+# clients overflows.
+_NO_SIGMA = "not a finite noise std"
 SITES = [
     ("DataConfig.separation", lambda v: DataConfig(separation=v), "(-inf, inf)"),
     ("DataConfig.test_fraction",
@@ -63,10 +66,10 @@ SITES = [
     ("DpParams.sigma_z", lambda v: DpParams(theta=1.0, sigma_z=v), "[0, inf)"),
     ("PrivacyBudget.epsilon", lambda v: PrivacyBudget(**{**_BUDGET, "epsilon": v}), "(0, inf]"),
     ("PrivacyBudget.delta", lambda v: PrivacyBudget(**{**_BUDGET, "delta": v}), "(0, 1)",
-     lambda x: 1.0 / x == math.inf),
+     (lambda x: 1.0 / x == math.inf, _NO_SIGMA)),
     ("PrivacyBudget.q", lambda v: PrivacyBudget(**{**_BUDGET, "q": v}), "(0, 1]"),
     ("PrivacyBudget.theta", lambda v: PrivacyBudget(**{**_BUDGET, "theta": v}), "(0, inf]",
-     lambda x: 2.0 * x == math.inf),
+     (lambda x: 2.0 * x == math.inf, _NO_SIGMA)),
     ("HeCostModel.per_slot_seconds", lambda v: HeCostModel(per_slot_seconds=v), "[0, inf)"),
     ("HeCostModel.per_op_seconds", lambda v: HeCostModel(per_op_seconds=v), "[0, inf)"),
     ("RoundMetrics.r_t", lambda v: RoundMetrics(**{**_ROUND, "r_t": v}), "[0, 1]"),
@@ -83,7 +86,8 @@ SITES = [
     ("BoundInputs.delta", lambda v: BoundInputs(**{**_BOUND, "delta": v}), "(0, 1)"),
     ("target_count.ratio", lambda v: target_count(v, 10), "[0, 1]"),
     ("train_test_split.test_fraction", lambda v: train_test_split(_DATA, v, 0), "[0, 1)"),
-    ("split_dirichlet.alpha", lambda v: split_dirichlet(_DATA, 2, v, 0), "(0, inf)"),
+    ("split_dirichlet.alpha", lambda v: split_dirichlet(_DATA, 2, v, 0), "(0, inf)",
+     (lambda x: 2 > sys.float_info.max / (2 * x), "overflows the Dirichlet draw")),
     ("synthetic_dataset.separation", lambda v: synthetic_dataset(6, 2, 2, v, 0), "(-inf, inf)"),
     ("local_train.learning_rate", _train, "[0, inf)"),
 ]
@@ -153,8 +157,8 @@ def test_each_real_takes_exactly_the_reals_in_its_interval(case):
     (name, build, interval, *later), value = case
     x = _real(value)
     if x is not None and _inside(x, interval):
-        if later and later[0](x):
-            with pytest.raises(ValueError, match="not a finite noise std"):
+        if later and later[0][0](x):
+            with pytest.raises(ValueError, match=later[0][1]):
                 build(value)
         else:
             build(value)
