@@ -68,13 +68,13 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
         raise ValueError("need at least one sample per class")
     check_real("separation", separation, "(-inf, inf)")
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, 1.0, (num_classes, input_dim))
+    means = rng.standard_normal((num_classes, input_dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     means = means / norms * separation
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
-    features = rng.normal(0.0, 1.0, (num_samples, input_dim))
+    features = rng.standard_normal((num_samples, input_dim))
     for start in range(0, num_samples, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         features[rows] += means[labels[rows]]

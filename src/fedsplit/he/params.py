@@ -33,7 +33,8 @@ class HeParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        # twice the largest degree tested; a far larger ring's tables take hours to fill
+        # twice the largest degree tested; a ring's tables take 64 bytes per coefficient,
+        # so a far larger degree would exhaust memory rather than fail cleanly
         check_int("ring_degree", n, 8, 2 ** 17)
         if n & (n - 1):
             raise ValueError(f"ring_degree must be a power of two >= 8, got {n}")

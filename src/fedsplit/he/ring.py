@@ -16,6 +16,13 @@ and twiddles) carry a float64 copy of w / q, so their estimate costs one
 float product; it stays within the window for a multiplicand below 2q,
 which lets a butterfly multiply its difference a + q - b unreduced.
 
+The tables of powers are built by exact doubling: with ``first * base^i``
+known for i < size, one vector product by ``base^size`` (a scalar below q,
+squared as a Python int each step) fills i < 2*size.  Both factors are
+below q, inside the product's window, so every entry is exactly what a
+Python-int ``acc * base % q`` loop gives, from ceil(log2(count)) vector
+products instead of count Python big-int steps.
+
 The NTT is a natural-order Stockham radix-2 transform (decimation in
 frequency).  With the rows viewed as ``(..., 2, m, s)``, the stage for
 ``s = 1, 2, ..., N/2`` (``m = N/(2s)``) reads the two contiguous halves
@@ -80,12 +87,25 @@ def _find_psi(q: int, two_n: int) -> int:
     raise ValueError(f"no primitive {two_n}-th root of unity mod {q}")
 
 
+def _mulmod_by(a: np.ndarray, table: tuple, qv: np.uint64, two_qv: np.uint64) -> np.ndarray:
+    """Exact (a * w) mod q for a < 2q and a ``_with_quotients`` table of w < q."""
+    w, w_over_q = table
+    t = (a.astype(np.float64) * w_over_q).astype(np.int64)
+    r = a * w - t.view(np.uint64) * qv  # wrapped into (-2q, 2q)
+    r = np.minimum(r, r + two_qv)
+    return np.minimum(r, r - qv)
+
+
 def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
+    """first * base^i mod q for i < count, by exact doubling."""
     out = np.empty(count, dtype=np.uint64)
-    acc = first
-    for i in range(count):
-        out[i] = acc
-        acc = acc * base % q
+    out[:1] = first
+    qv, two_qv = np.uint64(q), np.uint64(2 * q)
+    step, size = base % q, 1
+    while size < count:
+        end = min(2 * size, count)
+        out[size:end] = _mulmod_by(out[:end - size], (np.uint64(step), step / q), qv, two_qv)
+        step, size = step * step % q, 2 * size
     return out
 
 
@@ -122,22 +142,11 @@ class NegacyclicRing:
 
     # -- modular scalar/vector ops -------------------------------------------------
 
-    def _reduce(self, r: np.ndarray) -> np.ndarray:
-        """[0, q) representative of a wrapped uint64 remainder in (-2q, 2q)."""
-        r = np.minimum(r, r + self._two_qv)
-        return np.minimum(r, r - self._qv)
-
     def mulmod(self, a: np.ndarray, b) -> np.ndarray:
         """Exact (a * b) mod q for uint64 operands < q."""
         b = np.asarray(b, dtype=np.uint64)
-        return self._mulmod_by(np.asarray(a, dtype=np.uint64),
-                               (b, b.astype(np.float64) * self._qinv))
-
-    def _mulmod_by(self, a: np.ndarray, table: tuple) -> np.ndarray:
-        """Exact (a * w) mod q for a < 2q and a ``_with_quotients`` table of w < q."""
-        w, w_over_q = table
-        t = (a.astype(np.float64) * w_over_q).astype(np.int64)
-        return self._reduce(a * w - t.view(np.uint64) * self._qv)
+        return _mulmod_by(np.asarray(a, dtype=np.uint64),
+                          (b, b.astype(np.float64) * self._qinv), self._qv, self._two_qv)
 
     def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = a + b  # < 2q < 2^52: no wrap
@@ -172,19 +181,20 @@ class NegacyclicRing:
             rows = np.empty_like(rows)
             out = rows.reshape(rows.shape[0], m, 2, s)
             out[:, :, 0] = self.addmod(a, b)
-            out[:, :, 1] = self._mulmod_by(a + self._qv - b, table)
+            out[:, :, 1] = _mulmod_by(a + self._qv - b, table, self._qv, self._two_qv)
         return rows
 
     def to_eval(self, a: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation (NTT) form, with the psi twist."""
         a = np.asarray(a, dtype=np.uint64)
-        return self._ntt(self._mulmod_by(a, self._twist), self._stages).reshape(a.shape)
+        return self._ntt(_mulmod_by(a, self._twist, self._qv, self._two_qv),
+                         self._stages).reshape(a.shape)
 
     def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form."""
         a_eval = np.asarray(a_eval, dtype=np.uint64)
-        return self._mulmod_by(self._ntt(a_eval, self._inv_stages),
-                               self._untwist).reshape(a_eval.shape)
+        return _mulmod_by(self._ntt(a_eval, self._inv_stages), self._untwist,
+                          self._qv, self._two_qv).reshape(a_eval.shape)
 
     # -- sampling ---------------------------------------------------------------------
 

@@ -69,6 +69,9 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
     include_wall_time: bool = False  # wall times enter report.json
 
+    def __post_init__(self):
+        check_choice("backend", self.backend, tuple(BACKENDS))
+
     @property
     def time_basis(self) -> str:
         return BACKENDS[self.backend].time_basis

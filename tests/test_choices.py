@@ -72,6 +72,8 @@ SITES = [
      ValueError),
     ("parse_report_json.backend", "report field 'backend'", _parse_with_backend, _BACKENDS,
      ValueError),
+    ("ExperimentReport.backend", "backend",
+     lambda v: ExperimentReport(config={}, seed=0, backend=v), _BACKENDS, ValueError),
     ("serialize.backend", "ciphertext backend",
      lambda v: serialize(dataclasses.replace(_CT, backend=v)), _BACKENDS, ProtocolError),
 ]
@@ -155,6 +157,10 @@ def test_the_message_has_one_form():
     with pytest.raises(ValueError, match=r"^HE backend must be one of \['ckks', 'mock'\], "
                                          r"got \['mock'\]$"):
         make_backend(["mock"])
+    with pytest.raises(ValueError, match=r"^backend must be one of \['ckks', 'mock'\], "
+                                         r"got \['mock'\]$"):
+        # was a bare TypeError, and backend="x" a bare KeyError, in emit_report
+        emit_report(ExperimentReport(config={}, seed=0, backend=["mock"]), "json")
     with pytest.raises(ValueError, match=r"^kind must be one of \['none', 'dp_only', "
                                          r"'he_only', 'serial', 'parallel', 'varying_dp'\], "
                                          r"got an integer of 16610 bits$"):

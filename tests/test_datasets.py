@@ -31,6 +31,25 @@ def reference_synthetic(num_samples, input_dim, num_classes, separation, seed):
     return Dataset(features=features, labels=labels)
 
 
+def reference_normal_synthetic(num_samples, input_dim, num_classes, separation, seed):
+    """``synthetic_dataset`` as it was before it drew with ``standard_normal``:
+    ``rng.normal(0.0, 1.0, ...)``, which numpy computes as ``0.0 + 1.0 * z``."""
+    if num_samples < num_classes:
+        raise ValueError("need at least one sample per class")
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, (num_classes, input_dim))
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    means = means / norms * separation
+    labels = np.arange(num_samples, dtype=np.int64) % num_classes
+    rng.shuffle(labels)
+    features = rng.normal(0.0, 1.0, (num_samples, input_dim))
+    for start in range(0, num_samples, datasets._ROW_BLOCK):
+        rows = slice(start, start + datasets._ROW_BLOCK)
+        features[rows] += means[labels[rows]]
+    return Dataset(features=features, labels=labels)
+
+
 def reference_load_csv(path, input_dim, num_classes):
     """``load_csv_dataset`` as it was before rows were parsed into a
     preallocated matrix: a list of Python-float rows, UTF-8 without BOM."""
@@ -123,14 +142,17 @@ class TestSynthetic:
     @settings(deadline=None)
     def test_equals_the_whole_gather_reference(self, num_samples, input_dim, num_classes,
                                                separation, seed):
-        """Adding the means into the noise block by block keeps every bit,
+        """Adding the means into the noise block by block, and drawing with
+        ``standard_normal`` in place of ``normal(0.0, 1.0)``, keep every bit,
         including sample counts across the row-block boundary."""
         args = (num_samples, input_dim, num_classes, separation, seed)
         if num_samples < num_classes:
             with pytest.raises(ValueError, match="at least one sample per class"):
                 synthetic_dataset(*args)
             return
-        assert_same_dataset(synthetic_dataset(*args), reference_synthetic(*args))
+        got = synthetic_dataset(*args)
+        assert_same_dataset(got, reference_synthetic(*args))
+        assert_same_dataset(got, reference_normal_synthetic(*args))
 
 
 class TestCsv:

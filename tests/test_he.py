@@ -3,7 +3,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
@@ -30,6 +30,17 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+def _reference_pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
+    """``_pow_table`` as it was before the exact doubling: one Python-int
+    step per entry, kept verbatim as the reference for every ring table."""
+    out = np.empty(count, dtype=np.uint64)
+    acc = first
+    for i in range(count):
+        out[i] = acc
+        acc = acc * base % q
+    return out
+
+
 class _ReferenceRing:
     """The bit-reversed Cooley-Tukey NTT that ``NegacyclicRing`` replaced,
     kept as it was (int64 ``%`` and ``np.where`` reductions, strided
@@ -42,12 +53,13 @@ class _ReferenceRing:
         self._qinv = 1.0 / self.q
         psi = _find_psi(self.q, 2 * self.n)
         omega = psi * psi % self.q
-        self._psi_pows = _pow_table(psi, self.n, self.q)
+        self._psi_pows = _reference_pow_table(psi, self.n, self.q)
         # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
-        self._psi_inv_pows = _pow_table(pow(psi, self.q - 2, self.q), self.n, self.q,
-                                        first=pow(self.n, self.q - 2, self.q))
-        self._omega_pows = _pow_table(omega, self.n, self.q)
-        self._omega_inv_pows = _pow_table(pow(omega, self.q - 2, self.q), self.n, self.q)
+        self._psi_inv_pows = _reference_pow_table(pow(psi, self.q - 2, self.q), self.n, self.q,
+                                                  first=pow(self.n, self.q - 2, self.q))
+        self._omega_pows = _reference_pow_table(omega, self.n, self.q)
+        self._omega_inv_pows = _reference_pow_table(pow(omega, self.q - 2, self.q), self.n,
+                                                    self.q)
         self._bitrev = _bit_reverse_indices(self.n)
 
     def mulmod(self, a: np.ndarray, b) -> np.ndarray:
@@ -100,6 +112,40 @@ def _rings(ring_degree: int, modulus_bits: int) -> tuple:
 # A draw of -1 stands for q - 1 (tests reduce draws mod q), so the edge
 # residues 0, 1 and q - 1 are reachable at every modulus.
 _RESIDUE = st.integers(min_value=-1, max_value=2**51 - 1)
+# The edge residues drawn often, beside any residue.
+_EDGE_OR_RESIDUE = st.sampled_from([0, 1, -1]) | _RESIDUE
+
+
+@functools.lru_cache(maxsize=None)
+def _table_modulus(modulus_bits: int, ring_degree: int) -> int:
+    """``find_ntt_prime``'s modulus for the largest degree <= ``ring_degree``
+    that has one at ``modulus_bits`` (degree 1 has one at every width >= 2)."""
+    while True:
+        try:
+            return find_ntt_prime(modulus_bits, ring_degree)
+        except ValueError:
+            ring_degree //= 2
+
+
+@st.composite
+def _ring_shapes(draw):
+    """A degree 8 to 2^17 and a modulus width 2-51 with an NTT prime for it."""
+    log_degree = draw(st.integers(3, 17))
+    modulus_bits = draw(st.integers(log_degree + 2, 51))
+    try:
+        find_ntt_prime(modulus_bits, 1 << log_degree)
+    except ValueError:
+        assume(False)
+    return 1 << log_degree, modulus_bits
+
+
+def _same_table(got: tuple, want: np.ndarray, q: int) -> None:
+    """A ``_with_quotients`` table equal, bit for bit, to ``want`` and want / q."""
+    w, w_over_q = got
+    assert w.dtype == np.uint64 and w.shape == want.shape
+    assert w.tobytes() == want.tobytes()
+    assert w_over_q.dtype == np.float64 and w_over_q.shape == want.shape
+    assert w_over_q.tobytes() == (want.astype(np.float64) / q).tobytes()
 
 
 class TestRing:
@@ -107,6 +153,44 @@ class TestRing:
         q = find_ntt_prime(50, 4096)
         assert q < 2**50 and q > 2**49
         assert (q - 1) % 8192 == 0
+
+    @given(modulus_bits=st.integers(2, 51), log_degree=st.integers(3, 17),
+           count=st.integers(0, 1 << 17), base=_EDGE_OR_RESIDUE, first=_EDGE_OR_RESIDUE)
+    @example(modulus_bits=2, log_degree=3, count=3, base=-1, first=1)
+    @example(modulus_bits=51, log_degree=17, count=1 << 17, base=-1, first=-1)
+    @example(modulus_bits=50, log_degree=12, count=4095, base=0, first=0)
+    @example(modulus_bits=50, log_degree=12, count=1, base=1, first=-1)
+    @example(modulus_bits=30, log_degree=3, count=0, base=5, first=7)
+    @settings(deadline=None)
+    def test_pow_table_equals_the_python_int_loop(self, modulus_bits, log_degree, count,
+                                                  base, first):
+        n = 1 << log_degree
+        q = _table_modulus(modulus_bits, n)
+        count, base, first = count % (n + 1), base % q, first % q  # count in 0..n
+        got = _pow_table(base, count, q, first)
+        want = _reference_pow_table(base, count, q, first)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes(), (base, count, q)
+
+    @given(shape=_ring_shapes())
+    @example(shape=(8, 5))
+    @example(shape=(1 << 17, 51))
+    @example(shape=(4096, 50))
+    @settings(deadline=None)
+    def test_ring_tables_equal_the_python_int_loop(self, shape):
+        n, modulus_bits = shape
+        ring = NegacyclicRing(n, modulus_bits)
+        q = ring.q
+        psi = _find_psi(q, 2 * n)
+        psi_inv = pow(psi, q - 2, q)
+        _same_table(ring._twist, _reference_pow_table(psi, n, q), q)
+        _same_table(ring._untwist, _reference_pow_table(psi_inv, n, q, first=pow(n, q - 2, q)),
+                    q)
+        for stages, omega in ((ring._stages, psi * psi % q),
+                              (ring._inv_stages, psi_inv * psi_inv % q)):
+            pows = _reference_pow_table(omega, n // 2, q)
+            assert len(stages) == n.bit_length() - 1
+            for i, table in enumerate(stages):
+                _same_table(table, pows[::1 << i].reshape(-1, 1), q)
 
     @given(_RESIDUE, _RESIDUE)
     @example(0, 0)
