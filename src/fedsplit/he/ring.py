@@ -4,17 +4,21 @@ q is a prime with q = 1 (mod 2N) so a primitive 2N-th root of unity psi
 exists; multiplying coefficients by powers of psi turns negacyclic
 convolution into a plain length-N NTT (the standard psi-twist).
 
-All coefficient vectors are uint64 arrays reduced mod q.  Modular products
-use a float64-assisted quotient estimate, exact for q < 2^51: the quotient
-a*b/q fits in 53 bits with at most +-2 estimation error, and the remainder
-is recovered through wrapping uint64 arithmetic.  Nothing divides or
-branches: the remainder r = a*b - t*q of the truncated estimate t lies in
-(-2q, 2q), where a negative r has wrapped above 2^64 - 2q, so
-``min(r, r + 2q)`` lifts it into [0, 2q) and ``min(r, r - q)`` into [0, q);
-a sum below 2q reduces as ``min(s, s - q)``.  Tabled multipliers w (twists
-and twiddles) carry a float64 copy of w / q, so their estimate costs one
-float product; it stays within the window for a multiplicand below 2q,
-which lets a butterfly multiply its difference a + q - b unreduced.
+All coefficient vectors are uint64 arrays reduced mod q, except inside a
+transform, where they stay in [0, 2q) (below).  Modular products use a
+float64-assisted quotient estimate and recover the remainder through
+wrapping uint64 arithmetic; nothing divides or branches.  ``_mulmod_by``
+multiplies a < 4q by a tabled w < q (twists and twiddles) that carries a
+float64 copy c of w / q.  The window holds for q < 2^51: w / q < 1, so c
+is within 2^-54 of it and a*c is within 4q * 2^-54 < 1/2 of the true
+quotient Q = a*w/q; the float product a*c < 4q < 2^53 rounds by at most
+1/2, so the estimate is within 1 of Q and its truncation t lies in
+(Q - 2, Q + 1).  The remainder r = a*w - t*q therefore lies in (-q, 2q),
+where a negative r has wrapped above 2^64 - q, and ``min(r, r + 2q)``
+lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
+of 2^-53 relative each, which keeps the estimate within 1 of Q for its
+operands below q.  Callers that need [0, q) reduce once more with
+``min(r, r - q)``; a sum below 2q reduces the same way.
 
 The tables of powers are built by exact doubling: with ``first * base^i``
 known for i < size, one vector product by ``base^size`` (a scalar below q,
@@ -23,12 +27,19 @@ below q, inside the product's window, so every entry is exactly what a
 Python-int ``acc * base % q`` loop gives, from ceil(log2(count)) vector
 products instead of count Python big-int steps.
 
-The NTT is a natural-order Stockham radix-2 transform (decimation in
-frequency).  With the rows viewed as ``(..., 2, m, s)``, the stage for
-``s = 1, 2, ..., N/2`` (``m = N/(2s)``) reads the two contiguous halves
-``a, b`` and writes ``a + b`` and ``(a - b) * omega^(p*s)`` to rows ``2p``
-and ``2p + 1`` of a fresh ``(..., m, 2, s)`` buffer, so every pass is
-contiguous and no bit-reversal permutation is needed.
+The NTT is a constant-geometry radix-2 transform (Pease's layout, with
+decimation in frequency).  Every one of its log2(N) stages reads the two
+contiguous halves ``a = x[..., :N/2]`` and ``b = x[..., N/2:]`` and writes
+``a + b`` to the even and ``(a - b) * w`` to the odd entries of a fresh
+buffer, where entry t of stage k's flat twiddle table is
+``omega^((t >> k) << k)``.  The result comes out in bit-reversed order,
+and one gather by ``bitrev`` restores natural order.  The butterflies are
+lazy (Harvey, 2014): entries stay in [0, 2q) between stages, the sum
+reduces as ``min(s, s - 2q)`` and the difference is multiplied unreduced
+as ``a + 2q - b < 4q``, inside the window above.  ``to_eval`` reduces its
+result into [0, q) once, after the gather, and ``from_eval`` after its
+untwist.  Each stage's table holds N/2 entries and their quotients, so a
+direction's tables take 8 * log2(N) * N bytes.
 """
 
 from __future__ import annotations
@@ -87,13 +98,13 @@ def _find_psi(q: int, two_n: int) -> int:
     raise ValueError(f"no primitive {two_n}-th root of unity mod {q}")
 
 
-def _mulmod_by(a: np.ndarray, table: tuple, qv: np.uint64, two_qv: np.uint64) -> np.ndarray:
-    """Exact (a * w) mod q for a < 2q and a ``_with_quotients`` table of w < q."""
+def _mulmod_by(a: np.ndarray, table: tuple, qv: np.uint64, two_qv: np.uint64,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """(a * w) mod q, in [0, 2q), for a < 4q and a ``_with_quotients`` table of w < q."""
     w, w_over_q = table
     t = (a.astype(np.float64) * w_over_q).astype(np.int64)
-    r = a * w - t.view(np.uint64) * qv  # wrapped into (-2q, 2q)
-    r = np.minimum(r, r + two_qv)
-    return np.minimum(r, r - qv)
+    r = a * w - t.view(np.uint64) * qv  # wrapped into (-q, 2q)
+    return np.minimum(r, r + two_qv, out=out)
 
 
 def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
@@ -104,7 +115,8 @@ def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
     step, size = base % q, 1
     while size < count:
         end = min(2 * size, count)
-        out[size:end] = _mulmod_by(out[:end - size], (np.uint64(step), step / q), qv, two_qv)
+        r = _mulmod_by(out[:end - size], (np.uint64(step), step / q), qv, two_qv)
+        out[size:end] = np.minimum(r, r - qv)
         step, size = step * step % q, 2 * size
     return out
 
@@ -114,11 +126,18 @@ def _with_quotients(w: np.ndarray, q: int) -> tuple:
     return w, w.astype(np.float64) / q
 
 
-def _stage_tables(omega: int, n: int, q: int) -> tuple:
-    """Each Stockham stage's twiddles omega^(p*s), p < n/(2s), as (m, 1) columns."""
-    pows = _pow_table(omega, n // 2, q)
-    return tuple(_with_quotients(np.ascontiguousarray(pows[::s]).reshape(-1, 1), q)
-                 for s in (1 << i for i in range(n.bit_length() - 1)))
+def _stage_tables(pows: np.ndarray, q: int) -> tuple:
+    """Each stage k's flat twiddle table omega^((t >> k) << k), t < n/2,
+    from ``pows`` = omega^t."""
+    return tuple(tuple(np.repeat(col[::1 << k], 1 << k) for col in _with_quotients(pows, q))
+                 for k in range(pows.size.bit_length()))
+
+
+def _bit_reverse(n: int) -> np.ndarray:
+    """i with its log2(n) bits reversed, for i < n (a power of two)."""
+    bits = n.bit_length() - 1
+    # reversing the axes of the (2, ..., 2) view of arange(n) reverses each index's bits
+    return np.arange(n).reshape((2,) * bits).transpose().reshape(-1)
 
 
 class NegacyclicRing:
@@ -133,20 +152,26 @@ class NegacyclicRing:
         self._qinv = 1.0 / q
         psi = _find_psi(q, 2 * self.n)
         psi_inv = pow(psi, q - 2, q)
-        self._twist = _with_quotients(_pow_table(psi, self.n, q), q)
+        twist = _pow_table(psi, self.n, q)
+        self._twist = _with_quotients(twist, q)
         # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
         self._untwist = _with_quotients(
             _pow_table(psi_inv, self.n, q, first=pow(self.n, q - 2, q)), q)
-        self._stages = _stage_tables(psi * psi % q, self.n, q)
-        self._inv_stages = _stage_tables(psi_inv * psi_inv % q, self.n, q)
+        # omega = psi^2, so omega^t = psi^(2t); omega^(n/2) = -1, so omega^-t = q - omega^(n/2 - t)
+        omega_pows = twist[::2]
+        self._stages = _stage_tables(omega_pows, q)
+        self._inv_stages = _stage_tables(
+            np.concatenate((omega_pows[:1], self._qv - omega_pows[:0:-1])), q)
+        self._bitrev = _bit_reverse(self.n)
 
     # -- modular scalar/vector ops -------------------------------------------------
 
     def mulmod(self, a: np.ndarray, b) -> np.ndarray:
         """Exact (a * b) mod q for uint64 operands < q."""
         b = np.asarray(b, dtype=np.uint64)
-        return _mulmod_by(np.asarray(a, dtype=np.uint64),
-                          (b, b.astype(np.float64) * self._qinv), self._qv, self._two_qv)
+        r = _mulmod_by(np.asarray(a, dtype=np.uint64),
+                       (b, b.astype(np.float64) * self._qinv), self._qv, self._two_qv)
+        return np.minimum(r, r - self._qv)
 
     def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = a + b  # < 2q < 2^52: no wrap
@@ -171,30 +196,29 @@ class NegacyclicRing:
     # -- transforms ------------------------------------------------------------------
 
     def _ntt(self, x: np.ndarray, stages: tuple) -> np.ndarray:
-        """Natural-order NTT of the rows of ``x``; ``x`` itself is never written."""
-        rows = x.reshape(-1, self.n)
+        """Natural-order NTT along the last axis of ``x`` (entries below 2q),
+        with entries in [0, 2q); ``x`` itself is never written."""
+        half = self.n // 2
         for table in stages:
-            m = table[0].shape[0]
-            s = self.n // (2 * m)
-            halves = rows.reshape(rows.shape[0], 2, m, s)
-            a, b = halves[:, 0], halves[:, 1]
-            rows = np.empty_like(rows)
-            out = rows.reshape(rows.shape[0], m, 2, s)
-            out[:, :, 0] = self.addmod(a, b)
-            out[:, :, 1] = _mulmod_by(a + self._qv - b, table, self._qv, self._two_qv)
-        return rows
+            a, b = x[..., :half], x[..., half:]
+            out = np.empty_like(x)
+            s = a + b
+            np.minimum(s, s - self._two_qv, out=out[..., 0::2])
+            _mulmod_by(a + self._two_qv - b, table, self._qv, self._two_qv, out=out[..., 1::2])
+            x = out
+        return np.take(x, self._bitrev, axis=-1)
 
     def to_eval(self, a: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation (NTT) form, with the psi twist."""
         a = np.asarray(a, dtype=np.uint64)
-        return self._ntt(_mulmod_by(a, self._twist, self._qv, self._two_qv),
-                         self._stages).reshape(a.shape)
+        r = self._ntt(_mulmod_by(a, self._twist, self._qv, self._two_qv), self._stages)
+        return np.minimum(r, r - self._qv)
 
     def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form."""
-        a_eval = np.asarray(a_eval, dtype=np.uint64)
-        return _mulmod_by(self._ntt(a_eval, self._inv_stages), self._untwist,
-                          self._qv, self._two_qv).reshape(a_eval.shape)
+        r = _mulmod_by(self._ntt(np.asarray(a_eval, dtype=np.uint64), self._inv_stages),
+                       self._untwist, self._qv, self._two_qv)
+        return np.minimum(r, r - self._qv)
 
     # -- sampling ---------------------------------------------------------------------
 

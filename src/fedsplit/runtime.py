@@ -194,6 +194,8 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
         if state.backend.time_basis == "simulated":
             sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
     global_update = merge(rest_mean, he_mean, mask)
+    # the evaluation's activations need not sit on top of the cohort's updates and ciphertexts
+    del trained, protected, rest_mean, he_mean
 
     if not np.all(np.isfinite(global_update)):
         raise DivergenceError(f"round {t}: non-finite global update")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from fedsplit.errors import DimensionError, EncodingOverflowError, ProtocolError
 from fedsplit.he import (CkksBackend, HeCostModel, HeParams, MockBackend,
                          decode_tolerance, make_backend, simulated_round_cost)
-from fedsplit.he.ring import NegacyclicRing, _find_psi, _pow_table, find_ntt_prime
+from fedsplit.he.ring import (NegacyclicRing, _find_psi, _mulmod_by, _pow_table,
+                              _with_quotients, find_ntt_prime)
 from fedsplit.he.wire import deserialize, serialize
 
 SMALL = HeParams(ring_degree=64, scale_bits=20, modulus_bits=50, max_additions=256)
@@ -190,7 +191,25 @@ class TestRing:
             pows = _reference_pow_table(omega, n // 2, q)
             assert len(stages) == n.bit_length() - 1
             for i, table in enumerate(stages):
-                _same_table(table, pows[::1 << i].reshape(-1, 1), q)
+                _same_table(table, np.repeat(pows[::1 << i], 1 << i), q)
+        bits = n.bit_length() - 1
+        assert ring._bitrev.tolist() == [int(f"{i:0{bits}b}"[::-1], 2) for i in range(n)]
+
+    @given(modulus_bits=st.integers(2, 51),
+           a=st.sampled_from([0, 1, -1]) | st.integers(min_value=-1, max_value=2**53 - 1),
+           w=_EDGE_OR_RESIDUE)
+    @example(modulus_bits=51, a=-1, w=-1)
+    @example(modulus_bits=2, a=-1, w=-1)
+    @example(modulus_bits=51, a=8561015872289501, w=1575689633547210)  # r < 0 before the lift
+    @settings(deadline=None)
+    def test_mulmod_by_stays_in_the_lazy_window(self, modulus_bits, a, w):
+        # the butterfly's unreduced difference a + 2q - b is below 4q
+        q = _table_modulus(modulus_bits, 1 << 17)
+        a, w = a % (4 * q), w % q
+        table = _with_quotients(np.array([w], dtype=np.uint64), q)
+        r = int(_mulmod_by(np.array([a], dtype=np.uint64), table, np.uint64(q),
+                           np.uint64(2 * q))[0])
+        assert 0 <= r < 2 * q and r % q == a * w % q, (a, w, q, r)
 
     @given(_RESIDUE, _RESIDUE)
     @example(0, 0)
@@ -224,6 +243,7 @@ class TestRing:
            kind=st.sampled_from(["random", "zero", "top", "ternary"]),
            lead=st.sampled_from([(), (1,), (3,), (2, 2)]), seed=st.integers(0, 2**32 - 1))
     @example(log_degree=12, modulus_bits=51, kind="top", lead=(3,), seed=0)
+    @example(log_degree=12, modulus_bits=51, kind="top", lead=(2, 2), seed=0)
     @example(log_degree=12, modulus_bits=50, kind="random", lead=(), seed=0)
     @settings(deadline=None)
     def test_transforms_equal_the_cooley_tukey_reference(self, log_degree, modulus_bits,
