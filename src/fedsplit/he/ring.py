@@ -9,23 +9,26 @@ transform, where they stay in [0, 2q) (below).  Modular products use a
 float64-assisted quotient estimate and recover the remainder through
 wrapping uint64 arithmetic; nothing divides or branches.  ``_mulmod_by``
 multiplies a < 4q by a tabled w < q (twists and twiddles) that carries a
-float64 copy c of w / q.  The window holds for q < 2^51: w / q < 1, so c
-is within 2^-54 of it and a*c is within 4q * 2^-54 < 1/2 of the true
-quotient Q = a*w/q; the float product a*c < 4q < 2^53 rounds by at most
-1/2, so the estimate is within 1 of Q and its truncation t lies in
-(Q - 2, Q + 1).  The remainder r = a*w - t*q therefore lies in (-q, 2q),
+float64 copy c of w / q.  The window holds for q < 2^51, so for every
+modulus up to ``HeParams``' 51-bit cap: w / q < 1, so c is within 2^-54
+of it and a*c is within 4q * 2^-54 < 1/2 of the true quotient
+Q = a*w/q; the float product a*c < 4q < 2^53 rounds by at most 1/2, so
+the estimate is within 1 of Q and its truncation t lies in (Q - 2, Q + 1).  The remainder r = a*w - t*q therefore lies in (-q, 2q),
 where a negative r has wrapped above 2^64 - q, and ``min(r, r + 2q)``
 lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
 of 2^-53 relative each, which keeps the estimate within 1 of Q for its
 operands below q.  Callers that need [0, q) reduce once more with
 ``min(r, r - q)``; a sum below 2q reduces the same way.
 
-The tables of powers are built by exact doubling: with ``first * base^i``
-known for i < size, one vector product by ``base^size`` (a scalar below q,
-squared as a Python int each step) fills i < 2*size.  Both factors are
-below q, inside the product's window, so every entry is exactly what a
-Python-int ``acc * base % q`` loop gives, from ceil(log2(count)) vector
-products instead of count Python big-int steps.
+The twist and untwist tables are built by exact doubling: with
+``first * base^i`` known for i < size, one vector product by ``base^size``
+(a scalar below q, squared as a Python int each step) fills i < 2*size.
+Both factors are below q, inside the product's window, so every entry is
+exactly what a Python-int ``acc * base % q`` loop gives, from
+ceil(log2(count)) vector products instead of count Python big-int steps.
+The twiddles need no products of their own: omega = psi^2, so omega^t is
+the twist's entry 2t, and omega^(N/2) = -1, so omega^-t = q - omega^(N/2 - t)
+for 0 < t < N/2.
 
 The NTT is a constant-geometry radix-2 transform (Pease's layout, with
 decimation in frequency).  Every one of its log2(N) stages reads the two
@@ -157,8 +160,7 @@ class NegacyclicRing:
         # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
         self._untwist = _with_quotients(
             _pow_table(psi_inv, self.n, q, first=pow(self.n, q - 2, q)), q)
-        # omega = psi^2, so omega^t = psi^(2t); omega^(n/2) = -1, so omega^-t = q - omega^(n/2 - t)
-        omega_pows = twist[::2]
+        omega_pows = twist[::2]  # the twiddles' powers, as the module docstring derives
         self._stages = _stage_tables(omega_pows, q)
         self._inv_stages = _stage_tables(
             np.concatenate((omega_pows[:1], self._qv - omega_pows[:0:-1])), q)
