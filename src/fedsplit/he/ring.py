@@ -33,8 +33,8 @@ for 0 < t < N/2.
 The NTT is a constant-geometry radix-2 transform (Pease's layout, with
 decimation in frequency).  Every one of its log2(N) stages reads the two
 contiguous halves ``a = x[..., :N/2]`` and ``b = x[..., N/2:]`` and writes
-``a + b`` to the even and ``(a - b) * w`` to the odd entries of a fresh
-buffer, where entry t of stage k's flat twiddle table is
+``a + b`` to the even and ``(a - b) * w`` to the odd entries of another
+buffer (two take turns), where entry t of stage k's flat twiddle table is
 ``omega^((t >> k) << k)``.  The result comes out in bit-reversed order,
 and one gather by ``bitrev`` restores natural order.  The butterflies are
 lazy (Harvey, 2014): entries stay in [0, 2q) between stages, the sum
@@ -105,9 +105,11 @@ def _mulmod_by(a: np.ndarray, table: tuple, qv: np.uint64, two_qv: np.uint64,
                out: np.ndarray | None = None) -> np.ndarray:
     """(a * w) mod q, in [0, 2q), for a < 4q and a ``_with_quotients`` table of w < q."""
     w, w_over_q = table
-    t = (a.astype(np.float64) * w_over_q).astype(np.int64)
-    r = a * w - t.view(np.uint64) * qv  # wrapped into (-q, 2q)
-    return np.minimum(r, r + two_qv, out=out)
+    t = (a.astype(np.float64) * w_over_q).astype(np.int64).view(np.uint64)
+    t *= qv
+    r = a * w
+    r -= t  # wrapped into (-q, 2q)
+    return np.minimum(r, np.add(r, two_qv, out=t), out=out)
 
 
 def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
@@ -201,13 +203,13 @@ class NegacyclicRing:
         """Natural-order NTT along the last axis of ``x`` (entries below 2q),
         with entries in [0, 2q); ``x`` itself is never written."""
         half = self.n // 2
-        for table in stages:
+        bufs = np.empty_like(x), np.empty_like(x)  # each stage writes the one it does not read
+        for k, table in enumerate(stages):
             a, b = x[..., :half], x[..., half:]
-            out = np.empty_like(x)
+            x = bufs[k % 2]
             s = a + b
-            np.minimum(s, s - self._two_qv, out=out[..., 0::2])
-            _mulmod_by(a + self._two_qv - b, table, self._qv, self._two_qv, out=out[..., 1::2])
-            x = out
+            np.minimum(s, s - self._two_qv, out=x[..., 0::2])
+            _mulmod_by(a + self._two_qv - b, table, self._qv, self._two_qv, out=x[..., 1::2])
         return np.take(x, self._bitrev, axis=-1)
 
     def to_eval(self, a: np.ndarray) -> np.ndarray:
