@@ -132,8 +132,8 @@ def _with_quotients(w: np.ndarray, q: int) -> tuple:
 
 
 def _stage_tables(pows: np.ndarray, q: int) -> tuple:
-    """Each stage k's flat twiddle table omega^((t >> k) << k), t < n/2,
-    from ``pows`` = omega^t."""
+    """Each stage k's flat twiddle table omega^((t >> k) << k) for
+    t < len(pows), from ``pows`` = omega^t."""
     return tuple(tuple(np.repeat(col[::1 << k], 1 << k) for col in _with_quotients(pows, q))
                  for k in range(pows.size.bit_length()))
 
