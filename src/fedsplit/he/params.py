@@ -33,9 +33,9 @@ class HeParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        # twice the largest degree tested; a ring's stage tables take 8 * log2(N) * N bytes
-        # per direction (312 bytes per coefficient at 2**17 with the twists and the bit-reversal
-        # index), so a far larger degree would exhaust memory rather than fail cleanly
+        # twice the largest degree tested; a ring's one stage-table family takes 8 * log2(N) * N
+        # bytes (184 bytes per coefficient at 2**17 with the twist, untwist and gather orders),
+        # so a far larger degree would exhaust memory rather than fail cleanly
         check_int("ring_degree", n, 8, 2 ** 17)
         if n & (n - 1):
             raise ValueError(f"ring_degree must be a power of two >= 8, got {n}")

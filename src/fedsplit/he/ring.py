@@ -13,22 +13,23 @@ float64 copy c of w / q.  The window holds for q < 2^51, so for every
 modulus up to ``HeParams``' 51-bit cap: w / q < 1, so c is within 2^-54
 of it and a*c is within 4q * 2^-54 < 1/2 of the true quotient
 Q = a*w/q; the float product a*c < 4q < 2^53 rounds by at most 1/2, so
-the estimate is within 1 of Q and its truncation t lies in (Q - 2, Q + 1).  The remainder r = a*w - t*q therefore lies in (-q, 2q),
-where a negative r has wrapped above 2^64 - q, and ``min(r, r + 2q)``
-lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
+the estimate is within 1 of Q and its truncation t lies in (Q - 2, Q + 1).
+The remainder r = a*w - t*q therefore lies in (-q, 2q), where a negative
+r has wrapped above 2^64 - q, and ``min(r, r + 2q)`` lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
 of 2^-53 relative each, which keeps the estimate within 1 of Q for its
 operands below q.  Callers that need [0, q) reduce once more with
 ``min(r, r - q)``; a sum below 2q reduces the same way.
 
-The twist and untwist tables are built by exact doubling: with
-``first * base^i`` known for i < size, one vector product by ``base^size``
-(a scalar below q, squared as a Python int each step) fills i < 2*size.
-Both factors are below q, inside the product's window, so every entry is
-exactly what a Python-int ``acc * base % q`` loop gives, from
-ceil(log2(count)) vector products instead of count Python big-int steps.
-The twiddles need no products of their own: omega = psi^2, so omega^t is
-the twist's entry 2t, and omega^(N/2) = -1, so omega^-t = q - omega^(N/2 - t)
-for 0 < t < N/2.
+The twist table psi^i is built by exact doubling: with base^i known for
+i < size, one vector product by ``base^size`` (a scalar below q, squared
+as a Python int each step) fills i < 2*size.  Both factors are below q,
+inside the product's window, so every entry is exactly what a Python-int
+``acc * base % q`` loop gives, from ceil(log2(count)) vector products
+instead of count Python big-int steps.  Every other table derives from
+it.  omega = psi^2, so omega^t is the twist's entry 2t.  psi^N = -1, so
+the untwist n^-1 * psi^-i is n^-1 * (q - psi^(N - i)) for 0 < i < N.  And
+sum_j X_j omega^(-ij) is the forward transform's entry (N - i) mod N, so
+the inverse runs the forward stages and gathers by ``bitrev[(-i) mod N]``.
 
 The NTT is a constant-geometry radix-2 transform (Pease's layout, with
 decimation in frequency).  Every one of its log2(N) stages reads the two
@@ -41,8 +42,8 @@ lazy (Harvey, 2014): entries stay in [0, 2q) between stages, the sum
 reduces as ``min(s, s - 2q)`` and the difference is multiplied unreduced
 as ``a + 2q - b < 4q``, inside the window above.  ``to_eval`` reduces its
 result into [0, q) once, after the gather, and ``from_eval`` after its
-untwist.  Each stage's table holds N/2 entries and their quotients, so a
-direction's tables take 8 * log2(N) * N bytes.
+untwist.  Each stage's table holds N/2 entries and their quotients, so
+the stage tables take 8 * log2(N) * N bytes.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ def _mulmod_by(a: np.ndarray, table: tuple, qv: np.uint64, two_qv: np.uint64,
     return np.minimum(r, np.add(r, two_qv, out=t), out=out)
 
 
-def _pow_table(base: int, count: int, q: int, first: int = 1) -> np.ndarray:
-    """first * base^i mod q for i < count, by exact doubling."""
+def _pow_table(base: int, count: int, q: int) -> np.ndarray:
+    """base^i mod q for i < count, by exact doubling."""
     out = np.empty(count, dtype=np.uint64)
-    out[:1] = first
+    out[:1] = 1
     qv, two_qv = np.uint64(q), np.uint64(2 * q)
     step, size = base % q, 1
     while size < count:
@@ -155,18 +156,16 @@ class NegacyclicRing:
         self._qv = np.uint64(q)
         self._two_qv = np.uint64(2 * q)
         self._qinv = 1.0 / q
-        psi = _find_psi(q, 2 * self.n)
-        psi_inv = pow(psi, q - 2, q)
-        twist = _pow_table(psi, self.n, q)
+        twist = _pow_table(_find_psi(q, 2 * self.n), self.n, q)
         self._twist = _with_quotients(twist, q)
-        # n^-1 * psi^-i: the inverse transform's 1/n scaling and untwist in one table
-        self._untwist = _with_quotients(
-            _pow_table(psi_inv, self.n, q, first=pow(self.n, q - 2, q)), q)
-        omega_pows = twist[::2]  # the twiddles' powers, as the module docstring derives
-        self._stages = _stage_tables(omega_pows, q)
-        self._inv_stages = _stage_tables(
-            np.concatenate((omega_pows[:1], self._qv - omega_pows[:0:-1])), q)
+        # n^-1 * psi^-i (the inverse's 1/n scaling and untwist), as the module docstring derives
+        n_inv = pow(self.n, q - 2, q)
+        r = _mulmod_by(np.concatenate((twist[:1], self._qv - twist[:0:-1])),
+                       (np.uint64(n_inv), n_inv / q), self._qv, self._two_qv)
+        self._untwist = _with_quotients(np.minimum(r, r - self._qv), q)
+        self._stages = _stage_tables(twist[::2], q)
         self._bitrev = _bit_reverse(self.n)
+        self._neg_bitrev = self._bitrev[-np.arange(self.n) % self.n]
 
     # -- modular scalar/vector ops -------------------------------------------------
 
@@ -199,28 +198,29 @@ class NegacyclicRing:
 
     # -- transforms ------------------------------------------------------------------
 
-    def _ntt(self, x: np.ndarray, stages: tuple) -> np.ndarray:
-        """Natural-order NTT along the last axis of ``x`` (entries below 2q),
-        with entries in [0, 2q); ``x`` itself is never written."""
+    def _ntt(self, x: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """The NTT along the last axis of ``x`` (entries below 2q), gathered
+        by ``order`` from the bit-reversed stage output, with entries in
+        [0, 2q); ``x`` itself is never written."""
         half = self.n // 2
         bufs = np.empty_like(x), np.empty_like(x)  # each stage writes the one it does not read
-        for k, table in enumerate(stages):
+        for k, table in enumerate(self._stages):
             a, b = x[..., :half], x[..., half:]
             x = bufs[k % 2]
             s = a + b
             np.minimum(s, s - self._two_qv, out=x[..., 0::2])
             _mulmod_by(a + self._two_qv - b, table, self._qv, self._two_qv, out=x[..., 1::2])
-        return np.take(x, self._bitrev, axis=-1)
+        return np.take(x, order, axis=-1)
 
     def to_eval(self, a: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation (NTT) form, with the psi twist."""
         a = np.asarray(a, dtype=np.uint64)
-        r = self._ntt(_mulmod_by(a, self._twist, self._qv, self._two_qv), self._stages)
+        r = self._ntt(_mulmod_by(a, self._twist, self._qv, self._two_qv), self._bitrev)
         return np.minimum(r, r - self._qv)
 
     def from_eval(self, a_eval: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form."""
-        r = _mulmod_by(self._ntt(np.asarray(a_eval, dtype=np.uint64), self._inv_stages),
+        r = _mulmod_by(self._ntt(np.asarray(a_eval, dtype=np.uint64), self._neg_bitrev),
                        self._untwist, self._qv, self._two_qv)
         return np.minimum(r, r - self._qv)
 

@@ -95,6 +95,8 @@ def _modulus(params: HeParams) -> int:
 
 def deserialize(blob: bytes) -> Ciphertext:
     """Parse a PAHE container back into a Ciphertext."""
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise ProtocolError(f"a PAHE container must be bytes, got {type(blob).__name__}")
     blob = bytes(blob)
     if blob[:4] != MAGIC:
         raise ProtocolError("bad magic bytes")

@@ -346,6 +346,9 @@ def encode_vote_message(msg: VoteMessage) -> bytes:
 
 
 def decode_vote_message(blob: bytes) -> VoteMessage:
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise ProtocolError(f"a vote message must be bytes, got {type(blob).__name__}")
+    blob = bytes(blob)
     if len(blob) < 8:
         raise ProtocolError(f"vote message of {len(blob)} bytes has no 8-byte header")
     client_id, count = struct.unpack_from(">II", blob, 0)

@@ -104,10 +104,10 @@ def huge_ring_out_of_memory(monkeypatch):
     from fedsplit.he import ring
     pow_table = ring._pow_table
 
-    def refuse_huge(base, count, q, first=1):
+    def refuse_huge(base, count, q):
         if count >= HUGE_RING:
             raise MemoryError(f"Unable to allocate {8 * count} bytes")
-        return pow_table(base, count, q, first)
+        return pow_table(base, count, q)
 
     monkeypatch.setattr(ring, "_pow_table", refuse_huge)
 

@@ -5,7 +5,8 @@ in each retired key container kind, and of a vote message must either
 raise ``ProtocolError`` or decode to something sound: ``deserialize``
 returns only ciphertexts, an accepted ckks blob carries only ring
 coefficients below the modulus q, and an accepted vote message only
-strictly increasing tokens.
+strictly increasing tokens.  Each decoder takes ``bytes``, ``bytearray`` or
+``memoryview`` and refuses any other object with ``ProtocolError``.
 """
 
 import struct
@@ -110,6 +111,22 @@ def test_truncated_pahe_blob(key, data):
 def test_bit_flipped_pahe_blob(key, data):
     blob = BLOBS[key]
     assert_decodes_soundly(flip(blob, data.draw(bit_lists(blob))))
+
+
+@pytest.mark.parametrize("decode", [deserialize, decode_vote_message],
+                         ids=["deserialize", "decode_vote_message"])
+@pytest.mark.parametrize("blob", ["PAHE" + "x" * 12, None, 3.5, [0] * 16, 7],
+                         ids=["str", "None", "float", "list", "int"])
+def test_a_blob_that_is_not_bytes_is_refused(decode, blob):
+    # refused before any conversion: bytes(n) of an int n allocates n zero bytes
+    with pytest.raises(ProtocolError, match="must be bytes"):
+        decode(blob)
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_a_bytes_like_blob_decodes(wrap):
+    assert serialize(deserialize(wrap(BLOBS["ckks", "ciphertext"]))) == BLOBS["ckks", "ciphertext"]
+    assert encode_vote_message(decode_vote_message(wrap(VOTE))) == VOTE
 
 
 def test_empty_vote_message():
