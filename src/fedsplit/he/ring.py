@@ -13,9 +13,9 @@ float64 copy c of w / q.  The window holds for q < 2^51, so for every
 modulus up to ``HeParams``' 51-bit cap: w / q < 1, so c is within 2^-54
 of it and a*c is within 4q * 2^-54 < 1/2 of the true quotient
 Q = a*w/q; the float product a*c < 4q < 2^53 rounds by at most 1/2, so
-the estimate is within 1 of Q and its truncation t lies in (Q - 2, Q + 1).
-The remainder r = a*w - t*q therefore lies in (-q, 2q), where a negative
-r has wrapped above 2^64 - q, and ``min(r, r + 2q)`` lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
+the estimate is within 1 of Q and its truncation t lies in (Q - 2, Q + 1).  The remainder r = a*w - t*q therefore lies in (-q, 2q),
+where a negative r has wrapped above 2^64 - q, and ``min(r, r + 2q)``
+lifts it into [0, 2q).  ``mulmod`` forms c as w * (1/q), two roundings
 of 2^-53 relative each, which keeps the estimate within 1 of Q for its
 operands below q.  Callers that need [0, q) reduce once more with
 ``min(r, r - q)``; a sum below 2q reduces the same way.
@@ -159,10 +159,8 @@ class NegacyclicRing:
         twist = _pow_table(_find_psi(q, 2 * self.n), self.n, q)
         self._twist = _with_quotients(twist, q)
         # n^-1 * psi^-i (the inverse's 1/n scaling and untwist), as the module docstring derives
-        n_inv = pow(self.n, q - 2, q)
-        r = _mulmod_by(np.concatenate((twist[:1], self._qv - twist[:0:-1])),
-                       (np.uint64(n_inv), n_inv / q), self._qv, self._two_qv)
-        self._untwist = _with_quotients(np.minimum(r, r - self._qv), q)
+        self._untwist = _with_quotients(self.mulmod(
+            np.concatenate((twist[:1], self._qv - twist[:0:-1])), pow(self.n, q - 2, q)), q)
         self._stages = _stage_tables(twist[::2], q)
         self._bitrev = _bit_reverse(self.n)
         self._neg_bitrev = self._bitrev[-np.arange(self.n) % self.n]
