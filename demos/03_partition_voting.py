@@ -20,11 +20,11 @@ from fedsplit import (PartitionMask, decode_partition, encrypt_indices,
 
 print("--- three clients, five coordinates, k=2 ---")
 proposals = [[1, 4], [1, 2], [4, 1]]
-masks = [PartitionMask.from_indices(prop, 5) for prop in proposals]
+masks = [PartitionMask(np.array(sorted(prop)), 5) for prop in proposals]
 vote_key = tokenize_round(new_vote_key(seed=7, round_binding=0), masks)
 messages = []
 for cid, (prop, mask) in enumerate(zip(proposals, masks)):
-    msg = encrypt_indices(mask, vote_key, client_id=cid)
+    msg = encrypt_indices(mask, vote_key)
     messages.append(msg)
     print(f"client {cid} proposes {sorted(prop)} -> "
           f"{[f'{t:016x}' for t in msg.tokens.tolist()]}")
@@ -45,8 +45,7 @@ for cid in range(6):
     masks.append(propose_partition(update, r, "max"))
     print(f"client {cid} proposes {masks[-1].he_indices.tolist()}")
 vote_key = tokenize_round(new_vote_key(seed=11, round_binding=5), masks)
-messages = [encrypt_indices(mask, vote_key, client_id=cid)
-            for cid, mask in enumerate(masks)]
+messages = [encrypt_indices(mask, vote_key) for mask in masks]
 consensus = decode_partition(tally_votes(messages, k), vote_key, dim, k)
 print(f"consensus mask (k={k}): {consensus.he_indices.tolist()}")
 print("every client decodes the same mask from the same tokens; "

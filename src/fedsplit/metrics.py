@@ -71,6 +71,7 @@ class ExperimentReport:
 
     def __post_init__(self):
         check_choice("backend", self.backend, tuple(BACKENDS))
+        check_int("seed", self.seed, 0)
 
     @property
     def time_basis(self) -> str:

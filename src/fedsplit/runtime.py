@@ -149,7 +149,7 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
         return updates, PartitionMask(np.arange(k), state.dim)
     vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
     vk = tokenize_round(vk, [proposal for _, _, proposal in trained])
-    msgs = [encrypt_indices(proposal, vk, client_id=client) for client, _, proposal in trained]
+    msgs = [encrypt_indices(proposal, vk) for _, _, proposal in trained]
     return updates, decode_partition(tally_votes(msgs, k), vk, state.dim, k)
 
 

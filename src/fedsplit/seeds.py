@@ -26,9 +26,9 @@ VOTE_KEY = 10
 
 
 def seed_sequence(experiment_seed: int, purpose: int, round_index: int = 0,
-                  client_id: int = 0) -> np.random.SeedSequence:
+                  client: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         entropy=int(experiment_seed),
-        spawn_key=(int(purpose), int(round_index), int(client_id)),
+        spawn_key=(int(purpose), int(round_index), int(client)),
     )
 

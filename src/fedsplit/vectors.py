@@ -42,14 +42,6 @@ class PartitionMask:
             raise ValueError("he_indices must be strictly increasing")
         object.__setattr__(self, "he_indices", idx)
 
-    @classmethod
-    def from_indices(cls, indices, dim: int) -> "PartitionMask":
-        """Build a mask from an unordered collection of integer indices."""
-        indices = list(indices)
-        for i in indices:
-            check_int("index", i, 0, 2**63 - 1, DimensionError)
-        return cls(he_indices=np.unique(np.array(indices, dtype=np.int64)), dim=dim)
-
     @property
     def size(self) -> int:
         return int(self.he_indices.size)

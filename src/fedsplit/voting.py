@@ -10,10 +10,9 @@ the winning tokens back to indices.
 The PRP is a 4-round Feistel network over 64-bit blocks with an
 SHA-256-based round function keyed by (vote key, round index), so a token
 is deterministic within a round, distinct across rounds, and injective
-over the index space.  A token is the block as a ``uint64``, big-endian on
-the wire, so byte order and numeric order agree.  Tie-breaks are
-deterministic everywhere: equal vote counts prefer the smaller token, and
-equal magnitudes prefer the lower index.
+over the index space.  A token is the block as a ``uint64``.  Tie-breaks
+are deterministic everywhere: equal vote counts prefer the smaller token,
+and equal magnitudes prefer the lower index.
 
 Each round's tokens come from one PRP batch.  The runtime derives the
 ``VoteKey`` afresh each round from the experiment seed and the round index;
@@ -63,12 +62,9 @@ __all__ = [
     "encrypt_indices",
     "tally_votes",
     "decode_partition",
-    "encode_vote_message",
-    "decode_vote_message",
 ]
 
 _FEISTEL_ROUNDS = 4
-_WIRE_TOKEN = np.dtype(">u8")
 _NO_BLOCKS = np.empty(0, dtype=np.uint64)
 # Batch size from which the numpy SHA-256 beats a hashlib call per block
 # (between 3,000 and 4,000 blocks on a 2-core x86-64 box with numpy 2.4).
@@ -97,8 +93,11 @@ class VoteKey:
                           compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.key) != 16:
-            raise ValueError(f"vote key must be 16 bytes, got {len(self.key)}")
+        # bytes only: a str or a list fails in the round function, a bytearray
+        # does not hash
+        if not isinstance(self.key, bytes) or len(self.key) != 16:
+            got = len(self.key) if isinstance(self.key, bytes) else type(self.key).__name__
+            raise ValueError(f"vote key must be 16 bytes, got {got}")
         # the round function packs the round binding as a signed 64-bit integer
         check_int("round_binding", self.round_binding, -2**63, 2**63 - 1)
 
@@ -115,12 +114,9 @@ def _check_tokens(tokens, what: str) -> None:
 class VoteMessage:
     """One client's proposal as a strictly increasing ``uint64`` token array."""
 
-    client_id: int
     tokens: np.ndarray
 
     def __post_init__(self):
-        # the wire carries client_id as an unsigned 32-bit integer
-        check_int("vote message client_id", self.client_id, 0, 2**32 - 1, ProtocolError)
         _check_tokens(self.tokens, "vote message tokens")
 
 
@@ -294,10 +290,10 @@ def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
     return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
 
 
-def encrypt_indices(mask: PartitionMask, vk: VoteKey, client_id: int = 0) -> VoteMessage:
+def encrypt_indices(mask: PartitionMask, vk: VoteKey) -> VoteMessage:
     """Turn a proposal into opaque tokens; deterministic per (key, round, index)."""
     tokens = _lookup(vk, mask.he_indices.astype(np.uint64))
-    return VoteMessage(client_id=client_id, tokens=np.sort(tokens))
+    return VoteMessage(tokens=np.sort(tokens))
 
 
 def tally_votes(msgs, k: int) -> np.ndarray:
@@ -334,28 +330,3 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     chosen[indices] = True
     chosen[np.flatnonzero(~chosen[:k])[:k - indices.size]] = True
     return PartitionMask(he_indices=np.flatnonzero(chosen), dim=dim)
-
-
-# -- wire encoding ------------------------------------------------------------------
-
-
-def encode_vote_message(msg: VoteMessage) -> bytes:
-    """client_id (u32 BE), token count (u32 BE), tokens (u64 BE, strictly increasing)."""
-    return (struct.pack(">II", msg.client_id, len(msg.tokens))
-            + msg.tokens.astype(_WIRE_TOKEN).tobytes())
-
-
-def decode_vote_message(blob: bytes) -> VoteMessage:
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise ProtocolError(f"a vote message must be bytes, got {type(blob).__name__}")
-    blob = bytes(blob)
-    if len(blob) < 8:
-        raise ProtocolError(f"vote message of {len(blob)} bytes has no 8-byte header")
-    client_id, count = struct.unpack_from(">II", blob, 0)
-    body = blob[8:]
-    if len(body) != count * _WIRE_TOKEN.itemsize:
-        raise ProtocolError(
-            f"vote message declares {count} tokens but carries {len(body)} bytes"
-        )
-    tokens = np.frombuffer(body, dtype=_WIRE_TOKEN).astype(np.uint64)
-    return VoteMessage(client_id=client_id, tokens=tokens)

@@ -479,7 +479,8 @@ class TestReportCmd:
                                       "echo-seed-differs", "echo-backend-ckks",
                                       "echo-wall-without-wall-keys", "echo-empty",
                                       "echo-theta-list", "notes-not-strings",
-                                      "complete-flipped", "last-round-dropped"])
+                                      "complete-flipped", "last-round-dropped",
+                                      "negative-seed"])
     def test_malformed_report_exits_one(self, real_report, tmp_path, case, capsys):
         doc, csv_text = copy.deepcopy(real_report)
         rows = csv_text.splitlines()
@@ -498,6 +499,9 @@ class TestReportCmd:
                 "echo-wall-without-wall-keys": {"report.include_wall_time": "true"},
                 "echo-theta-list": {"dp.theta": [1, 2]},
             }[case])
+        elif case == "negative-seed":
+            # the seed and its echo agree, but no run takes a negative seed
+            doc["seed"], doc["config"]["seed"] = -5, "-5"
         elif case == "notes-not-strings":
             doc["notes"] = [1, {"a": 2}, None]
         elif case == "summary-edited":

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from fedsplit.config import DataConfig, ExperimentConfig, RatioSchedule, RoundConfig
 from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset
 from fedsplit.dp import PrivacyBudget
-from fedsplit.errors import DimensionError, ProtocolError
+from fedsplit.errors import DimensionError
 from fedsplit.he import HeCostModel, HeParams, MockBackend, simulated_round_cost
-from fedsplit.metrics import BoundInputs, RoundMetrics
+from fedsplit.metrics import BoundInputs, ExperimentReport, RoundMetrics
 from fedsplit.models import ModelSpec, init_params, local_train
 from fedsplit.runtime import ratio_at
 from fedsplit.vectors import PartitionMask, merge
-from fedsplit.voting import (PartitionStrategy, VoteKey, VoteMessage, decode_partition,
-                             new_vote_key, propose_partition, tally_votes, target_count)
+from fedsplit.voting import (PartitionStrategy, VoteKey, decode_partition, new_vote_key,
+                             propose_partition, tally_votes, target_count)
 
 _BUDGET = dict(epsilon=1.0, delta=1e-5, q=1.0, rounds_T=3, theta=1.0, min_dataset_size=10)
 _BOUND = dict(C1=1.0, C2=1.0, r=0.5, epsilon=1.0, delta=1e-5, N=10, T=50)
@@ -70,8 +70,6 @@ SITES = [
     ("decode_partition.k", lambda v: decode_partition(_NO_TOKENS, _VK, 4, v), 0, 4, ValueError),
     ("PartitionMask.dim", lambda v: PartitionMask(np.array([0]), v), 1, None, DimensionError),
     ("VoteKey.round_binding", lambda v: VoteKey(_VK.key, v), -2**63, 2**63 - 1, ValueError),
-    ("VoteMessage.client_id", lambda v: VoteMessage(v, _NO_TOKENS), 0, 2**32 - 1,
-     ProtocolError),
     ("HeBackend.slots_used", _add_with_slots, 1, 64, DimensionError),
     ("HeParams.ring_degree", lambda v: HeParams(ring_degree=v), 8, 2**17, ValueError),
     ("HeParams.scale_bits", lambda v: HeParams(scale_bits=v), 1, 49, ValueError),
@@ -88,6 +86,7 @@ SITES = [
     ("BoundInputs.N", lambda v: BoundInputs(**{**_BOUND, "N": v}), 1, None, ValueError),
     ("BoundInputs.T", lambda v: BoundInputs(**{**_BOUND, "T": v}), 1, None, ValueError),
     ("RoundMetrics.round", lambda v: RoundMetrics(v, 0.5, 0.5, 0.0, 0.0), 0, None, ValueError),
+    ("ExperimentReport.seed", lambda v: ExperimentReport({}, v, "mock"), 0, None, ValueError),
     ("ratio_at.t", lambda v: ratio_at(RatioSchedule(mode="dynamic"), v), 0, None, ValueError),
     ("simulated_round_cost.n_vectors", lambda v: simulated_round_cost(HeCostModel(), v, 1), 0,
      None, ValueError),
@@ -140,33 +139,11 @@ def test_the_message_has_one_form():
     with pytest.raises(ValueError,
                        match=r"^rounds_T must be an integer in \[1, 4503599627370496\], got 2\.5$"):
         RoundConfig(rounds_T=2.5)
-    with pytest.raises(ProtocolError, match=r"^vote message client_id must be an integer in "
-                                            r"\[0, 4294967295\], got True$"):
-        VoteMessage(True, _NO_TOKENS)
+    with pytest.raises(DimensionError, match=r"^left ciphertext slots_used must be an integer "
+                                             r"in \[1, 64\], got True$"):
+        _add_with_slots(True)
     with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
         ExperimentConfig(seed=-1)
-
-
-class TestFromIndices:
-    @given(st.lists(st.integers(-2, 9).flatmap(
-        lambda n: st.sampled_from([n, np.int64(n), float(n), n + 0.5, True, False, str(n)])),
-        max_size=6))
-    def test_takes_only_integer_indices_below_dim(self, indices):
-        """The indices are neither cast nor truncated: any value that is not
-        an integer in [0, dim) is refused with DimensionError."""
-        valid = all((type(i) is int or isinstance(i, np.integer)) and 0 <= i < 8
-                    for i in indices)
-        if valid:
-            mask = PartitionMask.from_indices(indices, 8)
-            assert mask.he_indices.tolist() == sorted({int(i) for i in indices})
-            return
-        with pytest.raises(DimensionError):
-            PartitionMask.from_indices(indices, 8)
-
-    @pytest.mark.parametrize("indices", [[0.5, 1.7], [True, 3], [np.float64(1.0)], [2**64]])
-    def test_no_value_is_cast(self, indices):
-        with pytest.raises(DimensionError, match="index must be an integer"):
-            PartitionMask.from_indices(indices, 5)
 
 
 class TestUpdatesAreOneDimensional:

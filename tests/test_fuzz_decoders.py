@@ -1,11 +1,10 @@
-"""Hostile input to both decoders: every malformed blob raises ProtocolError.
+"""Hostile input to the decoder: every malformed blob raises ProtocolError.
 
-Truncations and bit flips of a PAHE ciphertext blob per backend, of a blob
-in each retired key container kind, and of a vote message must either
-raise ``ProtocolError`` or decode to something sound: ``deserialize``
-returns only ciphertexts, an accepted ckks blob carries only ring
-coefficients below the modulus q, and an accepted vote message only
-strictly increasing tokens.  Each decoder takes ``bytes``, ``bytearray`` or
+Truncations and bit flips of a PAHE ciphertext blob per backend, and of a
+blob in each retired key container kind, must either raise
+``ProtocolError`` or decode to something sound: ``deserialize`` returns
+only ciphertexts, and an accepted ckks blob carries only ring coefficients
+below the modulus q.  ``deserialize`` takes ``bytes``, ``bytearray`` or
 ``memoryview`` and refuses any other object with ``ProtocolError``.
 """
 
@@ -20,9 +19,6 @@ from fedsplit.errors import ProtocolError
 from fedsplit.he import Ciphertext, HeParams, make_backend
 from fedsplit.he.ring import find_ntt_prime
 from fedsplit.he.wire import deserialize, serialize
-from fedsplit.vectors import PartitionMask
-from fedsplit.voting import (decode_vote_message, encode_vote_message,
-                             encrypt_indices, new_vote_key)
 
 PARAMS = HeParams(ring_degree=64)
 
@@ -53,8 +49,6 @@ def _blobs() -> dict:
 
 BLOBS = _blobs()
 CIPHERTEXTS = sorted(key for key in BLOBS if key[1] == "ciphertext")
-VOTE = encode_vote_message(encrypt_indices(
-    PartitionMask(np.array([0, 3, 5, 9]), 12), new_vote_key(4), client_id=2))
 
 
 def assert_decodes_soundly(blob: bytes) -> None:
@@ -113,41 +107,14 @@ def test_bit_flipped_pahe_blob(key, data):
     assert_decodes_soundly(flip(blob, data.draw(bit_lists(blob))))
 
 
-@pytest.mark.parametrize("decode", [deserialize, decode_vote_message],
-                         ids=["deserialize", "decode_vote_message"])
 @pytest.mark.parametrize("blob", ["PAHE" + "x" * 12, None, 3.5, [0] * 16, 7],
                          ids=["str", "None", "float", "list", "int"])
-def test_a_blob_that_is_not_bytes_is_refused(decode, blob):
+def test_a_blob_that_is_not_bytes_is_refused(blob):
     # refused before any conversion: bytes(n) of an int n allocates n zero bytes
     with pytest.raises(ProtocolError, match="must be bytes"):
-        decode(blob)
+        deserialize(blob)
 
 
 @pytest.mark.parametrize("wrap", [bytearray, memoryview])
 def test_a_bytes_like_blob_decodes(wrap):
     assert serialize(deserialize(wrap(BLOBS["ckks", "ciphertext"]))) == BLOBS["ckks", "ciphertext"]
-    assert encode_vote_message(decode_vote_message(wrap(VOTE))) == VOTE
-
-
-def test_empty_vote_message():
-    with pytest.raises(ProtocolError):
-        decode_vote_message(b"")
-
-
-@settings(max_examples=200, deadline=None)
-@given(cut=st.integers(min_value=0, max_value=len(VOTE) - 1))
-def test_truncated_vote_message(cut):
-    with pytest.raises(ProtocolError):
-        decode_vote_message(VOTE[:cut])
-
-
-@settings(max_examples=300, deadline=None)
-@given(bits=bit_lists(VOTE))
-def test_bit_flipped_vote_message(bits):
-    try:
-        msg = decode_vote_message(flip(VOTE, bits))
-    except ProtocolError:
-        return
-    assert len(msg.tokens) == 4
-    assert msg.tokens.dtype == np.uint64
-    assert np.all(msg.tokens[1:] > msg.tokens[:-1])

@@ -1,9 +1,12 @@
 """Module layout: fedsplit's modules import each other at module level only,
-the config does not depend on the module that runs it, and the names the
-benchmark's tracer (bench/tracer.py) patches stay where it looks for them."""
+the config does not depend on the module that runs it, every name a module
+exports is defined there, and the names the benchmark's tracer
+(bench/tracer.py) patches stay where it looks for them."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,15 @@ def test_no_package_import_inside_a_function():
                 found |= {f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert not found, f"package-relative imports inside functions: {sorted(found)}"
+
+
+@pytest.mark.parametrize("name", sorted(
+    info.name for info in pkgutil.walk_packages(fedsplit.__path__, "fedsplit.")))
+def test_every_exported_name_is_defined(name):
+    # a stale entry would make ``from <module> import *`` raise AttributeError
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"
 
 
 def test_config_does_not_import_runtime():

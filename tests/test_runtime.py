@@ -207,7 +207,7 @@ class TestHePartFidelity:
         msgs = [encrypt_indices(
                     propose_partition(updates[c], r_t, cfg.strategy,
                                       seeds.seed_sequence(cfg.seed, seeds.PROPOSE, 0, c)),
-                    vk, client_id=c)
+                    vk)
                 for c in cohort]
         mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
         # left-fold like the ciphertext aggregation so rounding matches exactly
@@ -258,8 +258,8 @@ class TestVoteScope:
         refs, checked = [], []
         encrypt, split = runtime_mod.encrypt_indices, runtime_mod.split
 
-        def encrypt_spy(mask, vk, client_id=0):
-            msg = encrypt(mask, vk, client_id=client_id)
+        def encrypt_spy(mask, vk):
+            msg = encrypt(mask, vk)
             refs.extend([weakref.ref(vk), weakref.ref(msg)])
             return msg
 

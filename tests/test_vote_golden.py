@@ -1,7 +1,7 @@
-"""Golden vote outputs: wire bytes, tie-heavy tallies and the demo walkthrough.
+"""Golden vote outputs: message tokens, tie-heavy tallies and the demo walkthrough.
 
 Values were recorded before the vote tokens changed representation; they pin
-the bytes a client sends and the winning tokens the server picks when many
+the tokens a client sends and the winning tokens the server picks when many
 counts tie, and two seeded walkthroughs of one voting round (max and random
 proposals) printed token by token.  The stdout of
 ``demos/03_partition_voting.py`` pins int-seeded vote keys, proposals, the
@@ -18,28 +18,25 @@ import numpy as np
 import pytest
 
 from fedsplit.vectors import PartitionMask
-from fedsplit.voting import (PartitionStrategy, VoteMessage, decode_partition,
-                             encode_vote_message, encrypt_indices, new_vote_key,
-                             propose_partition, tally_votes, target_count)
+from fedsplit.voting import (PartitionStrategy, decode_partition, encrypt_indices,
+                             new_vote_key, propose_partition, tally_votes, target_count)
 
 VK = new_vote_key(41, round_binding=6)
 
 
-@pytest.mark.parametrize("client_id,indices,dim,length,digest", [
-    (0, [], 1, 8,
-     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
-    (3, [0], 1, 16,
-     "5b3e24b56b14a0397d7afb8cb84aaa48d1201d5b326c228953ef49c33fac22be"),
-    (12, [2, 7, 9, 11], 12, 40,
-     "8be3408ae48c5ecafa381f2caef33b862a697df66a1e62fa059403715dd32932"),
-    (2**32 - 1, list(range(0, 300, 7)), 300, 352,
-     "7af117f5589b29d1dd6b7eb9ce8e28f5daf3c3abe74579820bddda7897493380"),
+# digests of the tokens as big-endian u64, recorded as the token bytes of
+# the retired wire format
+@pytest.mark.parametrize("indices,dim,digest", [
+    ([], 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ([0], 1, "e5937826ca5c719db9652424fe252cd3940c9c947782ee02c299ff56adaa983a"),
+    ([2, 7, 9, 11], 12, "1599a1f1dbf8fe0d22644066f8c1591dbe1da40dcea2c0031b56409e6651890b"),
+    (list(range(0, 300, 7)), 300,
+     "0c6497e466164e1a07879c3ce1151e6caade9f438d0c4dd30267af36f901618b"),
 ])
-def test_vote_message_bytes(client_id, indices, dim, length, digest):
-    mask = PartitionMask(np.array(indices, dtype=np.int64), dim)
-    blob = encode_vote_message(encrypt_indices(mask, VK, client_id=client_id))
-    assert len(blob) == length
-    assert hashlib.sha256(blob).hexdigest() == digest
+def test_vote_message_bytes(indices, dim, digest):
+    tokens = encrypt_indices(PartitionMask(np.array(indices, dtype=np.int64), dim), VK).tokens
+    assert tokens.size == len(indices)
+    assert hashlib.sha256(tokens.astype(">u8").tobytes()).hexdigest() == digest
 
 
 TIED_WINNERS = {
@@ -68,10 +65,8 @@ def test_tie_heavy_tally(k):
     # seven clients, six of forty coordinates each: most counts tie at 1 or 2
     rng = np.random.default_rng(5)
     msgs = [encrypt_indices(PartitionMask(np.sort(rng.choice(40, size=6, replace=False)), 40),
-                            VK, client_id=c) for c in range(7)]
-    # the wire encoding spells the winners as big-endian hex, token by token
-    body = encode_vote_message(VoteMessage(client_id=0, tokens=tally_votes(msgs, k))).hex()[16:]
-    assert [body[i:i + 16] for i in range(0, len(body), 16)] == TIED_WINNERS[k]
+                            VK) for _ in range(7)]
+    assert [f"{t:016x}" for t in tally_votes(msgs, k).tolist()] == TIED_WINNERS[k]
 
 
 VOTE_DEMO_MAX = """\
@@ -124,7 +119,7 @@ def _print_vote_round(clients, dim, ratio, strategy, seed):
     for client in range(clients):
         update = np.random.default_rng((seed, client)).normal(0.0, 1.0, dim)
         mask = propose_partition(update, ratio, strategy, seed=(seed, client, 1))
-        msg = encrypt_indices(mask, vote_key, client_id=client)
+        msg = encrypt_indices(mask, vote_key)
         messages.append(msg)
         print(f"client {client} proposes indices {mask.he_indices.tolist()} "
               f"-> tokens {[f'{t:016x}' for t in msg.tokens.tolist()]}")

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from fedsplit import voting
 from fedsplit.errors import ProtocolError
-from fedsplit.voting import (PartitionStrategy, decode_partition,
-                             decode_vote_message, encode_vote_message,
-                             encrypt_indices, new_vote_key, propose_partition,
-                             tally_votes, target_count, tokenize_round, VoteKey,
-                             VoteMessage)
+from fedsplit.voting import (PartitionStrategy, decode_partition, encrypt_indices,
+                             new_vote_key, propose_partition, tally_votes, target_count,
+                             tokenize_round, VoteKey, VoteMessage)
 from fedsplit.vectors import PartitionMask
 
 
 def mask_of(indices, dim):
-    return PartitionMask.from_indices(indices, dim)
+    return PartitionMask(np.unique(np.array(indices, dtype=np.int64)), dim)
 
 
 class TestTargetCount:
@@ -156,6 +154,17 @@ class TestTokens:
         for blocks in (np.array([5], np.uint64), np.arange(voting._BATCH_LANES, dtype=np.uint64)):
             assert np.array_equal(voting._prp(VoteKey(key, np.int64(3)), blocks),
                                   voting._prp(VoteKey(key, 3), blocks))
+
+    @pytest.mark.parametrize("key,shown", [
+        ("a" * 16, "str"), (list(range(16)), "list"), (bytearray(16), "bytearray"),
+        (memoryview(bytes(16)), "memoryview"), (bytes(15), "15"), (bytes(17), "17"),
+    ], ids=["str", "list", "bytearray", "memoryview", "15-bytes", "17-bytes"])
+    def test_key_is_16_bytes(self, key, shown):
+        """A key is refused where it is made unless it is ``bytes`` of length
+        16: a str or a list would fail inside the PRP, and a bytearray makes
+        a key that does not hash."""
+        with pytest.raises(ValueError, match=f"^vote key must be 16 bytes, got {shown}$"):
+            VoteKey(key, 0)
 
 
 def reference_round(vk, feistel_round, half):
@@ -361,15 +370,13 @@ class TestTally:
     def test_reference_scenario_two_most_frequent(self):
         # three clients propose {1,4}, {1,2}, {4,1}; counts 1 -> 3, 4 -> 2, 2 -> 1
         vk = new_vote_key(7, round_binding=0)
-        msgs = [encrypt_indices(mask_of(p, 5), vk, client_id=i)
-                for i, p in enumerate([[1, 4], [1, 2], [4, 1]])]
+        msgs = [encrypt_indices(mask_of(p, 5), vk) for p in ([1, 4], [1, 2], [4, 1])]
         winners = tally_votes(msgs, 2)
         assert decode_partition(winners, vk, 5, 2).he_indices.tolist() == [1, 4]
 
     def test_unanimity(self):
         vk = new_vote_key(8)
-        msgs = [encrypt_indices(mask_of([0, 2, 3], 6), vk, client_id=i)
-                for i in range(4)]
+        msgs = [encrypt_indices(mask_of([0, 2, 3], 6), vk) for _ in range(4)]
         winners = tally_votes(msgs, 3)
         assert decode_partition(winners, vk, 6, 3).he_indices.tolist() == [0, 2, 3]
 
@@ -385,18 +392,18 @@ class TestTally:
 
     @pytest.mark.parametrize("k", [True, 2.5, 1.0, "1"])
     def test_non_integer_k_rejected(self, k):
-        msg = VoteMessage(0, np.array([3, 9], dtype=np.uint64))
+        msg = VoteMessage(np.array([3, 9], dtype=np.uint64))
         with pytest.raises(ValueError, match="k must be an integer"):
             tally_votes([msg], k)
 
     def test_numpy_integer_k_accepted(self):
-        msg = VoteMessage(0, np.array([3, 9], dtype=np.uint64))
+        msg = VoteMessage(np.array([3, 9], dtype=np.uint64))
         assert tally_votes([msg], np.int64(1)).tolist() == [3]
 
     def test_rank_tokens_most_votes_first_ties_to_smaller_token(self):
-        msgs = [VoteMessage(0, np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
-                VoteMessage(1, np.array([3, 9], dtype=np.uint64)),
-                VoteMessage(2, np.array([3, 7, 2**64 - 1], dtype=np.uint64))]
+        msgs = [VoteMessage(np.array([5, 9, 2**64 - 1], dtype=np.uint64)),
+                VoteMessage(np.array([3, 9], dtype=np.uint64)),
+                VoteMessage(np.array([3, 7, 2**64 - 1], dtype=np.uint64))]
         # two votes each for 3, 9 and 2**64 - 1, then one each for 5 and 7;
         # tally_votes keeps the first k of that ranking, sorted
         ranked = [3, 9, 2**64 - 1, 5, 7]
@@ -415,14 +422,14 @@ class TestTally:
         the tally would elect 2**62, a token nobody sent.  A message holds
         only a strictly increasing 1-D ``uint64`` array."""
         with pytest.raises(ProtocolError, match="strictly increasing"):
-            tally_votes([VoteMessage(0, np.array([2**62 + 1, 2**62 + 3], np.int64)),
-                         VoteMessage(1, np.array([2**62 + 1], np.int64))], 1)
+            tally_votes([VoteMessage(np.array([2**62 + 1, 2**62 + 3], np.int64)),
+                         VoteMessage(np.array([2**62 + 1], np.int64))], 1)
         for tokens in ([1, 2], np.array([[1, 2]], np.uint64), np.array([2, 1], np.uint64),
                        np.array([1, 1], np.uint64), np.array([1.0, 2.0])):
             with pytest.raises(ProtocolError, match="strictly increasing"):
-                VoteMessage(0, tokens)
+                VoteMessage(tokens)
         sent = np.array([2**62 + 1, 2**62 + 3], np.uint64)
-        assert tally_votes([VoteMessage(0, sent), VoteMessage(1, sent[:1])], 1).tolist() == [2**62 + 1]
+        assert tally_votes([VoteMessage(sent), VoteMessage(sent[:1])], 1).tolist() == [2**62 + 1]
 
 
 def set_algebra_decode(tokens, vk, dim, k):
@@ -560,8 +567,7 @@ class TestDecodePartition:
 
     def test_consensus_across_clients(self):
         vk = new_vote_key(14, round_binding=2)
-        msgs = [encrypt_indices(mask_of([i, i + 1], 8), vk, client_id=i)
-                for i in range(3)]
+        msgs = [encrypt_indices(mask_of([i, i + 1], 8), vk) for i in range(3)]
         winners = tally_votes(msgs, 2)
         masks = [decode_partition(winners, vk, 8, 2) for _ in range(5)]
         assert all(m == masks[0] for m in masks)
@@ -590,11 +596,11 @@ def run_oracle_trial(rng, trial):
     vk = new_vote_key(int(rng.integers(0, 2**31)), round_binding=trial)
     proposals = []
     msgs = []
-    for client in range(n_clients):
+    for _ in range(n_clients):
         size = int(rng.integers(0, dim + 1))
         prop = sorted(rng.choice(dim, size=size, replace=False).tolist())
         proposals.append(prop)
-        msgs.append(encrypt_indices(mask_of(prop, dim), vk, client_id=client))
+        msgs.append(encrypt_indices(mask_of(prop, dim), vk))
     got = decode_partition(tally_votes(msgs, k), vk, dim, k).he_indices.tolist()
     expected = brute_force_winners(proposals, k, lambda i: reference_token(vk, i))
     return got, expected
@@ -611,52 +617,14 @@ def test_server_side_blindness_under_relabeling():
     """tally_votes output must be invariant under any equality- and
     order-preserving relabeling of the uint64 tokens."""
     vk = new_vote_key(21)
-    msgs = [encrypt_indices(mask_of(p, 10), vk, client_id=i)
-            for i, p in enumerate([[0, 1, 2], [1, 2], [2, 5], [5]])]
+    msgs = [encrypt_indices(mask_of(p, 10), vk) for p in ([0, 1, 2], [1, 2], [2, 5], [5])]
     all_tokens = sorted({t for m in msgs for t in m.tokens.tolist()})
     # order-preserving relabeling: token -> its rank
     relabel = {t: rank for rank, t in enumerate(all_tokens)}
-    relabeled = [VoteMessage(client_id=m.client_id,
-                             tokens=np.array([relabel[t] for t in m.tokens.tolist()],
-                                             dtype=np.uint64))
+    relabeled = [VoteMessage(np.array([relabel[t] for t in m.tokens.tolist()], dtype=np.uint64))
                  for m in msgs]
     for k in range(0, 5):
         original = tally_votes(msgs, k)
         mapped = tally_votes(relabeled, k)
         assert mapped.tolist() == [relabel[t] for t in original.tolist()]
 
-
-class TestWireFormat:
-    def test_roundtrip(self):
-        vk = new_vote_key(31, round_binding=4)
-        msg = encrypt_indices(mask_of([2, 7, 9], 12), vk, client_id=77)
-        blob = encode_vote_message(msg)
-        assert blob[:4] == (77).to_bytes(4, "big")
-        assert blob[4:8] == (3).to_bytes(4, "big")
-        decoded = decode_vote_message(blob)
-        assert decoded.client_id == msg.client_id
-        assert decoded.tokens.dtype == np.uint64
-        assert np.array_equal(decoded.tokens, msg.tokens)
-
-    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1), (0, 1, 1)],
-                             ids=["swapped-first", "swapped-last", "repeated"])
-    def test_non_increasing_tokens_rejected(self, order):
-        vk = new_vote_key(32)
-        blob = encode_vote_message(encrypt_indices(mask_of([2, 7, 9], 12), vk))
-        tokens = [blob[8 + 8 * i: 16 + 8 * i] for i in range(3)]
-        with pytest.raises(ProtocolError, match="strictly increasing"):
-            decode_vote_message(blob[:8] + b"".join(tokens[i] for i in order))
-
-    @pytest.mark.parametrize("client_id", [2**32, -1, 1.5])
-    def test_client_id_the_wire_cannot_carry_rejected(self, client_id):
-        """The wire holds client_id as an unsigned 32-bit integer, so a message
-        is made only for an integer in [0, 2**32)."""
-        with pytest.raises(ProtocolError,
-                           match=rf"client_id must be an integer in \[0, {2**32 - 1}\]"):
-            encrypt_indices(mask_of([2, 7], 12), new_vote_key(33), client_id=client_id)
-
-    def test_truncated_rejected(self):
-        vk = new_vote_key(31)
-        blob = encode_vote_message(encrypt_indices(mask_of([1], 4), vk))
-        with pytest.raises(ProtocolError):
-            decode_vote_message(blob[:-1])
