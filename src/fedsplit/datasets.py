@@ -4,6 +4,12 @@ The synthetic generator produces Gaussian class clusters with exactly
 balanced labels (round-robin assignment before shuffling), a desk-scale
 stand-in for image benchmarks.  Client partitioning supports IID equal
 shards and Dirichlet(alpha) label-skewed shards; both are fully seeded.
+
+The train/test rows and both partitions read only the labels and the row
+count, and the synthetic draw gives its labels before any feature
+(``synthetic_labels``), then draws the features in row blocks, each placed
+at the rows the caller names (``synthetic_features``).  So a run can work
+out where every row goes first and fill one matrix in that order.
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from .errors import check_int, check_real
 __all__ = [
     "Dataset",
     "synthetic_dataset",
+    "synthetic_labels",
+    "synthetic_features",
     "load_csv_dataset",
+    "train_test_rows",
     "train_test_split",
     "held_out_rows",
     "split_iid",
@@ -31,9 +40,9 @@ __all__ = [
 ]
 
 DIRICHLET_DRAWS = 100
-# Rows per block when the class means are added into the noise, so no
-# temporary the size of the feature matrix is made.
-_ROW_BLOCK = 4096
+# Rows per block of the synthetic feature draw, so the draw holds no
+# temporary near the size of the feature matrix.
+_ROW_BLOCK = 512
 
 
 @dataclass
@@ -61,9 +70,18 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
 
     Class means are drawn on a sphere of radius ``separation``; labels are
     exactly balanced (within one sample) and shuffled deterministically.
-    The means are added into the noise matrix in row blocks, so the matrix
-    is held once; addition commutes, so every value is ``mean + noise``.
+    This is ``synthetic_labels`` then ``synthetic_features`` in natural order.
     """
+    labels, means, rng = synthetic_labels(num_samples, input_dim, num_classes,
+                                          separation, seed)
+    return Dataset(features=synthetic_features(labels, means, rng), labels=labels)
+
+
+def synthetic_labels(num_samples: int, input_dim: int, num_classes: int,
+                     separation: float, seed) -> tuple[np.ndarray, np.ndarray,
+                                                       np.random.Generator]:
+    """The label draw of ``synthetic_dataset``: its labels, and the class means
+    and generator that ``synthetic_features`` draws the rows from next."""
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
     check_real("separation", separation, "(-inf, inf)")
@@ -74,11 +92,33 @@ def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
     means = means / norms * separation
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
-    features = rng.standard_normal((num_samples, input_dim))
-    for start in range(0, num_samples, _ROW_BLOCK):
+    return labels, means, rng
+
+
+def synthetic_features(labels: np.ndarray, means: np.ndarray, rng: np.random.Generator,
+                       order: np.ndarray | None = None) -> np.ndarray:
+    """The row draw of ``synthetic_dataset``: row i is unit noise plus
+    ``means[labels[i]]``, and it lands at row j where ``order[j] == i``
+    (natural order when ``order`` is None).
+
+    The noise is drawn in label order, ``_ROW_BLOCK`` rows at a time, into
+    one reused block, so the draw holds the matrix and two blocks; the
+    generator's stream is the same as one whole-matrix draw.  It draws from
+    ``rng``, so call it once per ``synthetic_labels``.
+    """
+    n, d = labels.size, means.shape[1]
+    dest = np.arange(n)
+    if order is not None:
+        dest[order] = np.arange(n)  # the inverse: row order[j] lands at j
+    features = np.empty((n, d))
+    block = np.empty((min(n, _ROW_BLOCK), d))
+    for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        features[rows] += means[labels[rows]]
-    return Dataset(features=features, labels=labels)
+        noise = block[:dest[rows].size]
+        rng.standard_normal(out=noise)
+        noise += means[labels[rows]]
+        features[dest[rows]] = noise
+    return features
 
 
 def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
@@ -139,17 +179,24 @@ def held_out_rows(num_rows: int, test_fraction: float) -> int:
     return int(round(test_fraction * num_rows))
 
 
+def train_test_rows(num_rows: int, test_fraction: float,
+                    seed) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``train_test_split``'s train and test sides, in its order."""
+    check_real("test_fraction", test_fraction, "[0, 1)")
+    perm = np.random.default_rng(seed).permutation(num_rows)
+    n_test = held_out_rows(num_rows, test_fraction)
+    return perm[n_test:], perm[:n_test]
+
+
 def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled split; the test side is the held-out eval set."""
-    check_real("test_fraction", test_fraction, "[0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ds))
-    n_test = held_out_rows(len(ds), test_fraction)
-    return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
+    train, test = train_test_rows(len(ds), test_fraction, seed)
+    return ds.subset(train), ds.subset(test)
 
 
 def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
-    """Random equal-size shards (sizes differ by at most one sample)."""
+    """Random equal-size shards (sizes differ by at most one sample); reads
+    only ``len(ds)``."""
     check_int("num_clients", num_clients, 1, len(ds))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
@@ -158,7 +205,8 @@ def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
 
 def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
                     seed) -> list[np.ndarray]:
-    """Label-skewed shards: per-class client proportions ~ Dirichlet(alpha).
+    """Label-skewed shards: per-class client proportions ~ Dirichlet(alpha);
+    reads only ``len(ds)`` and ``ds.labels``.
 
     Draws up to ``DIRICHLET_DRAWS`` times until every client holds a sample;
     if no draw does, each empty shard takes one sample from the largest.

@@ -67,8 +67,9 @@ class PrivacyBudget:
 
     @property
     def delta_f(self) -> float:
-        """Mechanism sensitivity 2*theta / min_i |D_i|."""
-        return 2.0 * self.theta / self.min_dataset_size
+        """Mechanism sensitivity 2*theta / min_i |D_i|, in Python floats, so an
+        overflow gives inf without a numpy warning."""
+        return 2.0 * float(self.theta) / self.min_dataset_size
 
     @property
     def sigma_z(self) -> float:
@@ -76,8 +77,8 @@ class PrivacyBudget:
 
         sigma_z = (delta_f / epsilon) * sqrt(2 q T ln(1/delta)).
         """
-        return (self.delta_f / self.epsilon) * math.sqrt(
-            2.0 * self.q * self.rounds_T * math.log(1.0 / self.delta))
+        return (self.delta_f / float(self.epsilon)) * math.sqrt(
+            2.0 * float(self.q) * self.rounds_T * math.log(1.0 / float(self.delta)))
 
 
 def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -105,7 +105,7 @@ def accuracy(spec: ModelSpec, params, test_set: Dataset) -> float:
 def efficiency_ratio(accuracy_pct: float, time_s: float) -> float:
     """Trade-off score (accuracy / time) x 100, accuracy in percent."""
     check_real("time", time_s, "(0, inf]")
-    return accuracy_pct / time_s * 100.0
+    return accuracy_pct / float(time_s) * 100.0  # a Python float overflows to inf unwarned
 
 
 @dataclass(frozen=True)

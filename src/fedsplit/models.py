@@ -20,6 +20,8 @@ __all__ = ["ModelSpec", "param_count", "init_params", "loss_and_grad", "local_tr
            "evaluate_accuracy"]
 
 KINDS = ("linear", "logistic", "mlp")
+# Rows per block in evaluate_accuracy, so no whole-set activation is held.
+_EVAL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,18 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
 
 def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                       y: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions."""
+    """Fraction of argmax-correct predictions, counted over blocks of
+    ``_EVAL_ROWS`` rows, so one block's activations are held at a time.
+
+    BLAS may round a block's logits differently from a whole-set product's;
+    the argmax has not been seen to change (``tests/test_models.py`` pins it).
+    """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    logits, _ = _forward(spec, _unpack(spec, params), X)
-    return float(np.mean(logits.argmax(axis=1) == np.asarray(y)))
+    blocks, y = _unpack(spec, params), np.asarray(y)
+    hits = 0
+    for start in range(0, X.shape[0], _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
+        logits = _forward(spec, blocks, X[rows])[0]  # the activations are freed here
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == y[rows]))
+    return hits / X.shape[0]

@@ -1,5 +1,10 @@
 """End-to-end federated rounds with parallel DP/HE protection.
 
+Setup places every data row once: the train/test split and the client
+shards read only the labels, so the rows' order [test | client 0 | ... |
+client N-1] is known before any feature exists, and the test set and each
+client set are row slices of one feature matrix filled in that order.
+
 One round, in protocol order, is two passes over a sampled cohort.  First,
 each client trains and, under the voted pipeline, proposes a partition.  One
 PRP batch tokenizes the union of the proposals, each client sends its
@@ -29,7 +34,7 @@ import numpy as np
 from . import seeds
 from .config import ExperimentConfig, RatioSchedule, config_to_flat
 from .datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
-                       synthetic_dataset, train_test_split)
+                       synthetic_features, synthetic_labels, train_test_rows)
 from .dp import DpParams, protect_dp
 from .errors import DivergenceError, FedSplitError, check_int
 from .he import make_backend, simulated_round_cost
@@ -71,28 +76,51 @@ class _State:
     sigma_note: str = ""
 
 
-def _build_dataset(cfg: ExperimentConfig) -> Dataset:
+def _placed_sets(cfg: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
+    """The test set and the client sets, as row slices of one feature matrix
+    laid out [test | client 0 | ... | client N-1].
+
+    The train/test rows and the shards read only the labels, so every row's
+    place is known before any feature exists: the synthetic draw fills the
+    matrix in that order, and a CSV load is gathered into it once and freed
+    on return.  The sets equal those of ``train_test_split`` then
+    ``train.subset(shard)`` for each shard, bit for bit.
+    """
     d, m = cfg.data, cfg.model
     if d.kind == "synthetic":
-        return synthetic_dataset(d.num_samples, m.input_dim, m.num_classes,
-                                 d.separation, seeds.seed_sequence(cfg.seed, seeds.DATA))
-    return load_csv_dataset(d.path, m.input_dim, m.num_classes)
+        labels, means, rng = synthetic_labels(d.num_samples, m.input_dim, m.num_classes,
+                                              d.separation,
+                                              seeds.seed_sequence(cfg.seed, seeds.DATA))
+    else:
+        loaded = load_csv_dataset(d.path, m.input_dim, m.num_classes)
+        labels = loaded.labels
+    train, test = train_test_rows(labels.size, d.test_fraction,
+                                  seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
+    if test.size == 0:
+        raise ValueError("test_fraction left an empty evaluation set")
+    # The partitions read only the row count and the labels: no feature columns.
+    train_labels = Dataset(features=np.empty((train.size, 0)), labels=labels[train])
+    n_clients = cfg.rounds.clients_total_N
+    shard_seed = seeds.seed_sequence(cfg.seed, seeds.SPLIT, 1)
+    if d.partition == "iid":
+        shards = split_iid(train_labels, n_clients, shard_seed)
+    else:
+        shards = split_dirichlet(train_labels, n_clients, d.dirichlet_alpha, shard_seed)
+    parts = [test, *(train[s] for s in shards)]
+    order = np.concatenate(parts)
+    if d.kind == "synthetic":
+        features = synthetic_features(labels, means, rng, order)
+    else:
+        features = loaded.features[order]
+    cuts = np.cumsum([p.size for p in parts[:-1]])
+    test_set, *client_sets = map(Dataset, np.split(features, cuts),
+                                 np.split(labels[order], cuts))
+    return test_set, client_sets
 
 
 def _setup(cfg: ExperimentConfig) -> _State:
-    # No name holds the full dataset, so it is freed as the split returns and
-    # never sits beside the client shards.
-    train, test = train_test_split(_build_dataset(cfg), cfg.data.test_fraction,
-                                   seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
-    if len(test) == 0:
-        raise ValueError("test_fraction left an empty evaluation set")
-    n_clients = cfg.rounds.clients_total_N
-    shard_seed = seeds.seed_sequence(cfg.seed, seeds.SPLIT, 1)
-    if cfg.data.partition == "iid":
-        shards = split_iid(train, n_clients, shard_seed)
-    else:
-        shards = split_dirichlet(train, n_clients, cfg.data.dirichlet_alpha, shard_seed)
-    client_sets = [train.subset(s) for s in shards]
+    # The sets are row slices of one placed matrix; nothing else holds the rows.
+    test, client_sets = _placed_sets(cfg)
 
     dp_params = None
     sigma_note = ""

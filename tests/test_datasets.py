@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import tempfile
@@ -6,13 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fedsplit import datasets, runtime
-from fedsplit.config import config_from_flat
-from fedsplit.datasets import (Dataset, load_csv_dataset, split_dirichlet, split_iid,
-                               synthetic_dataset, train_test_split)
+from fedsplit import datasets, runtime, seeds
+from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode, RoundConfig,
+                             config_from_flat)
+from fedsplit.datasets import (Dataset, held_out_rows, load_csv_dataset, split_dirichlet,
+                               split_iid, synthetic_dataset, train_test_split)
+from fedsplit.errors import check_real
+from fedsplit.metrics import accuracy
+from fedsplit.models import ModelSpec, init_params
 
 
 def reference_synthetic(num_samples, input_dim, num_classes, separation, seed):
@@ -421,10 +426,129 @@ class TestSplits:
             train_test_split(ds, 1.0, seed=1)
 
 
+# -- reference: the sets as setup made them before every row was placed once --
+# _build_dataset, synthetic_dataset (with its 4,096-row block) and
+# train_test_split copied verbatim, then _setup's shard and subset lines.
+
+
+def _ref_synthetic_dataset(num_samples, input_dim, num_classes, separation, seed):
+    if num_samples < num_classes:
+        raise ValueError("need at least one sample per class")
+    check_real("separation", separation, "(-inf, inf)")
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((num_classes, input_dim))
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    means = means / norms * separation
+    labels = np.arange(num_samples, dtype=np.int64) % num_classes
+    rng.shuffle(labels)
+    features = rng.standard_normal((num_samples, input_dim))
+    for start in range(0, num_samples, 4096):
+        rows = slice(start, start + 4096)
+        features[rows] += means[labels[rows]]
+    return Dataset(features=features, labels=labels)
+
+
+def _ref_build_dataset(cfg):
+    d, m = cfg.data, cfg.model
+    if d.kind == "synthetic":
+        return _ref_synthetic_dataset(d.num_samples, m.input_dim, m.num_classes,
+                                      d.separation, seeds.seed_sequence(cfg.seed, seeds.DATA))
+    return load_csv_dataset(d.path, m.input_dim, m.num_classes)
+
+
+def _ref_train_test_split(ds, test_fraction, seed):
+    check_real("test_fraction", test_fraction, "[0, 1)")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(ds))
+    n_test = held_out_rows(len(ds), test_fraction)
+    return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
+
+
+def reference_sets(cfg):
+    """(test set, client sets) as ``runtime._setup`` made them by copies."""
+    train, test = _ref_train_test_split(_ref_build_dataset(cfg), cfg.data.test_fraction,
+                                        seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
+    if len(test) == 0:
+        raise ValueError("test_fraction left an empty evaluation set")
+    n_clients = cfg.rounds.clients_total_N
+    shard_seed = seeds.seed_sequence(cfg.seed, seeds.SPLIT, 1)
+    if cfg.data.partition == "iid":
+        shards = split_iid(train, n_clients, shard_seed)
+    else:
+        shards = split_dirichlet(train, n_clients, cfg.data.dirichlet_alpha, shard_seed)
+    return test, [train.subset(s) for s in shards]
+
+
+@st.composite
+def placement_configs(draw):
+    """A synthetic or CSV dataset of up to three draw blocks, any test
+    fraction that leaves both sides a row, an iid or Dirichlet split over
+    1-25 clients, and a seed; the model and protection do not touch the rows."""
+    num_classes = draw(st.integers(1, 6))
+    num_samples = draw(st.integers(max(2, num_classes), 3 * datasets._ROW_BLOCK))
+    test_fraction = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    n_test = held_out_rows(num_samples, test_fraction)
+    assume(1 <= n_test < num_samples)
+    data = DataConfig(kind=draw(st.sampled_from(["synthetic", "csv"])), path="unused",
+                      num_samples=num_samples, separation=draw(st.floats(0.0, 10.0)),
+                      partition=draw(st.sampled_from(["iid", "dirichlet"])),
+                      dirichlet_alpha=draw(st.floats(0.01, 100.0)), test_fraction=test_fraction)
+    n_clients = draw(st.integers(1, min(25, num_samples - n_test)))
+    return ExperimentConfig(
+        data=data, model=ModelSpec("logistic", draw(st.integers(1, 5)), num_classes),
+        rounds=RoundConfig(clients_total_N=n_clients, clients_sampled_n=n_clients),
+        protection=ProtectionMode(kind="none"), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _placement_example(num_samples, kind="synthetic", partition="dirichlet"):
+    return ExperimentConfig(
+        data=DataConfig(kind=kind, path="unused", num_samples=num_samples,
+                        partition=partition, test_fraction=0.25),
+        model=ModelSpec("logistic", 3, 4),
+        rounds=RoundConfig(clients_total_N=7, clients_sampled_n=7),
+        protection=ProtectionMode(kind="none"), seed=num_samples)
+
+
+class TestPlacement:
+    @given(placement_configs())
+    @example(_placement_example(datasets._ROW_BLOCK - 1))
+    @example(_placement_example(datasets._ROW_BLOCK, partition="iid"))
+    @example(_placement_example(datasets._ROW_BLOCK + 1))
+    @example(_placement_example(2 * datasets._ROW_BLOCK + 7, partition="iid"))
+    @example(_placement_example(3 * datasets._ROW_BLOCK, kind="csv"))
+    @settings(deadline=None)
+    def test_setup_equals_the_split_then_subset_reference(self, cfg):
+        """``_setup``'s test set and every client set, views of one placed
+        matrix, equal the copies the split-then-subset path made: features,
+        labels and row order, bit for bit.  A CSV case writes
+        ``num_samples`` seeded rows and loads them on both sides."""
+        with tempfile.TemporaryDirectory() as tmp:
+            if cfg.data.kind == "csv":
+                m, path = cfg.model, os.path.join(tmp, "data.csv")
+                rng = np.random.default_rng(cfg.seed)
+                feats = rng.standard_normal((cfg.data.num_samples, m.input_dim))
+                labels = rng.integers(0, m.num_classes, cfg.data.num_samples)
+                with open(path, "w") as fh:
+                    fh.write(",".join([f"f{i}" for i in range(m.input_dim)] + ["label"]) + "\n")
+                    fh.writelines(",".join(map(repr, row.tolist())) + f",{y}\n"
+                                  for row, y in zip(feats, labels))
+                cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, path=path))
+            state = runtime._setup(cfg)
+            want_test, want_clients = reference_sets(cfg)
+        assert_same_dataset(state.test_set, want_test)
+        assert len(state.client_sets) == len(want_clients)
+        for got, want in zip(state.client_sets, want_clients):
+            assert_same_dataset(got, want)
+        base = state.test_set.features.base
+        assert base is not None and all(c.features.base is base for c in state.client_sets)
+
+
 class TestMemory:
     """``tracemalloc`` peaks as multiples of the feature matrix's bytes: a
-    setup holds the matrix at most about twice, a CSV load the matrix and
-    one row."""
+    synthetic setup holds the placed matrix and two draw blocks, a CSV setup
+    the load and the placed matrix, a CSV load the matrix and one row, and
+    an evaluation one row block's activations."""
 
     @staticmethod
     def traced(fn, *args):
@@ -437,7 +561,7 @@ class TestMemory:
 
     def test_setup_of_a_mixed_ckks_shape(self):
         """20,000 x 100 synthetic rows, Dirichlet shards over N = 20, a ckks
-        key: full, train and test once (2x), never full beside the shards."""
+        key: the placed matrix once, never a full copy beside it."""
         cfg = config_from_flat({
             "dataset.num_samples": "20000", "dataset.input_dim": "100",
             "dataset.num_classes": "10", "dataset.partition": "dirichlet",
@@ -447,16 +571,47 @@ class TestMemory:
             "round.clients_sampled_n": "10", "seed": "1"})
         features = 20000 * 100 * 8
         state, peak = self.traced(runtime._setup, cfg)
-        assert peak <= 2.2 * features
+        assert peak <= 1.3 * features
         assert sum(len(c) for c in state.client_sets) + len(state.test_set) == 20000
 
-    def test_csv_load(self, tmp_path):
+    def test_setup_of_a_csv_dataset(self, tmp_path):
+        """4,000 x 100 CSV rows: the load and the matrix it is gathered into."""
+        path = self.write_csv(tmp_path, 4000)
+        cfg = config_from_flat({
+            "dataset.kind": "csv", "dataset.path": str(path), "dataset.input_dim": "100",
+            "dataset.num_classes": "10", "dataset.partition": "dirichlet",
+            "model.kind": "mlp", "model.hidden_dims": "256", "protection.kind": "none",
+            "round.clients_total_N": "20", "round.clients_sampled_n": "10"})
+        runtime._setup(cfg)  # a first call imports numpy.ma (np.unique): not the rows' cost
+        state, peak = self.traced(runtime._setup, cfg)
+        assert peak <= 2.2 * 4000 * 100 * 8
+        assert sum(len(c) for c in state.client_sets) + len(state.test_set) == 4000
+
+    def test_accuracy_holds_one_block(self):
+        """The 100 -> 256 -> 10 MLP on 4,000 test rows: one 1,024-row block's
+        hidden activations (2.1 MB), under the test set's own bytes; the whole
+        set's activations were 2.7x them."""
+        spec = ModelSpec("mlp", 100, 10, (256,))
+        test = synthetic_dataset(4000, 100, 10, 2.0, seed=0)
+        w = init_params(spec, 0)
+        acc, peak = self.traced(accuracy, spec, w, test)
+        assert peak <= test.features.nbytes
+        assert 0.0 <= acc <= 1.0
+
+    @staticmethod
+    def write_csv(tmp_path, num_rows):
+        """``num_rows`` rows of 100 six-decimal features and a label in [0, 10)."""
         rng = np.random.default_rng(0)
-        rows = np.column_stack([rng.normal(0.0, 1.0, (4000, 100)), np.arange(4000) % 10])
+        rows = np.column_stack([rng.normal(0.0, 1.0, (num_rows, 100)), np.arange(num_rows) % 10])
         path = tmp_path / "data.csv"
         np.savetxt(path, rows, fmt=["%.6f"] * 100 + ["%d"], delimiter=",", comments="",
                    header=",".join([f"f{i}" for i in range(100)] + ["label"]))
+        return path
+
+    def test_csv_load(self, tmp_path):
+        path = self.write_csv(tmp_path, 4000)
         features = 4000 * 100 * 8
         ds, peak = self.traced(load_csv_dataset, str(path), 100, 10)
         assert peak <= 1.3 * features
-        assert ds.features.shape == (4000, 100) and np.array_equal(ds.labels, rows[:, 100])
+        assert ds.features.shape == (4000, 100)
+        assert np.array_equal(ds.labels, np.arange(4000) % 10)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestSigmaFromBudget:
         with pytest.raises(ValueError, match=r"^delta_f = inf gives sigma_z = inf, "
                                              r"not a finite noise std$"):
             budget(theta=theta)
+
+    @pytest.mark.parametrize("field,value", [
+        ("theta", np.float64(1.7e308)), ("epsilon", np.float64(5e-324)),
+        ("delta", np.float64(5e-324)),
+    ])
+    def test_numpy_overflow_refused_without_a_warning(self, field, value):
+        """A numpy scalar whose delta_f or sigma_z overflows gets the same
+        refusal as a Python float, and numpy warns nothing on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gives sigma_z = inf, not a finite noise std$"):
+                budget(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("rounds_T", 2.5), ("rounds_T", 3.0), ("rounds_T", True), ("rounds_T", "3"),

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,11 @@ class TestEfficiencyRatio:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
             efficiency_ratio(50.0, 0.0)
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert efficiency_ratio(50.0, np.float64(5e-324)) == math.inf
 
 
 class TestTheoremBound:

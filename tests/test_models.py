@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsplit import models
 from fedsplit.datasets import synthetic_dataset
 from fedsplit.errors import DivergenceError
 from fedsplit.models import (ModelSpec, evaluate_accuracy, init_params,
@@ -305,6 +306,23 @@ class TestEvaluate:
                                 ds.features, ds.labels)
         # zero weights predict class 0 everywhere; labels are balanced
         assert acc == pytest.approx(0.25, abs=0.01)
+
+    @pytest.mark.parametrize("hidden", [(256,), (64, 32, 16)])
+    @pytest.mark.parametrize("rows", [1, models._EVAL_ROWS - 1, models._EVAL_ROWS,
+                                      models._EVAL_ROWS + 1, 4000])
+    def test_blocks_equal_the_whole_matrix_reference(self, hidden, rows):
+        """Counting hits block by block gives the accuracy of the whole-matrix
+        forward pass, on both sides of the block size.  The logits may round
+        differently, so the labels sit half on the reference's argmax (a
+        flipped argmax shows) and half at random."""
+        spec = ModelSpec("mlp", 100, 10, hidden)
+        rng = np.random.default_rng(rows)
+        w = init_params(spec, rows) + rng.normal(0.0, 0.1, param_count(spec))
+        X = rng.normal(0.0, 1.0, (rows, 100))
+        ref_logits, _ = _ref_forward(spec, _ref_unpack(spec, w), X)
+        y = np.where(np.arange(rows) % 2 == 0, ref_logits.argmax(axis=1),
+                     rng.integers(0, 10, rows))
+        assert evaluate_accuracy(spec, w, X, y) == float(np.mean(ref_logits.argmax(axis=1) == y))
 
     def test_empty_set_rejected(self):
         spec = ModelSpec("logistic", 4, 2)
