@@ -8,7 +8,9 @@ slot-aligned addition with its depth check, the slot-count check (each
 chunk's ``slots_used`` is an integer in [1, ``slot_count``]), the
 chunk-layout check and decrypt stitching (every chunk's ``slots_used``
 values, so decrypt returns exactly what was encrypted), and the
-client-order fold of ``aggregate``.
+client-order fold: ``fold`` adds one client's chunks onto a running sum
+as they arrive, ``decrypt_mean`` decrypts that sum once and divides by the
+client count, and ``aggregate`` is the two over a list of clients.
 Each operation has one name: ``encrypt``, ``hom_add`` and ``decrypt`` are
 defined once here, and a backend supplies only its ``keygen`` and per-chunk
 math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
@@ -76,17 +78,35 @@ class HeBackend:
     def __init__(self, params: HeParams):
         self.params = params
 
+    def fold(self, summed: list[Ciphertext] | None,
+             cts: Sequence[Ciphertext]) -> list[Ciphertext]:
+        """One client's step of ``aggregate``: its chunks added onto the running
+        sum ``summed`` (None before the first client), the sum on the left.
+
+        The sum is updated in place and returned, so each old chunk is freed
+        as its successor is made; the first client's list is copied.
+        """
+        if summed is None:
+            return list(cts)
+        if len(cts) != len(summed):
+            raise ProtocolError("clients produced differing ciphertext chunk counts")
+        for i, ct in enumerate(cts):
+            summed[i] = self.hom_add(summed[i], ct)
+        return summed
+
+    def decrypt_mean(self, kp: KeyPair, summed: list[Ciphertext] | None,
+                     n: int) -> np.ndarray:
+        """Decrypt the folded sum of ``n`` clients' chunks and divide by n."""
+        if summed is None:
+            raise ProtocolError("no client ciphertexts to aggregate")
+        return self.decrypt(kp, summed) / n
+
     def aggregate(self, kp: KeyPair, per_client_cts: Sequence[list]) -> np.ndarray:
         """Fold each client's chunks in client order, decrypt, and divide by n."""
-        if not per_client_cts:
-            raise ProtocolError("no client ciphertexts to aggregate")
-        n_chunks = len(per_client_cts[0])
-        if any(len(cts) != n_chunks for cts in per_client_cts):
-            raise ProtocolError("clients produced differing ciphertext chunk counts")
-        summed = list(per_client_cts[0])
-        for cts in per_client_cts[1:]:
-            summed = [self.hom_add(a, b) for a, b in zip(summed, cts)]
-        return self.decrypt(kp, summed) / len(per_client_cts)
+        summed = None
+        for cts in per_client_cts:
+            summed = self.fold(summed, cts)
+        return self.decrypt_mean(kp, summed, len(per_client_cts))
 
     # -- the shared path -------------------------------------------------------
 

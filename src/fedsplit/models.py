@@ -164,7 +164,8 @@ def local_train(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarra
             loss = _loss_into(spec, blocks, grads, X[batch], y[batch])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss}")
-            w -= learning_rate * grad
+            grad *= learning_rate  # in place: no temporary the size of w
+            w -= grad
     return w - params
 
 

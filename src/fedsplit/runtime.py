@@ -5,19 +5,25 @@ shards read only the labels, so the rows' order [test | client 0 | ... |
 client N-1] is known before any feature exists, and the test set and each
 client set are row slices of one feature matrix filled in that order.
 
-One round, in protocol order, is two passes over a sampled cohort.  First,
-each client trains and, under the voted pipeline, proposes a partition.  One
-PRP batch tokenizes the union of the proposals, each client sends its
-proposal as encrypted index tokens, the server tallies the top-k and clients
-decode the round's mask, after which nothing of the vote is held.  Second,
-each client splits its update, clips and noises the plaintext part and
-encrypts the rest; the server aggregates both parts, clients decrypt and
-merge, and the global model steps.  Every protection mode runs these steps; its pipeline
+One round, in protocol order, holds one client at a time.  Each client
+trains, clips and noises its update (whole, or the plaintext part), splits
+it by the round's mask and encrypts the rest; the server adds the
+plaintext part into a running sum that starts at zeros and folds the
+ciphertexts into a running ciphertext sum (``HeBackend.fold``), and the
+update is dropped.  After the last client the server decrypts the sum
+once, both sums are divided by n and merged, and the global model steps.
+Only the voted pipeline needs the mask after training, so it makes two
+passes: the first trains each client and proposes a partition, one PRP
+batch tokenizes the union of the proposals, each client sends its
+proposal as encrypted index tokens, the server tallies the top-k and
+clients decode the mask, after which nothing of the vote is held; the
+second protects and folds each held update, dropping it as it goes.
+Every protection mode runs these steps; its pipeline
 (``config._PIPELINES``) says which coordinates it encrypts and where it
 clips and noises.  The experiment config and its checks live in
 ``config``; this module only runs it, and ``run_experiment`` times each
 round from outside, so whatever a round frees counts toward that round's
-wall time.  Both passes run on the calling thread in client-id order.
+wall time.  Every pass runs on the calling thread in client-id order.
 
 Determinism contract: every random stream, and the round's vote key, is derived
 from (experiment seed, purpose, round, client), and aggregation folds in fixed
@@ -82,9 +88,9 @@ def _placed_sets(cfg: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
 
     The train/test rows and the shards read only the labels, so every row's
     place is known before any feature exists: the synthetic draw fills the
-    matrix in that order, and a CSV load is gathered into it once and freed
-    on return.  The sets equal those of ``train_test_split`` then
-    ``train.subset(shard)`` for each shard, bit for bit.
+    matrix in that order, and a CSV load is permuted into it in place.  The
+    sets equal those of ``train_test_split`` then ``train.subset(shard)`` for
+    each shard, bit for bit.
     """
     d, m = cfg.data, cfg.model
     if d.kind == "synthetic":
@@ -111,11 +117,31 @@ def _placed_sets(cfg: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
     if d.kind == "synthetic":
         features = synthetic_features(labels, means, rng, order)
     else:
-        features = loaded.features[order]
+        features = _permute_rows(loaded.features, order)
     cuts = np.cumsum([p.size for p in parts[:-1]])
     test_set, *client_sets = map(Dataset, np.split(features, cuts),
                                  np.split(labels[order], cuts))
     return test_set, client_sets
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``a[order]``, written into ``a`` itself with one row of scratch: each
+    cycle of the permutation moves its rows along one place."""
+    row = np.empty(a.shape[1:], dtype=a.dtype)
+    order = memoryview(order)  # Python ints on access, 8 bytes a row
+    done = bytearray(len(order))
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        row[...] = a[start]
+        j = start
+        while order[j] != start:
+            a[j] = a[order[j]]
+            done[j] = 1
+            j = order[j]
+        a[j] = row
+        done[j] = 1
+    return a
 
 
 def _setup(cfg: ExperimentConfig) -> _State:
@@ -149,40 +175,64 @@ def _map_clients(fn, items, workers: int):
     return [fn(item) for item in items]
 
 
-def _train_and_vote(state: _State, t: int, cohort: list, r_t: float,
-                    k: int) -> tuple[list, PartitionMask]:
-    """The first pass and the decode: each client's ``(client, update)`` and the mask.
+class _RestMean:
+    """``np.mean(np.stack(rests), axis=0)`` of rests added one at a time, bit for bit.
+
+    numpy adds the stacked rows in order onto zeros, so a running sum that
+    starts at zeros matches it, -0.0 included (a coordinate that is -0.0 in
+    every rest comes out +0.0).  A single column it sums pairwise instead,
+    so a one-coordinate rest keeps its n values (n floats) for ``np.mean``.
+    """
+
+    def __init__(self, n: int, length: int):
+        self.count = 0
+        self.total = np.zeros((n, 1) if length == 1 else length)
+
+    def add(self, rest: np.ndarray) -> None:
+        if self.total.ndim == 2:
+            self.total[self.count] = rest
+        else:
+            self.total += rest
+        self.count += 1
+
+    def mean(self) -> np.ndarray:
+        if self.total.ndim == 2:
+            return np.mean(self.total, axis=0)
+        return self.total / self.count
+
+
+def _train_and_vote(state: _State, t: int, cohort: list, r_t: float, k: int,
+                    train) -> tuple[dict, PartitionMask]:
+    """The voted pipeline's first pass and decode: each client's update, by
+    client id, and the round's mask.
 
     The round's vote key (with its token table) and the clients' vote
     messages live only in this frame, so nothing of the vote outlives the
     decode.
     """
     cfg = state.config
-    voted = cfg.protection.pipeline.encrypted == "voted"
 
-    def train_one(client: int):
-        ds = state.client_sets[client]
-        u = local_train(cfg.model, state.w, ds.features, ds.labels,
-                        cfg.rounds.local_epochs_K, cfg.rounds.learning_rate_eta,
-                        cfg.rounds.batch_size,
-                        seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
-        if not voted:
-            return client, u, None
+    def train_and_propose(client: int):
+        u = train(client)
         return client, u, propose_partition(
             u, r_t, cfg.strategy, seeds.seed_sequence(cfg.seed, seeds.PROPOSE, t, client))
 
-    trained = _map_clients(train_one, cohort, workers=1)
-    updates = [(client, u) for client, u, _ in trained]
-    if not voted:
-        return updates, PartitionMask(np.arange(k), state.dim)
+    trained = _map_clients(train_and_propose, cohort, workers=1)
     vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
     vk = tokenize_round(vk, [proposal for _, _, proposal in trained])
     msgs = [encrypt_indices(proposal, vk) for _, _, proposal in trained]
-    return updates, decode_partition(tally_votes(msgs, k), vk, state.dim, k)
+    mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
+    return {client: u for client, u, _ in trained}, mask
 
 
 def _run_round(state: _State, t: int) -> tuple[float, float, float]:
-    """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time."""
+    """Run round ``t``; return its encrypted share r_t, accuracy and simulated HE time.
+
+    Each client's update is folded into the running sums as soon as it is
+    protected and then dropped, so the round holds one client's update,
+    rest and ciphertexts at a time (and, under the vote, the cohort's
+    updates until the mask is known).
+    """
     cfg = state.config
     pipe = cfg.protection.pipeline
     rng_sample = np.random.default_rng(seeds.seed_sequence(cfg.seed, seeds.SAMPLING, t))
@@ -192,38 +242,54 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     voted = pipe.encrypted == "voted"
     r_t = ratio_at(cfg.schedule, t) if voted else float(pipe.encrypted == "all")
     k = target_count(r_t, state.dim)
-    trained, mask = _train_and_vote(state, t, cohort, r_t, k)
     dp = state.dp_params
     if pipe.decay:
         dp = DpParams(theta=dp.theta,
                       sigma_z=dp.sigma_z * cfg.protection.amplitude_scale ** t)
+    he_sum = None  # the running ciphertext sum, one client's chunks in size
 
-    def protect_one(item):
-        client, u = item
+    def train(client: int) -> np.ndarray:
+        ds = state.client_sets[client]
+        return local_train(cfg.model, state.w, ds.features, ds.labels,
+                           cfg.rounds.local_epochs_K, cfg.rounds.learning_rate_eta,
+                           cfg.rounds.batch_size,
+                           seeds.seed_sequence(cfg.seed, seeds.TRAIN, t, client))
+
+    def protect_and_fold(client: int, u: np.ndarray) -> None:
+        nonlocal he_sum
         dp_seed = seeds.seed_sequence(cfg.seed, seeds.DP_NOISE, t, client)
         if pipe.noised == "whole":
             u = protect_dp(u, dp, dp_seed)
         rest, he_part = split(u, mask)
+        del u  # the update is released once it is split
         if pipe.noised == "rest":
             rest = protect_dp(rest, dp, dp_seed)
-        cts = []
+        rests.add(rest)
         if mask.size:
             cts = state.backend.encrypt(
                 state.keypair, he_part,
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
-        return rest, cts
+            del he_part
+            he_sum = state.backend.fold(he_sum, cts)
 
-    protected = _map_clients(protect_one, trained, workers=1)
-    rest_mean = np.mean(np.stack([p[0] for p in protected]), axis=0)
+    if voted:
+        updates, mask = _train_and_vote(state, t, cohort, r_t, k, train)
+    else:  # the mask is known before training: each client trains as it is folded
+        updates, mask = None, PartitionMask(np.arange(k), state.dim)
+    rests = _RestMean(len(cohort), state.dim - k)
+    _map_clients(lambda client: protect_and_fold(
+        client, updates.pop(client) if voted else train(client)), cohort, workers=1)
+
+    rest_mean = rests.mean()
     he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
     if mask.size:
-        he_mean = state.backend.aggregate(state.keypair, [p[1] for p in protected])
+        he_mean = state.backend.decrypt_mean(state.keypair, he_sum, len(cohort))
         if state.backend.time_basis == "simulated":
             sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
     global_update = merge(rest_mean, he_mean, mask)
-    # the evaluation's activations need not sit on top of the cohort's updates and ciphertexts
-    del trained, protected, rest_mean, he_mean
+    # the evaluation's activations need not sit on top of the sums
+    del rests, he_sum, rest_mean, he_mean
 
     if not np.all(np.isfinite(global_update)):
         raise DivergenceError(f"round {t}: non-finite global update")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import math
 import os
 import tempfile
@@ -547,12 +548,18 @@ class TestPlacement:
 class TestMemory:
     """``tracemalloc`` peaks as multiples of the feature matrix's bytes: a
     synthetic setup holds the placed matrix and two draw blocks, a CSV setup
-    the load and the placed matrix, a CSV load the matrix and one row, and
-    an evaluation one row block's activations."""
+    and a CSV load the matrix and one row, and an evaluation one row block's
+    activations."""
 
     @staticmethod
     def traced(fn, *args):
-        """``fn(*args)`` and the peak bytes traced while it ran."""
+        """``fn(*args)`` and the peak bytes traced while it ran.
+
+        numpy.ma is imported first: the first ``np.unique`` in a process
+        (``split_dirichlet``'s) imports it, about 0.5 MB that would make a
+        reading depend on which test ran before.
+        """
+        importlib.import_module("numpy.ma")
         tracemalloc.start()
         try:
             return fn(*args), tracemalloc.get_traced_memory()[1]
@@ -575,16 +582,15 @@ class TestMemory:
         assert sum(len(c) for c in state.client_sets) + len(state.test_set) == 20000
 
     def test_setup_of_a_csv_dataset(self, tmp_path):
-        """4,000 x 100 CSV rows: the load and the matrix it is gathered into."""
+        """4,000 x 100 CSV rows: the load, permuted in place into the placed order."""
         path = self.write_csv(tmp_path, 4000)
         cfg = config_from_flat({
             "dataset.kind": "csv", "dataset.path": str(path), "dataset.input_dim": "100",
             "dataset.num_classes": "10", "dataset.partition": "dirichlet",
             "model.kind": "mlp", "model.hidden_dims": "256", "protection.kind": "none",
             "round.clients_total_N": "20", "round.clients_sampled_n": "10"})
-        runtime._setup(cfg)  # a first call imports numpy.ma (np.unique): not the rows' cost
         state, peak = self.traced(runtime._setup, cfg)
-        assert peak <= 2.2 * 4000 * 100 * 8
+        assert peak <= 1.3 * 4000 * 100 * 8
         assert sum(len(c) for c in state.client_sets) + len(state.test_set) == 4000
 
     def test_accuracy_holds_one_block(self):

@@ -559,6 +559,97 @@ class TestSharedValidation:
             backend.aggregate(kp, [])
 
 
+def _reference_aggregate(backend, kp, per_client_cts):
+    """``HeBackend.aggregate`` as it was before the fold, kept verbatim: both
+    checks over the whole list first, then the list fold in client order."""
+    if not per_client_cts:
+        raise ProtocolError("no client ciphertexts to aggregate")
+    n_chunks = len(per_client_cts[0])
+    if any(len(cts) != n_chunks for cts in per_client_cts):
+        raise ProtocolError("clients produced differing ciphertext chunk counts")
+    summed = list(per_client_cts[0])
+    for cts in per_client_cts[1:]:
+        summed = [backend.hom_add(a, b) for a, b in zip(summed, cts)]
+    return backend.decrypt(kp, summed) / len(per_client_cts)
+
+
+FOLD = HeParams(ring_degree=16, scale_bits=20, modulus_bits=50, max_additions=6)
+
+
+@pytest.mark.parametrize("backend_cls", BACKEND_CLASSES, ids=lambda cls: cls.name)
+class TestFold:
+    """``fold`` one client at a time, then ``decrypt_mean``, as a round runs
+    it, and ``aggregate`` built from them, against the list fold they replaced."""
+
+    @staticmethod
+    def outcome(backend, fn):
+        """``fn()``'s value, or the type and message of the ProtocolError it
+        raised, and the add counts (left, right) of every ``hom_add`` it made."""
+        adds, hom_add = [], backend.hom_add
+
+        def spy(a, b):
+            adds.append((a.add_count, b.add_count))
+            return hom_add(a, b)
+
+        backend.hom_add = spy
+        try:
+            return fn(), adds
+        except ProtocolError as exc:
+            return (type(exc), str(exc)), adds
+        finally:
+            del backend.hom_add
+
+    @given(length=st.integers(0, 3 * FOLD.slot_count + 1),
+           clients=st.integers(0, FOLD.max_additions + 1),
+           odd=st.none() | st.integers(0, FOLD.max_additions),
+           seed=st.integers(0, 2**32 - 1))
+    @example(length=0, clients=0, odd=None, seed=0)
+    @example(length=0, clients=2, odd=1, seed=0)
+    @example(length=FOLD.slot_count, clients=FOLD.max_additions + 1, odd=None, seed=1)
+    @example(length=2 * FOLD.slot_count + 1, clients=3, odd=2, seed=2)
+    @example(length=3 * FOLD.slot_count, clients=4, odd=0, seed=3)
+    @settings(deadline=None)
+    def test_equals_the_list_aggregate(self, backend_cls, length, clients, odd, seed):
+        """Bit for bit, with the same hom_add calls (the running sum on the
+        left), and the same ProtocolError for an empty cohort or a client
+        whose chunk count differs (``odd``: one more chunk than the rest)."""
+        backend = backend_cls(FOLD)
+        kp = backend.keygen(seed)
+        rng = np.random.default_rng(seed)
+        per_client = [backend.encrypt(kp, rng.uniform(-1.0, 1.0, length + FOLD.slot_count
+                                                      * (i == odd)), (seed, i))
+                      for i in range(clients)]
+
+        def one_at_a_time():
+            summed = None
+            for cts in per_client:
+                summed = backend.fold(summed, cts)
+            return backend.decrypt_mean(kp, summed, len(per_client))
+
+        want, want_adds = self.outcome(backend, lambda: _reference_aggregate(backend, kp,
+                                                                             per_client))
+        if isinstance(want, tuple):
+            want_adds = None  # the list fold checks every client before its first add
+        for fn in (one_at_a_time, lambda: backend.aggregate(kp, per_client)):
+            got, adds = self.outcome(backend, fn)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert adds == want_adds
+                assert adds == [(i, 0) for i in range(clients - 1)
+                                for _ in range(len(per_client[0]))]
+
+    def test_fold_leaves_each_client_list_as_it_was(self, backend_cls):
+        backend = backend_cls(FOLD)
+        kp = backend.keygen(0)
+        per_client = [backend.encrypt(kp, np.full(40, 0.1 * i), i) for i in range(3)]
+        before = [[id(ct) for ct in cts] for cts in per_client]
+        backend.aggregate(kp, per_client)
+        assert [[id(ct) for ct in cts] for cts in per_client] == before
+
+
 # -- mock backend -----------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedsplit.runtime as runtime_mod
 from fedsplit import seeds, voting
@@ -10,7 +13,7 @@ from fedsplit.he import HeParams
 from fedsplit.metrics import emit_report
 from fedsplit.models import ModelSpec, local_train, param_count
 from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode,
-                             RatioSchedule, RoundConfig)
+                             RatioSchedule, RoundConfig, config_from_flat)
 from fedsplit.runtime import RunAborted, ratio_at, run_experiment
 from fedsplit.voting import target_count
 from test_golden import golden_config
@@ -384,3 +387,58 @@ class TestMinimalAndErrors:
     def test_sigma_note_recorded(self):
         rep = run_experiment(small_config())
         assert any("sigma_z" in note for note in rep.notes)
+
+
+class TestRestMean:
+    @given(clients=st.integers(1, 300), length=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(clients=8, length=1, seed=3)  # one column: np.mean sums it pairwise
+    @example(clients=300, length=1, seed=0)
+    @example(clients=3, length=2, seed=2)
+    @settings(deadline=None)
+    def test_equals_the_stacked_mean(self, clients, length, seed):
+        """The rests added one at a time give ``np.mean(np.stack(rests), axis=0)``
+        bit for bit; a coordinate that is -0.0 in every rest is +0.0 there,
+        where a sum seeded with the first rest would keep -0.0."""
+        rng = np.random.default_rng(seed)
+        rests = [rng.standard_normal(length) * 10.0 ** rng.integers(-12, 12, length)
+                 for _ in range(clients)]
+        for rest in rests:
+            rest[1:2] = -0.0
+        mean = runtime_mod._RestMean(clients, length)
+        for rest in rests:
+            mean.add(rest)
+        got, want = mean.mean(), np.mean(np.stack(rests), axis=0)
+        assert got.shape == want.shape == (length,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if length >= 2:
+            assert not np.signbit(got[1])
+            assert np.signbit(sum(rests[1:], rests[0].copy())[1])
+
+
+class TestMemory:
+    """``tracemalloc`` peaks of one round (round 1, after setup and round 0) at
+    the benchmark's ``he_ckks`` shape, as multiples of one update's bytes
+    (28,426 parameters): a round holds one client's update, rest and
+    ciphertexts at a time, and under the vote the cohort's updates and the
+    vote.  Holding every client's update, rest and ciphertexts to the end
+    of the round read 31-36x."""
+
+    @pytest.mark.parametrize("kind,backend,bound", [("he_only", "ckks", 10),
+                                                    ("dp_only", "mock", 10),
+                                                    ("parallel", "mock", 22)])
+    def test_round_holds_one_client(self, kind, backend, bound):
+        state = runtime_mod._setup(config_from_flat({
+            "dataset.num_samples": "2000", "dataset.input_dim": "100",
+            "dataset.num_classes": "10", "model.kind": "mlp", "model.hidden_dims": "256",
+            "protection.kind": kind, "he.backend": backend,
+            "round.clients_total_N": "10", "round.clients_sampled_n": "10",
+            "round.local_epochs_K": "1", "round.rounds_T": "2", "seed": "1"}))
+        runtime_mod._run_round(state, 0)
+        tracemalloc.start()
+        try:
+            runtime_mod._run_round(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * state.dim * 8
