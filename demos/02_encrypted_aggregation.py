@@ -3,9 +3,11 @@
 Ten clients each hold a real-valued vector.  Every client encrypts its
 vector under a shared public key; the server folds the ciphertexts with
 homomorphic addition and never sees a plaintext; the clients decrypt the
-sum and divide by the client count.  Each ciphertext records how many
-values it holds, so ``aggregate(keys, encrypted)`` and ``decrypt(keys, cts)``
-return every encrypted value without being told the length.  The lattice
+sum and divide by the client count.  The server holds one running sum:
+``fold`` adds each client's ciphertexts onto it as they arrive, and
+``decrypt_mean`` decrypts it once.  Each ciphertext records how many values
+it holds, so ``decrypt_mean`` and ``decrypt(keys, cts)`` return every
+encrypted value without being told the length.  The lattice
 backend ("ckks") is an RLWE scheme with fixed-point coefficient packing;
 the "mock" backend holds plaintext internally and exists to charge a
 reproducible simulated cost.
@@ -26,9 +28,11 @@ vectors = [rng.uniform(-1, 1, length) for _ in range(n_clients)]
 
 print(f"encrypting {n_clients} vectors of length {length} "
       f"({np.ceil(length / params.slot_count):.0f} ciphertexts each)")
-encrypted = [backend.encrypt(keys, v, seed=i) for i, v in enumerate(vectors)]
+summed = None  # the server's running sum, folded in client order
+for i, v in enumerate(vectors):
+    summed = backend.fold(summed, backend.encrypt(keys, v, seed=i))
 
-mean = backend.aggregate(keys, encrypted)  # fold in client order, decrypt, / n
+mean = backend.decrypt_mean(keys, summed, n_clients)  # decrypt once, / n
 true_mean = np.mean(vectors, axis=0)
 print(f"max |decrypted mean - plaintext mean| = "
       f"{np.max(np.abs(mean - true_mean)):.2e}")

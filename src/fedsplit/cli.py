@@ -41,8 +41,6 @@ def _collect_overrides(args) -> list:
     overrides = list(args.set or [])
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
-    if getattr(args, "workers", None) is not None:
-        overrides.append(f"workers={args.workers}")
     return overrides
 
 
@@ -164,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted, no effect: rounds run on one thread, "
-                            "since threads slowed every benchmark workload")
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_common(p_run)

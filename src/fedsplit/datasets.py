@@ -32,7 +32,6 @@ __all__ = [
     "synthetic_features",
     "load_csv_dataset",
     "train_test_rows",
-    "train_test_split",
     "held_out_rows",
     "split_iid",
     "split_dirichlet",
@@ -59,10 +58,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[idx], labels=self.labels[idx])
-
 
 def synthetic_dataset(num_samples: int, input_dim: int, num_classes: int,
                       separation: float, seed) -> Dataset:
@@ -82,6 +77,9 @@ def synthetic_labels(num_samples: int, input_dim: int, num_classes: int,
                                                        np.random.Generator]:
     """The label draw of ``synthetic_dataset``: its labels, and the class means
     and generator that ``synthetic_features`` draws the rows from next."""
+    check_int("num_samples", num_samples, 1)
+    check_int("input_dim", input_dim, 1)
+    check_int("num_classes", num_classes, 1)
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
     check_real("separation", separation, "(-inf, inf)")
@@ -175,51 +173,47 @@ def load_csv_dataset(path: str, input_dim: int, num_classes: int) -> Dataset:
 
 
 def held_out_rows(num_rows: int, test_fraction: float) -> int:
-    """Rows ``train_test_split`` holds out for evaluation."""
+    """Rows ``train_test_rows`` holds out for evaluation."""
     return int(round(test_fraction * num_rows))
 
 
 def train_test_rows(num_rows: int, test_fraction: float,
                     seed) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``train_test_split``'s train and test sides, in its order."""
+    """A deterministic shuffled split of rows 0..num_rows-1 into train and test
+    sides; the test side (``held_out_rows`` rows) is the held-out eval set."""
     check_real("test_fraction", test_fraction, "[0, 1)")
     perm = np.random.default_rng(seed).permutation(num_rows)
     n_test = held_out_rows(num_rows, test_fraction)
     return perm[n_test:], perm[:n_test]
 
 
-def train_test_split(ds: Dataset, test_fraction: float, seed) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled split; the test side is the held-out eval set."""
-    train, test = train_test_rows(len(ds), test_fraction, seed)
-    return ds.subset(train), ds.subset(test)
-
-
-def split_iid(ds: Dataset, num_clients: int, seed) -> list[np.ndarray]:
-    """Random equal-size shards (sizes differ by at most one sample); reads
-    only ``len(ds)``."""
-    check_int("num_clients", num_clients, 1, len(ds))
+def split_iid(num_rows: int, num_clients: int, seed) -> list[np.ndarray]:
+    """Random equal-size shards of rows 0..num_rows-1 (sizes differ by at most
+    one sample)."""
+    check_int("num_rows", num_rows, 1)
+    check_int("num_clients", num_clients, 1, num_rows)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ds))
+    perm = rng.permutation(num_rows)
     return [np.sort(part) for part in np.array_split(perm, num_clients)]
 
 
-def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
+def split_dirichlet(labels: np.ndarray, num_clients: int, alpha: float,
                     seed) -> list[np.ndarray]:
-    """Label-skewed shards: per-class client proportions ~ Dirichlet(alpha);
-    reads only ``len(ds)`` and ``ds.labels``.
+    """Label-skewed shards of the rows of ``labels``: per-class client
+    proportions ~ Dirichlet(alpha).
 
     Draws up to ``DIRICHLET_DRAWS`` times until every client holds a sample;
     if no draw does, each empty shard takes one sample from the largest.
     """
-    check_int("num_clients", num_clients, 1, len(ds))
+    check_int("num_clients", num_clients, 1, labels.size)
     # an infinite alpha draws NaN proportions, which cast to invalid cuts
     check_real("alpha", alpha, "(0, inf)")
     check_dirichlet_sum("alpha", alpha, "num_clients", num_clients)
     rng = np.random.default_rng(seed)
     for _ in range(DIRICHLET_DRAWS):
         shards = [[] for _ in range(num_clients)]
-        for cls in np.unique(ds.labels):
-            cls_idx = rng.permutation(np.nonzero(ds.labels == cls)[0])
+        for cls in np.unique(labels):
+            cls_idx = rng.permutation(np.nonzero(labels == cls)[0])
             proportions = rng.dirichlet(np.full(num_clients, float(alpha)))
             cuts = (np.cumsum(proportions)[:-1] * cls_idx.size).astype(np.int64)
             for client, part in enumerate(np.split(cls_idx, cuts)):
@@ -227,7 +221,7 @@ def split_dirichlet(ds: Dataset, num_clients: int, alpha: float,
         if all(len(s) >= 1 for s in shards):
             break
     else:
-        for shard in shards:  # at most num_clients <= len(ds) moves
+        for shard in shards:  # at most num_clients <= labels.size moves
             if not shard:
                 shard.append(max(shards, key=len).pop())
     return [np.sort(np.array(s, dtype=np.int64)) for s in shards]

@@ -9,8 +9,8 @@ chunk's ``slots_used`` is an integer in [1, ``slot_count``]), the
 chunk-layout check and decrypt stitching (every chunk's ``slots_used``
 values, so decrypt returns exactly what was encrypted), and the
 client-order fold: ``fold`` adds one client's chunks onto a running sum
-as they arrive, ``decrypt_mean`` decrypts that sum once and divides by the
-client count, and ``aggregate`` is the two over a list of clients.
+as they arrive, and ``decrypt_mean`` decrypts that sum once and divides by
+the client count.
 Each operation has one name: ``encrypt``, ``hom_add`` and ``decrypt`` are
 defined once here, and a backend supplies only its ``keygen`` and per-chunk
 math: ``_encrypt_chunk``, ``_add_payloads`` and ``_decrypt_chunk``.
@@ -80,8 +80,9 @@ class HeBackend:
 
     def fold(self, summed: list[Ciphertext] | None,
              cts: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """One client's step of ``aggregate``: its chunks added onto the running
-        sum ``summed`` (None before the first client), the sum on the left.
+        """One client's step of the client-order fold: its chunks added onto
+        the running sum ``summed`` (None before the first client), the sum on
+        the left.
 
         The sum is updated in place and returned, so each old chunk is freed
         as its successor is made; the first client's list is copied.
@@ -99,14 +100,8 @@ class HeBackend:
         """Decrypt the folded sum of ``n`` clients' chunks and divide by n."""
         if summed is None:
             raise ProtocolError("no client ciphertexts to aggregate")
+        check_int("n", n, 1)
         return self.decrypt(kp, summed) / n
-
-    def aggregate(self, kp: KeyPair, per_client_cts: Sequence[list]) -> np.ndarray:
-        """Fold each client's chunks in client order, decrypt, and divide by n."""
-        summed = None
-        for cts in per_client_cts:
-            summed = self.fold(summed, cts)
-        return self.decrypt_mean(kp, summed, len(per_client_cts))
 
     # -- the shared path -------------------------------------------------------
 

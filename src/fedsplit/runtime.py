@@ -89,8 +89,9 @@ def _placed_sets(cfg: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
     The train/test rows and the shards read only the labels, so every row's
     place is known before any feature exists: the synthetic draw fills the
     matrix in that order, and a CSV load is permuted into it in place.  The
-    sets equal those of ``train_test_split`` then ``train.subset(shard)`` for
-    each shard, bit for bit.
+    sets equal, bit for bit, those of the reference copy in
+    ``tests/test_datasets.py::TestPlacement``, which builds the whole set
+    and indexes its rows.
     """
     d, m = cfg.data, cfg.model
     if d.kind == "synthetic":
@@ -104,14 +105,12 @@ def _placed_sets(cfg: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
                                   seeds.seed_sequence(cfg.seed, seeds.SPLIT, 0))
     if test.size == 0:
         raise ValueError("test_fraction left an empty evaluation set")
-    # The partitions read only the row count and the labels: no feature columns.
-    train_labels = Dataset(features=np.empty((train.size, 0)), labels=labels[train])
     n_clients = cfg.rounds.clients_total_N
     shard_seed = seeds.seed_sequence(cfg.seed, seeds.SPLIT, 1)
     if d.partition == "iid":
-        shards = split_iid(train_labels, n_clients, shard_seed)
+        shards = split_iid(train.size, n_clients, shard_seed)
     else:
-        shards = split_dirichlet(train_labels, n_clients, d.dirichlet_alpha, shard_seed)
+        shards = split_dirichlet(labels[train], n_clients, d.dirichlet_alpha, shard_seed)
     parts = [test, *(train[s] for s in shards)]
     order = np.concatenate(parts)
     if d.kind == "synthetic":

@@ -258,7 +258,7 @@ def test_criterion_10_determinism(tmp_path):
         for name, workers in (("a", "1"), ("b", "2"), ("c", "1")):
             out = tmp_path / name
             assert main(["run", "--config", str(cfg_path), "--out", str(out),
-                         "--workers", workers]) == 0
+                         "--set", f"workers={workers}"]) == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
         doc = json.loads(blobs[0].decode())

@@ -157,7 +157,7 @@ class TestRun:
         for workers in ("1", "3"):
             out = tmp_path / f"w{workers}"
             assert main(["run", "--config", str(mini_config), "--out", str(out),
-                         "--workers", workers]) == 0
+                         "--set", f"workers={workers}"]) == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -193,11 +193,10 @@ class TestRun:
         # scored as class 0 (the argmax of NaN logits)
         import numpy as np
         from fedsplit import seeds
-        from fedsplit.datasets import Dataset, train_test_split
+        from fedsplit.datasets import train_test_rows
         n = 40
-        numbered = Dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n, np.int64))
-        train, test = train_test_split(numbered, 0.2, seeds.seed_sequence(0, seeds.SPLIT, 0))
-        row = int((test if held_out else train).features[0, 0])
+        train, test = train_test_rows(n, 0.2, seeds.seed_sequence(0, seeds.SPLIT, 0))
+        row = int((test if held_out else train)[0])
         rng = np.random.default_rng(0)
         rows = ["f0,f1,label"]
         for i in range(n):
@@ -441,7 +440,8 @@ class TestUsageErrors:
         ["run", "--config", "x"],
         ["run", "--config", "x", "--out", "y", "--seed", "abc"],
         ["vote-demo"],  # an unknown subcommand
-    ], ids=["missing-out", "seed-not-int", "vote-demo"])
+        ["run", "--config", "x", "--out", "y", "--workers", "2"],  # the key is --set workers=
+    ], ids=["missing-out", "seed-not-int", "vote-demo", "workers-flag"])
     def test_malformed_command_line_exits_one(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsplit.config import DataConfig, ExperimentConfig, RatioSchedule, RoundConfig
-from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset
+from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset, synthetic_labels
 from fedsplit.dp import PrivacyBudget
 from fedsplit.errors import DimensionError
 from fedsplit.he import HeCostModel, HeParams, MockBackend, simulated_round_cost
@@ -32,7 +32,8 @@ _ROWS = np.zeros((4, 2))
 _LABELS = np.array([0, 1, 0, 1])
 _DATA = synthetic_dataset(6, 2, 2, 2.0, 0)
 _BACKEND = MockBackend(HeParams(ring_degree=64))
-_CT = _BACKEND.encrypt(_BACKEND.keygen(0), np.ones(3), 1)[0]
+_KEYS = _BACKEND.keygen(0)
+_CT = _BACKEND.encrypt(_KEYS, np.ones(3), 1)[0]
 
 
 def _add_with_slots(v):
@@ -71,6 +72,8 @@ SITES = [
     ("PartitionMask.dim", lambda v: PartitionMask(np.array([0]), v), 1, None, DimensionError),
     ("VoteKey.round_binding", lambda v: VoteKey(_VK.key, v), -2**63, 2**63 - 1, ValueError),
     ("HeBackend.slots_used", _add_with_slots, 1, 64, DimensionError),
+    ("HeBackend.decrypt_mean.n", lambda v: _BACKEND.decrypt_mean(_KEYS, [_CT], v), 1, None,
+     ValueError),
     ("HeParams.ring_degree", lambda v: HeParams(ring_degree=v), 8, 2**17, ValueError),
     ("HeParams.scale_bits", lambda v: HeParams(scale_bits=v), 1, 49, ValueError),
     ("HeParams.modulus_bits", lambda v: HeParams(modulus_bits=v), 21, 51, ValueError),
@@ -80,8 +83,15 @@ SITES = [
     ("ModelSpec.hidden_dims", lambda v: ModelSpec("mlp", 2, 2, (3, v)), 1, None, ValueError),
     ("local_train.epochs", lambda v: _train(epochs=v), 1, None, ValueError),
     ("local_train.batch_size", lambda v: _train(batch_size=v), 1, None, ValueError),
-    ("split_iid.num_clients", lambda v: split_iid(_DATA, v, 0), 1, 6, ValueError),
-    ("split_dirichlet.num_clients", lambda v: split_dirichlet(_DATA, v, 1.0, 0), 1, 6,
+    ("synthetic_labels.num_samples", lambda v: synthetic_labels(v, 2, 1, 1.0, 0), 1, None,
+     ValueError),
+    ("synthetic_labels.input_dim", lambda v: synthetic_labels(4, v, 2, 1.0, 0), 1, None,
+     ValueError),
+    ("synthetic_labels.num_classes", lambda v: synthetic_labels(4, 2, v, 1.0, 0), 1, None,
+     ValueError),
+    ("split_iid.num_rows", lambda v: split_iid(v, 1, 0), 1, None, ValueError),
+    ("split_iid.num_clients", lambda v: split_iid(6, v, 0), 1, 6, ValueError),
+    ("split_dirichlet.num_clients", lambda v: split_dirichlet(_DATA.labels, v, 1.0, 0), 1, 6,
      ValueError),
     ("BoundInputs.N", lambda v: BoundInputs(**{**_BOUND, "N": v}), 1, None, ValueError),
     ("BoundInputs.T", lambda v: BoundInputs(**{**_BOUND, "T": v}), 1, None, ValueError),

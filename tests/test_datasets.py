@@ -15,7 +15,7 @@ from fedsplit import datasets, runtime, seeds
 from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode, RoundConfig,
                              config_from_flat)
 from fedsplit.datasets import (Dataset, held_out_rows, load_csv_dataset, split_dirichlet,
-                               split_iid, synthetic_dataset, train_test_split)
+                               split_iid, synthetic_dataset, train_test_rows)
 from fedsplit.errors import check_real
 from fedsplit.metrics import accuracy
 from fedsplit.models import ModelSpec, init_params
@@ -359,7 +359,7 @@ class TestCsvAgainstReference:
 class TestSplits:
     def test_iid_equal_shards(self):
         ds = synthetic_dataset(2000, 4, 4, 1.0, seed=0)
-        shards = split_iid(ds, 10, seed=1)
+        shards = split_iid(len(ds), 10, seed=1)
         assert [s.size for s in shards] == [200] * 10
         joined = np.concatenate(shards)
         assert np.array_equal(np.sort(joined), np.arange(2000))
@@ -367,14 +367,14 @@ class TestSplits:
     def test_more_clients_than_samples(self):
         ds = synthetic_dataset(2000, 4, 4, 1.0, seed=0)
         with pytest.raises(ValueError):
-            split_iid(ds, 3000, seed=1)
+            split_iid(len(ds), 3000, seed=1)
         with pytest.raises(ValueError):
-            split_dirichlet(ds, 3000, 0.5, seed=1)
+            split_dirichlet(ds.labels, 3000, 0.5, seed=1)
 
     def test_dirichlet_reproducible(self):
         ds = synthetic_dataset(500, 4, 5, 1.0, seed=0)
-        a = split_dirichlet(ds, 8, 0.5, seed=42)
-        b = split_dirichlet(ds, 8, 0.5, seed=42)
+        a = split_dirichlet(ds.labels, 8, 0.5, seed=42)
+        b = split_dirichlet(ds.labels, 8, 0.5, seed=42)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
         # per-client class histograms identical run to run
@@ -385,7 +385,7 @@ class TestSplits:
 
     def test_dirichlet_covers_and_disjoint(self):
         ds = synthetic_dataset(600, 4, 3, 1.0, seed=0)
-        shards = split_dirichlet(ds, 6, 0.3, seed=5)
+        shards = split_dirichlet(ds.labels, 6, 0.3, seed=5)
         joined = np.concatenate(shards)
         assert joined.size == 600
         assert np.unique(joined).size == 600
@@ -393,7 +393,7 @@ class TestSplits:
 
     def test_dirichlet_too_skewed_for_any_draw_covers_every_client(self):
         ds = synthetic_dataset(600, 4, 3, 2.0, seed=0)
-        shards = split_dirichlet(ds, 10, 0.01, seed=1)
+        shards = split_dirichlet(ds.labels, 10, 0.01, seed=1)
         assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(600))
         assert all(s.size >= 1 for s in shards)
 
@@ -405,31 +405,32 @@ class TestSplits:
         ds = synthetic_dataset(6, 2, 2, 1.0, seed=0)
         with pytest.raises(ValueError, match=r"^alpha=.* times num_clients=2 overflows "
                                              r"the Dirichlet draw$"):
-            split_dirichlet(ds, 2, alpha, seed=0)
-        assert len(split_dirichlet(ds, 2, 4e307, seed=0)) == 2
+            split_dirichlet(ds.labels, 2, alpha, seed=0)
+        assert len(split_dirichlet(ds.labels, 2, 4e307, seed=0)) == 2
 
     def test_dirichlet_skew_increases_as_alpha_shrinks(self):
         ds = synthetic_dataset(3000, 4, 4, 1.0, seed=0)
 
         def skew(alpha):
-            shards = split_dirichlet(ds, 10, alpha, seed=3)
+            shards = split_dirichlet(ds.labels, 10, alpha, seed=3)
             hists = np.array([np.bincount(ds.labels[s], minlength=4) / s.size
                               for s in shards])
             return hists.std(axis=0).mean()
 
         assert skew(0.2) > skew(100.0)
 
-    def test_train_test_split(self):
-        ds = synthetic_dataset(100, 4, 2, 1.0, seed=0)
-        train, test = train_test_split(ds, 0.2, seed=1)
-        assert len(train) == 80 and len(test) == 20
+    def test_train_test_rows(self):
+        train, test = train_test_rows(100, 0.2, seed=1)
+        assert train.size == 80 and test.size == 20
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(100))
         with pytest.raises(ValueError):
-            train_test_split(ds, 1.0, seed=1)
+            train_test_rows(100, 1.0, seed=1)
 
 
 # -- reference: the sets as setup made them before every row was placed once --
 # _build_dataset, synthetic_dataset (with its 4,096-row block) and
-# train_test_split copied verbatim, then _setup's shard and subset lines.
+# train_test_split copied verbatim, then _setup's shard and subset lines, with
+# Dataset.subset written out as ``_ref_rows``.
 
 
 def _ref_synthetic_dataset(num_samples, input_dim, num_classes, separation, seed):
@@ -458,12 +459,17 @@ def _ref_build_dataset(cfg):
     return load_csv_dataset(d.path, m.input_dim, m.num_classes)
 
 
+def _ref_rows(ds, indices):
+    idx = np.asarray(indices, dtype=np.int64)
+    return Dataset(features=ds.features[idx], labels=ds.labels[idx])
+
+
 def _ref_train_test_split(ds, test_fraction, seed):
     check_real("test_fraction", test_fraction, "[0, 1)")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
     n_test = held_out_rows(len(ds), test_fraction)
-    return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
+    return _ref_rows(ds, perm[n_test:]), _ref_rows(ds, perm[:n_test])
 
 
 def reference_sets(cfg):
@@ -475,10 +481,10 @@ def reference_sets(cfg):
     n_clients = cfg.rounds.clients_total_N
     shard_seed = seeds.seed_sequence(cfg.seed, seeds.SPLIT, 1)
     if cfg.data.partition == "iid":
-        shards = split_iid(train, n_clients, shard_seed)
+        shards = split_iid(len(train), n_clients, shard_seed)
     else:
-        shards = split_dirichlet(train, n_clients, cfg.data.dirichlet_alpha, shard_seed)
-    return test, [train.subset(s) for s in shards]
+        shards = split_dirichlet(train.labels, n_clients, cfg.data.dirichlet_alpha, shard_seed)
+    return test, [_ref_rows(train, s) for s in shards]
 
 
 @st.composite

@@ -19,6 +19,15 @@ SMALL = HeParams(ring_degree=64, scale_bits=20, modulus_bits=50, max_additions=2
 BACKEND_CLASSES = (CkksBackend, MockBackend)
 
 
+def _fold_mean(backend, kp, per_client_cts):
+    """The server's side of a round: each client's chunks folded in client
+    order, then ``decrypt_mean``."""
+    summed = None
+    for cts in per_client_cts:
+        summed = backend.fold(summed, cts)
+    return backend.decrypt_mean(kp, summed, len(per_client_cts))
+
+
 # -- ring ------------------------------------------------------------------------
 
 
@@ -525,9 +534,10 @@ class TestSharedValidation:
     @settings(deadline=None)
     def test_decrypt_returns_exactly_what_was_encrypted(self, backend_cls, length, clients,
                                                         seed):
-        """Every chunk gives back its ``slots_used`` values: decrypt and aggregate
-        return ``x.size`` values, exact on mock and within the decode tolerance
-        on ckks, for lengths on and off the chunk boundaries."""
+        """Every chunk gives back its ``slots_used`` values: decrypt and the
+        fold's ``decrypt_mean`` return ``x.size`` values, exact on mock and
+        within the decode tolerance on ckks, for lengths on and off the chunk
+        boundaries."""
         backend = backend_cls(SMALL)
         kp = backend.keygen(seed)
         rng = np.random.default_rng(seed)
@@ -535,7 +545,7 @@ class TestSharedValidation:
         per_client = [backend.encrypt(kp, x, (seed, i)) for i, x in enumerate(xs)]
         client_order_mean = sum(xs[1:], xs[0]) / clients
         for got, want in ((backend.decrypt(kp, per_client[0]), xs[0]),
-                          (backend.aggregate(kp, per_client), client_order_mean)):
+                          (_fold_mean(backend, kp, per_client), client_order_mean)):
             assert got.shape == (length,) and got.dtype == np.float64
             if backend.name == "mock":
                 assert np.array_equal(got, want)
@@ -546,7 +556,7 @@ class TestSharedValidation:
         backend = backend_cls(SMALL)
         kp = backend.keygen(0)
         per_client = [backend.encrypt(kp, self.x * (i + 1), i) for i in range(3)]
-        mean = backend.aggregate(kp, per_client)
+        mean = _fold_mean(backend, kp, per_client)
         assert np.max(np.abs(mean - 2 * self.x)) < 1e-3
 
     def test_aggregate_rejects_differing_chunk_counts(self, backend_cls):
@@ -554,9 +564,9 @@ class TestSharedValidation:
         kp = backend.keygen(0)
         per_client = [backend.encrypt(kp, self.x, 1), backend.encrypt(kp, self.x[:100], 2)]
         with pytest.raises(ProtocolError, match="chunk counts"):
-            backend.aggregate(kp, per_client)
+            _fold_mean(backend, kp, per_client)
         with pytest.raises(ProtocolError, match="no client"):
-            backend.aggregate(kp, [])
+            _fold_mean(backend, kp, [])
 
 
 def _reference_aggregate(backend, kp, per_client_cts):
@@ -579,7 +589,7 @@ FOLD = HeParams(ring_degree=16, scale_bits=20, modulus_bits=50, max_additions=6)
 @pytest.mark.parametrize("backend_cls", BACKEND_CLASSES, ids=lambda cls: cls.name)
 class TestFold:
     """``fold`` one client at a time, then ``decrypt_mean``, as a round runs
-    it, and ``aggregate`` built from them, against the list fold they replaced."""
+    it, against the list aggregate they replaced."""
 
     @staticmethod
     def outcome(backend, fn):
@@ -619,34 +629,26 @@ class TestFold:
         per_client = [backend.encrypt(kp, rng.uniform(-1.0, 1.0, length + FOLD.slot_count
                                                       * (i == odd)), (seed, i))
                       for i in range(clients)]
-
-        def one_at_a_time():
-            summed = None
-            for cts in per_client:
-                summed = backend.fold(summed, cts)
-            return backend.decrypt_mean(kp, summed, len(per_client))
-
         want, want_adds = self.outcome(backend, lambda: _reference_aggregate(backend, kp,
                                                                              per_client))
         if isinstance(want, tuple):
             want_adds = None  # the list fold checks every client before its first add
-        for fn in (one_at_a_time, lambda: backend.aggregate(kp, per_client)):
-            got, adds = self.outcome(backend, fn)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                assert adds == want_adds
-                assert adds == [(i, 0) for i in range(clients - 1)
-                                for _ in range(len(per_client[0]))]
+        got, adds = self.outcome(backend, lambda: _fold_mean(backend, kp, per_client))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert adds == want_adds
+            assert adds == [(i, 0) for i in range(clients - 1)
+                            for _ in range(len(per_client[0]))]
 
     def test_fold_leaves_each_client_list_as_it_was(self, backend_cls):
         backend = backend_cls(FOLD)
         kp = backend.keygen(0)
         per_client = [backend.encrypt(kp, np.full(40, 0.1 * i), i) for i in range(3)]
         before = [[id(ct) for ct in cts] for cts in per_client]
-        backend.aggregate(kp, per_client)
+        _fold_mean(backend, kp, per_client)
         assert [[id(ct) for ct in cts] for cts in per_client] == before
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode, RatioSchedule,
                              RoundConfig)
-from fedsplit.datasets import split_dirichlet, synthetic_dataset, train_test_split
+from fedsplit.datasets import split_dirichlet, synthetic_dataset, train_test_rows
 from fedsplit.dp import DpParams, PrivacyBudget
 from fedsplit.he import HeCostModel
 from fedsplit.metrics import BoundInputs, RoundMetrics, efficiency_ratio
@@ -85,8 +85,8 @@ SITES = [
     ("BoundInputs.epsilon", lambda v: BoundInputs(**{**_BOUND, "epsilon": v}), "(0, inf]"),
     ("BoundInputs.delta", lambda v: BoundInputs(**{**_BOUND, "delta": v}), "(0, 1)"),
     ("target_count.ratio", lambda v: target_count(v, 10), "[0, 1]"),
-    ("train_test_split.test_fraction", lambda v: train_test_split(_DATA, v, 0), "[0, 1)"),
-    ("split_dirichlet.alpha", lambda v: split_dirichlet(_DATA, 2, v, 0), "(0, inf)",
+    ("train_test_rows.test_fraction", lambda v: train_test_rows(6, v, 0), "[0, 1)"),
+    ("split_dirichlet.alpha", lambda v: split_dirichlet(_DATA.labels, 2, v, 0), "(0, inf)",
      (lambda x: 2 > sys.float_info.max / (2 * x), "overflows the Dirichlet draw")),
     ("synthetic_dataset.separation", lambda v: synthetic_dataset(6, 2, 2, v, 0), "(-inf, inf)"),
     ("local_train.learning_rate", _train, "[0, inf)"),
