@@ -12,9 +12,8 @@ from .datasets import Dataset, synthetic_dataset
 from .dp import DpParams, PrivacyBudget, protect_dp
 from .he import (CkksBackend, HeCostModel, HeParams, MockBackend,
                  decode_tolerance, make_backend)
-from .metrics import (BoundInputs, ExperimentReport, RoundMetrics, accuracy,
-                      efficiency_ratio, emit_report, parse_report_json,
-                      theorem_bound)
+from .metrics import (ExperimentReport, RoundMetrics, accuracy, efficiency_ratio,
+                      emit_report, parse_report_json)
 from .models import ModelSpec, init_params, local_train, param_count
 from .runtime import RunAborted, ratio_at, run_experiment
 from .vectors import PartitionMask, merge, split

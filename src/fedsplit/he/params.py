@@ -59,13 +59,16 @@ class HeParams:
 
     @property
     def max_encodable(self) -> float:
-        """Largest |value| encodable so that ``max_additions`` sums cannot wrap.
+        """Largest |value| encodable so that a fold of ``max_additions + 1``
+        ciphertexts cannot wrap.
 
-        The headroom ``modulus_bits - scale_bits`` must cover the sign bit
-        plus log2(max_additions * max|value|).
+        The fold's sum, (max_additions + 1) encoded values each with their
+        rounding and 10-sigma noise envelope (``decode_tolerance``), must stay
+        below q/2, and the prime q is above 2^(modulus_bits - 1).  Negative
+        when the noise alone could wrap, so then every encrypt is refused.
         """
-        headroom_bits = self.modulus_bits - self.scale_bits - 1
-        return 2.0 ** headroom_bits / self.max_additions
+        fold_bound = math.ldexp(1.0, self.modulus_bits - 2 - self.scale_bits)
+        return fold_bound / (self.max_additions + 1) - decode_tolerance(self)
 
 
 @dataclass(frozen=True)

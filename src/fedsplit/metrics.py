@@ -1,4 +1,4 @@
-"""Evaluation metrics, the convergence-bound diagnostic, and report I/O.
+"""Evaluation metrics and report I/O.
 
 The report separates deterministic content (accuracy, simulated time) from
 wall-clock timing: ``report.json`` is byte-stable for a fixed config+seed
@@ -28,10 +28,8 @@ from .models import ModelSpec, evaluate_accuracy
 __all__ = [
     "RoundMetrics",
     "ExperimentReport",
-    "BoundInputs",
     "accuracy",
     "efficiency_ratio",
-    "theorem_bound",
     "emit_report",
     "parse_report_json",
     "read_rounds_csv",
@@ -106,43 +104,6 @@ def efficiency_ratio(accuracy_pct: float, time_s: float) -> float:
     """Trade-off score (accuracy / time) x 100, accuracy in percent."""
     check_real("time", time_s, "(0, inf]")
     return accuracy_pct / float(time_s) * 100.0  # a Python float overflows to inf unwarned
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the convergence-bound diagnostic.
-
-    C1 scales the clipping term and C2 the privacy-noise term; both fold
-    together smoothness/gradient constants the analysis leaves abstract, so
-    the output is a qualitative diagnostic, not a certified bound.
-    """
-
-    C1: float
-    C2: float
-    r: float
-    epsilon: float
-    delta: float
-    N: int
-    T: int
-
-    def __post_init__(self):
-        check_real("C1", self.C1, "[0, inf]")
-        check_real("C2", self.C2, "[0, inf]")
-        check_real("r", self.r, "[0, 1]")
-        check_real("epsilon", self.epsilon, "(0, inf]")
-        check_real("delta", self.delta, "(0, 1)")
-        check_int("N", self.N, 1)
-        check_int("T", self.T, 1)
-
-
-def theorem_bound(b: BoundInputs) -> float:
-    """Gradient-norm bound: 1/T + C1(1-r) + C2(1-r) ln(1/delta) / (N^2 eps^2).
-
-    The O(1/T) term is taken with unit constant.  Strictly decreasing in r
-    (for C1 + C2 > 0), in epsilon, and in N.
-    """
-    noise_term = b.C2 * (1.0 - b.r) * math.log(1.0 / b.delta) / (b.N ** 2 * b.epsilon ** 2)
-    return 1.0 / b.T + b.C1 * (1.0 - b.r) + noise_term
 
 
 # -- serialization --------------------------------------------------------------

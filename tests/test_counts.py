@@ -16,7 +16,7 @@ from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset, syn
 from fedsplit.dp import PrivacyBudget
 from fedsplit.errors import DimensionError
 from fedsplit.he import HeCostModel, HeParams, MockBackend, simulated_round_cost
-from fedsplit.metrics import BoundInputs, ExperimentReport, RoundMetrics
+from fedsplit.metrics import ExperimentReport, RoundMetrics
 from fedsplit.models import ModelSpec, init_params, local_train
 from fedsplit.runtime import ratio_at
 from fedsplit.vectors import PartitionMask, merge
@@ -24,7 +24,6 @@ from fedsplit.voting import (PartitionStrategy, VoteKey, decode_partition, new_v
                              propose_partition, tally_votes, target_count)
 
 _BUDGET = dict(epsilon=1.0, delta=1e-5, q=1.0, rounds_T=3, theta=1.0, min_dataset_size=10)
-_BOUND = dict(C1=1.0, C2=1.0, r=0.5, epsilon=1.0, delta=1e-5, N=10, T=50)
 _VK = new_vote_key(5)
 _NO_TOKENS = np.empty(0, dtype=np.uint64)
 _SPEC = ModelSpec("logistic", 2, 2)
@@ -93,8 +92,6 @@ SITES = [
     ("split_iid.num_clients", lambda v: split_iid(6, v, 0), 1, 6, ValueError),
     ("split_dirichlet.num_clients", lambda v: split_dirichlet(_DATA.labels, v, 1.0, 0), 1, 6,
      ValueError),
-    ("BoundInputs.N", lambda v: BoundInputs(**{**_BOUND, "N": v}), 1, None, ValueError),
-    ("BoundInputs.T", lambda v: BoundInputs(**{**_BOUND, "T": v}), 1, None, ValueError),
     ("RoundMetrics.round", lambda v: RoundMetrics(v, 0.5, 0.5, 0.0, 0.0), 0, None, ValueError),
     ("ExperimentReport.seed", lambda v: ExperimentReport({}, v, "mock"), 0, None, ValueError),
     ("ratio_at.t", lambda v: ratio_at(RatioSchedule(mode="dynamic"), v), 0, None, ValueError),

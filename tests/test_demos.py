@@ -13,8 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_accountant.py", "02_encrypted_aggregation.py",
-         "03_partition_voting.py", "04_protection_modes.py",
-         "06_convergence_bound.py")
+         "03_partition_voting.py", "04_protection_modes.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -479,6 +479,44 @@ class TestHomAdd:
                 backend.hom_add(a, b)
 
 
+# A 12-bit modulus leaves a 3-term fold about 20 of headroom per value; the
+# other set is the default encoding on a small ring, with a 257-term fold.
+HEADROOM = (HeParams(ring_degree=8, scale_bits=4, modulus_bits=12, max_additions=2),
+            HeParams(ring_degree=64, scale_bits=20, modulus_bits=50, max_additions=256))
+
+
+class TestHeadroom:
+    @given(params=st.sampled_from(HEADROOM), clients=st.integers(1, 257),
+           length=st.integers(1, 2 * 64 + 1),
+           fill=st.sampled_from(["top", "bottom", "ends", "uniform"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(params=HEADROOM[0], clients=3, length=8, fill="top", seed=0)
+    @example(params=HEADROOM[0], clients=3, length=8, fill="bottom", seed=0)
+    @example(params=HEADROOM[1], clients=257, length=64, fill="top", seed=0)
+    @example(params=HEADROOM[1], clients=257, length=65, fill="bottom", seed=1)
+    @settings(deadline=None)
+    def test_a_full_fold_of_encodable_values_decodes(self, params, clients, length, fill,
+                                                     seed):
+        """Sums of up to max_additions + 1 ciphertexts of values in
+        ±max_encodable, endpoints included, decode within
+        decode_tolerance * (1 + add_count) and do not wrap."""
+        clients = min(clients, params.max_additions + 1)
+        top = params.max_encodable
+        rng = np.random.default_rng(seed)
+        shape = (clients, length)
+        values = {"top": np.full(shape, top), "bottom": np.full(shape, -top),
+                  "ends": rng.choice([-top, top], shape),
+                  "uniform": rng.uniform(-top, top, shape)}[fill]
+        backend = CkksBackend(params)
+        kp = backend.keygen(seed)
+        summed = None
+        for i, x in enumerate(values):
+            summed = backend.fold(summed, backend.encrypt(kp, x, (seed, i)))
+        assert summed[0].add_count == clients - 1
+        err = np.max(np.abs(backend.decrypt(kp, summed) - values.sum(axis=0)))
+        assert err <= decode_tolerance(params) * (1 + summed[0].add_count)
+
+
 @pytest.mark.parametrize("backend_cls", BACKEND_CLASSES, ids=lambda cls: cls.name)
 class TestSharedValidation:
     def setup_method(self):

@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from fedsplit.datasets import Dataset, synthetic_dataset
 from fedsplit.he import BACKENDS
-from fedsplit.metrics import (BoundInputs, ExperimentReport, RoundMetrics,
-                              accuracy, efficiency_ratio, emit_report,
-                              parse_report_json, theorem_bound)
+from fedsplit.metrics import (ExperimentReport, RoundMetrics, accuracy,
+                              efficiency_ratio, emit_report, parse_report_json)
 from fedsplit.models import ModelSpec, init_params, local_train, param_count
-
-# frozen against a 50-digit arbitrary-precision evaluation
-BOUND_REFERENCE = 1.1351292546497023
-
 
 class TestAccuracy:
     def test_perfect_predictor(self):
@@ -65,47 +60,6 @@ class TestEfficiencyRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert efficiency_ratio(50.0, np.float64(5e-324)) == math.inf
-
-
-class TestTheoremBound:
-    def test_r_one_leaves_horizon_term_only(self):
-        b = BoundInputs(C1=3.0, C2=5.0, r=1.0, epsilon=1.0, delta=1e-5, N=10, T=40)
-        assert theorem_bound(b) == 1.0 / 40
-
-    def test_reference_value(self):
-        b = BoundInputs(C1=1.0, C2=1.0, r=0.0, epsilon=1.0, delta=1e-5, N=10, T=50)
-        assert theorem_bound(b) == pytest.approx(BOUND_REFERENCE, rel=1e-12)
-
-    def test_linear_in_one_minus_r(self):
-        kw = dict(C1=2.0, C2=3.0, epsilon=0.5, delta=1e-4, N=5, T=10)
-        mid = theorem_bound(BoundInputs(r=0.5, **kw))
-        lo = theorem_bound(BoundInputs(r=0.0, **kw))
-        hi = theorem_bound(BoundInputs(r=1.0, **kw))
-        assert mid == pytest.approx((lo + hi) / 2, rel=1e-12)
-
-    def test_monotonicity_on_random_grid(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            C1, C2 = rng.uniform(0.01, 10, 2)
-            r = rng.uniform(0.0, 0.99)
-            eps = rng.uniform(0.1, 5.0)
-            delta = 10.0 ** rng.uniform(-8, -2)
-            N = int(rng.integers(1, 100))
-            T = int(rng.integers(1, 500))
-            base = theorem_bound(BoundInputs(C1, C2, r, eps, delta, N, T))
-            up_r = theorem_bound(BoundInputs(C1, C2, min(1.0, r + 0.01), eps,
-                                             delta, N, T))
-            up_eps = theorem_bound(BoundInputs(C1, C2, r, eps * 1.1, delta, N, T))
-            up_N = theorem_bound(BoundInputs(C1, C2, r, eps, delta, N + 1, T))
-            assert up_r < base
-            assert up_eps < base
-            assert up_N < base
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundInputs(C1=1.0, C2=1.0, r=1.5, epsilon=1.0, delta=1e-5, N=1, T=1)
-        with pytest.raises(ValueError):
-            BoundInputs(C1=1.0, C2=1.0, r=0.5, epsilon=1.0, delta=2.0, N=1, T=1)
 
 
 def sample_report(complete=True, wall=False):

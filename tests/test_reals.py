@@ -19,12 +19,11 @@ from fedsplit.config import (DataConfig, ExperimentConfig, ProtectionMode, Ratio
 from fedsplit.datasets import split_dirichlet, synthetic_dataset, train_test_rows
 from fedsplit.dp import DpParams, PrivacyBudget
 from fedsplit.he import HeCostModel
-from fedsplit.metrics import BoundInputs, RoundMetrics, efficiency_ratio
+from fedsplit.metrics import RoundMetrics, efficiency_ratio
 from fedsplit.models import ModelSpec, init_params, local_train
 from fedsplit.voting import target_count
 
 _BUDGET = dict(epsilon=1.0, delta=1e-5, q=1.0, rounds_T=3, theta=1e-300, min_dataset_size=10)
-_BOUND = dict(C1=1.0, C2=1.0, r=0.5, epsilon=1.0, delta=1e-5, N=10, T=50)
 _ROUND = dict(round=0, r_t=0.5, accuracy=0.5, sim_time_s=0.0, wall_time_s=0.0)
 # kind "none" calibrates no noise, so dp.* meet no budget check past their own
 _NO_NOISE = ProtectionMode(kind="none")
@@ -79,11 +78,6 @@ SITES = [
     ("RoundMetrics.wall_time_s", lambda v: RoundMetrics(**{**_ROUND, "wall_time_s": v}),
      "[0, inf)"),
     ("efficiency_ratio.time", lambda v: efficiency_ratio(50.0, v), "(0, inf]"),
-    ("BoundInputs.C1", lambda v: BoundInputs(**{**_BOUND, "C1": v}), "[0, inf]"),
-    ("BoundInputs.C2", lambda v: BoundInputs(**{**_BOUND, "C2": v}), "[0, inf]"),
-    ("BoundInputs.r", lambda v: BoundInputs(**{**_BOUND, "r": v}), "[0, 1]"),
-    ("BoundInputs.epsilon", lambda v: BoundInputs(**{**_BOUND, "epsilon": v}), "(0, inf]"),
-    ("BoundInputs.delta", lambda v: BoundInputs(**{**_BOUND, "delta": v}), "(0, 1)"),
     ("target_count.ratio", lambda v: target_count(v, 10), "[0, 1]"),
     ("train_test_rows.test_fraction", lambda v: train_test_rows(6, v, 0), "[0, 1)"),
     ("split_dirichlet.alpha", lambda v: split_dirichlet(_DATA.labels, 2, v, 0), "(0, inf)",
