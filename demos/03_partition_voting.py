@@ -20,7 +20,8 @@ from fedsplit import (PartitionMask, decode_partition, encrypt_indices,
 
 print("--- three clients, five coordinates, k=2 ---")
 proposals = [[1, 4], [1, 2], [4, 1]]
-masks = [PartitionMask(np.array(sorted(prop)), 5) for prop in proposals]
+# a proposal is the boolean indicator of its coordinates
+masks = [PartitionMask(np.isin(np.arange(5), prop)) for prop in proposals]
 vote_key = tokenize_round(new_vote_key(seed=7, round_binding=0), masks)
 messages = []
 for cid, (prop, mask) in enumerate(zip(proposals, masks)):

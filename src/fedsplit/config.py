@@ -183,6 +183,11 @@ class ExperimentConfig:
                 except ValueError:
                     raise ValueError(f"he.modulus_bits={he.modulus_bits} holds no NTT-friendly "
                                      f"prime for he.ring_degree={he.ring_degree}") from None
+            if he.max_encodable <= 0:
+                raise ValueError(f"he.modulus_bits={he.modulus_bits}, he.scale_bits={he.scale_bits}"
+                                 f", he.max_additions={he.max_additions} and he.ring_degree="
+                                 f"{he.ring_degree} leave no fixed-point headroom "
+                                 f"({he.max_encodable:g}), so every encrypt would be refused")
             # An in-order float sum of T round costs, each at most c, stays below
             # 2*T*c for T <= 2**52; a positive total is at least a 1-coordinate round.
             top = 2 * self.rounds.rounds_T * simulated_round_cost(cost, n, param_count(self.model))

@@ -264,7 +264,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
         if pipe.noised == "rest":
             rest = protect_dp(rest, dp, dp_seed)
         rests.add(rest)
-        if mask.size:
+        if k:
             cts = state.backend.encrypt(
                 state.keypair, he_part,
                 seeds.seed_sequence(cfg.seed, seeds.HE_ENCRYPT, t, client))
@@ -274,7 +274,7 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     if voted:
         updates, mask = _train_and_vote(state, t, cohort, r_t, k, train)
     else:  # the mask is known before training: each client trains as it is folded
-        updates, mask = None, PartitionMask(np.arange(k), state.dim)
+        updates, mask = None, PartitionMask(np.arange(state.dim) < k)
     rests = _RestMean(len(cohort), state.dim - k)
     _map_clients(lambda client: protect_and_fold(
         client, updates.pop(client) if voted else train(client)), cohort, workers=1)
@@ -282,10 +282,10 @@ def _run_round(state: _State, t: int) -> tuple[float, float, float]:
     rest_mean = rests.mean()
     he_mean = np.empty(0, dtype=np.float64)
     sim_time = 0.0
-    if mask.size:
+    if k:
         he_mean = state.backend.decrypt_mean(state.keypair, he_sum, len(cohort))
         if state.backend.time_basis == "simulated":
-            sim_time = simulated_round_cost(cfg.he_cost, len(cohort), mask.size)
+            sim_time = simulated_round_cost(cfg.he_cost, len(cohort), k)
     global_update = merge(rest_mean, he_mean, mask)
     # the evaluation's activations need not sit on top of the sums
     del rests, he_sum, rest_mean, he_mean

@@ -1,10 +1,10 @@
 """Flat parameter-vector arithmetic and partition masks.
 
 A model update is always handled as one flat float64 vector; layer structure
-is an ingestion-time concern only.  A :class:`PartitionMask` names the
-coordinates that receive encrypted (exact) protection, and ``split``/``merge``
-move between the full vector and its two disjoint parts.  ``merge`` is the
-exact inverse of ``split``: the round trip is bit-identical.
+is an ingestion-time concern only.  A :class:`PartitionMask` is the boolean
+indicator of the coordinates that receive encrypted (exact) protection, and
+``split``/``merge`` move between the full vector and its two disjoint parts.
+``merge`` is the exact inverse of ``split``: the round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -13,49 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_int
+from .errors import DimensionError
 
 __all__ = ["PartitionMask", "split", "merge"]
 
 
 @dataclass(frozen=True)
 class PartitionMask:
-    """Strictly increasing index set of encrypted coordinates over ``[0, dim)``."""
+    """A non-empty 1-D ``bool`` array over the update's coordinates, True
+    where a coordinate is encrypted."""
 
-    he_indices: np.ndarray
-    dim: int
+    encrypted: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.he_indices)
-        if idx.ndim != 1:
-            raise DimensionError("he_indices must be 1-D")
-        if idx.size and idx.dtype.kind not in "iu":
-            raise DimensionError(f"he_indices must be integers, got dtype {idx.dtype}")
-        check_int("dim", self.dim, 1, error=DimensionError)
-        # the range is checked on the values as given: a uint64 past 2**63
-        # would wrap negative in the int64 cast
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
-            raise DimensionError(f"indices must lie in [0, {self.dim}), got range "
-                                 f"[{idx.min()}, {idx.max()}]")
-        idx = idx.astype(np.int64, copy=False)
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("he_indices must be strictly increasing")
-        object.__setattr__(self, "he_indices", idx)
+        e = self.encrypted  # not cast: an index or 0/1 int array is refused
+        if not (isinstance(e, np.ndarray) and e.dtype == np.bool_ and e.ndim == 1 and e.size):
+            got = f"{e.dtype} of shape {e.shape}" if isinstance(e, np.ndarray) else type(e).__name__
+            raise DimensionError(f"a partition mask must be a non-empty 1-D bool array, got {got}")
+
+    @property
+    def dim(self) -> int:
+        return int(self.encrypted.size)
 
     @property
     def size(self) -> int:
-        return int(self.he_indices.size)
+        """Number of encrypted coordinates."""
+        return int(np.count_nonzero(self.encrypted))
 
-    def complement(self) -> np.ndarray:
-        """Ascending indices of the noise-protected (non-encrypted) part."""
-        keep = np.ones(self.dim, dtype=bool)
-        keep[self.he_indices] = False
-        return np.nonzero(keep)[0].astype(np.int64)
+    @property
+    def he_indices(self) -> np.ndarray:
+        """Ascending indices of the encrypted coordinates."""
+        return np.flatnonzero(self.encrypted)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionMask):
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.he_indices, other.he_indices)
+        return np.array_equal(self.encrypted, other.encrypted)
 
 
 def split(u: np.ndarray, mask: PartitionMask) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +63,8 @@ def split(u: np.ndarray, mask: PartitionMask) -> tuple[np.ndarray, np.ndarray]:
             f"vector length {u.size if u.ndim == 1 else u.shape} does not match "
             f"mask dim {mask.dim}"
         )
-    return u[mask.complement()], u[mask.he_indices]
+    # np.compress, not u[mask.encrypted]: several times faster on a scattered mask
+    return np.compress(~mask.encrypted, u), np.compress(mask.encrypted, u)
 
 
 def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.ndarray:
@@ -80,16 +74,18 @@ def merge(dp_part: np.ndarray, he_part: np.ndarray, mask: PartitionMask) -> np.n
     if dp_part.ndim != 1 or he_part.ndim != 1:
         raise DimensionError(f"dp_part and he_part must be 1-D, got shapes "
                              f"{dp_part.shape} and {he_part.shape}")
-    if he_part.size != mask.size:
+    k = mask.size
+    if he_part.size != k:
         raise DimensionError(
-            f"he_part length {he_part.size} does not match mask size {mask.size}"
+            f"he_part length {he_part.size} does not match mask size {k}"
         )
-    if dp_part.size != mask.dim - mask.size:
+    if dp_part.size != mask.dim - k:
         raise DimensionError(
-            f"dp_part length {dp_part.size} does not match {mask.dim - mask.size} "
+            f"dp_part length {dp_part.size} does not match {mask.dim - k} "
             f"non-encrypted coordinates"
         )
     out = np.empty(mask.dim, dtype=np.float64)
+    # index arrays, not out[mask.encrypted]: several times faster on a scattered mask
     out[mask.he_indices] = he_part
-    out[mask.complement()] = dp_part
+    out[np.flatnonzero(~mask.encrypted)] = dp_part
     return out

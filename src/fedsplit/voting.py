@@ -2,10 +2,10 @@
 
 Each client proposes the coordinates of its update that should receive
 encrypted protection (by largest magnitude, smallest magnitude, or at
-random).  Proposed indices travel as fixed-width tokens produced by a keyed
-pseudorandom permutation shared by clients but unknown to the server; the
-server counts token frequencies only, picks the top-k, and clients invert
-the winning tokens back to indices.
+random) as a boolean ``PartitionMask``.  Proposed indices travel as tokens
+of a keyed pseudorandom permutation shared by clients but unknown to the
+server; the server counts token frequencies only, picks the top-k, and
+clients invert the winning tokens back to the round's mask.
 
 The PRP is a 4-round Feistel network over 64-bit blocks with an
 SHA-256-based round function keyed by (vote key, round index), so a token
@@ -17,8 +17,9 @@ and equal magnitudes prefer the lower index.
 Each round's tokens come from one PRP batch.  The runtime derives the
 ``VoteKey`` afresh each round from the experiment seed and the round index;
 after the first pass, ``tokenize_round`` runs the PRP once over the union of
-the round's proposals and returns the round's key, a copy holding the
-result as its round table: sorted arrays index -> token and token -> index.
+the round's proposals (their masks' logical or) and returns the round's
+key, a copy holding the result as its round table: sorted arrays index ->
+token and token -> index.
 Each client's ``encrypt_indices`` and the ``decode_partition`` take that key,
 so they are lookups in its table.  This is a simulator shortcut; in a
 deployment each client still computes its own k PRPs.  An index or token the
@@ -147,19 +148,17 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     dim = u.size
     k = target_count(r, dim)
     check_choice("strategy", strategy, tuple(s.value for s in PartitionStrategy))
+    chosen = np.zeros(dim, dtype=bool)
     if strategy == PartitionStrategy.RANDOM:
-        chosen = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
-    else:
+        chosen[np.random.default_rng(seed).choice(dim, size=k, replace=False)] = True
+    elif k:
         # the k smallest keys win: every key below the k-th smallest, then
         # the lowest-index ties at it
         key = (-1.0 if strategy == PartitionStrategy.MAX_NORM else 1.0) * np.abs(u)
-        mask = np.zeros(dim, dtype=bool)
-        if k:
-            kth = np.partition(key, k - 1)[k - 1]
-            mask = key < kth
-            mask[np.flatnonzero(key == kth)[:k - np.count_nonzero(mask)]] = True
-        chosen = np.flatnonzero(mask)
-    return PartitionMask(he_indices=chosen, dim=dim)
+        kth = np.partition(key, k - 1)[k - 1]
+        chosen = key < kth
+        chosen[np.flatnonzero(key == kth)[:k - np.count_nonzero(chosen)]] = True
+    return PartitionMask(chosen)
 
 
 # -- keyed PRP over 64-bit index blocks ------------------------------------------
@@ -276,15 +275,12 @@ def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarra
 
 def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
     """Run the PRP once over the union of the round's proposals (an iterable
-    of ``PartitionMask``) and return ``vk`` with the result as its round
-    table; ``vk`` itself is left as it was."""
-    indices = np.sort(np.concatenate(
-        [_NO_BLOCKS, *(mask.he_indices.astype(np.uint64) for mask in proposals)]))
-    # The union keeps the first of each run of equal sorted indices; np.unique
-    # would hash them before sorting, several times slower.
-    first = np.ones(indices.size, dtype=bool)
-    np.not_equal(indices[1:], indices[:-1], out=first[1:])
-    indices = indices[first]
+    of ``PartitionMask`` of one dim) and return ``vk`` with the result as its
+    round table; ``vk`` itself is left as it was."""
+    proposals = [mask.encrypted for mask in proposals]
+    if len({p.size for p in proposals}) > 1:
+        raise DimensionError(f"the round's proposals differ in dim: {[p.size for p in proposals]}")
+    indices = np.flatnonzero(np.logical_or.reduce(proposals)).astype(np.uint64)
     tokens = _prp(vk, indices)
     order = np.argsort(tokens)
     return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
@@ -329,4 +325,4 @@ def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
     chosen = np.zeros(dim, dtype=bool)
     chosen[indices] = True
     chosen[np.flatnonzero(~chosen[:k])[:k - indices.size]] = True
-    return PartitionMask(he_indices=np.flatnonzero(chosen), dim=dim)
+    return PartitionMask(chosen)

@@ -132,7 +132,7 @@ def test_criterion_04_voting_oracle_equivalence():
             for client in range(n_clients):
                 size = int(rng.integers(0, dim + 1))
                 proposals.append(sorted(rng.choice(dim, size=size, replace=False).tolist()))
-            masks = [PartitionMask(np.array(prop, dtype=np.int64), dim) for prop in proposals]
+            masks = [PartitionMask(np.isin(np.arange(dim), prop)) for prop in proposals]
             vk = tokenize_round(vk, masks)
             msgs = [encrypt_indices(mask, vk) for mask in masks]
             got = decode_partition(tally_votes(msgs, k), vk, dim, k)
@@ -142,7 +142,7 @@ def test_criterion_04_voting_oracle_equivalence():
 
         # the reference three-client scenario: proposals {1,4}, {1,2}, {4,1}
         # must elect exactly {1, 4}
-        masks = [PartitionMask(np.array(sorted(p)), 5) for p in ([1, 4], [1, 2], [4, 1])]
+        masks = [PartitionMask(np.isin(np.arange(5), p)) for p in ([1, 4], [1, 2], [4, 1])]
         vk = tokenize_round(new_vote_key(7, round_binding=0), masks)
         msgs = [encrypt_indices(mask, vk) for mask in masks]
         winners = decode_partition(tally_votes(msgs, 2), vk, 5, 2)

@@ -57,6 +57,9 @@ NEVER_RUNS = {
                                          "round.clients_sampled_n=4", "he.max_additions=2",
                                          "he.backend=ckks", "he.ring_degree=64"],
                                         ["he.max_additions", "round.clients_sampled_n"]),
+    # Every encrypt was refused, in round 0 after setup and training.
+    "no_he_headroom": (["protection.kind=he_only", "he.modulus_bits=12", "he.scale_bits=10"],
+                       ["he.modulus_bits=12", "he.scale_bits=10", "he.max_additions"]),
     "no_test_row": (["dataset.test_fraction=0.0001"], ["'dataset'", "test_fraction"]),
     "fewer_train_rows_than_clients": (["dataset.num_samples=3", "round.clients_total_N=5"],
                                       ["dataset.num_samples", "round.clients_total_N"]),
@@ -272,6 +275,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
         assert not out.exists()
+
+    def test_no_he_headroom_runs_when_nothing_is_encrypted(self, mini_config, tmp_path):
+        """The headroom check refuses only a pipeline that encrypts."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(mini_config), "--out", str(out),
+                     "--set", "protection.kind=dp_only", "--set", "he.modulus_bits=12",
+                     "--set", "he.scale_bits=10"]) == 0
+        assert json.loads((out / "report.json").read_text())["complete"] is True
 
     def test_out_of_memory_is_runtime_error(self, mini_config, tmp_path, capsys,
                                             huge_ring_out_of_memory):

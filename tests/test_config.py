@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from fedsplit.config import (KNOWN_KEYS, PROTECTION_KINDS, DataConfig, apply_overrides,
-                             config_from_flat, config_to_flat, load_config,
+from fedsplit.config import (KNOWN_KEYS, PROTECTION_KINDS, DataConfig, ProtectionMode,
+                             apply_overrides, config_from_flat, config_to_flat, load_config,
                              parse_kv_text)
 from fedsplit.errors import ConfigError
 
@@ -108,6 +108,19 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="round"):
             config_from_flat({"round.clients_total_N": "2",
                               "round.clients_sampled_n": "5"})
+
+    @pytest.mark.parametrize("kind", PROTECTION_KINDS)
+    def test_no_he_headroom_refused_where_the_pipeline_encrypts(self, kind):
+        """At 12 modulus bits and 10 scale bits the decode noise alone can
+        wrap a fold, so every encrypt would be refused mid-run."""
+        flat = {"protection.kind": kind, "he.modulus_bits": "12", "he.scale_bits": "10"}
+        if ProtectionMode(kind).pipeline.encrypted == "none":
+            assert config_from_flat(flat).he_params.max_encodable < 0
+            return
+        with pytest.raises(ConfigError, match=r"he\.modulus_bits=12, he\.scale_bits=10, "
+                                              r"he\.max_additions=256 .* no fixed-point "
+                                              r"headroom \(-0\.50695\d*\)"):
+            config_from_flat(flat)
 
     @pytest.mark.parametrize("kind", ["he_only", "none"])
     @pytest.mark.parametrize("rounds", [10 ** 400, 2 ** 52 + 1], ids=["10**400", "2**52+1"])

@@ -218,12 +218,12 @@ class TestHePartFidelity:
         he_sum = he_parts[0].copy()
         for part in he_parts[1:]:
             he_sum = he_sum + part
-        he_idx = mask.he_indices
+        he_idx = mask.encrypted
         assert np.array_equal(state.w[he_idx], w0[he_idx] + he_sum / len(cohort))
         # and the DP complement was actually noised (nonzero deviation)
         dp_mean = np.mean(np.stack([split(updates[c], mask)[0]
                                     for c in cohort]), axis=0)
-        dp_idx = mask.complement()
+        dp_idx = ~mask.encrypted
         assert not np.allclose(state.w[dp_idx] - w0[dp_idx], dp_mean)
 
 

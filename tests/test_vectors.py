@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,9 @@ from fedsplit.vectors import PartitionMask, merge, split
 
 
 def mask(indices, dim):
-    return PartitionMask(he_indices=np.array(indices, dtype=np.int64), dim=dim)
+    encrypted = np.zeros(dim, dtype=bool)
+    encrypted[indices] = True
+    return PartitionMask(encrypted)
 
 
 class TestSplit:
@@ -53,50 +53,33 @@ class TestMerge:
 
 
 class TestMaskValidation:
+    """A mask is the indicator itself, a non-empty 1-D ``bool`` array; any
+    other form is refused rather than cast."""
+
     def test_out_of_range_rejected(self):
-        with pytest.raises(DimensionError):
-            mask([0, 5], 4)
+        """An index array is refused, not read as the indices it holds."""
+        with pytest.raises(DimensionError, match=r"bool array, got int64 of shape \(2,\)$"):
+            PartitionMask(np.array([0, 5]))
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            mask([3, 1], 4)
+    @pytest.mark.parametrize("encrypted", [
+        [0.5, 1.7], np.array([0.0, 1.0]), np.array(["0", "1"]), np.array([0, 1], dtype=object),
+    ], ids=["floats", "float-array", "strings", "objects"])
+    def test_non_integer_indices_rejected(self, encrypted):
+        with pytest.raises(DimensionError, match="non-empty 1-D bool array"):
+            PartitionMask(encrypted)
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            mask([1, 1], 4)
+    @pytest.mark.parametrize("encrypted", [
+        np.array([0, 1, 1, 0]), np.array([[True, False]]), np.array([], dtype=bool),
+        [0, 1, 1, 0], [False, True],
+    ], ids=["int-0-1", "2-D", "empty", "int-list", "bool-list"])
+    def test_only_a_non_empty_1d_bool_array_is_taken(self, encrypted):
+        with pytest.raises(DimensionError, match="non-empty 1-D bool array"):
+            PartitionMask(encrypted)
 
-    @pytest.mark.parametrize("indices", [
-        [0.5, 1.7], np.array([False, True]), np.array([0.0, 1.0]),
-        np.array(["0", "1"]), np.array([0, 1], dtype=object),
-    ], ids=["floats", "bools", "float-array", "strings", "objects"])
-    def test_non_integer_indices_rejected(self, indices):
-        with pytest.raises(DimensionError, match="he_indices must be integers"):
-            PartitionMask(he_indices=indices, dim=4)
-
-    @pytest.mark.parametrize("dim", [3.5, 4.0, True, "4", None])
-    def test_non_integer_dim_rejected(self, dim):
-        with pytest.raises(DimensionError, match="dim must be an integer >= 1"):
-            PartitionMask(he_indices=np.array([0], dtype=np.int64), dim=dim)
-
-    @pytest.mark.parametrize("indices", [
-        [], np.array([], dtype=np.int64), np.array([0, 3], dtype=np.int64),
-        np.array([0, 3], dtype=np.uint64), [1, 2],
-    ], ids=["empty-list", "empty-int64", "int64", "uint64", "int-list"])
-    def test_integer_indices_accepted(self, indices):
-        m = PartitionMask(he_indices=indices, dim=np.int64(4))
-        assert m.he_indices.dtype == np.int64
-        assert m.he_indices.tolist() == [int(i) for i in indices]
-        assert m.complement().size == 4 - len(indices)
-
-    @pytest.mark.parametrize("indices,shown", [
-        ([2**64 - 1], "[18446744073709551615, 18446744073709551615]"),
-        ([1, 2**64 - 1], "[1, 18446744073709551615]"),
-    ], ids=["max", "increasing"])
-    def test_uint64_range_checked_before_the_cast(self, indices, shown):
-        """A uint64 index past 2**63 is reported as given, not wrapped
-        negative by the int64 cast."""
-        with pytest.raises(DimensionError, match=re.escape(f"[0, 5), got range {shown}")):
-            PartitionMask(np.array(indices, dtype=np.uint64), 5)
+    def test_dim_size_and_indices_derive_from_the_indicator(self):
+        m = PartitionMask(np.array([False, True, False, True, True]))
+        assert (m.dim, m.size, m.he_indices.tolist()) == (5, 3, [1, 3, 4])
+        assert m == mask([1, 3, 4], 5) and m != mask([1, 3], 5) and m != mask([1, 3, 4], 6)
 
 
 @st.composite
@@ -107,7 +90,7 @@ def vector_and_mask(draw):
         min_size=dim, max_size=dim))
     k = draw(st.integers(min_value=0, max_value=dim))
     indices = draw(st.permutations(range(dim)))[:k]
-    return np.array(values), PartitionMask(np.sort(np.array(indices, dtype=np.int64)), dim)
+    return np.array(values), mask(indices, dim)
 
 
 @given(vector_and_mask())
@@ -125,7 +108,7 @@ def test_partition_completeness(data):
     dp_part, he_part = split(u, m)
     assert dp_part.size + he_part.size == m.dim
     he = set(m.he_indices.tolist())
-    dp = set(m.complement().tolist())
+    dp = set(np.flatnonzero(~m.encrypted).tolist())
     assert he.isdisjoint(dp)
     assert he | dp == set(range(m.dim))
 

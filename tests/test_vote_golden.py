@@ -34,7 +34,7 @@ VK = new_vote_key(41, round_binding=6)
      "0c6497e466164e1a07879c3ce1151e6caade9f438d0c4dd30267af36f901618b"),
 ])
 def test_vote_message_bytes(indices, dim, digest):
-    tokens = encrypt_indices(PartitionMask(np.array(indices, dtype=np.int64), dim), VK).tokens
+    tokens = encrypt_indices(PartitionMask(np.isin(np.arange(dim), indices)), VK).tokens
     assert tokens.size == len(indices)
     assert hashlib.sha256(tokens.astype(">u8").tobytes()).hexdigest() == digest
 
@@ -64,7 +64,8 @@ TIED_WINNERS = {
 def test_tie_heavy_tally(k):
     # seven clients, six of forty coordinates each: most counts tie at 1 or 2
     rng = np.random.default_rng(5)
-    msgs = [encrypt_indices(PartitionMask(np.sort(rng.choice(40, size=6, replace=False)), 40),
+    msgs = [encrypt_indices(PartitionMask(np.isin(np.arange(40), rng.choice(40, size=6,
+                                                                            replace=False))),
                             VK) for _ in range(7)]
     assert [f"{t:016x}" for t in tally_votes(msgs, k).tolist()] == TIED_WINNERS[k]
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsplit import voting
-from fedsplit.errors import ProtocolError
+from fedsplit.errors import DimensionError, ProtocolError
 from fedsplit.voting import (PartitionStrategy, decode_partition, encrypt_indices,
                              new_vote_key, propose_partition, tally_votes, target_count,
                              tokenize_round, VoteKey, VoteMessage)
@@ -17,7 +17,9 @@ from fedsplit.vectors import PartitionMask
 
 
 def mask_of(indices, dim):
-    return PartitionMask(np.unique(np.array(indices, dtype=np.int64)), dim)
+    encrypted = np.zeros(dim, dtype=bool)
+    encrypted[np.array(list(indices), dtype=np.int64)] = True
+    return PartitionMask(encrypted)
 
 
 class TestTargetCount:
@@ -277,13 +279,13 @@ class TestTokenMemo:
         return np.sort(np.array([reference_token(vk, i) for i in indices], np.uint64))
 
     def test_fresh_and_warm_key_match_reference(self):
-        first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**33 + 7]
+        first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**16 + 7]
         fresh = new_vote_key(21, round_binding=5)
-        warm = tokenize_round(new_vote_key(21, round_binding=5), [mask_of(first, 2**34)])
+        warm = tokenize_round(new_vote_key(21, round_binding=5), [mask_of(first, 2**17)])
         for vk in (fresh, warm):
-            assert np.array_equal(encrypt_indices(mask_of(first, 2**34), vk).tokens,
+            assert np.array_equal(encrypt_indices(mask_of(first, 2**17), vk).tokens,
                                   self.reference_tokens(vk, first))
-            assert np.array_equal(encrypt_indices(mask_of(second, 2**34), vk).tokens,
+            assert np.array_equal(encrypt_indices(mask_of(second, 2**17), vk).tokens,
                                   self.reference_tokens(vk, second))
 
     def test_foreign_token_with_warm_memo(self, prp_lanes):
@@ -329,7 +331,7 @@ class TestTokenMemo:
         assert tokens.tolist() == [reference_token(vk, i) for i in (1, 5, 6)]
         assert sorted_tokens.tolist() == sorted(tokens.tolist())
 
-    @given(st.integers(1, 2**34), st.lists(st.lists(st.integers(0, 2**34 - 1), max_size=40),
+    @given(st.integers(1, 2**17), st.lists(st.lists(st.integers(0, 2**17 - 1), max_size=40),
                                            max_size=6),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -347,6 +349,10 @@ class TestTokenMemo:
         order = np.argsort(tokens)
         assert np.array_equal(sorted_tokens, tokens[order])
         assert np.array_equal(their_indices, union[order])
+
+    def test_proposals_of_differing_dim_rejected(self):
+        with pytest.raises(DimensionError, match=r"proposals differ in dim: \[4, 5, 4\]$"):
+            tokenize_round(new_vote_key(29), [mask_of([1], 4), mask_of([1], 5), mask_of([2], 4)])
 
     def test_no_proposals_give_an_empty_table(self):
         vk = tokenize_round(new_vote_key(28, round_binding=0), [])
@@ -445,7 +451,9 @@ def set_algebra_decode(tokens, vk, dim, k):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
                             f"to an index below {dim} under this vote key")
     pad = np.setdiff1d(np.arange(k, dtype=np.uint64), indices)[:k - indices.size]
-    return PartitionMask(he_indices=np.union1d(indices, pad), dim=dim)
+    chosen = np.zeros(dim, dtype=bool)
+    chosen[np.union1d(indices, pad)] = True
+    return PartitionMask(chosen)
 
 
 def is_token_array(tokens):
