@@ -3,10 +3,11 @@
 Each client proposes the indices of its largest-magnitude update
 coordinates.  Proposals travel as tokens from a keyed pseudorandom
 permutation, so the server can count votes without learning which
-coordinates are hot.  The top-k tokens win; clients invert them back to
+coordinates are hot.  The top-k tokens win, and clients read them back as
 indices.  Before anyone encrypts, ``tokenize_round`` runs the permutation
-once over the round's proposals and returns the round's key, as the
-simulator's runtime does; the tokens are the same either way.
+once over the round's proposals and returns the round's key, whose token
+table every client's tokens and the decode are read from, as in the
+simulator's runtime.
 
 The first section replays the canonical three-client example where indices
 1 and 4 collect the most votes; the second runs a larger seeded round.

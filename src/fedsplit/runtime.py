@@ -14,10 +14,10 @@ update is dropped.  After the last client the server decrypts the sum
 once, both sums are divided by n and merged, and the global model steps.
 Only the voted pipeline needs the mask after training, so it makes two
 passes: the first trains each client and proposes a partition, one PRP
-batch tokenizes the union of the proposals, each client sends its
-proposal as encrypted index tokens, the server tallies the top-k and
-clients decode the mask, after which nothing of the vote is held; the
-second protects and folds each held update, dropping it as it goes.
+batch fills the round key's token table over the union of the proposals,
+each client reads its proposal's tokens from it, the server tallies the
+top-k and clients read the mask from it, after which nothing of the vote
+is held; the second protects and folds each held update, dropping it.
 Every protection mode runs these steps; its pipeline
 (``config._PIPELINES``) says which coordinates it encrypts and where it
 clips and noises.  The experiment config and its checks live in

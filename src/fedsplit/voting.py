@@ -5,7 +5,7 @@ encrypted protection (by largest magnitude, smallest magnitude, or at
 random) as a boolean ``PartitionMask``.  Proposed indices travel as tokens
 of a keyed pseudorandom permutation shared by clients but unknown to the
 server; the server counts token frequencies only, picks the top-k, and
-clients invert the winning tokens back to the round's mask.
+clients read the winning tokens back as the round's mask.
 
 The PRP is a 4-round Feistel network over 64-bit blocks with an
 SHA-256-based round function keyed by (vote key, round index), so a token
@@ -17,26 +17,23 @@ and equal magnitudes prefer the lower index.
 Each round's tokens come from one PRP batch.  The runtime derives the
 ``VoteKey`` afresh each round from the experiment seed and the round index;
 after the first pass, ``tokenize_round`` runs the PRP once over the union of
-the round's proposals (their masks' logical or) and returns the round's
-key, a copy holding the result as its round table: sorted arrays index ->
-token and token -> index.
-Each client's ``encrypt_indices`` and the ``decode_partition`` take that key,
-so they are lookups in its table.  This is a simulator shortcut; in a
-deployment each client still computes its own k PRPs.  An index or token the
-table lacks (a foreign token, or a key whose round was never tokenized) runs
-through the PRP on the spot, and the result is not stored; so a caller that
-skips ``tokenize_round`` runs the PRP for every proposal it encrypts and
-every winner it decodes.  Vote messages and the server's winners pass one
-check: a strictly increasing 1-D ``uint64`` array (what ``tally_votes``
-returns), else ``ProtocolError``.
+the round's proposals and returns the round's key, a copy holding the
+result as its round table over dim: the union as a ``bool`` array and each
+union coordinate's token (0 elsewhere) as a ``uint64`` array.
+``encrypt_indices`` and ``decode_partition`` read only that table (a
+simulator shortcut; in a deployment each client computes its own k PRPs)
+and raise ``ProtocolError`` for a key with no table over the dim at hand, a
+proposal outside the union, or a winner that is not one of the round's
+tokens.  Vote messages and the server's winners pass one more check: a
+strictly increasing 1-D ``uint64`` array (what ``tally_votes`` returns).
 
-``_prp`` is the one Feistel network, on the blocks' ``uint32`` halves; the
-inverse swaps the halves and reverses the rounds.  Its round function has
-two kernels, picked per call by batch size.  From ``_BATCH_LANES`` blocks on
-it is numpy SHA-256 with one lane per block, a fixed cost of about 9 ms
-(some 11,000 numpy calls); below, one ``hashlib`` call per half and round,
-about a microsecond each.  They cross between 3,000 and 4,000 blocks
-(2 cores, x86-64); the timed benchmark workloads all tokenize above that.
+``_prp`` is the one Feistel network, run forward on the blocks' ``uint32``
+halves.  Its round function has two kernels, picked per call by batch size.
+From ``_BATCH_LANES`` blocks on it is numpy SHA-256 with one lane per block,
+a fixed cost of about 9 ms (some 11,000 numpy calls); below, one
+``hashlib`` call per half and round, about a microsecond each.  They cross
+between 3,000 and 4,000 blocks (2 cores, x86-64); the timed benchmark
+workloads all tokenize above that.
 """
 
 from __future__ import annotations
@@ -88,10 +85,9 @@ class VoteKey:
 
     key: bytes
     round_binding: int
-    # ((sorted indices, their tokens), (sorted tokens, their indices)), so
-    # ``_table[inverse]`` maps a PRP input to its output.
-    _table: tuple = field(default=((_NO_BLOCKS, _NO_BLOCKS), (_NO_BLOCKS, _NO_BLOCKS)),
-                          compare=False, repr=False)
+    # (union, tokens) over dim: the round's proposed coordinates as a bool
+    # array, and each one's token (0 elsewhere) as a uint64 array
+    _table: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # bytes only: a str or a list fails in the round function, a bytearray
@@ -244,52 +240,47 @@ def _round_hash(vk: VoteKey, lanes: bool):
     return lane_hash
 
 
-def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """The PRP (or its inverse) of each ``uint64`` block: the Feistel network
-    on the blocks' ``uint32`` halves."""
-    high, low = (blocks >> 32).astype(np.uint32), blocks.astype(np.uint32)
-    # the inverse is the network run backwards: swapped halves, rounds reversed
-    left, right = (low, high) if inverse else (high, low)
-    order = range(_FEISTEL_ROUNDS)
+def _prp(vk: VoteKey, blocks: np.ndarray) -> np.ndarray:
+    """The PRP of each ``uint64`` block: the Feistel network on the blocks'
+    ``uint32`` halves."""
+    left, right = (blocks >> 32).astype(np.uint32), blocks.astype(np.uint32)
     with np.errstate(over="ignore"):
         round_hash = _round_hash(vk, lanes=blocks.size >= _BATCH_LANES)
-        for i in (reversed(order) if inverse else order):
+        for i in range(_FEISTEL_ROUNDS):
             left, right = right, left ^ round_hash(i, right)
-    if inverse:
-        left, right = right, left
     return (left.astype(np.uint64) << 32) | right
 
 
-def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``_prp`` read from the key's round table; blocks the table lacks are
-    computed here and not stored, so foreign tokens cannot grow it."""
-    keys, values = vk._table[inverse]
-    pos = np.searchsorted(keys, blocks)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == blocks[hit]
-    out = np.empty_like(blocks)
-    out[hit] = values[pos[hit]]
-    out[~hit] = _prp(vk, blocks[~hit], inverse)
-    return out
-
-
 def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
-    """Run the PRP once over the union of the round's proposals (an iterable
-    of ``PartitionMask`` of one dim) and return ``vk`` with the result as its
-    round table; ``vk`` itself is left as it was."""
+    """Run the PRP once over the union of the round's proposals (a non-empty
+    iterable of ``PartitionMask`` of one dim) and return ``vk`` with the
+    result as its round table; ``vk`` itself is left as it was."""
     proposals = [mask.encrypted for mask in proposals]
+    if not proposals:
+        raise DimensionError("a round needs at least one proposal to name its dim")
     if len({p.size for p in proposals}) > 1:
         raise DimensionError(f"the round's proposals differ in dim: {[p.size for p in proposals]}")
-    indices = np.flatnonzero(np.logical_or.reduce(proposals)).astype(np.uint64)
-    tokens = _prp(vk, indices)
-    order = np.argsort(tokens)
-    return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
+    union = np.logical_or.reduce(proposals)
+    union_tokens = _prp(vk, np.flatnonzero(union).astype(np.uint64))
+    tokens = np.zeros(union.size, dtype=np.uint64)
+    np.place(tokens, union, union_tokens)
+    return replace(vk, _table=(union, tokens))
+
+
+def _round_table(vk: VoteKey, dim: int) -> tuple:
+    """The key's (union, tokens) table, or ``ProtocolError`` unless it spans ``dim``."""
+    if vk._table is None or vk._table[0].size != dim:
+        raise ProtocolError(f"the vote key holds no token table over dim {dim}; "
+                            f"tokenize_round makes one")
+    return vk._table
 
 
 def encrypt_indices(mask: PartitionMask, vk: VoteKey) -> VoteMessage:
-    """Turn a proposal into opaque tokens; deterministic per (key, round, index)."""
-    tokens = _lookup(vk, mask.he_indices.astype(np.uint64))
-    return VoteMessage(tokens=np.sort(tokens))
+    """Turn a proposal into opaque tokens, read from the round key's table."""
+    union, tokens = _round_table(vk, mask.dim)
+    if np.any(mask.encrypted & ~union):
+        raise ProtocolError("the proposal marks a coordinate outside the round's union")
+    return VoteMessage(tokens=np.sort(np.compress(mask.encrypted, tokens)))
 
 
 def tally_votes(msgs, k: int) -> np.ndarray:
@@ -306,23 +297,27 @@ def tally_votes(msgs, k: int) -> np.ndarray:
 
 
 def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
-    """Client-side inversion of the winning tokens into the global mask.
+    """Client-side reading of the winning tokens as the global mask.
 
     The server's tokens are checked here: the strictly increasing ``uint64``
-    array that ``tally_votes`` returns, at most ``k`` tokens, each decoding
-    below ``dim``.  A shortfall below ``k`` is padded with the smallest
-    unselected indices so the encrypted part keeps size ``k``.
+    array that ``tally_votes`` returns, at most ``k`` tokens, each one of
+    the round's tokens in the key's table over ``dim``.  A shortfall below
+    ``k`` is padded with the smallest unselected indices so the encrypted
+    part keeps size ``k``.
     """
     check_int("dim", dim, 1)
     check_int("k", k, 0, dim)
     _check_tokens(tokens, "winning tokens")
     if tokens.size > k:
         raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
-    indices = _lookup(vk, tokens, inverse=True)
-    if np.any(indices >= dim):
-        raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
-                            f"to an index below {dim} under this vote key")
-    chosen = np.zeros(dim, dtype=bool)
-    chosen[indices] = True
-    chosen[np.flatnonzero(~chosen[:k])[:k - indices.size]] = True
+    union, round_tokens = _round_table(vk, dim)
+    # a round token won where the first winner at or above it equals it; a
+    # union coordinate's token is unique, so each winner marks at most one
+    at = np.searchsorted(tokens, round_tokens)
+    chosen = union & (at < tokens.size) & (np.append(tokens, np.uint64(0))[at] == round_tokens)
+    if np.count_nonzero(chosen) < tokens.size:
+        foreign = np.setdiff1d(tokens, round_tokens[union])[0]
+        raise ProtocolError(f"token {foreign:016x} is not one of this round's tokens "
+                            f"under this vote key")
+    chosen[np.flatnonzero(~chosen[:k])[:k - tokens.size]] = True
     return PartitionMask(chosen)

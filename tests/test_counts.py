@@ -21,10 +21,13 @@ from fedsplit.models import ModelSpec, init_params, local_train
 from fedsplit.runtime import ratio_at
 from fedsplit.vectors import PartitionMask, merge
 from fedsplit.voting import (PartitionStrategy, VoteKey, decode_partition, new_vote_key,
-                             propose_partition, tally_votes, target_count)
+                             propose_partition, tally_votes, target_count, tokenize_round)
 
 _BUDGET = dict(epsilon=1.0, delta=1e-5, q=1.0, rounds_T=3, theta=1.0, min_dataset_size=10)
 _VK = new_vote_key(5)
+# round keys over the dims the decode sites take: dim 1 (the dim site's only
+# valid edge) and dim 4
+_VK_DIM = {dim: tokenize_round(_VK, [PartitionMask(np.ones(dim, dtype=bool))]) for dim in (1, 4)}
 _NO_TOKENS = np.empty(0, dtype=np.uint64)
 _SPEC = ModelSpec("logistic", 2, 2)
 _ROWS = np.zeros((4, 2))
@@ -65,9 +68,10 @@ SITES = [
      lambda v: PrivacyBudget(**{**_BUDGET, "min_dataset_size": v}), 1, None, ValueError),
     ("target_count.dim", lambda v: target_count(0.5, v), 1, None, ValueError),
     ("tally_votes.k", lambda v: tally_votes([], v), 0, None, ValueError),
-    ("decode_partition.dim", lambda v: decode_partition(_NO_TOKENS, _VK, v, 0), 1, None,
+    ("decode_partition.dim", lambda v: decode_partition(_NO_TOKENS, _VK_DIM[1], v, 0), 1, None,
      ValueError),
-    ("decode_partition.k", lambda v: decode_partition(_NO_TOKENS, _VK, 4, v), 0, 4, ValueError),
+    ("decode_partition.k", lambda v: decode_partition(_NO_TOKENS, _VK_DIM[4], 4, v), 0, 4,
+     ValueError),
     ("VoteKey.round_binding", lambda v: VoteKey(_VK.key, v), -2**63, 2**63 - 1, ValueError),
     ("HeBackend.slots_used", _add_with_slots, 1, 64, DimensionError),
     ("HeBackend.decrypt_mean.n", lambda v: _BACKEND.decrypt_mean(_KEYS, [_CT], v), 1, None,

@@ -1,14 +1,19 @@
-"""The boolean partition mask against the index form it replaced.
+"""The boolean partition mask and the round's token table against the index
+forms they replaced.
 
 ``PartitionMask`` once held a strictly increasing index array and rebuilt
 its complement on every ``split`` and ``merge``; ``propose_partition`` and
 ``decode_partition`` turned their boolean arrays into indices, and
 ``tokenize_round`` took the union of the round's proposals by concatenating
-and sorting them.  That code is kept below verbatim (the mask renamed
-``IndexMask``) as the reference: the indicator form must give the same index
-sets, the same parts and vectors, bit for bit, and the same round tables.
-The example budget comes from the hypothesis profile (tests/conftest.py
-registers ``ci``)."""
+and sorting them.  Its round table mapped sorted indices to tokens and
+sorted tokens back to indices, and ``encrypt_indices`` and
+``decode_partition`` read it through ``_lookup``, which ran the PRP (or its
+inverse) on the spot for any block the table lacked.  That code is kept
+below verbatim (the mask renamed ``IndexMask``) as the reference: the
+indicator form and the table over dim must give the same index sets, the
+same parts and vectors, bit for bit, the same round tables, every client's
+same message tokens and the same decoded mask.  The example budget comes
+from the hypothesis profile (tests/conftest.py registers ``ci``)."""
 
 from __future__ import annotations
 
@@ -20,9 +25,10 @@ from hypothesis import strategies as st
 
 from fedsplit.errors import DimensionError, ProtocolError, check_choice, check_int
 from fedsplit.vectors import PartitionMask, merge, split
-from fedsplit.voting import (_BATCH_LANES, _NO_BLOCKS, PartitionStrategy, _check_tokens,
-                             _lookup, _prp, decode_partition, encrypt_indices, new_vote_key,
-                             propose_partition, tally_votes, target_count, tokenize_round)
+from fedsplit.voting import (_BATCH_LANES, _FEISTEL_ROUNDS, _NO_BLOCKS, PartitionStrategy,
+                             VoteKey, VoteMessage, _check_tokens, _round_hash, decode_partition,
+                             encrypt_indices, new_vote_key, propose_partition, tally_votes,
+                             target_count, tokenize_round)
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,35 @@ def index_propose(u: np.ndarray, r: float, strategy: PartitionStrategy,
     return IndexMask(he_indices=chosen, dim=dim)
 
 
+def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The PRP (or its inverse) of each ``uint64`` block: the Feistel network
+    on the blocks' ``uint32`` halves."""
+    high, low = (blocks >> 32).astype(np.uint32), blocks.astype(np.uint32)
+    # the inverse is the network run backwards: swapped halves, rounds reversed
+    left, right = (low, high) if inverse else (high, low)
+    order = range(_FEISTEL_ROUNDS)
+    with np.errstate(over="ignore"):
+        round_hash = _round_hash(vk, lanes=blocks.size >= _BATCH_LANES)
+        for i in (reversed(order) if inverse else order):
+            left, right = right, left ^ round_hash(i, right)
+    if inverse:
+        left, right = right, left
+    return (left.astype(np.uint64) << 32) | right
+
+
+def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``_prp`` read from the key's round table; blocks the table lacks are
+    computed here and not stored, so foreign tokens cannot grow it."""
+    keys, values = vk._table[inverse]
+    pos = np.searchsorted(keys, blocks)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == blocks[hit]
+    out = np.empty_like(blocks)
+    out[hit] = values[pos[hit]]
+    out[~hit] = _prp(vk, blocks[~hit], inverse)
+    return out
+
+
 def index_tokenize_round(vk, proposals):
     indices = np.sort(np.concatenate(
         [_NO_BLOCKS, *(mask.he_indices.astype(np.uint64) for mask in proposals)]))
@@ -127,6 +162,12 @@ def index_tokenize_round(vk, proposals):
     tokens = _prp(vk, indices)
     order = np.argsort(tokens)
     return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
+
+
+def index_encrypt(mask, vk: VoteKey) -> VoteMessage:
+    """Turn a proposal into opaque tokens; deterministic per (key, round, index)."""
+    tokens = _lookup(vk, mask.he_indices.astype(np.uint64))
+    return VoteMessage(tokens=np.sort(tokens))
 
 
 def index_decode(tokens, vk, dim: int, k: int) -> IndexMask:
@@ -179,16 +220,17 @@ def split_cases(draw):
 
 @st.composite
 def round_cases(draw):
-    """A round: dim, the clients' proposal arguments, k and the key's seed.
-    Dims up to 300, or about ``_BATCH_LANES`` with every client proposing at
-    least 90%, so the union falls on either side of the lane threshold."""
+    """A round: dim, the arguments of a cohort of 1-16 clients' proposals, k
+    and the key's seed.  Dims up to 300, or about ``_BATCH_LANES`` with every
+    client proposing at least 90%, so the union falls on either side of the
+    lane threshold.  A union smaller than k gives a short winner list."""
     if draw(st.booleans()):
         dim = draw(st.integers(1, 300))
         low = 0
     else:
         dim = draw(st.integers(_BATCH_LANES - 200, _BATCH_LANES + 200))
         low = (9 * dim + 9) // 10
-    clients = draw(st.lists(proposal_args(dim, low), max_size=6))
+    clients = draw(st.lists(proposal_args(dim, low), min_size=1, max_size=16))
     return dim, clients, draw(st.integers(0, dim)), draw(seeds)
 
 
@@ -223,20 +265,31 @@ class TestAgainstTheIndexForm:
               _BATCH_LANES, 0))
     @example((_BATCH_LANES, [(update(_BATCH_LANES, 1), 1 - 1 / _BATCH_LANES,
                               PartitionStrategy.MIN_NORM, 1)], 7, 0))
-    @example((5, [], 0, 0))
+    @example((5, [(update(5, 1), 0.4, PartitionStrategy.MAX_NORM, 1)], 4, 0))
+    @example((5, [(update(5, 1), 0.0, PartitionStrategy.RANDOM, 1)], 3, 0))
     @settings(deadline=None)
     def test_round_table_and_decode(self, case):
-        """The round table over the union of the proposals and the decoded
-        mask equal the index form's, array for array."""
+        """The round table over the union of the proposals equals the index
+        form's, read over dim; every client's message tokens, and the mask
+        decoded from the winners (a short list padded), equal the index
+        form's, array for array."""
         dim, clients, k, seed = case
         vk = new_vote_key(seed, round_binding=3)
-        keyed = tokenize_round(vk, [propose_partition(*args) for args in clients])
-        reference = index_tokenize_round(vk, [index_propose(*args) for args in clients])
-        for side, ref_side in zip(keyed._table, reference._table):
-            for part, ref_part in zip(side, ref_side):
-                assert same_array(part, ref_part)
-        winners = tally_votes([encrypt_indices(propose_partition(*args), keyed)
-                               for args in clients], k)
+        proposals = [propose_partition(*args) for args in clients]
+        reference_proposals = [index_propose(*args) for args in clients]
+        keyed = tokenize_round(vk, proposals)
+        reference = index_tokenize_round(vk, reference_proposals)
+        union, tokens = keyed._table
+        (indices, ref_tokens), _ = reference._table
+        ref_union = np.zeros(dim, dtype=bool)
+        ref_union[indices] = True
+        ref_full = np.zeros(dim, dtype=np.uint64)
+        ref_full[indices] = ref_tokens
+        assert same_array(union, ref_union) and same_array(tokens, ref_full)
+        msgs = [encrypt_indices(proposal, keyed) for proposal in proposals]
+        for msg, ref_msg in zip(msgs, (index_encrypt(p, reference) for p in reference_proposals)):
+            assert same_array(msg.tokens, ref_msg.tokens)
+        winners = tally_votes(msgs, k)
         decoded, ref_decoded = decode_partition(winners, keyed, dim, k), index_decode(
             winners, reference, dim, k)
         assert same_array(decoded.he_indices, ref_decoded.he_indices)

@@ -189,7 +189,7 @@ class TestHePartFidelity:
         # noise may touch only the complement
         from fedsplit.vectors import split
         from fedsplit.voting import (decode_partition, encrypt_indices, new_vote_key,
-                                     propose_partition, tally_votes)
+                                     propose_partition, tally_votes, tokenize_round)
 
         cfg = small_config(rounds=RoundConfig(clients_total_N=4, clients_sampled_n=4,
                                               local_epochs_K=1, learning_rate_eta=0.1,
@@ -207,11 +207,11 @@ class TestHePartFidelity:
         r_t = 0.2
         k = target_count(r_t, state.dim)
         vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=0)
-        msgs = [encrypt_indices(
-                    propose_partition(updates[c], r_t, cfg.strategy,
-                                      seeds.seed_sequence(cfg.seed, seeds.PROPOSE, 0, c)),
-                    vk)
-                for c in cohort]
+        proposals = [propose_partition(updates[c], r_t, cfg.strategy,
+                                       seeds.seed_sequence(cfg.seed, seeds.PROPOSE, 0, c))
+                     for c in cohort]
+        vk = tokenize_round(vk, proposals)
+        msgs = [encrypt_indices(proposal, vk) for proposal in proposals]
         mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
         # left-fold like the ciphertext aggregation so rounding matches exactly
         he_parts = [split(updates[c], mask)[1] for c in cohort]
@@ -277,9 +277,9 @@ class TestVoteScope:
         assert all(alive == [] for alive in checked)
 
     def test_one_prp_batch_per_round(self, monkeypatch):
-        """Each round runs the PRP once, forward, over the union of its
-        proposals; every client's tokens and the decode read that batch
-        from the round key ``tokenize_round`` returns."""
+        """Each round runs the PRP once, over the union of its proposals;
+        every client's tokens and the decode read that batch from the round
+        key ``tokenize_round`` returns."""
         proposals, batches = [], []
         propose, prp = runtime_mod.propose_partition, voting._prp
 
@@ -287,10 +287,9 @@ class TestVoteScope:
             proposals.append(propose(*args))
             return proposals[-1]
 
-        def prp_spy(vk, blocks, inverse=False):
-            if blocks.size:
-                batches.append((blocks.tolist(), inverse))
-            return prp(vk, blocks, inverse)
+        def prp_spy(vk, blocks):
+            batches.append(blocks.tolist())
+            return prp(vk, blocks)
 
         monkeypatch.setattr(runtime_mod, "propose_partition", propose_spy)
         monkeypatch.setattr(voting, "_prp", prp_spy)
@@ -298,7 +297,7 @@ class TestVoteScope:
         assert len(proposals) == 4 * 4
         unions = [np.unique(np.concatenate([m.he_indices for m in proposals[t:t + 4]])).tolist()
                   for t in range(0, 16, 4)]
-        assert batches == [(union, False) for union in unions]
+        assert batches == unions
 
 
 class TestDeterminismAndBackends:

@@ -19,7 +19,8 @@ import pytest
 
 from fedsplit.vectors import PartitionMask
 from fedsplit.voting import (PartitionStrategy, decode_partition, encrypt_indices,
-                             new_vote_key, propose_partition, tally_votes, target_count)
+                             new_vote_key, propose_partition, tally_votes, target_count,
+                             tokenize_round)
 
 VK = new_vote_key(41, round_binding=6)
 
@@ -34,7 +35,8 @@ VK = new_vote_key(41, round_binding=6)
      "0c6497e466164e1a07879c3ce1151e6caade9f438d0c4dd30267af36f901618b"),
 ])
 def test_vote_message_bytes(indices, dim, digest):
-    tokens = encrypt_indices(PartitionMask(np.isin(np.arange(dim), indices)), VK).tokens
+    mask = PartitionMask(np.isin(np.arange(dim), indices))
+    tokens = encrypt_indices(mask, tokenize_round(VK, [mask])).tokens
     assert tokens.size == len(indices)
     assert hashlib.sha256(tokens.astype(">u8").tobytes()).hexdigest() == digest
 
@@ -64,9 +66,10 @@ TIED_WINNERS = {
 def test_tie_heavy_tally(k):
     # seven clients, six of forty coordinates each: most counts tie at 1 or 2
     rng = np.random.default_rng(5)
-    msgs = [encrypt_indices(PartitionMask(np.isin(np.arange(40), rng.choice(40, size=6,
-                                                                            replace=False))),
-                            VK) for _ in range(7)]
+    masks = [PartitionMask(np.isin(np.arange(40), rng.choice(40, size=6, replace=False)))
+             for _ in range(7)]
+    vk = tokenize_round(VK, masks)
+    msgs = [encrypt_indices(mask, vk) for mask in masks]
     assert [f"{t:016x}" for t in tally_votes(msgs, k).tolist()] == TIED_WINNERS[k]
 
 
@@ -116,12 +119,12 @@ def _print_vote_round(clients, dim, ratio, strategy, seed):
     vote_key = new_vote_key(seed, round_binding=0)
     k = target_count(ratio, dim)
     print(f"clients={clients} dim={dim} r={ratio} strategy={strategy.value} -> k={k}")
-    messages = []
-    for client in range(clients):
-        update = np.random.default_rng((seed, client)).normal(0.0, 1.0, dim)
-        mask = propose_partition(update, ratio, strategy, seed=(seed, client, 1))
-        msg = encrypt_indices(mask, vote_key)
-        messages.append(msg)
+    masks = [propose_partition(np.random.default_rng((seed, client)).normal(0.0, 1.0, dim),
+                               ratio, strategy, seed=(seed, client, 1))
+             for client in range(clients)]
+    vote_key = tokenize_round(vote_key, masks)
+    messages = [encrypt_indices(mask, vote_key) for mask in masks]
+    for client, (mask, msg) in enumerate(zip(masks, messages)):
         print(f"client {client} proposes indices {mask.he_indices.tolist()} "
               f"-> tokens {[f'{t:016x}' for t in msg.tokens.tolist()]}")
     winners = tally_votes(messages, k)

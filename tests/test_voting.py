@@ -1,6 +1,7 @@
 import hashlib
 import struct
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from fedsplit import voting
 from fedsplit.errors import DimensionError, ProtocolError
-from fedsplit.voting import (PartitionStrategy, decode_partition, encrypt_indices,
-                             new_vote_key, propose_partition, tally_votes, target_count,
-                             tokenize_round, VoteKey, VoteMessage)
+from fedsplit.voting import (_BATCH_LANES, _FEISTEL_ROUNDS, PartitionStrategy, _round_hash,
+                             decode_partition, encrypt_indices, new_vote_key, propose_partition,
+                             tally_votes, target_count, tokenize_round, VoteKey, VoteMessage)
 from fedsplit.vectors import PartitionMask
 
 
@@ -20,6 +21,11 @@ def mask_of(indices, dim):
     encrypted = np.zeros(dim, dtype=bool)
     encrypted[np.array(list(indices), dtype=np.int64)] = True
     return PartitionMask(encrypted)
+
+
+def round_key(vk, *proposals):
+    """``vk`` tokenized over ``proposals``, each an (indices, dim) pair."""
+    return tokenize_round(vk, [mask_of(indices, dim) for indices, dim in proposals])
 
 
 class TestTargetCount:
@@ -116,29 +122,21 @@ class TestProposePartition:
 
 class TestTokens:
     def test_deterministic_within_round(self):
-        vk = new_vote_key(0, round_binding=3)
+        vk = round_key(new_vote_key(0, round_binding=3), ([5], 10))
         a = encrypt_indices(mask_of([5], 10), vk)
         b = encrypt_indices(mask_of([5], 10), vk)
         assert np.array_equal(a.tokens, b.tokens)
 
     def test_round_separation(self):
-        vk0 = new_vote_key(0, round_binding=0)
-        vk1 = new_vote_key(0, round_binding=1)
+        vk0 = round_key(new_vote_key(0, round_binding=0), ([5], 10))
+        vk1 = round_key(new_vote_key(0, round_binding=1), ([5], 10))
         assert not np.array_equal(encrypt_indices(mask_of([5], 10), vk0).tokens,
                                   encrypt_indices(mask_of([5], 10), vk1).tokens)
 
     def test_injective(self):
-        vk = new_vote_key(1)
+        vk = round_key(new_vote_key(1), ([1, 4], 6))
         msg = encrypt_indices(mask_of([1, 4], 6), vk)
         assert len(msg.tokens) == 2
-
-    @given(st.integers(min_value=0, max_value=2**20),
-           st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=200, deadline=None)
-    def test_prp_roundtrip(self, index, round_binding):
-        vk = new_vote_key(9, round_binding=round_binding)
-        token = voting._prp(vk, np.array([index], dtype=np.uint64))
-        assert voting._prp(vk, token, inverse=True).tolist() == [index]
 
     def test_round_binding_is_an_int64(self):
         """The round function packs the binding as a signed 64-bit integer,
@@ -183,26 +181,6 @@ def reference_token(vk, index):
     return (left << 32) | right
 
 
-def reference_index(vk, token):
-    left, right = token >> 32, token & 0xFFFFFFFF
-    for i in reversed(range(4)):
-        left, right = right ^ reference_round(vk, i, left), left
-    return (left << 32) | right
-
-
-@pytest.fixture
-def prp_lanes(monkeypatch):
-    """Every block the PRP computes (table lookups excluded), in call order."""
-    computed, prp = [], voting._prp
-
-    def spy(vk, blocks, inverse=False):
-        computed.extend(blocks.tolist())
-        return prp(vk, blocks, inverse)
-
-    monkeypatch.setattr(voting, "_prp", spy)
-    return computed
-
-
 class StrictWord:
     """A ``np.uint32`` whose operators refuse Python ints."""
 
@@ -239,12 +217,9 @@ class TestBatchedPrp:
         vk = new_vote_key(seed, round_binding=round_binding)
         arr = np.array(blocks, dtype=np.uint64)
         with mock.patch.object(voting, "_BATCH_LANES", 0 if batched else len(blocks) + 1):
-            forward, inverse = voting._prp(vk, arr), voting._prp(vk, arr, inverse=True)
-            roundtrip = voting._prp(vk, forward, inverse=True)
-        assert forward.dtype == inverse.dtype == np.uint64
+            forward = voting._prp(vk, arr)
+        assert forward.dtype == np.uint64
         assert forward.tolist() == [reference_token(vk, b) for b in blocks]
-        assert inverse.tolist() == [reference_index(vk, b) for b in blocks]
-        assert roundtrip.tolist() == blocks
 
     @given(st.binary(min_size=29, max_size=29))
     @settings(max_examples=50, deadline=None)
@@ -267,127 +242,136 @@ class TestBatchedPrp:
             0, 2**64, voting._BATCH_LANES + offset, dtype=np.uint64, endpoint=False)
         tokens = voting._prp(vk, blocks)
         assert tokens.tolist() == [reference_token(vk, b) for b in blocks.tolist()]
-        assert np.array_equal(voting._prp(vk, tokens, inverse=True), blocks)
 
 
 class TestTokenMemo:
-    """A round key's token table serves the round's proposals; tokens always
-    equal the plain PRP, whatever the table holds."""
+    """A round key's token table serves the round's proposals, and only
+    them; its tokens always equal the plain PRP."""
 
     @staticmethod
     def reference_tokens(vk, indices):
         return np.sort(np.array([reference_token(vk, i) for i in indices], np.uint64))
 
     def test_fresh_and_warm_key_match_reference(self):
+        """A table over exactly the proposal, and one over a wider union,
+        give the proposal the same reference tokens."""
         first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**16 + 7]
-        fresh = new_vote_key(21, round_binding=5)
-        warm = tokenize_round(new_vote_key(21, round_binding=5), [mask_of(first, 2**17)])
+        fresh = round_key(new_vote_key(21, round_binding=5), (first, 2**17))
+        warm = round_key(new_vote_key(21, round_binding=5), (first, 2**17), (second, 2**17))
         for vk in (fresh, warm):
             assert np.array_equal(encrypt_indices(mask_of(first, 2**17), vk).tokens,
                                   self.reference_tokens(vk, first))
-            assert np.array_equal(encrypt_indices(mask_of(second, 2**17), vk).tokens,
-                                  self.reference_tokens(vk, second))
-
-    def test_foreign_token_with_warm_memo(self, prp_lanes):
-        """Proposed tokens decode from the table; a foreign token runs the
-        inverse PRP each time it arrives, so it is never stored."""
-        vk = tokenize_round(new_vote_key(22, round_binding=1), [mask_of(range(0, 40, 2), 64)])
-        for token in (reference_token(vk, 5), 2**64 - 1, 12345, 2**63):
-            one = np.array([token], np.uint64)
-            assert voting._prp(vk, one, inverse=True).tolist() == [reference_index(vk, token)]
-        prp_lanes.clear()
-        beyond = reference_token(vk, 64)
-        for _ in range(2):
-            with pytest.raises(ProtocolError, match="does not decode"):
-                decode_partition(np.array([beyond], np.uint64), vk, 64, 1)
-        odd = [reference_token(vk, 1), reference_token(vk, 3)]
-        assert decode_partition(np.array(odd, np.uint64), vk, 64, 2).he_indices.tolist() == [1, 3]
-        even = [reference_token(vk, 38), reference_token(vk, 2)]
-        assert decode_partition(np.array(even, np.uint64), vk, 64, 2).he_indices.tolist() == [2, 38]
-        assert prp_lanes == [beyond, beyond, *odd]
-
-    def test_untokenized_key_on_the_lane_path(self, prp_lanes):
-        """A proposal as wide as ``_BATCH_LANES`` on a key whose round was
-        never tokenized: its misses run as numpy lanes, forward to the
-        reference tokens and inverse back to the proposal."""
-        dim = 2 * voting._BATCH_LANES
-        mask = mask_of(range(1, dim, 2), dim)
-        vk = new_vote_key(23, round_binding=2)
-        msg = encrypt_indices(mask, vk)
-        assert np.array_equal(msg.tokens, self.reference_tokens(vk, range(1, dim, 2)))
-        decoded = decode_partition(msg.tokens, vk, dim, msg.tokens.size)
-        assert np.array_equal(decoded.he_indices, mask.he_indices)
-        assert len(prp_lanes) == 2 * voting._BATCH_LANES
+        assert np.array_equal(encrypt_indices(mask_of(second, 2**17), warm).tokens,
+                              self.reference_tokens(warm, second))
 
     def test_tokenize_round_returns_a_new_key(self):
-        """The table goes on the returned copy; the argument keeps its empty
-        table and still equals the copy."""
+        """The table goes on the returned copy; the argument keeps no table
+        and still equals the copy."""
         vk = new_vote_key(27, round_binding=4)
-        keyed = tokenize_round(vk, [mask_of([1, 5], 8), mask_of([5, 6], 8)])
+        keyed = round_key(vk, ([1, 5], 8), ([5, 6], 8))
         assert keyed is not vk and keyed == vk
-        assert all(part.size == 0 for side in vk._table for part in side)
-        (indices, tokens), (sorted_tokens, _) = keyed._table
-        assert indices.tolist() == [1, 5, 6]
-        assert tokens.tolist() == [reference_token(vk, i) for i in (1, 5, 6)]
-        assert sorted_tokens.tolist() == sorted(tokens.tolist())
+        assert vk._table is None
+        union, tokens = keyed._table
+        assert union.tolist() == [i in (1, 5, 6) for i in range(8)]
+        assert tokens.tolist() == [reference_token(vk, i) if i in (1, 5, 6) else 0
+                                   for i in range(8)]
 
     @given(st.integers(1, 2**17), st.lists(st.lists(st.integers(0, 2**17 - 1), max_size=40),
-                                           max_size=6),
+                                           min_size=1, max_size=6),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_table_equals_the_np_unique_union(self, dim, proposals, seed):
-        """The sorted union equals ``np.unique`` of the round's proposals
-        (none, or empty ones, included), and every table entry is that
-        index's token."""
+        """The union equals ``np.unique`` of the round's proposals (empty
+        ones included) as a ``bool`` array over dim, and the tokens hold
+        each union index's token there and 0 elsewhere."""
         masks = [mask_of([i % dim for i in p], dim) for p in proposals]
         vk = tokenize_round(new_vote_key(seed, round_binding=1), masks)
-        union = np.unique(np.concatenate(
+        indices = np.unique(np.concatenate(
             [np.empty(0, np.uint64), *(m.he_indices.astype(np.uint64) for m in masks)]))
-        (indices, tokens), (sorted_tokens, their_indices) = vk._table
-        assert indices.dtype == np.uint64 and np.array_equal(indices, union)
-        assert np.array_equal(tokens, voting._prp(vk, union))
-        order = np.argsort(tokens)
-        assert np.array_equal(sorted_tokens, tokens[order])
-        assert np.array_equal(their_indices, union[order])
+        union, tokens = vk._table
+        assert union.dtype == np.bool_ and union.shape == (dim,)
+        assert np.array_equal(np.flatnonzero(union), indices)
+        assert tokens.dtype == np.uint64 and tokens.shape == (dim,)
+        assert np.array_equal(tokens[union], voting._prp(vk, indices))
+        assert not np.any(tokens[~union])
 
     def test_proposals_of_differing_dim_rejected(self):
         with pytest.raises(DimensionError, match=r"proposals differ in dim: \[4, 5, 4\]$"):
             tokenize_round(new_vote_key(29), [mask_of([1], 4), mask_of([1], 5), mask_of([2], 4)])
 
-    def test_no_proposals_give_an_empty_table(self):
-        vk = tokenize_round(new_vote_key(28, round_binding=0), [])
-        for side in vk._table:
-            for part in side:
-                assert part.dtype == np.uint64 and part.size == 0
+    def test_no_proposals_rejected(self):
+        """An empty proposal list names no dim, so it makes no table."""
+        for proposals in ([], iter(())):
+            with pytest.raises(DimensionError, match="at least one proposal"):
+                tokenize_round(new_vote_key(28, round_binding=0), proposals)
 
-    def test_equality_and_hash_ignore_memo(self, prp_lanes):
+    def test_equality_and_hash_ignore_memo(self):
         base = new_vote_key(24)
-        a = tokenize_round(VoteKey(base.key, 3), [mask_of([1, 2, 3], 8)])
+        a = round_key(VoteKey(base.key, 3), ([1, 2, 3], 8))
         b = VoteKey(base.key, 3)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a != VoteKey(base.key, 4)
-        prp_lanes.clear()
         assert np.array_equal(encrypt_indices(mask_of([1, 3], 8), a).tokens,
-                              encrypt_indices(mask_of([1, 3], 8), b).tokens)
-        assert prp_lanes == [1, 3]  # b's table is its own, and empty
+                              self.reference_tokens(b, [1, 3]))
+
+
+class TestRoundTableRefusals:
+    """The vote reads only the round key's table; whatever that table cannot
+    answer is a ``ProtocolError``, and the PRP never runs on the spot."""
+
+    def test_untokenized_key_refused(self):
+        vk = new_vote_key(30, round_binding=1)
+        with pytest.raises(ProtocolError, match="no token table over dim 8"):
+            encrypt_indices(mask_of([1, 3], 8), vk)
+        with pytest.raises(ProtocolError, match="no token table over dim 8"):
+            decode_partition(np.array([reference_token(vk, 1)], np.uint64), vk, 8, 1)
+
+    def test_proposal_outside_the_union_refused(self):
+        vk = round_key(new_vote_key(31, round_binding=2), ([1, 2], 8), ([2, 5], 8))
+        assert np.array_equal(encrypt_indices(mask_of([2, 5], 8), vk).tokens,
+                              TestTokenMemo.reference_tokens(vk, [2, 5]))
+        with pytest.raises(ProtocolError, match="outside the round's union"):
+            encrypt_indices(mask_of([2, 6], 8), vk)
+
+    def test_table_of_another_dim_refused(self):
+        vk = round_key(new_vote_key(32, round_binding=3), ([1, 2], 8))
+        token = np.array([reference_token(vk, 1)], np.uint64)
+        for dim in (7, 9):
+            with pytest.raises(ProtocolError, match=f"no token table over dim {dim}"):
+                encrypt_indices(mask_of([1, 2], dim), vk)
+            with pytest.raises(ProtocolError, match=f"no token table over dim {dim}"):
+                decode_partition(token, vk, dim, 1)
+
+    def test_token_of_an_unproposed_index_refused(self):
+        """Index 6 lies in range but nobody proposed it, so its token is no
+        winner this round, alone or beside a proposed one."""
+        vk = round_key(new_vote_key(33, round_binding=4), ([1, 2], 8))
+        unproposed, proposed = reference_token(vk, 6), reference_token(vk, 1)
+        for winners, k in (([unproposed], 1), (sorted([unproposed, proposed]), 2)):
+            with pytest.raises(ProtocolError, match=f"token {unproposed:016x} is not one of "
+                                                    f"this round's tokens"):
+                decode_partition(np.array(winners, np.uint64), vk, 8, k)
+        assert decode_partition(np.array([proposed], np.uint64), vk, 8, 2).he_indices.tolist() \
+            == [0, 1]
 
 
 class TestTally:
     def test_reference_scenario_two_most_frequent(self):
         # three clients propose {1,4}, {1,2}, {4,1}; counts 1 -> 3, 4 -> 2, 2 -> 1
-        vk = new_vote_key(7, round_binding=0)
-        msgs = [encrypt_indices(mask_of(p, 5), vk) for p in ([1, 4], [1, 2], [4, 1])]
+        proposals = ([1, 4], [1, 2], [4, 1])
+        vk = round_key(new_vote_key(7, round_binding=0), *((p, 5) for p in proposals))
+        msgs = [encrypt_indices(mask_of(p, 5), vk) for p in proposals]
         winners = tally_votes(msgs, 2)
         assert decode_partition(winners, vk, 5, 2).he_indices.tolist() == [1, 4]
 
     def test_unanimity(self):
-        vk = new_vote_key(8)
+        vk = round_key(new_vote_key(8), ([0, 2, 3], 6))
         msgs = [encrypt_indices(mask_of([0, 2, 3], 6), vk) for _ in range(4)]
         winners = tally_votes(msgs, 3)
         assert decode_partition(winners, vk, 6, 3).he_indices.tolist() == [0, 2, 3]
 
     def test_all_ties_pick_lexicographically_smallest_tokens(self):
-        vk = new_vote_key(9)
+        vk = round_key(new_vote_key(9), ([0, 1, 2], 4))
         msg = encrypt_indices(mask_of([0, 1, 2], 4), vk)
         winners = tally_votes([msg], 2)
         assert np.array_equal(winners, np.sort(msg.tokens)[:2])
@@ -438,6 +422,42 @@ class TestTally:
         assert tally_votes([VoteMessage(sent), VoteMessage(sent[:1])], 1).tolist() == [2**62 + 1]
 
 
+def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The PRP (or its inverse) of each ``uint64`` block: the Feistel network
+    on the blocks' ``uint32`` halves."""
+    high, low = (blocks >> 32).astype(np.uint32), blocks.astype(np.uint32)
+    # the inverse is the network run backwards: swapped halves, rounds reversed
+    left, right = (low, high) if inverse else (high, low)
+    order = range(_FEISTEL_ROUNDS)
+    with np.errstate(over="ignore"):
+        round_hash = _round_hash(vk, lanes=blocks.size >= _BATCH_LANES)
+        for i in (reversed(order) if inverse else order):
+            left, right = right, left ^ round_hash(i, right)
+    if inverse:
+        left, right = right, left
+    return (left.astype(np.uint64) << 32) | right
+
+
+def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``_prp`` read from the key's round table; blocks the table lacks are
+    computed here and not stored, so foreign tokens cannot grow it."""
+    keys, values = vk._table[inverse]
+    pos = np.searchsorted(keys, blocks)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == blocks[hit]
+    out = np.empty_like(blocks)
+    out[hit] = values[pos[hit]]
+    out[~hit] = _prp(vk, blocks[~hit], inverse)
+    return out
+
+
+# ``_prp`` and ``_lookup`` above are verbatim copies of the token path the
+# round table replaced, which ran the PRP, or its inverse, on the spot for
+# every block its table lacked.  A key holding this empty table in that form
+# sends every block through the inverse PRP.
+_SPOT_TABLE = ((np.empty(0, np.uint64),) * 2,) * 2
+
+
 def set_algebra_decode(tokens, vk, dim, k):
     """``decode_partition`` as it was written with set operations, kept as
     the reference for the boolean-mask decode of a valid token array."""
@@ -446,7 +466,7 @@ def set_algebra_decode(tokens, vk, dim, k):
     tokens = np.fromiter(tokens, dtype=np.uint64)
     if tokens.size > k or np.unique(tokens).size < tokens.size:
         raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
-    indices = voting._lookup(vk, tokens, inverse=True)
+    indices = _lookup(vk, tokens, inverse=True)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
                             f"to an index below {dim} under this vote key")
@@ -464,94 +484,111 @@ def is_token_array(tokens):
 
 @st.composite
 def decode_cases(draw):
-    """(winning tokens, vote key, dim, k) for dim <= 64 and every k: winners
-    that decode, or (second branch) that may repeat, exceed k or decode at
-    or beyond dim; half the time as a sorted ``uint64`` array without
-    repeats, else as drawn: an array (``uint64``, int64 or float), a list (of
-    ints or of numpy scalars) or a frozenset; to a key whose table holds some
-    of the round's indices, or to an untokenized key."""
+    """(winning tokens, vote key, dim, k, the round's proposed indices) for
+    dim <= 64 and every k.  The key is tokenized over a proposal of dim
+    indices, or (now and then) over another dim or not at all.  The winners
+    are proposed indices, or (second branch) any indices up to dim + 3 that
+    may repeat or exceed k; half the time as a sorted ``uint64`` array
+    without repeats, else as drawn: an array (``uint64``, int64 or float), a
+    list (of ints or of numpy scalars) or a frozenset."""
     dim = draw(st.integers(min_value=1, max_value=64))
     k = draw(st.integers(min_value=0, max_value=dim))
-    winners = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True, max_size=k)
+    proposed = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True))
+    from_table = (st.lists(st.sampled_from(proposed), unique=True, min_size=min(k, 1),
+                           max_size=k) if proposed else st.just([]))
+    winners = draw(from_table
                    | st.lists(st.integers(min_value=0, max_value=dim + 3), max_size=k + 1))
     vk = new_vote_key(draw(st.integers(min_value=0, max_value=2**32 - 1)),
                       round_binding=draw(st.integers(min_value=0, max_value=2**16)))
-    if draw(st.booleans()):
-        table = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True))
-        vk = tokenize_round(vk, [mask_of(table, dim)])
+    table_dim = draw(st.sampled_from([dim] * 8 + [None, dim + 1]))
+    if table_dim is not None:
+        vk = round_key(vk, ([i % table_dim for i in proposed], table_dim))
     tokens = [reference_token(vk, i) for i in winners]
     if draw(st.booleans()):
-        return np.array(sorted(set(tokens)), np.uint64), vk, dim, k
+        return np.array(sorted(set(tokens)), np.uint64), vk, dim, k, proposed
     given_as = draw(st.sampled_from([lambda t: np.array(t, np.uint64), list, frozenset,
                                      lambda t: [np.uint64(x) for x in t],
                                      lambda t: np.array(t, np.uint64).astype(np.int64),
                                      lambda t: np.array(t, np.float64)]))
-    return given_as(tokens), vk, dim, k
+    return given_as(tokens), vk, dim, k, proposed
 
 
 class TestDecodePartition:
     @given(decode_cases())
     @settings(deadline=None)
     def test_equals_set_algebra_decode(self, case):
-        """On a token array, the same mask or the same ProtocolError as the
-        set-algebra decode; any other form is rejected.  The example budget
+        """On a token array, winners drawn from the key's table over dim give
+        the set-algebra decode's mask, and too many winners its
+        ProtocolError; a key with no table over dim, or any other winner,
+        is a ProtocolError; any other form is rejected.  The example budget
         comes from the hypothesis profile."""
-        if not is_token_array(case[0]):
+        tokens, vk, dim, k, proposed = case
+        if not is_token_array(tokens):
             with pytest.raises(ProtocolError, match="strictly increasing 1-D uint64 array"):
-                decode_partition(*case)
+                decode_partition(tokens, vk, dim, k)
             return
 
-        def outcome(decode):
+        def outcome(decode, key):
             try:
-                mask = decode(*case)
+                mask = decode(tokens, key, dim, k)
             except ProtocolError as err:
                 return str(err)
             return mask.he_indices.tolist(), mask.dim
-        assert outcome(decode_partition) == outcome(set_algebra_decode)
+        got = outcome(decode_partition, vk)
+        if tokens.size > k:
+            assert got == outcome(set_algebra_decode, replace(vk, _table=_SPOT_TABLE))
+        elif vk._table is None or vk._table[0].size != dim:
+            assert got == (f"the vote key holds no token table over dim {dim}; "
+                           f"tokenize_round makes one")
+        elif set(tokens.tolist()) <= {reference_token(vk, i) for i in proposed}:
+            assert got == outcome(set_algebra_decode, replace(vk, _table=_SPOT_TABLE))
+        else:
+            assert isinstance(got, str) and got.endswith("is not one of this round's tokens "
+                                                         "under this vote key")
 
     def test_inverse(self):
-        vk = new_vote_key(10)
+        vk = round_key(new_vote_key(10), ([1, 4], 5))
         tokens = encrypt_indices(mask_of([1, 4], 5), vk).tokens
         assert decode_partition(tokens, vk, 5, 2).he_indices.tolist() == [1, 4]
 
     def test_padding_with_smallest_unselected(self):
-        vk = new_vote_key(11)
+        vk = round_key(new_vote_key(11), ([3], 5))
         tokens = encrypt_indices(mask_of([3], 5), vk).tokens
         assert decode_partition(tokens, vk, 5, 2).he_indices.tolist() == [0, 3]
 
     def test_empty(self):
-        vk = new_vote_key(12)
+        vk = round_key(new_vote_key(12), ([], 5))
         m = decode_partition(np.empty(0, np.uint64), vk, 5, 0)
         assert m.size == 0
 
     @pytest.mark.parametrize("dim,k", [(5, True), (5, 2.5), (5, 1.0), (True, 1), (5.0, 1),
                                        (5.5, 1), ("5", 1)])
     def test_non_integer_sizes_rejected(self, dim, k):
-        vk = new_vote_key(18)
+        vk = round_key(new_vote_key(18), ([3], 5))
         tokens = encrypt_indices(mask_of([3], 5), vk).tokens
         with pytest.raises(ValueError, match="(dim|k) must be an integer"):
             decode_partition(tokens, vk, dim, k)
 
     def test_numpy_integer_sizes_accepted(self):
-        vk = new_vote_key(18)
+        vk = round_key(new_vote_key(18), ([3], 5))
         tokens = encrypt_indices(mask_of([3], 5), vk).tokens
         m = decode_partition(tokens, vk, np.int64(5), np.uint8(2))
         assert m.he_indices.tolist() == [0, 3]
 
     def test_foreign_token_rejected(self):
-        vk = new_vote_key(13)
-        bad = np.array([2**64 - 1], dtype=np.uint64)  # decodes far beyond dim
+        vk = round_key(new_vote_key(13), ([1], 4))
+        bad = np.array([2**64 - 1], dtype=np.uint64)  # no proposed index's token
         with pytest.raises(ProtocolError):
             decode_partition(bad, vk, 4, 1)
 
     def test_more_than_k_tokens_rejected(self):
-        vk = new_vote_key(15)
+        vk = round_key(new_vote_key(15), ([0, 2, 3], 5))
         tokens = encrypt_indices(mask_of([0, 2, 3], 5), vk).tokens
         with pytest.raises(ProtocolError, match="at most 2 winning tokens, got 3"):
             decode_partition(tokens, vk, 5, 2)
 
     def test_repeated_token_rejected(self):
-        vk = new_vote_key(16)
+        vk = round_key(new_vote_key(16), ([3], 5))
         token = encrypt_indices(mask_of([3], 5), vk).tokens
         with pytest.raises(ProtocolError, match="strictly increasing"):
             decode_partition(np.concatenate([token, token]), vk, 5, 2)
@@ -574,7 +611,7 @@ class TestDecodePartition:
             decode_partition(tokens, new_vote_key(17), 5, 2)
 
     def test_consensus_across_clients(self):
-        vk = new_vote_key(14, round_binding=2)
+        vk = round_key(new_vote_key(14, round_binding=2), *(([i, i + 1], 8) for i in range(3)))
         msgs = [encrypt_indices(mask_of([i, i + 1], 8), vk) for i in range(3)]
         winners = tally_votes(msgs, 2)
         masks = [decode_partition(winners, vk, 8, 2) for _ in range(5)]
@@ -603,12 +640,11 @@ def run_oracle_trial(rng, trial):
     k = int(rng.integers(0, dim + 1))
     vk = new_vote_key(int(rng.integers(0, 2**31)), round_binding=trial)
     proposals = []
-    msgs = []
     for _ in range(n_clients):
         size = int(rng.integers(0, dim + 1))
-        prop = sorted(rng.choice(dim, size=size, replace=False).tolist())
-        proposals.append(prop)
-        msgs.append(encrypt_indices(mask_of(prop, dim), vk))
+        proposals.append(sorted(rng.choice(dim, size=size, replace=False).tolist()))
+    vk = round_key(vk, *((prop, dim) for prop in proposals))
+    msgs = [encrypt_indices(mask_of(prop, dim), vk) for prop in proposals]
     got = decode_partition(tally_votes(msgs, k), vk, dim, k).he_indices.tolist()
     expected = brute_force_winners(proposals, k, lambda i: reference_token(vk, i))
     return got, expected
@@ -624,8 +660,9 @@ def test_oracle_equivalence_randomized():
 def test_server_side_blindness_under_relabeling():
     """tally_votes output must be invariant under any equality- and
     order-preserving relabeling of the uint64 tokens."""
-    vk = new_vote_key(21)
-    msgs = [encrypt_indices(mask_of(p, 10), vk) for p in ([0, 1, 2], [1, 2], [2, 5], [5])]
+    proposals = ([0, 1, 2], [1, 2], [2, 5], [5])
+    vk = round_key(new_vote_key(21), *((p, 10) for p in proposals))
+    msgs = [encrypt_indices(mask_of(p, 10), vk) for p in proposals]
     all_tokens = sorted({t for m in msgs for t in m.tokens.tolist()})
     # order-preserving relabeling: token -> its rank
     relabel = {t: rank for rank, t in enumerate(all_tokens)}
