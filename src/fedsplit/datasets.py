@@ -181,6 +181,7 @@ def train_test_rows(num_rows: int, test_fraction: float,
                     seed) -> tuple[np.ndarray, np.ndarray]:
     """A deterministic shuffled split of rows 0..num_rows-1 into train and test
     sides; the test side (``held_out_rows`` rows) is the held-out eval set."""
+    check_int("num_rows", num_rows, 1)
     check_real("test_fraction", test_fraction, "[0, 1)")
     perm = np.random.default_rng(seed).permutation(num_rows)
     n_test = held_out_rows(num_rows, test_fraction)

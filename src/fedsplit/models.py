@@ -179,7 +179,7 @@ def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    blocks, y = _unpack(spec, params), np.asarray(y)
+    blocks, y = _unpack(spec, params), _check_labels(spec, X, y)
     hits = 0
     for start in range(0, X.shape[0], _EVAL_ROWS):
         rows = slice(start, start + _EVAL_ROWS)

@@ -205,9 +205,8 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float, k: int,
     """The voted pipeline's first pass and decode: each client's update, by
     client id, and the round's mask.
 
-    The round's vote key (with its token table) and the clients' vote
-    messages live only in this frame, so nothing of the vote outlives the
-    decode.
+    The round's vote key, its token table and the clients' vote messages
+    live only in this frame, so nothing of the vote outlives the decode.
     """
     cfg = state.config
 
@@ -218,9 +217,9 @@ def _train_and_vote(state: _State, t: int, cohort: list, r_t: float, k: int,
 
     trained = _map_clients(train_and_propose, cohort, workers=1)
     vk = new_vote_key(seeds.seed_sequence(cfg.seed, seeds.VOTE_KEY), round_binding=t)
-    vk = tokenize_round(vk, [proposal for _, _, proposal in trained])
-    msgs = [encrypt_indices(proposal, vk) for _, _, proposal in trained]
-    mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
+    table = tokenize_round(vk, [proposal for _, _, proposal in trained])
+    msgs = [encrypt_indices(proposal, table) for _, _, proposal in trained]
+    mask = decode_partition(tally_votes(msgs, k), table, k)
     return {client: u for client, u, _ in trained}, mask
 
 

@@ -10,22 +10,23 @@ clients read the winning tokens back as the round's mask.
 The PRP is a 4-round Feistel network over 64-bit blocks with an
 SHA-256-based round function keyed by (vote key, round index), so a token
 is deterministic within a round, distinct across rounds, and injective
-over the index space.  A token is the block as a ``uint64``.  Tie-breaks
-are deterministic everywhere: equal vote counts prefer the smaller token,
-and equal magnitudes prefer the lower index.
+over the index space.  A token is the block as a ``uint64``.  One top-k
+rule picks both proposals and winners: the k smallest keys, ties to the
+lower position, so equal magnitudes prefer the lower index and equal vote
+counts the smaller token.
 
 Each round's tokens come from one PRP batch.  The runtime derives the
 ``VoteKey`` afresh each round from the experiment seed and the round index;
 after the first pass, ``tokenize_round`` runs the PRP once over the union of
-the round's proposals and returns the round's key, a copy holding the
-result as its round table over dim: the union as a ``bool`` array and each
-union coordinate's token (0 elsewhere) as a ``uint64`` array.
-``encrypt_indices`` and ``decode_partition`` read only that table (a
-simulator shortcut; in a deployment each client computes its own k PRPs)
-and raise ``ProtocolError`` for a key with no table over the dim at hand, a
-proposal outside the union, or a winner that is not one of the round's
-tokens.  Vote messages and the server's winners pass one more check: a
-strictly increasing 1-D ``uint64`` array (what ``tally_votes`` returns).
+the round's proposals and returns the round table over dim: the union as a
+``bool`` array and each union coordinate's token (0 elsewhere) as a
+``uint64`` array.  ``encrypt_indices`` and ``decode_partition`` read only
+that table (a simulator shortcut; in a deployment each client computes its
+own k PRPs) and raise ``ProtocolError`` for a table over another dim, a
+proposal outside the union, a winner list of other than k tokens, or a
+winner that is not one of the round's tokens.  Vote messages and the
+server's winners pass one more check: a strictly increasing 1-D ``uint64``
+array (what ``tally_votes`` returns).
 
 ``_prp`` is the one Feistel network, run forward on the blocks' ``uint32``
 halves.  Its round function has two kernels, picked per call by batch size.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,17 +78,10 @@ class PartitionStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class VoteKey:
-    """Secret shared by clients; the server only ever sees tokens.
-
-    Also holds this (key, round)'s token table, on the copy ``tokenize_round``
-    returns; equality and hashing see only the key and the round.
-    """
+    """Secret shared by clients; the server only ever sees tokens."""
 
     key: bytes
     round_binding: int
-    # (union, tokens) over dim: the round's proposed coordinates as a bool
-    # array, and each one's token (0 elsewhere) as a uint64 array
-    _table: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # bytes only: a str or a list fails in the round function, a bytearray
@@ -129,6 +123,17 @@ def target_count(r: float, dim: int) -> int:
     return min(dim, max(0, int(math.floor(r * dim + 0.5))))
 
 
+def _smallest_k(key: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest keys as a ``bool`` array: every key below the k-th
+    smallest, then the lowest-position ties at it."""
+    if not k:
+        return np.zeros(key.size, dtype=bool)
+    kth = np.partition(key, k - 1)[k - 1]
+    chosen = key < kth
+    chosen[np.flatnonzero(key == kth)[:k - np.count_nonzero(chosen)]] = True
+    return chosen
+
+
 def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
                       seed=0) -> PartitionMask:
     """Client-side proposal: a k-subset of coordinates chosen by ``strategy``.
@@ -144,16 +149,12 @@ def propose_partition(u: np.ndarray, r: float, strategy: PartitionStrategy,
     dim = u.size
     k = target_count(r, dim)
     check_choice("strategy", strategy, tuple(s.value for s in PartitionStrategy))
-    chosen = np.zeros(dim, dtype=bool)
     if strategy == PartitionStrategy.RANDOM:
+        chosen = np.zeros(dim, dtype=bool)
         chosen[np.random.default_rng(seed).choice(dim, size=k, replace=False)] = True
-    elif k:
-        # the k smallest keys win: every key below the k-th smallest, then
-        # the lowest-index ties at it
-        key = (-1.0 if strategy == PartitionStrategy.MAX_NORM else 1.0) * np.abs(u)
-        kth = np.partition(key, k - 1)[k - 1]
-        chosen = key < kth
-        chosen[np.flatnonzero(key == kth)[:k - np.count_nonzero(chosen)]] = True
+    else:
+        chosen = _smallest_k((-1.0 if strategy == PartitionStrategy.MAX_NORM else 1.0)
+                             * np.abs(u), k)
     return PartitionMask(chosen)
 
 
@@ -251,10 +252,11 @@ def _prp(vk: VoteKey, blocks: np.ndarray) -> np.ndarray:
     return (left.astype(np.uint64) << 32) | right
 
 
-def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
+def tokenize_round(vk: VoteKey, proposals) -> tuple:
     """Run the PRP once over the union of the round's proposals (a non-empty
-    iterable of ``PartitionMask`` of one dim) and return ``vk`` with the
-    result as its round table; ``vk`` itself is left as it was."""
+    iterable of ``PartitionMask`` of one dim) and return the round table
+    ``(union, tokens)`` over dim: the union as a ``bool`` array and each
+    union coordinate's token (0 elsewhere) as a ``uint64`` array."""
     proposals = [mask.encrypted for mask in proposals]
     if not proposals:
         raise DimensionError("a round needs at least one proposal to name its dim")
@@ -264,20 +266,15 @@ def tokenize_round(vk: VoteKey, proposals) -> VoteKey:
     union_tokens = _prp(vk, np.flatnonzero(union).astype(np.uint64))
     tokens = np.zeros(union.size, dtype=np.uint64)
     np.place(tokens, union, union_tokens)
-    return replace(vk, _table=(union, tokens))
+    return union, tokens
 
 
-def _round_table(vk: VoteKey, dim: int) -> tuple:
-    """The key's (union, tokens) table, or ``ProtocolError`` unless it spans ``dim``."""
-    if vk._table is None or vk._table[0].size != dim:
-        raise ProtocolError(f"the vote key holds no token table over dim {dim}; "
-                            f"tokenize_round makes one")
-    return vk._table
-
-
-def encrypt_indices(mask: PartitionMask, vk: VoteKey) -> VoteMessage:
-    """Turn a proposal into opaque tokens, read from the round key's table."""
-    union, tokens = _round_table(vk, mask.dim)
+def encrypt_indices(mask: PartitionMask, table: tuple) -> VoteMessage:
+    """Turn a proposal into opaque tokens, read from the round table."""
+    union, tokens = table
+    if union.size != mask.dim:
+        raise ProtocolError(f"the round table spans dim {union.size}, "
+                            f"not the proposal's {mask.dim}")
     if np.any(mask.encrypted & ~union):
         raise ProtocolError("the proposal marks a coordinate outside the round's union")
     return VoteMessage(tokens=np.sort(np.compress(mask.encrypted, tokens)))
@@ -285,39 +282,32 @@ def encrypt_indices(mask: PartitionMask, vk: VoteKey) -> VoteMessage:
 
 def tally_votes(msgs, k: int) -> np.ndarray:
     """Server-side count over one round's tokens (never indices): the k tokens
-    with the most votes, ties to the smaller token, returned sorted.
-
-    Fewer than k distinct proposals simply yield fewer tokens (clients pad
-    when decoding).
-    """
+    with the most votes, ties to the smaller token, returned sorted; all of
+    them when fewer than k are distinct."""
     check_int("k", k, 0)
-    tokens = np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)])
-    tokens, counts = np.unique(tokens, return_counts=True)
-    return np.sort(tokens[np.argsort(-counts, kind="stable")[:k]])
+    tokens, counts = np.unique(np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)]),
+                               return_counts=True)
+    return tokens[_smallest_k(-counts, min(k, tokens.size))]
 
 
-def decode_partition(tokens, vk: VoteKey, dim: int, k: int) -> PartitionMask:
+def decode_partition(winners, table: tuple, k: int) -> PartitionMask:
     """Client-side reading of the winning tokens as the global mask.
 
-    The server's tokens are checked here: the strictly increasing ``uint64``
-    array that ``tally_votes`` returns, at most ``k`` tokens, each one of
-    the round's tokens in the key's table over ``dim``.  A shortfall below
-    ``k`` is padded with the smallest unselected indices so the encrypted
-    part keeps size ``k``.
+    The server's winners are checked here: the strictly increasing
+    ``uint64`` array that ``tally_votes`` returns, exactly ``k`` tokens,
+    each one of the round's tokens in ``table``.  Every proposal marks k
+    coordinates, so an honest tally always returns k.
     """
-    check_int("dim", dim, 1)
-    check_int("k", k, 0, dim)
-    _check_tokens(tokens, "winning tokens")
-    if tokens.size > k:
-        raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
-    union, round_tokens = _round_table(vk, dim)
+    union, round_tokens = table
+    check_int("k", k, 0, union.size)
+    _check_tokens(winners, "winning tokens")
+    if winners.size != k:
+        raise ProtocolError(f"expected {k} winning tokens, got {winners.size}")
     # a round token won where the first winner at or above it equals it; a
     # union coordinate's token is unique, so each winner marks at most one
-    at = np.searchsorted(tokens, round_tokens)
-    chosen = union & (at < tokens.size) & (np.append(tokens, np.uint64(0))[at] == round_tokens)
-    if np.count_nonzero(chosen) < tokens.size:
-        foreign = np.setdiff1d(tokens, round_tokens[union])[0]
-        raise ProtocolError(f"token {foreign:016x} is not one of this round's tokens "
-                            f"under this vote key")
-    chosen[np.flatnonzero(~chosen[:k])[:k - tokens.size]] = True
+    at = np.searchsorted(winners, round_tokens)
+    chosen = union & (at < k) & (np.append(winners, np.uint64(0))[at] == round_tokens)
+    if np.count_nonzero(chosen) < k:
+        foreign = np.setdiff1d(winners, round_tokens[union])[0]
+        raise ProtocolError(f"token {foreign:016x} is not one of this round's tokens")
     return PartitionMask(chosen)

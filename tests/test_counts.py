@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsplit.config import DataConfig, ExperimentConfig, RatioSchedule, RoundConfig
-from fedsplit.datasets import split_dirichlet, split_iid, synthetic_dataset, synthetic_labels
+from fedsplit.datasets import (split_dirichlet, split_iid, synthetic_dataset, synthetic_labels,
+                               train_test_rows)
 from fedsplit.dp import PrivacyBudget
 from fedsplit.errors import DimensionError
 from fedsplit.he import HeCostModel, HeParams, MockBackend, simulated_round_cost
@@ -25,10 +26,8 @@ from fedsplit.voting import (PartitionStrategy, VoteKey, decode_partition, new_v
 
 _BUDGET = dict(epsilon=1.0, delta=1e-5, q=1.0, rounds_T=3, theta=1.0, min_dataset_size=10)
 _VK = new_vote_key(5)
-# round keys over the dims the decode sites take: dim 1 (the dim site's only
-# valid edge) and dim 4
-_VK_DIM = {dim: tokenize_round(_VK, [PartitionMask(np.ones(dim, dtype=bool))]) for dim in (1, 4)}
-_NO_TOKENS = np.empty(0, dtype=np.uint64)
+# a round table over dim 4 whose union is every coordinate
+_TABLE = tokenize_round(_VK, [PartitionMask(np.ones(4, dtype=bool))])
 _SPEC = ModelSpec("logistic", 2, 2)
 _ROWS = np.zeros((4, 2))
 _LABELS = np.array([0, 1, 0, 1])
@@ -41,6 +40,12 @@ _CT = _BACKEND.encrypt(_KEYS, np.ones(3), 1)[0]
 def _add_with_slots(v):
     ct = dataclasses.replace(_CT, slots_used=v)
     return _BACKEND.hom_add(ct, ct)
+
+
+def _decode(k):
+    """Decode k winners, so only the k check can refuse a k."""
+    n = int(k) if isinstance(k, (int, np.integer)) and 0 <= k <= 4 else 0
+    return decode_partition(np.sort(_TABLE[1])[:n], _TABLE, k)
 
 
 def _train(**counts):
@@ -68,10 +73,7 @@ SITES = [
      lambda v: PrivacyBudget(**{**_BUDGET, "min_dataset_size": v}), 1, None, ValueError),
     ("target_count.dim", lambda v: target_count(0.5, v), 1, None, ValueError),
     ("tally_votes.k", lambda v: tally_votes([], v), 0, None, ValueError),
-    ("decode_partition.dim", lambda v: decode_partition(_NO_TOKENS, _VK_DIM[1], v, 0), 1, None,
-     ValueError),
-    ("decode_partition.k", lambda v: decode_partition(_NO_TOKENS, _VK_DIM[4], 4, v), 0, 4,
-     ValueError),
+    ("decode_partition.k", _decode, 0, 4, ValueError),
     ("VoteKey.round_binding", lambda v: VoteKey(_VK.key, v), -2**63, 2**63 - 1, ValueError),
     ("HeBackend.slots_used", _add_with_slots, 1, 64, DimensionError),
     ("HeBackend.decrypt_mean.n", lambda v: _BACKEND.decrypt_mean(_KEYS, [_CT], v), 1, None,
@@ -91,6 +93,7 @@ SITES = [
      ValueError),
     ("synthetic_labels.num_classes", lambda v: synthetic_labels(4, 2, v, 1.0, 0), 1, None,
      ValueError),
+    ("train_test_rows.num_rows", lambda v: train_test_rows(v, 0.2, 0), 1, None, ValueError),
     ("split_iid.num_rows", lambda v: split_iid(v, 1, 0), 1, None, ValueError),
     ("split_iid.num_clients", lambda v: split_iid(6, v, 0), 1, 6, ValueError),
     ("split_dirichlet.num_clients", lambda v: split_dirichlet(_DATA.labels, v, 1.0, 0), 1, 6,

@@ -9,17 +9,20 @@ and sorting them.  Its round table mapped sorted indices to tokens and
 sorted tokens back to indices, and ``encrypt_indices`` and
 ``decode_partition`` read it through ``_lookup``, which ran the PRP (or its
 inverse) on the spot for any block the table lacked.  That code is kept
-below verbatim (the mask renamed ``IndexMask``) as the reference: the
-indicator form and the table over dim must give the same index sets, the
-same parts and vectors, bit for bit, the same round tables, every client's
-same message tokens and the same decoded mask.  The example budget comes
-from the hypothesis profile (tests/conftest.py registers ``ci``)."""
+below verbatim (the mask renamed ``IndexMask``, and the table passed as a
+value where the key once held it) as the reference: the indicator form and
+the table over dim must give the same index sets, the same parts and
+vectors, bit for bit, the same round tables, every client's same message
+tokens and the same decoded mask; a short winner list, which the reference
+pads, the decode refuses.  The example budget comes from the hypothesis
+profile (tests/conftest.py registers ``ci``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,10 +141,10 @@ def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
     return (left.astype(np.uint64) << 32) | right
 
 
-def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``_prp`` read from the key's round table; blocks the table lacks are
+def _lookup(vk: VoteKey, table, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``_prp`` read from the round table; blocks the table lacks are
     computed here and not stored, so foreign tokens cannot grow it."""
-    keys, values = vk._table[inverse]
+    keys, values = table[inverse]
     pos = np.searchsorted(keys, blocks)
     hit = pos < keys.size
     hit[hit] = keys[pos[hit]] == blocks[hit]
@@ -161,22 +164,22 @@ def index_tokenize_round(vk, proposals):
     indices = indices[first]
     tokens = _prp(vk, indices)
     order = np.argsort(tokens)
-    return replace(vk, _table=((indices, tokens), (tokens[order], indices[order])))
+    return (indices, tokens), (tokens[order], indices[order])
 
 
-def index_encrypt(mask, vk: VoteKey) -> VoteMessage:
+def index_encrypt(mask, vk: VoteKey, table) -> VoteMessage:
     """Turn a proposal into opaque tokens; deterministic per (key, round, index)."""
-    tokens = _lookup(vk, mask.he_indices.astype(np.uint64))
+    tokens = _lookup(vk, table, mask.he_indices.astype(np.uint64))
     return VoteMessage(tokens=np.sort(tokens))
 
 
-def index_decode(tokens, vk, dim: int, k: int) -> IndexMask:
+def index_decode(tokens, vk, table, dim: int, k: int) -> IndexMask:
     check_int("dim", dim, 1)
     check_int("k", k, 0, dim)
     _check_tokens(tokens, "winning tokens")
     if tokens.size > k:
         raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
-    indices = _lookup(vk, tokens, inverse=True)
+    indices = _lookup(vk, table, tokens, inverse=True)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
                             f"to an index below {dim} under this vote key")
@@ -223,7 +226,8 @@ def round_cases(draw):
     """A round: dim, the arguments of a cohort of 1-16 clients' proposals, k
     and the key's seed.  Dims up to 300, or about ``_BATCH_LANES`` with every
     client proposing at least 90%, so the union falls on either side of the
-    lane threshold.  A union smaller than k gives a short winner list."""
+    lane threshold.  A union smaller than k gives a short winner list, which
+    the decode refuses."""
     if draw(st.booleans()):
         dim = draw(st.integers(1, 300))
         low = 0
@@ -271,26 +275,33 @@ class TestAgainstTheIndexForm:
     def test_round_table_and_decode(self, case):
         """The round table over the union of the proposals equals the index
         form's, read over dim; every client's message tokens, and the mask
-        decoded from the winners (a short list padded), equal the index
-        form's, array for array."""
+        decoded from k winners, equal the index form's, array for array; a
+        short winner list is refused where the index form pads it."""
         dim, clients, k, seed = case
         vk = new_vote_key(seed, round_binding=3)
         proposals = [propose_partition(*args) for args in clients]
         reference_proposals = [index_propose(*args) for args in clients]
-        keyed = tokenize_round(vk, proposals)
+        table = tokenize_round(vk, proposals)
         reference = index_tokenize_round(vk, reference_proposals)
-        union, tokens = keyed._table
-        (indices, ref_tokens), _ = reference._table
+        union, tokens = table
+        (indices, ref_tokens), _ = reference
         ref_union = np.zeros(dim, dtype=bool)
         ref_union[indices] = True
         ref_full = np.zeros(dim, dtype=np.uint64)
         ref_full[indices] = ref_tokens
         assert same_array(union, ref_union) and same_array(tokens, ref_full)
-        msgs = [encrypt_indices(proposal, keyed) for proposal in proposals]
-        for msg, ref_msg in zip(msgs, (index_encrypt(p, reference) for p in reference_proposals)):
+        msgs = [encrypt_indices(proposal, table) for proposal in proposals]
+        for msg, ref_msg in zip(msgs, (index_encrypt(p, vk, reference)
+                                       for p in reference_proposals)):
             assert same_array(msg.tokens, ref_msg.tokens)
         winners = tally_votes(msgs, k)
-        decoded, ref_decoded = decode_partition(winners, keyed, dim, k), index_decode(
-            winners, reference, dim, k)
+        assert winners.size == min(k, np.count_nonzero(union))
+        if winners.size < k:
+            with pytest.raises(ProtocolError, match=f"^expected {k} winning tokens, "
+                                                    f"got {winners.size}$"):
+                decode_partition(winners, table, k)
+            return
+        decoded = decode_partition(winners, table, k)
+        ref_decoded = index_decode(winners, vk, reference, dim, k)
         assert same_array(decoded.he_indices, ref_decoded.he_indices)
         assert decoded.size == k

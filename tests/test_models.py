@@ -324,6 +324,20 @@ class TestEvaluate:
                      rng.integers(0, 10, rows))
         assert evaluate_accuracy(spec, w, X, y) == float(np.mean(ref_logits.argmax(axis=1) == y))
 
+    @pytest.mark.parametrize("y", [
+        pytest.param(np.array([1]), id="one_label_broadcast"),
+        pytest.param(np.array([0, 1, 7, 0, 1]), id="past_num_classes"),
+        pytest.param(np.array([0.0, 1.0, 1.0, 0.0, 1.0]), id="float"),
+    ])
+    def test_bad_labels_rejected(self, y):
+        """The labels are checked as training checks them: a label array
+        that broadcasts, a class out of range or float labels would
+        otherwise give a number."""
+        spec = ModelSpec("logistic", 3, 2)
+        X = np.random.default_rng(0).normal(0.0, 1.0, (5, 3))
+        with pytest.raises(ValueError, match="labels must be"):
+            evaluate_accuracy(spec, init_params(spec, 0), X, y)
+
     def test_empty_set_rejected(self):
         spec = ModelSpec("logistic", 4, 2)
         with pytest.raises(ValueError):

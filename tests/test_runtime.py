@@ -210,9 +210,9 @@ class TestHePartFidelity:
         proposals = [propose_partition(updates[c], r_t, cfg.strategy,
                                        seeds.seed_sequence(cfg.seed, seeds.PROPOSE, 0, c))
                      for c in cohort]
-        vk = tokenize_round(vk, proposals)
-        msgs = [encrypt_indices(proposal, vk) for proposal in proposals]
-        mask = decode_partition(tally_votes(msgs, k), vk, state.dim, k)
+        table = tokenize_round(vk, proposals)
+        msgs = [encrypt_indices(proposal, table) for proposal in proposals]
+        mask = decode_partition(tally_votes(msgs, k), table, k)
         # left-fold like the ciphertext aggregation so rounding matches exactly
         he_parts = [split(updates[c], mask)[1] for c in cohort]
         he_sum = he_parts[0].copy()
@@ -232,8 +232,8 @@ class TestDynamicSchedule:
         recorded = []
         original = runtime_mod.decode_partition
 
-        def spy(tokens, vk, dim, k):
-            mask = original(tokens, vk, dim, k)
+        def spy(tokens, table, k):
+            mask = original(tokens, table, k)
             recorded.append(mask.size)
             return mask
 
@@ -261,9 +261,9 @@ class TestVoteScope:
         refs, checked = [], []
         encrypt, split = runtime_mod.encrypt_indices, runtime_mod.split
 
-        def encrypt_spy(mask, vk):
-            msg = encrypt(mask, vk)
-            refs.extend([weakref.ref(vk), weakref.ref(msg)])
+        def encrypt_spy(mask, table):
+            msg = encrypt(mask, table)
+            refs.extend([*map(weakref.ref, table), weakref.ref(msg)])
             return msg
 
         def split_spy(u, mask):
@@ -279,7 +279,7 @@ class TestVoteScope:
     def test_one_prp_batch_per_round(self, monkeypatch):
         """Each round runs the PRP once, over the union of its proposals;
         every client's tokens and the decode read that batch from the round
-        key ``tokenize_round`` returns."""
+        table ``tokenize_round`` returns."""
         proposals, batches = [], []
         propose, prp = runtime_mod.propose_partition, voting._prp
 

@@ -133,7 +133,7 @@ def _print_vote_round(clients, dim, ratio, strategy, seed):
     print("server tally (token: count):")
     for count, token in sorted(zip((-counts).tolist(), tokens.tolist())):
         print(f"  {token:016x}: {-count}{' *' if token in winners.tolist() else ''}")
-    mask = decode_partition(winners, vote_key, dim, k)
+    mask = decode_partition(winners, vote_key, k)
     print(f"winning partition: {mask.he_indices.tolist()}")
 
 

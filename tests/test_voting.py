@@ -1,7 +1,6 @@
 import hashlib
 import struct
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsplit import voting
-from fedsplit.errors import DimensionError, ProtocolError
-from fedsplit.voting import (_BATCH_LANES, _FEISTEL_ROUNDS, PartitionStrategy, _round_hash,
+from fedsplit.errors import DimensionError, ProtocolError, check_int
+from fedsplit.voting import (_BATCH_LANES, _FEISTEL_ROUNDS, _NO_BLOCKS, PartitionStrategy,
+                             _round_hash,
                              decode_partition, encrypt_indices, new_vote_key, propose_partition,
                              tally_votes, target_count, tokenize_round, VoteKey, VoteMessage)
 from fedsplit.vectors import PartitionMask
@@ -23,8 +23,8 @@ def mask_of(indices, dim):
     return PartitionMask(encrypted)
 
 
-def round_key(vk, *proposals):
-    """``vk`` tokenized over ``proposals``, each an (indices, dim) pair."""
+def round_table(vk, *proposals):
+    """The round table of ``vk`` over ``proposals``, each an (indices, dim) pair."""
     return tokenize_round(vk, [mask_of(indices, dim) for indices, dim in proposals])
 
 
@@ -122,20 +122,20 @@ class TestProposePartition:
 
 class TestTokens:
     def test_deterministic_within_round(self):
-        vk = round_key(new_vote_key(0, round_binding=3), ([5], 10))
-        a = encrypt_indices(mask_of([5], 10), vk)
-        b = encrypt_indices(mask_of([5], 10), vk)
+        table = round_table(new_vote_key(0, round_binding=3), ([5], 10))
+        a = encrypt_indices(mask_of([5], 10), table)
+        b = encrypt_indices(mask_of([5], 10), table)
         assert np.array_equal(a.tokens, b.tokens)
 
     def test_round_separation(self):
-        vk0 = round_key(new_vote_key(0, round_binding=0), ([5], 10))
-        vk1 = round_key(new_vote_key(0, round_binding=1), ([5], 10))
-        assert not np.array_equal(encrypt_indices(mask_of([5], 10), vk0).tokens,
-                                  encrypt_indices(mask_of([5], 10), vk1).tokens)
+        table0 = round_table(new_vote_key(0, round_binding=0), ([5], 10))
+        table1 = round_table(new_vote_key(0, round_binding=1), ([5], 10))
+        assert not np.array_equal(encrypt_indices(mask_of([5], 10), table0).tokens,
+                                  encrypt_indices(mask_of([5], 10), table1).tokens)
 
     def test_injective(self):
-        vk = round_key(new_vote_key(1), ([1, 4], 6))
-        msg = encrypt_indices(mask_of([1, 4], 6), vk)
+        table = round_table(new_vote_key(1), ([1, 4], 6))
+        msg = encrypt_indices(mask_of([1, 4], 6), table)
         assert len(msg.tokens) == 2
 
     def test_round_binding_is_an_int64(self):
@@ -245,8 +245,8 @@ class TestBatchedPrp:
 
 
 class TestTokenMemo:
-    """A round key's token table serves the round's proposals, and only
-    them; its tokens always equal the plain PRP."""
+    """A round table serves the round's proposals, and only them; its tokens
+    always equal the plain PRP."""
 
     @staticmethod
     def reference_tokens(vk, indices):
@@ -256,22 +256,21 @@ class TestTokenMemo:
         """A table over exactly the proposal, and one over a wider union,
         give the proposal the same reference tokens."""
         first, second = [0, 3, 17, 999, 4095], [3, 8, 999, 2**16 + 7]
-        fresh = round_key(new_vote_key(21, round_binding=5), (first, 2**17))
-        warm = round_key(new_vote_key(21, round_binding=5), (first, 2**17), (second, 2**17))
-        for vk in (fresh, warm):
-            assert np.array_equal(encrypt_indices(mask_of(first, 2**17), vk).tokens,
+        vk = new_vote_key(21, round_binding=5)
+        fresh = round_table(vk, (first, 2**17))
+        warm = round_table(vk, (first, 2**17), (second, 2**17))
+        for table in (fresh, warm):
+            assert np.array_equal(encrypt_indices(mask_of(first, 2**17), table).tokens,
                                   self.reference_tokens(vk, first))
         assert np.array_equal(encrypt_indices(mask_of(second, 2**17), warm).tokens,
-                              self.reference_tokens(warm, second))
+                              self.reference_tokens(vk, second))
 
-    def test_tokenize_round_returns_a_new_key(self):
-        """The table goes on the returned copy; the argument keeps no table
-        and still equals the copy."""
+    def test_tokenize_round_returns_the_table(self):
+        """The round table is the plain value ``(union, tokens)``; the key
+        holds only the key and the round."""
         vk = new_vote_key(27, round_binding=4)
-        keyed = round_key(vk, ([1, 5], 8), ([5, 6], 8))
-        assert keyed is not vk and keyed == vk
-        assert vk._table is None
-        union, tokens = keyed._table
+        union, tokens = round_table(vk, ([1, 5], 8), ([5, 6], 8))
+        assert vars(vk) == {"key": vk.key, "round_binding": 4}
         assert union.tolist() == [i in (1, 5, 6) for i in range(8)]
         assert tokens.tolist() == [reference_token(vk, i) if i in (1, 5, 6) else 0
                                    for i in range(8)]
@@ -285,10 +284,10 @@ class TestTokenMemo:
         ones included) as a ``bool`` array over dim, and the tokens hold
         each union index's token there and 0 elsewhere."""
         masks = [mask_of([i % dim for i in p], dim) for p in proposals]
-        vk = tokenize_round(new_vote_key(seed, round_binding=1), masks)
+        vk = new_vote_key(seed, round_binding=1)
+        union, tokens = tokenize_round(vk, masks)
         indices = np.unique(np.concatenate(
             [np.empty(0, np.uint64), *(m.he_indices.astype(np.uint64) for m in masks)]))
-        union, tokens = vk._table
         assert union.dtype == np.bool_ and union.shape == (dim,)
         assert np.array_equal(np.flatnonzero(union), indices)
         assert tokens.dtype == np.uint64 and tokens.shape == (dim,)
@@ -305,74 +304,58 @@ class TestTokenMemo:
             with pytest.raises(DimensionError, match="at least one proposal"):
                 tokenize_round(new_vote_key(28, round_binding=0), proposals)
 
-    def test_equality_and_hash_ignore_memo(self):
-        base = new_vote_key(24)
-        a = round_key(VoteKey(base.key, 3), ([1, 2, 3], 8))
-        b = VoteKey(base.key, 3)
-        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert a != VoteKey(base.key, 4)
-        assert np.array_equal(encrypt_indices(mask_of([1, 3], 8), a).tokens,
-                              self.reference_tokens(b, [1, 3]))
-
 
 class TestRoundTableRefusals:
-    """The vote reads only the round key's table; whatever that table cannot
+    """The vote reads only the round table; whatever that table cannot
     answer is a ``ProtocolError``, and the PRP never runs on the spot."""
 
-    def test_untokenized_key_refused(self):
-        vk = new_vote_key(30, round_binding=1)
-        with pytest.raises(ProtocolError, match="no token table over dim 8"):
-            encrypt_indices(mask_of([1, 3], 8), vk)
-        with pytest.raises(ProtocolError, match="no token table over dim 8"):
-            decode_partition(np.array([reference_token(vk, 1)], np.uint64), vk, 8, 1)
-
     def test_proposal_outside_the_union_refused(self):
-        vk = round_key(new_vote_key(31, round_binding=2), ([1, 2], 8), ([2, 5], 8))
-        assert np.array_equal(encrypt_indices(mask_of([2, 5], 8), vk).tokens,
+        vk = new_vote_key(31, round_binding=2)
+        table = round_table(vk, ([1, 2], 8), ([2, 5], 8))
+        assert np.array_equal(encrypt_indices(mask_of([2, 5], 8), table).tokens,
                               TestTokenMemo.reference_tokens(vk, [2, 5]))
         with pytest.raises(ProtocolError, match="outside the round's union"):
-            encrypt_indices(mask_of([2, 6], 8), vk)
+            encrypt_indices(mask_of([2, 6], 8), table)
 
     def test_table_of_another_dim_refused(self):
-        vk = round_key(new_vote_key(32, round_binding=3), ([1, 2], 8))
-        token = np.array([reference_token(vk, 1)], np.uint64)
+        table = round_table(new_vote_key(32, round_binding=3), ([1, 2], 8))
         for dim in (7, 9):
-            with pytest.raises(ProtocolError, match=f"no token table over dim {dim}"):
-                encrypt_indices(mask_of([1, 2], dim), vk)
-            with pytest.raises(ProtocolError, match=f"no token table over dim {dim}"):
-                decode_partition(token, vk, dim, 1)
+            with pytest.raises(ProtocolError,
+                               match=f"round table spans dim 8, not the proposal's {dim}$"):
+                encrypt_indices(mask_of([1, 2], dim), table)
 
     def test_token_of_an_unproposed_index_refused(self):
         """Index 6 lies in range but nobody proposed it, so its token is no
         winner this round, alone or beside a proposed one."""
-        vk = round_key(new_vote_key(33, round_binding=4), ([1, 2], 8))
+        vk = new_vote_key(33, round_binding=4)
+        table = round_table(vk, ([1, 2], 8))
         unproposed, proposed = reference_token(vk, 6), reference_token(vk, 1)
         for winners, k in (([unproposed], 1), (sorted([unproposed, proposed]), 2)):
             with pytest.raises(ProtocolError, match=f"token {unproposed:016x} is not one of "
-                                                    f"this round's tokens"):
-                decode_partition(np.array(winners, np.uint64), vk, 8, k)
-        assert decode_partition(np.array([proposed], np.uint64), vk, 8, 2).he_indices.tolist() \
-            == [0, 1]
+                                                    f"this round's tokens$"):
+                decode_partition(np.array(winners, np.uint64), table, k)
+        assert decode_partition(np.array([proposed], np.uint64), table, 1).he_indices.tolist() \
+            == [1]
 
 
 class TestTally:
     def test_reference_scenario_two_most_frequent(self):
         # three clients propose {1,4}, {1,2}, {4,1}; counts 1 -> 3, 4 -> 2, 2 -> 1
         proposals = ([1, 4], [1, 2], [4, 1])
-        vk = round_key(new_vote_key(7, round_binding=0), *((p, 5) for p in proposals))
-        msgs = [encrypt_indices(mask_of(p, 5), vk) for p in proposals]
+        table = round_table(new_vote_key(7, round_binding=0), *((p, 5) for p in proposals))
+        msgs = [encrypt_indices(mask_of(p, 5), table) for p in proposals]
         winners = tally_votes(msgs, 2)
-        assert decode_partition(winners, vk, 5, 2).he_indices.tolist() == [1, 4]
+        assert decode_partition(winners, table, 2).he_indices.tolist() == [1, 4]
 
     def test_unanimity(self):
-        vk = round_key(new_vote_key(8), ([0, 2, 3], 6))
-        msgs = [encrypt_indices(mask_of([0, 2, 3], 6), vk) for _ in range(4)]
+        table = round_table(new_vote_key(8), ([0, 2, 3], 6))
+        msgs = [encrypt_indices(mask_of([0, 2, 3], 6), table) for _ in range(4)]
         winners = tally_votes(msgs, 3)
-        assert decode_partition(winners, vk, 6, 3).he_indices.tolist() == [0, 2, 3]
+        assert decode_partition(winners, table, 3).he_indices.tolist() == [0, 2, 3]
 
     def test_all_ties_pick_lexicographically_smallest_tokens(self):
-        vk = round_key(new_vote_key(9), ([0, 1, 2], 4))
-        msg = encrypt_indices(mask_of([0, 1, 2], 4), vk)
+        table = round_table(new_vote_key(9), ([0, 1, 2], 4))
+        msg = encrypt_indices(mask_of([0, 1, 2], 4), table)
         winners = tally_votes([msg], 2)
         assert np.array_equal(winners, np.sort(msg.tokens)[:2])
 
@@ -421,6 +404,31 @@ class TestTally:
         sent = np.array([2**62 + 1, 2**62 + 3], np.uint64)
         assert tally_votes([VoteMessage(sent), VoteMessage(sent[:1])], 1).tolist() == [2**62 + 1]
 
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12, unique=True).flatmap(
+        lambda pool: st.tuples(st.just(len(pool)), st.lists(
+            st.lists(st.sampled_from(pool), unique=True), max_size=8))))
+    @settings(deadline=None)
+    def test_equals_the_stable_argsort_tally(self, case):
+        """Over tie-heavy messages (up to 8 clients drawing from at most 12
+        tokens anywhere in the uint64 range) and every k from 0 to two past
+        the distinct count, the tally equals the stable-argsort tally it
+        replaced, dtype and order included.  The example budget comes from
+        the hypothesis profile."""
+        distinct, messages = case
+        msgs = [VoteMessage(np.array(sorted(m), np.uint64)) for m in messages]
+        for k in range(distinct + 3):
+            got, want = tally_votes(msgs, k), _argsort_tally(msgs, k)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def _argsort_tally(msgs, k: int) -> np.ndarray:
+    """``tally_votes`` as it was written with a stable argsort of the counts,
+    kept verbatim as the reference for the one top-k rule."""
+    check_int("k", k, 0)
+    tokens = np.concatenate([_NO_BLOCKS, *(msg.tokens for msg in msgs)])
+    tokens, counts = np.unique(tokens, return_counts=True)
+    return np.sort(tokens[np.argsort(-counts, kind="stable")[:k]])
+
 
 def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
     """The PRP (or its inverse) of each ``uint64`` block: the Feistel network
@@ -438,41 +446,25 @@ def _prp(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
     return (left.astype(np.uint64) << 32) | right
 
 
-def _lookup(vk: VoteKey, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``_prp`` read from the key's round table; blocks the table lacks are
-    computed here and not stored, so foreign tokens cannot grow it."""
-    keys, values = vk._table[inverse]
-    pos = np.searchsorted(keys, blocks)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == blocks[hit]
-    out = np.empty_like(blocks)
-    out[hit] = values[pos[hit]]
-    out[~hit] = _prp(vk, blocks[~hit], inverse)
-    return out
-
-
-# ``_prp`` and ``_lookup`` above are verbatim copies of the token path the
-# round table replaced, which ran the PRP, or its inverse, on the spot for
-# every block its table lacked.  A key holding this empty table in that form
-# sends every block through the inverse PRP.
-_SPOT_TABLE = ((np.empty(0, np.uint64),) * 2,) * 2
+# ``_prp`` above is a verbatim copy of the token path the round table
+# replaced, which ran the PRP's inverse on every winning token.
 
 
 def set_algebra_decode(tokens, vk, dim, k):
     """``decode_partition`` as it was written with set operations, kept as
-    the reference for the boolean-mask decode of a valid token array."""
+    the reference for the boolean-mask decode of a valid token array; a
+    winner list of other than k tokens, which it once padded, is refused."""
     if not 0 <= k <= dim:
         raise ValueError(f"k must lie in [0, {dim}], got {k}")
     tokens = np.fromiter(tokens, dtype=np.uint64)
-    if tokens.size > k or np.unique(tokens).size < tokens.size:
-        raise ProtocolError(f"expected at most {k} winning tokens, got {tokens.size}")
-    indices = _lookup(vk, tokens, inverse=True)
+    if tokens.size != k or np.unique(tokens).size < tokens.size:
+        raise ProtocolError(f"expected {k} winning tokens, got {tokens.size}")
+    indices = _prp(vk, tokens, inverse=True)
     if np.any(indices >= dim):
         raise ProtocolError(f"token {tokens[indices >= dim][0]:016x} does not decode "
                             f"to an index below {dim} under this vote key")
-    pad = np.setdiff1d(np.arange(k, dtype=np.uint64), indices)[:k - indices.size]
     chosen = np.zeros(dim, dtype=bool)
-    chosen[np.union1d(indices, pad)] = True
+    chosen[indices] = True
     return PartitionMask(chosen)
 
 
@@ -484,114 +476,112 @@ def is_token_array(tokens):
 
 @st.composite
 def decode_cases(draw):
-    """(winning tokens, vote key, dim, k, the round's proposed indices) for
-    dim <= 64 and every k.  The key is tokenized over a proposal of dim
-    indices, or (now and then) over another dim or not at all.  The winners
-    are proposed indices, or (second branch) any indices up to dim + 3 that
-    may repeat or exceed k; half the time as a sorted ``uint64`` array
-    without repeats, else as drawn: an array (``uint64``, int64 or float), a
-    list (of ints or of numpy scalars) or a frozenset."""
+    """(winning tokens, vote key, its round table over dim, dim, k, the
+    round's proposed indices) for dim <= 64 and every k.  The winners are k
+    proposed indices (all of them when fewer were proposed), or (second
+    branch) any indices up to dim + 3 that may repeat or number other than
+    k; half the time as a sorted ``uint64`` array without repeats, else as
+    drawn: an array (``uint64``, int64 or float), a list (of ints or of
+    numpy scalars) or a frozenset."""
     dim = draw(st.integers(min_value=1, max_value=64))
     k = draw(st.integers(min_value=0, max_value=dim))
     proposed = draw(st.lists(st.integers(min_value=0, max_value=dim - 1), unique=True))
-    from_table = (st.lists(st.sampled_from(proposed), unique=True, min_size=min(k, 1),
-                           max_size=k) if proposed else st.just([]))
+    from_table = (st.lists(st.sampled_from(proposed), unique=True,
+                           min_size=min(k, len(proposed)), max_size=k)
+                  if proposed else st.just([]))
     winners = draw(from_table
                    | st.lists(st.integers(min_value=0, max_value=dim + 3), max_size=k + 1))
     vk = new_vote_key(draw(st.integers(min_value=0, max_value=2**32 - 1)),
                       round_binding=draw(st.integers(min_value=0, max_value=2**16)))
-    table_dim = draw(st.sampled_from([dim] * 8 + [None, dim + 1]))
-    if table_dim is not None:
-        vk = round_key(vk, ([i % table_dim for i in proposed], table_dim))
+    table = round_table(vk, (proposed, dim))
     tokens = [reference_token(vk, i) for i in winners]
     if draw(st.booleans()):
-        return np.array(sorted(set(tokens)), np.uint64), vk, dim, k, proposed
+        return np.array(sorted(set(tokens)), np.uint64), vk, table, dim, k, proposed
     given_as = draw(st.sampled_from([lambda t: np.array(t, np.uint64), list, frozenset,
                                      lambda t: [np.uint64(x) for x in t],
                                      lambda t: np.array(t, np.uint64).astype(np.int64),
                                      lambda t: np.array(t, np.float64)]))
-    return given_as(tokens), vk, dim, k, proposed
+    return given_as(tokens), vk, table, dim, k, proposed
 
 
 class TestDecodePartition:
     @given(decode_cases())
     @settings(deadline=None)
     def test_equals_set_algebra_decode(self, case):
-        """On a token array, winners drawn from the key's table over dim give
-        the set-algebra decode's mask, and too many winners its
-        ProtocolError; a key with no table over dim, or any other winner,
-        is a ProtocolError; any other form is rejected.  The example budget
-        comes from the hypothesis profile."""
-        tokens, vk, dim, k, proposed = case
+        """On a token array, k winners drawn from the round table give the
+        set-algebra decode's mask, and a list of other than k winners its
+        ProtocolError; k winners that are not all the round's tokens are a
+        ProtocolError; any other form is rejected.  The example budget comes
+        from the hypothesis profile."""
+        tokens, vk, table, dim, k, proposed = case
         if not is_token_array(tokens):
             with pytest.raises(ProtocolError, match="strictly increasing 1-D uint64 array"):
-                decode_partition(tokens, vk, dim, k)
+                decode_partition(tokens, table, k)
             return
 
-        def outcome(decode, key):
+        def outcome(decode, *args):
             try:
-                mask = decode(tokens, key, dim, k)
+                mask = decode(tokens, *args)
             except ProtocolError as err:
                 return str(err)
             return mask.he_indices.tolist(), mask.dim
-        got = outcome(decode_partition, vk)
-        if tokens.size > k:
-            assert got == outcome(set_algebra_decode, replace(vk, _table=_SPOT_TABLE))
-        elif vk._table is None or vk._table[0].size != dim:
-            assert got == (f"the vote key holds no token table over dim {dim}; "
-                           f"tokenize_round makes one")
-        elif set(tokens.tolist()) <= {reference_token(vk, i) for i in proposed}:
-            assert got == outcome(set_algebra_decode, replace(vk, _table=_SPOT_TABLE))
+        got = outcome(decode_partition, table, k)
+        if tokens.size == k and not set(tokens.tolist()) <= {reference_token(vk, i)
+                                                             for i in proposed}:
+            assert isinstance(got, str) and got.endswith("is not one of this round's tokens")
         else:
-            assert isinstance(got, str) and got.endswith("is not one of this round's tokens "
-                                                         "under this vote key")
+            assert got == outcome(set_algebra_decode, vk, dim, k)
 
     def test_inverse(self):
-        vk = round_key(new_vote_key(10), ([1, 4], 5))
-        tokens = encrypt_indices(mask_of([1, 4], 5), vk).tokens
-        assert decode_partition(tokens, vk, 5, 2).he_indices.tolist() == [1, 4]
+        table = round_table(new_vote_key(10), ([1, 4], 5))
+        tokens = encrypt_indices(mask_of([1, 4], 5), table).tokens
+        assert decode_partition(tokens, table, 2).he_indices.tolist() == [1, 4]
 
-    def test_padding_with_smallest_unselected(self):
-        vk = round_key(new_vote_key(11), ([3], 5))
-        tokens = encrypt_indices(mask_of([3], 5), vk).tokens
-        assert decode_partition(tokens, vk, 5, 2).he_indices.tolist() == [0, 3]
+    def test_short_winner_list_refused(self):
+        """Every proposal marks k coordinates, so the tally returns k winners;
+        a shorter list is refused, not padded toward the lowest indices."""
+        table = round_table(new_vote_key(11), ([3], 5))
+        tokens = encrypt_indices(mask_of([3], 5), table).tokens
+        with pytest.raises(ProtocolError, match="^expected 2 winning tokens, got 1$"):
+            decode_partition(tokens, table, 2)
+        with pytest.raises(ProtocolError, match="^expected 1 winning tokens, got 0$"):
+            decode_partition(np.empty(0, np.uint64), table, 1)
 
     def test_empty(self):
-        vk = round_key(new_vote_key(12), ([], 5))
-        m = decode_partition(np.empty(0, np.uint64), vk, 5, 0)
-        assert m.size == 0
+        table = round_table(new_vote_key(12), ([], 5))
+        m = decode_partition(np.empty(0, np.uint64), table, 0)
+        assert m.size == 0 and m.dim == 5
 
-    @pytest.mark.parametrize("dim,k", [(5, True), (5, 2.5), (5, 1.0), (True, 1), (5.0, 1),
-                                       (5.5, 1), ("5", 1)])
+    @pytest.mark.parametrize("dim,k", [(5, True), (5, 2.5), (5, 1.0), (5, "1")])
     def test_non_integer_sizes_rejected(self, dim, k):
-        vk = round_key(new_vote_key(18), ([3], 5))
-        tokens = encrypt_indices(mask_of([3], 5), vk).tokens
-        with pytest.raises(ValueError, match="(dim|k) must be an integer"):
-            decode_partition(tokens, vk, dim, k)
+        table = round_table(new_vote_key(18), ([3], dim))
+        tokens = encrypt_indices(mask_of([3], dim), table).tokens
+        with pytest.raises(ValueError, match="k must be an integer"):
+            decode_partition(tokens, table, k)
 
     def test_numpy_integer_sizes_accepted(self):
-        vk = round_key(new_vote_key(18), ([3], 5))
-        tokens = encrypt_indices(mask_of([3], 5), vk).tokens
-        m = decode_partition(tokens, vk, np.int64(5), np.uint8(2))
-        assert m.he_indices.tolist() == [0, 3]
+        table = round_table(new_vote_key(18), ([3], 5))
+        tokens = encrypt_indices(mask_of([3], 5), table).tokens
+        m = decode_partition(tokens, table, np.uint8(1))
+        assert m.he_indices.tolist() == [3]
 
     def test_foreign_token_rejected(self):
-        vk = round_key(new_vote_key(13), ([1], 4))
+        table = round_table(new_vote_key(13), ([1], 4))
         bad = np.array([2**64 - 1], dtype=np.uint64)  # no proposed index's token
         with pytest.raises(ProtocolError):
-            decode_partition(bad, vk, 4, 1)
+            decode_partition(bad, table, 1)
 
     def test_more_than_k_tokens_rejected(self):
-        vk = round_key(new_vote_key(15), ([0, 2, 3], 5))
-        tokens = encrypt_indices(mask_of([0, 2, 3], 5), vk).tokens
-        with pytest.raises(ProtocolError, match="at most 2 winning tokens, got 3"):
-            decode_partition(tokens, vk, 5, 2)
+        table = round_table(new_vote_key(15), ([0, 2, 3], 5))
+        tokens = encrypt_indices(mask_of([0, 2, 3], 5), table).tokens
+        with pytest.raises(ProtocolError, match="^expected 2 winning tokens, got 3$"):
+            decode_partition(tokens, table, 2)
 
     def test_repeated_token_rejected(self):
-        vk = round_key(new_vote_key(16), ([3], 5))
-        token = encrypt_indices(mask_of([3], 5), vk).tokens
+        table = round_table(new_vote_key(16), ([3], 5))
+        token = encrypt_indices(mask_of([3], 5), table).tokens
         with pytest.raises(ProtocolError, match="strictly increasing"):
-            decode_partition(np.concatenate([token, token]), vk, 5, 2)
+            decode_partition(np.concatenate([token, token]), table, 2)
 
     @pytest.mark.parametrize("tokens", [[1.5], [-1], [2**64], [True, 2.0], ["7"],
                                         np.array([1.5]), np.array([-1]), np.array([[1]]),
@@ -607,34 +597,31 @@ class TestDecodePartition:
         array, and nothing else: 1.5 is not truncated to 1, -1 or 2**64 is a
         ProtocolError and not an OverflowError, and a list or a frozenset of
         valid tokens is refused as well."""
+        table = round_table(new_vote_key(17), ([1, 2], 5))
         with pytest.raises(ProtocolError, match="strictly increasing 1-D uint64 array"):
-            decode_partition(tokens, new_vote_key(17), 5, 2)
+            decode_partition(tokens, table, 2)
 
     def test_consensus_across_clients(self):
-        vk = round_key(new_vote_key(14, round_binding=2), *(([i, i + 1], 8) for i in range(3)))
-        msgs = [encrypt_indices(mask_of([i, i + 1], 8), vk) for i in range(3)]
+        table = round_table(new_vote_key(14, round_binding=2),
+                            *(([i, i + 1], 8) for i in range(3)))
+        msgs = [encrypt_indices(mask_of([i, i + 1], 8), table) for i in range(3)]
         winners = tally_votes(msgs, 2)
-        masks = [decode_partition(winners, vk, 8, 2) for _ in range(5)]
+        masks = [decode_partition(winners, table, 2) for _ in range(5)]
         assert all(m == masks[0] for m in masks)
 
 
 def brute_force_winners(proposals, k, token_of):
-    """Plaintext counting oracle: sort by (count desc, token asc), take k,
-    pad with the smallest unselected indices."""
+    """Plaintext counting oracle: sort by (count desc, token asc), take k."""
     counts = Counter()
     for prop in proposals:
         counts.update(prop)
     ranked = sorted(counts, key=lambda idx: (-counts[idx], token_of(idx)))
-    chosen = set(ranked[:k])
-    pad = 0
-    while len(chosen) < k:
-        if pad not in chosen:
-            chosen.add(pad)
-        pad += 1
-    return sorted(chosen)
+    return sorted(ranked[:k])
 
 
 def run_oracle_trial(rng, trial):
+    """The decoded mask, or the decode's refusal when fewer than k distinct
+    indices were proposed, against the oracle's."""
     dim = int(rng.integers(1, 65))
     n_clients = int(rng.integers(1, 17))
     k = int(rng.integers(0, dim + 1))
@@ -643,10 +630,15 @@ def run_oracle_trial(rng, trial):
     for _ in range(n_clients):
         size = int(rng.integers(0, dim + 1))
         proposals.append(sorted(rng.choice(dim, size=size, replace=False).tolist()))
-    vk = round_key(vk, *((prop, dim) for prop in proposals))
-    msgs = [encrypt_indices(mask_of(prop, dim), vk) for prop in proposals]
-    got = decode_partition(tally_votes(msgs, k), vk, dim, k).he_indices.tolist()
+    table = round_table(vk, *((prop, dim) for prop in proposals))
+    msgs = [encrypt_indices(mask_of(prop, dim), table) for prop in proposals]
+    try:
+        got = decode_partition(tally_votes(msgs, k), table, k).he_indices.tolist()
+    except ProtocolError as err:
+        got = str(err)
     expected = brute_force_winners(proposals, k, lambda i: reference_token(vk, i))
+    if len(expected) < k:
+        expected = f"expected {k} winning tokens, got {len(expected)}"
     return got, expected
 
 
@@ -661,8 +653,8 @@ def test_server_side_blindness_under_relabeling():
     """tally_votes output must be invariant under any equality- and
     order-preserving relabeling of the uint64 tokens."""
     proposals = ([0, 1, 2], [1, 2], [2, 5], [5])
-    vk = round_key(new_vote_key(21), *((p, 10) for p in proposals))
-    msgs = [encrypt_indices(mask_of(p, 10), vk) for p in proposals]
+    table = round_table(new_vote_key(21), *((p, 10) for p in proposals))
+    msgs = [encrypt_indices(mask_of(p, 10), table) for p in proposals]
     all_tokens = sorted({t for m in msgs for t in m.tokens.tolist()})
     # order-preserving relabeling: token -> its rank
     relabel = {t: rank for rank, t in enumerate(all_tokens)}
